@@ -182,9 +182,14 @@ def check_receipt(receipt: Receipt, board, now: int) -> ReceiptStatus:
     return ReceiptStatus.CONFIRMED
 
 
-def validate_decrypted(exponents: list[int]) -> bool:
-    """A decrypted ballot is valid iff each slot is 0/1 and exactly one is 1."""
-    return all(e in (0, 1) for e in exponents) and sum(exponents) == 1
+def validate_decrypted(exponents: list[int], n_candidates: int) -> bool:
+    """A decrypted ballot is valid iff it has one slot per candidate, each
+    slot is 0/1 and exactly one is 1."""
+    return (
+        len(exponents) == n_candidates
+        and all(e in (0, 1) for e in exponents)
+        and sum(exponents) == 1
+    )
 
 
 def ballot_cast_payload(sb: SignedBallot) -> bytes:

@@ -12,7 +12,8 @@ simulator is there to demonstrate exactly that.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .canonical import derive_rng, digest, encode
 from .errors import NoOnlineNodes
@@ -23,6 +24,8 @@ GENESIS_TAG = "evote/ballotcoin/genesis"
 _DOMAIN_LOTTERY = "evote/ballotcoin/lottery"
 
 COIN_AMOUNT = 1
+
+_Ledger = tuple[dict[str, int], set[bytes]]  # balances, included tx digests
 
 
 @dataclass
@@ -119,7 +122,12 @@ class Block:
 
 @dataclass(frozen=True)
 class Chain:
-    """Immutable block list plus the public context needed to validate it."""
+    """Immutable block list plus the public context needed to validate it.
+
+    The chain's ledger is computed once.  `extend` derives it from the
+    parent's by checking only the new block; a chain built any other way
+    replays its blocks on first use.
+    """
 
     params: GroupParams
     genesis_alloc: dict[str, int]  # address -> coins at genesis
@@ -135,68 +143,82 @@ class Chain:
     def tip_digest(self) -> bytes:
         return self.blocks[-1].digest()
 
-    def balances(self, upto: int | None = None) -> dict[str, int]:
-        bal = dict(self.genesis_alloc)
-        for block in self.blocks if upto is None else self.blocks[:upto]:
-            for tx in block.txs:
-                bal[tx.sender] = bal.get(tx.sender, 0) - tx.amount
-                bal[tx.recipient] = bal.get(tx.recipient, 0) + tx.amount
-        return bal
+    @cached_property
+    def _ledger(self) -> _Ledger | None:
+        """Balances and included tx digests after the last block, or None
+        when any block is invalid."""
+        g = self.blocks[0] if self.blocks else None
+        if g is None or g.height != 0 or g.prev_digest != digest(GENESIS_TAG) or g.txs:
+            return None
+        ledger = (dict(self.genesis_alloc), set())
+        for prev, block in zip(self.blocks, self.blocks[1:]):
+            if not self._apply(ledger, prev, block):
+                return None
+        return ledger
+
+    def _apply(self, ledger: _Ledger, prev: Block, block: Block) -> bool:
+        """Check `block` as the successor of `prev` and apply its
+        transactions to `ledger` in place; False when the block is invalid."""
+        vk = self.forger_keys.get(block.forger)
+        return (
+            block.height == prev.height + 1
+            and block.prev_digest == prev.digest()
+            and vk is not None
+            and block.forger_signature is not None
+            and verify_sig(self.params, vk, block.signed_message(), block.forger_signature)
+            and all(_admit(self, *ledger, tx) for tx in block.txs)
+        )
+
+    def _valid_ledger(self) -> _Ledger:
+        if self._ledger is None:
+            raise ValueError("chain is invalid")
+        return self._ledger
+
+    def balances(self) -> dict[str, int]:
+        return dict(self._valid_ledger()[0])
 
     def included_tx_digests(self) -> set[bytes]:
-        return {tx.digest() for block in self.blocks for tx in block.txs}
+        return set(self._valid_ledger()[1])
 
     def extend(self, block: Block) -> "Chain":
-        return replace(self, blocks=self.blocks + (block,))
+        child = replace(self, blocks=self.blocks + (block,))
+        ledger = self._ledger
+        if ledger is not None:
+            ledger = (dict(ledger[0]), set(ledger[1]))
+            if not child._apply(ledger, self.blocks[-1], block):
+                ledger = None
+        object.__setattr__(child, "_ledger", ledger)  # seed the cached property
+        return child
 
     def is_valid(self) -> bool:
-        if not self.blocks:
-            return False
-        g = self.blocks[0]
-        if g.height != 0 or g.prev_digest != digest(GENESIS_TAG) or g.txs:
-            return False
-        bal = dict(self.genesis_alloc)
-        included: set[bytes] = set()
-        prev = g.digest()
-        for i, block in enumerate(self.blocks[1:], start=1):
-            if block.height != i or block.prev_digest != prev:
-                return False
-            vk = self.forger_keys.get(block.forger)
-            if vk is None or block.forger_signature is None:
-                return False
-            if not verify_sig(
-                self.params, vk, block.signed_message(), block.forger_signature
-            ):
-                return False
-            for tx in block.txs:
-                if not _tx_valid_against(self.params, self, bal, included, tx):
-                    return False
-                bal[tx.sender] -= tx.amount
-                bal[tx.recipient] = bal.get(tx.recipient, 0) + tx.amount
-                included.add(tx.digest())
-            prev = block.digest()
-        return True
+        return self._ledger is not None
 
 
-def _tx_valid_against(
-    params: GroupParams,
+def _admit(
     chain: Chain,
     balances: dict[str, int],
     included: set[bytes],
     tx: CoinTransaction,
 ) -> bool:
-    """Spending is balance-gated; replaying an identical transaction is
+    """Check one transaction against a ledger and, when valid, apply it.
+
+    Spending is balance-gated; replaying an identical transaction is
     rejected by digest.  This stays coherent even when the toy group makes
     distinct wallets collide on one address."""
-    if tx.amount != COIN_AMOUNT:
+    tx_digest = tx.digest()
+    if (
+        tx.amount != COIN_AMOUNT
+        or tx.recipient not in chain.candidate_names
+        or wallet_address(tx.sender_vk) != tx.sender
+        or tx_digest in included
+        or balances.get(tx.sender, 0) < tx.amount
+        or not verify_sig(chain.params, tx.sender_vk, tx.message(), tx.signature)
+    ):
         return False
-    if tx.recipient not in chain.candidate_names:
-        return False
-    if wallet_address(tx.sender_vk) != tx.sender:
-        return False
-    if tx.digest() in included or balances.get(tx.sender, 0) < tx.amount:
-        return False
-    return verify_sig(params, tx.sender_vk, tx.message(), tx.signature)
+    balances[tx.sender] -= tx.amount
+    balances[tx.recipient] = balances.get(tx.recipient, 0) + tx.amount
+    included.add(tx_digest)
+    return True
 
 
 def genesis(
@@ -229,14 +251,12 @@ def genesis(
 
 
 def validate_tx(chain: Chain, pool: list[CoinTransaction], tx: CoinTransaction) -> bool:
-    """Valid against the chain plus every earlier pool transaction."""
-    balances = chain.balances()
-    included = set(chain.included_tx_digests())
+    """Valid against the chain plus every earlier pool transaction that is
+    itself valid, the rule `forge_block` applies."""
+    balances, included = chain.balances(), chain.included_tx_digests()
     for earlier in pool:
-        balances[earlier.sender] = balances.get(earlier.sender, 0) - earlier.amount
-        balances[earlier.recipient] = balances.get(earlier.recipient, 0) + earlier.amount
-        included.add(earlier.digest())
-    return _tx_valid_against(chain.params, chain, balances, included, tx)
+        _admit(chain, balances, included, earlier)
+    return _admit(chain, balances, included, tx)
 
 
 @dataclass
@@ -295,25 +315,16 @@ def forge_block(
 
     Invalid transactions (double spends included) are excluded, not fatal.
     """
-    balances = chain.balances()
-    included = set(chain.included_tx_digests())
-    accepted: list[CoinTransaction] = []
-    for tx in pool:
-        if _tx_valid_against(chain.params, chain, balances, included, tx):
-            balances[tx.sender] -= tx.amount
-            balances[tx.recipient] = balances.get(tx.recipient, 0) + tx.amount
-            included.add(tx.digest())
-            accepted.append(tx)
-    message = encode(
-        chain.height + 1, chain.tip_digest, node.node_id, [t.to_bytes() for t in accepted]
-    )
-    return Block(
+    balances, included = chain.balances(), chain.included_tx_digests()
+    block = Block(
         height=chain.height + 1,
         prev_digest=chain.tip_digest,
         forger=node.node_id,
-        txs=tuple(accepted),
-        forger_signature=sign(chain.params, node.signing_key, message),
+        txs=tuple(tx for tx in pool if _admit(chain, balances, included, tx)),
+        forger_signature=None,
     )
+    signature = sign(chain.params, node.signing_key, block.signed_message())
+    return replace(block, forger_signature=signature)
 
 
 def validate_block(chain: Chain, block: Block) -> bool:

@@ -77,6 +77,13 @@ class Board:
         self.entries.append(entry)
         return entry
 
+    def rechain(self) -> None:
+        """Recompute every seq, link and digest after an edit, so that a
+        deliberate mutation trips only the check it targets."""
+        entries, self.entries = self.entries, []
+        for e in entries:
+            self.append(e.kind, e.payload)
+
     def find(self, kind: str) -> list[BulletinEntry]:
         return [e for e in self.entries if e.kind == kind]
 
@@ -113,10 +120,6 @@ class Board:
                 )
             )
         return board
-
-
-def append(board: Board, kind: str, payload: bytes) -> BulletinEntry:
-    return board.append(kind, payload)
 
 
 def verify_chain(board: Board) -> bool:
@@ -272,6 +275,7 @@ def universal_verify(
     Failures are reported per named check; nothing raises.
     """
     p, g = params.p, params.g
+    n_candidates = len(config.candidates)
     failures: list[str] = []
     checks = {
         CHECK_CHAIN: True,
@@ -294,7 +298,10 @@ def universal_verify(
             checks[CHECK_WELLFORMED] = False
             failures.append(f"entry {e.seq}: unparseable ballot payload")
             continue
-        if not verify_wellformed(params, election_pk, slots, proof):
+        if len(slots) != n_candidates:
+            checks[CHECK_WELLFORMED] = False
+            failures.append(f"entry {e.seq}: {len(slots)} slots for {n_candidates} candidates")
+        elif not verify_wellformed(params, election_pk, slots, proof):
             checks[CHECK_WELLFORMED] = False
             failures.append(f"entry {e.seq}: well-formedness proof rejected")
 
@@ -405,13 +412,12 @@ def universal_verify(
                 for t in sorted(ds):
                     prod_d = (prod_d * ds[t]) % p
                 lhs = pow(g, exponents[slot_i], p)
-                rhs = (ct.c2 * pow(prod_d, p - 2, p)) % p
-                if lhs != rhs:
+                if prod_d == 0 or lhs != (ct.c2 * pow(prod_d, -1, p)) % p:
                     checks[CHECK_DECRYPTION] = False
                     failures.append(
                         f"item {item_i} slot {slot_i}: claimed plaintext mismatch"
                     )
-            if valid != validate_decrypted(exponents):
+            if valid != validate_decrypted(exponents, n_candidates):
                 checks[CHECK_DECRYPTION] = False
                 failures.append(f"item {item_i}: validity flag incorrect")
 
@@ -432,7 +438,6 @@ def universal_verify(
             checks[CHECK_COUNTS] = False
             failures.append("unparseable result payload")
         else:
-            n_candidates = len(config.candidates)
             recount = [0] * n_candidates
             invalid = 0
             for item_i in range(len(final_batch.items)):
@@ -440,7 +445,7 @@ def universal_verify(
                 if claim is None:
                     continue
                 exponents, _ = claim
-                if validate_decrypted(exponents) and len(exponents) == n_candidates:
+                if validate_decrypted(exponents, n_candidates):
                     for c, e_val in enumerate(exponents):
                         recount[c] += e_val
                 else:

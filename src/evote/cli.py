@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 from .ballot import compose_ballot, encode_choice
 from .ballotcoin import SimConfig, estimate_storage, simulate
-from .bulletin import Board, entry_digest, genesis_digest, universal_verify
+from .bulletin import Board, universal_verify
 from .canonical import derive_rng, hexdigest
 from .errors import EvoteError
 from .groups import GROUP_PROFILES
@@ -83,41 +84,16 @@ def _apply_tamper(board: Board, tamper: dict) -> None:
     if kind == "flip_payload_byte":
         seq = tamper.get("seq", 0)
         e = entries[seq]
-        payload = bytearray(e.payload)
-        payload[0] ^= 0x01
-        entries[seq] = type(e)(
-            seq=e.seq,
-            kind=e.kind,
-            payload=bytes(payload),
-            prev_digest=e.prev_digest,
-            digest=e.digest,
-        )
+        entries[seq] = replace(e, payload=bytes([e.payload[0] ^ 0x01]) + e.payload[1:])
     elif kind == "drop_entry":
         del entries[tamper.get("seq", 0)]
     elif kind == "alter_result_counts":
         # Re-chain after the mutation so only the count check trips.
         for i, e in enumerate(entries):
             if e.kind == "Result":
-                payload = bytearray(e.payload)
-                payload[-1] ^= 0x01
-                entries[i] = type(e)(
-                    seq=e.seq,
-                    kind=e.kind,
-                    payload=bytes(payload),
-                    prev_digest=e.prev_digest,
-                    digest=e.digest,
-                )
+                entries[i] = replace(e, payload=e.payload[:-1] + bytes([e.payload[-1] ^ 0x01]))
                 break
-        prev = genesis_digest()
-        for i, e in enumerate(entries):
-            entries[i] = type(e)(
-                seq=i,
-                kind=e.kind,
-                payload=e.payload,
-                prev_digest=prev,
-                digest=entry_digest(prev, i, e.kind, e.payload),
-            )
-            prev = entries[i].digest
+        board.rechain()
     else:
         raise UsageError(f"unknown tamper type {kind!r}")
 

@@ -61,9 +61,6 @@ class GroupParams:
     def is_element(self, x: int) -> bool:
         return 1 <= x < self.p and pow(x, self.q, self.p) == 1
 
-    def inv(self, x: int) -> int:
-        return pow(x, self.p - 2, self.p)
-
     def to_bytes(self) -> bytes:
         return encode(self.p, self.q, self.g)
 
@@ -163,7 +160,7 @@ def decode_exponent(params: GroupParams, target: int, decode_bound: int) -> int:
 
 
 def decrypt(params: GroupParams, sk: int, ct: Ciphertext, decode_bound: int) -> int:
-    target = (ct.c2 * params.inv(pow(ct.c1, sk, params.p))) % params.p
+    target = (ct.c2 * pow(pow(ct.c1, sk, params.p), -1, params.p)) % params.p
     return decode_exponent(params, target, decode_bound)
 
 
@@ -238,5 +235,5 @@ def threshold_decrypt(
         if not verify_correct_decryption(params, commitments[index], ct, pd.d, pd.proof):
             raise InvalidPartialProof(f"trustee {index} proof rejected")
         prod_d = (prod_d * pd.d) % params.p
-    target = (ct.c2 * params.inv(prod_d)) % params.p
+    target = (ct.c2 * pow(prod_d, -1, params.p)) % params.p
     return decode_exponent(params, target, decode_bound)

@@ -222,7 +222,7 @@ def run_tally(
                     ),
                 )
                 proof_seqs.append(entry.seq)
-        valid = validate_decrypted(exponents) and len(exponents) == n_candidates
+        valid = validate_decrypted(exponents, n_candidates)
         if valid:
             for c, e_val in enumerate(exponents):
                 counts[c] += e_val
@@ -337,6 +337,8 @@ class Election:
         """Verify and store a ballot; rejected ballots are not stored at all."""
         if self.state is not ElectionState.OPEN:
             raise AlreadyClosed("voting has ended")
+        if len(sb.encrypted.slots) != len(self.config.candidates):
+            return None
         if not verify_ballot(self.params, sb, self.registry, self.election_key.h):
             return None
         self.board.append(bulletin.KIND_LOGIN, bulletin.login_payload(sb.voter_id))

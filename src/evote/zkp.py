@@ -9,7 +9,6 @@ statement, reduced mod q; verification never touches a secret key.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from .canonical import Reader, digest, encode
@@ -21,34 +20,11 @@ DOMAIN_SUM = "evote/zkp/ballot-sum"
 _DOMAIN_NONCE = "evote/zkp/nonce"
 
 
-@dataclass
-class Transcript:
-    """Append-only statement accumulator for challenge derivation."""
-
-    domain_tag: str
-    items: list[bytes]
-
-    @classmethod
-    def new(cls, domain_tag: str) -> "Transcript":
-        return cls(domain_tag=domain_tag, items=[])
-
-    def append(self, item: bytes) -> "Transcript":
-        self.items.append(item)
-        return self
-
-
-def fiat_shamir(t: Transcript, q: int) -> int:
-    """Challenge in [0, q-1], a pure function of the transcript contents."""
-    h = hashlib.sha256(encode(t.domain_tag, t.items)).digest()
-    return int.from_bytes(h, "big") % q
-
-
 def _challenge(params: GroupParams, domain: str, *fields) -> int:
-    t = Transcript.new(domain)
-    t.append(params.to_bytes())
-    for f in fields:
-        t.append(f if isinstance(f, bytes) else encode(f))
-    return fiat_shamir(t, params.q)
+    """Fiat-Shamir challenge in [0, q-1]: sha256 over the domain tag and the
+    canonically encoded group and statement fields."""
+    items = [params.to_bytes()] + [f if isinstance(f, bytes) else encode(f) for f in fields]
+    return int.from_bytes(digest(domain, items), "big") % params.q
 
 
 def _nonce(params: GroupParams, *secret_and_statement) -> int:
@@ -227,9 +203,9 @@ def _prove_slot(
     z_fake = _nonce(params, "fake-z", r, value, statement)
     # Simulated branch commitments satisfy the verification equations by
     # construction for the pre-chosen (e_fake, z_fake).
-    b_over_gm = (b * params.inv(pow(g, fake, p))) % p
-    commit_g_fake = (pow(g, z_fake, p) * params.inv(pow(a, e_fake, p))) % p
-    commit_h_fake = (pow(pk, z_fake, p) * params.inv(pow(b_over_gm, e_fake, p))) % p
+    b_over_gm = (b * pow(pow(g, fake, p), -1, p)) % p
+    commit_g_fake = (pow(g, z_fake, p) * pow(pow(a, e_fake, p), -1, p)) % p
+    commit_h_fake = (pow(pk, z_fake, p) * pow(pow(b_over_gm, e_fake, p), -1, p)) % p
 
     w = _nonce(params, "real-w", r, value, statement)
     commit_g_real = pow(g, w, p)
@@ -266,7 +242,7 @@ def _verify_slot(
         (0, sp.e0, sp.z0, sp.commit_g0, sp.commit_h0),
         (1, sp.e1, sp.z1, sp.commit_g1, sp.commit_h1),
     ):
-        b_over_gm = (b * params.inv(pow(g, m, p))) % p
+        b_over_gm = (b * pow(pow(g, m, p), -1, p)) % p
         if pow(g, z_m, p) != (cg * pow(a, e_m, p)) % p:
             return False
         if pow(pk, z_m, p) != (ch * pow(b_over_gm, e_m, p)) % p:
@@ -283,7 +259,7 @@ def _sum_statement(params: GroupParams, pk: int, slots: list[Ciphertext]):
         prod_b = (prod_b * ct.c2) % p
     # Claimed plaintext sum is exactly 1, so the second public value is
     # prod_b / g under the base pk.
-    y = (prod_b * params.inv(params.g)) % p
+    y = (prod_b * pow(params.g, -1, p)) % p
     return prod_a, prod_b, y
 
 

@@ -1,11 +1,11 @@
 """Board mutation helpers: surgical single edits for verifier tests.
 
-`rechain` recomputes sequence numbers, links and digests after an edit so a
-mutation can target a specific verification check instead of tripping the
-hash chain first.
+`rechain` returns a copy re-linked by `Board.rechain`, so a mutation can
+target a specific verification check instead of tripping the hash chain
+first.
 """
 
-from evote.bulletin import Board, BulletinEntry, entry_digest, genesis_digest
+from evote.bulletin import Board, BulletinEntry
 
 
 def clone_board(board: Board) -> Board:
@@ -13,18 +13,8 @@ def clone_board(board: Board) -> Board:
 
 
 def rechain(board: Board) -> Board:
-    fixed = Board()
-    prev = genesis_digest()
-    for i, e in enumerate(board.entries):
-        entry = BulletinEntry(
-            seq=i,
-            kind=e.kind,
-            payload=e.payload,
-            prev_digest=prev,
-            digest=entry_digest(prev, i, e.kind, e.payload),
-        )
-        fixed.entries.append(entry)
-        prev = entry.digest
+    fixed = clone_board(board)
+    fixed.rechain()
     return fixed
 
 

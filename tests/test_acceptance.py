@@ -15,6 +15,7 @@ import pytest
 from evote.ballot import (
     Receipt,
     ReceiptStatus,
+    ballot_cast_payload,
     check_receipt,
     compose_ballot,
     encode_choice,
@@ -35,6 +36,7 @@ from evote.ballotcoin import (
     wallet_address,
 )
 from evote.bulletin import (
+    Board,
     CHECK_CHAIN,
     CHECK_COUNTS,
     CHECK_DECRYPTION,
@@ -71,6 +73,7 @@ from evote.groups import (
     threshold_keygen,
 )
 from evote.mixnet import MixBatch, MixStage, build_proof, mix_with_state, run_mixnet, verify_mix
+from evote import tally
 from evote.tally import Election, ElectionConfig, coercion_evidence
 
 from board_utils import clone_board, drop_entry, flip_byte, rechain, replace_payload
@@ -682,3 +685,64 @@ def test_c14_byte_identical_artifacts(tmp_path):
     assert board_a == board_b  # exact
     for name in ("result.json", "params.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def _short_ballot_election(seed):
+    """Open 3-candidate election plus, for voter "s", a ballot over 2 slots."""
+    config = ElectionConfig(
+        candidates=["a", "b", "c"],
+        trustee_count=2,
+        mix_server_count=2,
+        proof_rounds=4,
+        coercion_threshold=0.9,
+    )
+    election, credentials = Election.setup(config, ["s", "t", "u"], seed)
+    short = compose_ballot(
+        election.params,
+        credentials["s"],
+        election.election_key.h,
+        encode_choice(0, 2),
+        timestamp=1,
+        rng=derive_rng(seed, "short"),
+    )
+    return election, credentials, short
+
+
+# No single voter can stop the tally: a ballot whose slot count differs from
+# the candidate count is rejected at cast, and flagged if it is on the board.
+def test_short_ballot_cannot_stop_the_tally():
+    seed = "acceptance-short-ballot"
+    election, credentials, short = _short_ballot_election(seed)
+    assert election.cast(short, now=1) is None
+    assert election.board.entries == []
+    _cast_votes(election, credentials, [("t", 1, 2), ("u", 2, 3)], seed)
+    election.close_election()
+    result = election.run_tally()
+    assert result.counts == [0, 1, 1]
+    assert _verify(election, election.board).overall
+
+    e = election.board.find(KIND_BALLOT_CAST)[0]
+    mutated = replace_payload(election.board, e.seq, ballot_cast_payload(short), True)
+    r = _verify(election, mutated)
+    assert r.checks[CHECK_WELLFORMED] is False
+    assert r.checks[CHECK_CHAIN] is True
+
+
+# The tally and the verifier share one validity rule: a decrypted ballot with
+# the wrong slot count is invalid to both, so an honest board verifies.
+def test_verifier_and_tally_agree_on_short_ballot_validity():
+    seed = "acceptance-short-validity"
+    election, _, short = _short_ballot_election(seed)
+    board = Board()
+    result = tally.run_tally(
+        election.params,
+        election.config,
+        [short],
+        election.trustees,
+        election.election_key,
+        board,
+        seed,
+    )
+    assert result.counts == [0, 0, 0] and result.invalid_count == 1
+    r = _verify(election, board)
+    assert r.checks[CHECK_DECRYPTION] is True, r.failures

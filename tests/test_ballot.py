@@ -216,4 +216,10 @@ def test_receipt_lifecycle(grp, setup):
     ],
 )
 def test_validate_decrypted(exponents, ok):
-    assert validate_decrypted(exponents) is ok
+    assert validate_decrypted(exponents, len(exponents)) is ok
+
+
+def test_validate_decrypted_needs_one_slot_per_candidate():
+    assert validate_decrypted([0, 1, 0], 3)
+    assert not validate_decrypted([0, 1], 3)
+    assert not validate_decrypted([0, 1, 0, 0], 3)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 from evote.ballotcoin import (
+    Block,
     NodeState,
     Wallet,
     SimConfig,
@@ -21,6 +22,7 @@ from evote.ballotcoin import (
 )
 from evote.canonical import derive_rng, digest
 from evote.errors import NoOnlineNodes
+from evote.registry import sign
 
 
 def _wallet(grp, sk: int, is_candidate: bool = False) -> Wallet:
@@ -162,6 +164,67 @@ def test_chain_rejects_resigned_content_change(grp, net):
     block = forge_block(nodes[0], [tx], chain)
     stripped = replace(block, txs=())  # signature no longer matches
     assert not chain.extend(stripped).is_valid()
+
+
+def test_validate_tx_skips_invalid_pool_entries_like_forge_block(grp, net):
+    chain, cands, voters, keys, nodes = net
+    # voter 0's coin, first claimed under a signature from another key
+    forged = make_transaction(grp, keys[1], voters[0], cands[0].address, 1)
+    good = make_transaction(grp, keys[0], voters[0], cands[1].address, 1)
+    pool = [forged, good]
+    block = forge_block(nodes[2], pool, chain)
+    assert block.txs == (good,)
+    for i, tx in enumerate(pool):
+        assert validate_tx(chain, pool[:i], tx) == (tx in block.txs)
+
+
+def test_chain_built_from_a_block_tuple_is_replayed(grp, net):
+    chain, cands, voters, keys, nodes = net
+    grown = chain
+    for i in range(4):
+        tx = make_transaction(grp, keys[i], voters[i], cands[i % 3].address, 1)
+        grown = grown.extend(forge_block(nodes[i], [tx], grown))
+    cold = replace(chain, blocks=grown.blocks)
+    assert cold.is_valid()
+    assert cold.balances() == grown.balances()
+    assert cold.included_tx_digests() == grown.included_tx_digests()
+
+    # Re-sign the last block around another transaction.  A payable one
+    # keeps the chain valid; voter 0 spending a second time does not, and
+    # only the replayed ledger can tell the two apart.
+    def resigned_tip(tx):
+        unsigned = replace(grown.blocks[-1], txs=(tx,))
+        signature = sign(grp, keys[3], unsigned.signed_message())
+        blocks = grown.blocks[:-1] + (replace(unsigned, forger_signature=signature),)
+        return replace(chain, blocks=blocks)
+
+    payable = make_transaction(grp, keys[4], voters[4], cands[0].address, 2)
+    assert resigned_tip(payable).is_valid()
+    again = make_transaction(grp, keys[0], voters[0], cands[2].address, 2)
+    tampered = resigned_tip(again)
+    assert not tampered.is_valid()
+    with pytest.raises(ValueError):
+        tampered.balances()
+
+
+def test_invalid_chain_has_no_balances(grp, net):
+    chain, _, _, _, nodes = net
+    block = forge_block(nodes[0], [], chain)
+    bad = chain.extend(replace(block, forger_signature=None))
+    assert not bad.is_valid()
+    with pytest.raises(ValueError):
+        bad.balances()
+    with pytest.raises(ValueError):
+        tally_chain(bad)
+    with pytest.raises(ValueError):
+        forge_block(nodes[1], [], bad)
+    # a well-formed, signed block on top does not make it valid again
+    unsigned = Block(
+        height=2, prev_digest=bad.tip_digest, forger=nodes[1].node_id, txs=(),
+        forger_signature=None,
+    )
+    signature = sign(grp, nodes[1].signing_key, unsigned.signed_message())
+    assert not validate_block(bad, replace(unsigned, forger_signature=signature))
 
 
 # --- fork choice ---
@@ -347,3 +410,17 @@ def test_simulation_malicious_forgers_fork():
 def test_sim_config_round_trip():
     config = SimConfig(rounds=5, n_voters=7, n_candidates=2, mode="uniform")
     assert SimConfig.from_dict(config.to_dict()) == config
+
+
+def test_simulation_with_forks_conserves_supply():
+    config = SimConfig(
+        rounds=40, n_voters=20, n_candidates=2, malicious_fraction=0.3, vote_prob=0.3
+    )
+    supplies = []
+
+    def observer(state):
+        supplies.append(sum(state.canonical.balances().values()))
+
+    report = simulate(config, seed=4, observer=observer)
+    assert report.fork_count > 0
+    assert supplies == [config.n_voters] * config.rounds
