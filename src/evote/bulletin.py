@@ -143,6 +143,10 @@ def login_payload(voter_id: str) -> bytes:
     return encode(digest(voter_id))
 
 
+# Label of the Transfer entry that hands the kept ballots to the mix-net.
+TRANSFER_LABEL = "to-mixnet"
+
+
 def transfer_payload(label: str, batch_digest: bytes) -> bytes:
     return encode(label, batch_digest)
 
@@ -193,7 +197,7 @@ def parse_decrypted_ballot(payload: bytes) -> tuple[int, list[int], bool]:
     item_index = r.read_int()
     n = r.read_int()
     exponents = [r.read_int() for _ in range(n)]
-    valid = bool(r.read_int())
+    valid = r.read_bool()
     r.expect_end()
     return item_index, exponents, valid
 
@@ -217,7 +221,7 @@ def parse_result(payload: bytes) -> tuple[list[int], int, int, int, int, bool]:
     revoked_count = r.read_int()
     kept_count = r.read_int()
     cast_count = r.read_int()
-    flagged = bool(r.read_int())
+    flagged = r.read_bool()
     r.expect_end()
     return counts, invalid_count, revoked_count, kept_count, cast_count, flagged
 
@@ -324,11 +328,23 @@ def universal_verify(
             )
     if checks[CHECK_MIX]:
         transfers = board.find(KIND_TRANSFER)
-        if stages and transfers:
-            _, first_digest = parse_transfer(transfers[0].payload)
-            if stages[0][1].batch_in.digest() != first_digest:
+        if len(transfers) != 1:
+            checks[CHECK_MIX] = False
+            failures.append(f"expected one transfer entry, found {len(transfers)}")
+        elif stages:
+            transfer = transfers[0]
+            try:
+                label, first_digest = parse_transfer(transfer.payload)
+            except ValueError:
                 checks[CHECK_MIX] = False
-                failures.append("first mix input does not match the transferred batch")
+                failures.append(f"entry {transfer.seq}: unparseable transfer payload")
+            else:
+                if label != TRANSFER_LABEL:
+                    checks[CHECK_MIX] = False
+                    failures.append(f"entry {transfer.seq}: transfer label {label!r}")
+                if stages[0][1].batch_in.digest() != first_digest:
+                    checks[CHECK_MIX] = False
+                    failures.append("first mix input does not match the transferred batch")
         for idx, stage in stages:
             if idx > 0 and stage.batch_in != stages[idx - 1][1].batch_out:
                 checks[CHECK_MIX] = False
@@ -411,8 +427,8 @@ def universal_verify(
                 prod_d = 1
                 for t in sorted(ds):
                     prod_d = (prod_d * ds[t]) % p
-                lhs = pow(g, exponents[slot_i], p)
-                if prod_d == 0 or lhs != (ct.c2 * pow(prod_d, -1, p)) % p:
+                lhs = params.exp(g, exponents[slot_i], fixed=True)
+                if prod_d == 0 or lhs != (ct.c2 * params.exp(prod_d, -1)) % p:
                     checks[CHECK_DECRYPTION] = False
                     failures.append(
                         f"item {item_i} slot {slot_i}: claimed plaintext mismatch"

@@ -88,6 +88,13 @@ class Reader:
     def read_str(self) -> str:
         return self.read_bytes().decode("utf-8")
 
+    def read_bool(self) -> bool:
+        """Strict flag: only the encodings of 0 and 1 are accepted."""
+        body = self.read_bytes()
+        if body not in (b"", b"\x01"):
+            raise ValueError("flag is not 0 or 1")
+        return body == b"\x01"
+
     def done(self) -> bool:
         return self._pos == len(self._data)
 

@@ -3,10 +3,15 @@
 Messages live in the exponent (g^m), so multiplying ciphertexts adds
 plaintexts; decoding scans 0..decode_bound.  Includes re-encryption and
 an additive n-of-n threshold split of the election secret.
+
+Every modular exponentiation in the package goes through GroupParams.exp.
+On large groups, powers of a fixed base (g, the election key) use a
+Lim-Lee comb table; everywhere else they are one builtin `pow` call.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -38,6 +43,71 @@ _RFC3526_3072_P = int(
 )
 
 
+# Lim-Lee comb ("More Flexible Exponentiation with Precomputation", CRYPTO
+# 1994): an exponent of up to ROWS * cols bits is read as a ROWS x cols bit
+# matrix, and the columns are split into SUBS blocks of `span` columns.  Each
+# block has a table of the 2^ROWS products of its row bases, so one power
+# costs `span` squarings and up to SUBS * span multiplications.  At 3072
+# bits that is 192 + 384 mulmods against about 3,600 for builtin `pow`, from
+# 512 table entries (about 0.2 MB).
+_COMB_ROWS = 8
+_COMB_SUBS = 2
+# Below this modulus size builtin `pow` is as fast as the interpreted comb.
+_COMB_MIN_P = 1 << 63
+# Tables kept at once: g and the election key, with room to spare.
+_COMB_TABLES = 4
+
+
+class _Comb:
+    """Fixed-base comb table for one base modulo one p."""
+
+    def __init__(self, p: int, base: int):
+        n = p.bit_length()
+        span = -(-n // (_COMB_ROWS * _COMB_SUBS))
+        self.p = p
+        self.span = span
+        self.cols = span * _COMB_SUBS
+        # Exponents from `min_exp` to `max_exp` take the comb; shorter ones
+        # are cheaper with builtin `pow`, longer ones do not fit the matrix.
+        self.min_exp = 1 << (self.cols - 1)
+        self.max_exp = (1 << (self.cols * _COMB_ROWS)) - 1
+        # powers[k] = base^(2^(k * span)); row r of block j uses k = r*SUBS + j.
+        powers = [base % p]
+        for _ in range(_COMB_ROWS * _COMB_SUBS - 1):
+            x = powers[-1]
+            for _ in range(span):
+                x = x * x % p
+            powers.append(x)
+        self.tables = []
+        for j in range(_COMB_SUBS):
+            table = [1]
+            for r in range(_COMB_ROWS):
+                row_base = powers[r * _COMB_SUBS + j]
+                table += [t * row_base % p for t in table]
+            self.tables.append(table)
+
+    def power(self, exponent: int) -> int:
+        p, span, cols = self.p, self.span, self.cols
+        mask = (1 << cols) - 1
+        rows = [(exponent >> (r * cols)) & mask for r in reversed(range(_COMB_ROWS))]
+        acc = 1
+        for k in reversed(range(span)):
+            acc = acc * acc % p
+            for j, table in enumerate(self.tables):
+                column = j * span + k
+                index = 0
+                for row in rows:
+                    index = (index << 1) | ((row >> column) & 1)
+                if index:
+                    acc = acc * table[index] % p
+        return acc
+
+
+@functools.lru_cache(maxsize=_COMB_TABLES)
+def _comb(p: int, base: int) -> _Comb:
+    return _Comb(p, base)
+
+
 @dataclass(frozen=True)
 class GroupParams:
     """Prime-order-q subgroup of Z*_p.
@@ -52,14 +122,27 @@ class GroupParams:
     def __post_init__(self):
         if (self.p - 1) % self.q != 0:
             raise ValueError("q must divide p-1")
-        if self.g in (0, 1) or pow(self.g, self.q, self.p) != 1:
+        if self.g in (0, 1) or self.exp(self.g, self.q) != 1:
             raise ValueError("g must generate the order-q subgroup")
+
+    def exp(self, base: int, exponent: int, fixed: bool = False) -> int:
+        """base^exponent mod p; a negative exponent inverts first.
+
+        `fixed` marks a base that recurs (g or an election key): on a group
+        of at least 64 bits, a full-length power of it uses that base's comb
+        table, built on first use.  The result is the same either way.
+        """
+        if fixed and self.p > _COMB_MIN_P:
+            comb = _comb(self.p, base)
+            if comb.min_exp <= exponent <= comb.max_exp:
+                return comb.power(exponent)
+        return pow(base, exponent, self.p)
 
     def is_scalar(self, x: int) -> bool:
         return 0 <= x < self.q
 
     def is_element(self, x: int) -> bool:
-        return 1 <= x < self.p and pow(x, self.q, self.p) == 1
+        return 1 <= x < self.p and self.exp(x, self.q) == 1
 
     def to_bytes(self) -> bytes:
         return encode(self.p, self.q, self.g)
@@ -132,7 +215,7 @@ def rand_scalar(params: GroupParams, rng: random.Random, nonzero: bool = False) 
 def keygen(params: GroupParams, rng: random.Random) -> KeyPair:
     """Fresh key pair with sk uniform in [1, q-1]; a zero draw is retried."""
     sk = rand_scalar(params, rng, nonzero=True)
-    return KeyPair(sk=sk, pk=pow(params.g, sk, params.p))
+    return KeyPair(sk=sk, pk=params.exp(params.g, sk, fixed=True))
 
 
 def encrypt(params: GroupParams, pk: int, m: int, r: int) -> Ciphertext:
@@ -144,8 +227,8 @@ def encrypt(params: GroupParams, pk: int, m: int, r: int) -> Ciphertext:
         raise ValueError("randomness out of scalar range")
     if m < 0:
         raise ValueError("plaintext exponent must be non-negative")
-    c1 = pow(params.g, r, params.p)
-    c2 = (pow(params.g, m, params.p) * pow(pk, r, params.p)) % params.p
+    c1 = params.exp(params.g, r, fixed=True)
+    c2 = (params.exp(params.g, m, fixed=True) * params.exp(pk, r, fixed=True)) % params.p
     return Ciphertext(c1, c2)
 
 
@@ -160,14 +243,14 @@ def decode_exponent(params: GroupParams, target: int, decode_bound: int) -> int:
 
 
 def decrypt(params: GroupParams, sk: int, ct: Ciphertext, decode_bound: int) -> int:
-    target = (ct.c2 * pow(pow(ct.c1, sk, params.p), -1, params.p)) % params.p
+    target = (ct.c2 * params.exp(params.exp(ct.c1, sk), -1)) % params.p
     return decode_exponent(params, target, decode_bound)
 
 
 def reencrypt(params: GroupParams, pk: int, ct: Ciphertext, r_prime: int) -> Ciphertext:
     """Re-randomize without the secret key: (c1*g^r', c2*pk^r')."""
-    c1 = (ct.c1 * pow(params.g, r_prime, params.p)) % params.p
-    c2 = (ct.c2 * pow(pk, r_prime, params.p)) % params.p
+    c1 = (ct.c1 * params.exp(params.g, r_prime, fixed=True)) % params.p
+    c2 = (ct.c2 * params.exp(pk, r_prime, fixed=True)) % params.p
     return Ciphertext(c1, c2)
 
 
@@ -189,7 +272,7 @@ def threshold_keygen(
     h = 1
     for i in range(1, n + 1):
         x = rand_scalar(params, rng, nonzero=True)
-        h_i = pow(params.g, x, params.p)
+        h_i = params.exp(params.g, x, fixed=True)
         shares.append(TrusteeKeyShare(index=i, x=x, h=h_i))
         h = (h * h_i) % params.p
     return ElectionKey(h=h, n=n), shares
@@ -201,7 +284,7 @@ def partial_decrypt(
     """d_i = c1^x_i plus a proof that d_i used the committed share."""
     from .zkp import prove_correct_decryption
 
-    d = pow(ct.c1, share.x, params.p)
+    d = params.exp(ct.c1, share.x)
     proof = prove_correct_decryption(params, share.x, ct, d)
     return PartialDecryption(trustee_index=share.index, d=d, proof=proof)
 
@@ -235,5 +318,5 @@ def threshold_decrypt(
         if not verify_correct_decryption(params, commitments[index], ct, pd.d, pd.proof):
             raise InvalidPartialProof(f"trustee {index} proof rejected")
         prod_d = (prod_d * pd.d) % params.p
-    target = (ct.c2 * pow(prod_d, -1, params.p)) % params.p
+    target = (ct.c2 * params.exp(prod_d, -1)) % params.p
     return decode_exponent(params, target, decode_bound)

@@ -105,21 +105,21 @@ def verify_key_of(registry: Registry, voter_id: str) -> int | None:
 
 def sign(params: GroupParams, signing_key: int, message: bytes) -> Signature:
     """Schnorr signature over the canonical encoding of message."""
-    p, q, g = params.p, params.q, params.g
-    vk = pow(g, signing_key, p)
+    q, g = params.q, params.g
+    vk = params.exp(g, signing_key, fixed=True)
     # Derandomized nonce: a function of key and message, never reused across
     # distinct messages, no RNG dependency at signing time.
     w = int.from_bytes(digest(_DOMAIN_SIG_NONCE, signing_key, message), "big") % q
-    commit = pow(g, w, p)
+    commit = params.exp(g, w, fixed=True)
     e = _sig_challenge(params, vk, commit, message)
     z = (w + e * signing_key) % q
     return Signature(commit=commit, response=z)
 
 
 def verify_sig(params: GroupParams, verify_key: int, message: bytes, sig: Signature) -> bool:
-    p = params.p
     e = _sig_challenge(params, verify_key, sig.commit, message)
-    return pow(params.g, sig.response, p) == (sig.commit * pow(verify_key, e, p)) % p
+    rhs = sig.commit * params.exp(verify_key, e) % params.p
+    return params.exp(params.g, sig.response, fixed=True) == rhs
 
 
 def _sig_challenge(params: GroupParams, vk: int, commit: int, message: bytes) -> int:

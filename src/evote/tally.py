@@ -179,7 +179,8 @@ def run_tally(
     batch = strip_signatures(kept)
     proof_seqs: list[int] = []
     entry = board.append(
-        bulletin.KIND_TRANSFER, bulletin.transfer_payload("to-mixnet", batch.digest())
+        bulletin.KIND_TRANSFER,
+        bulletin.transfer_payload(bulletin.TRANSFER_LABEL, batch.digest()),
     )
     proof_seqs.append(entry.seq)
 

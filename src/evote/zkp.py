@@ -61,11 +61,11 @@ def prove_correct_decryption(
     params: GroupParams, x: int, ct: Ciphertext, d: int
 ) -> DecryptionProof:
     """Prove d = c1^x for the committed share g^x, without revealing x."""
-    p, q, g = params.p, params.q, params.g
-    pk_component = pow(g, x, p)
+    q, g = params.q, params.g
+    pk_component = params.exp(g, x, fixed=True)
     w = _nonce(params, x, ct.to_bytes(), d)
-    commit_g = pow(g, w, p)
-    commit_c1 = pow(ct.c1, w, p)
+    commit_g = params.exp(g, w, fixed=True)
+    commit_c1 = params.exp(ct.c1, w)
     e = _challenge(
         params, DOMAIN_CP, pk_component, ct.to_bytes(), d, commit_g, commit_c1
     )
@@ -94,9 +94,10 @@ def verify_correct_decryption(
     if e != proof.challenge:
         return False
     z = proof.response
-    if pow(params.g, z, p) != (proof.commit_g * pow(pk_component, e, p)) % p:
+    exp = params.exp
+    if exp(params.g, z, fixed=True) != (proof.commit_g * exp(pk_component, e)) % p:
         return False
-    if pow(ct.c1, z, p) != (proof.commit_c1 * pow(d, e, p)) % p:
+    if exp(ct.c1, z) != (proof.commit_c1 * exp(d, e)) % p:
         return False
     return True
 
@@ -194,7 +195,7 @@ def _prove_slot(
     value: int,
 ) -> SlotProof:
     """Real branch for `value`, simulated branch for its complement."""
-    p, q, g = params.p, params.q, params.g
+    p, q, g, exp = params.p, params.q, params.g, params.exp
     a, b = ct.c1, ct.c2
     fake = 1 - value
     statement = encode(pk, ct.to_bytes(), index, slots_digest)
@@ -203,13 +204,13 @@ def _prove_slot(
     z_fake = _nonce(params, "fake-z", r, value, statement)
     # Simulated branch commitments satisfy the verification equations by
     # construction for the pre-chosen (e_fake, z_fake).
-    b_over_gm = (b * pow(pow(g, fake, p), -1, p)) % p
-    commit_g_fake = (pow(g, z_fake, p) * pow(pow(a, e_fake, p), -1, p)) % p
-    commit_h_fake = (pow(pk, z_fake, p) * pow(pow(b_over_gm, e_fake, p), -1, p)) % p
+    b_over_gm = (b * exp(exp(g, fake, fixed=True), -1)) % p
+    commit_g_fake = (exp(g, z_fake, fixed=True) * exp(exp(a, e_fake), -1)) % p
+    commit_h_fake = (exp(pk, z_fake, fixed=True) * exp(exp(b_over_gm, e_fake), -1)) % p
 
     w = _nonce(params, "real-w", r, value, statement)
-    commit_g_real = pow(g, w, p)
-    commit_h_real = pow(pk, w, p)
+    commit_g_real = exp(g, w, fixed=True)
+    commit_h_real = exp(pk, w, fixed=True)
 
     if value == 0:
         commits = (commit_g_real, commit_h_real, commit_g_fake, commit_h_fake)
@@ -232,7 +233,7 @@ def _verify_slot(
     slots_digest: bytes,
     sp: SlotProof,
 ) -> bool:
-    p, q, g = params.p, params.q, params.g
+    p, q, g, exp = params.p, params.q, params.g, params.exp
     a, b = ct.c1, ct.c2
     commits = (sp.commit_g0, sp.commit_h0, sp.commit_g1, sp.commit_h1)
     e = _slot_challenge(params, pk, ct, index, slots_digest, commits)
@@ -242,10 +243,10 @@ def _verify_slot(
         (0, sp.e0, sp.z0, sp.commit_g0, sp.commit_h0),
         (1, sp.e1, sp.z1, sp.commit_g1, sp.commit_h1),
     ):
-        b_over_gm = (b * pow(pow(g, m, p), -1, p)) % p
-        if pow(g, z_m, p) != (cg * pow(a, e_m, p)) % p:
+        b_over_gm = (b * exp(exp(g, m, fixed=True), -1)) % p
+        if exp(g, z_m, fixed=True) != (cg * exp(a, e_m)) % p:
             return False
-        if pow(pk, z_m, p) != (ch * pow(b_over_gm, e_m, p)) % p:
+        if exp(pk, z_m, fixed=True) != (ch * exp(b_over_gm, e_m)) % p:
             return False
     return True
 
@@ -259,7 +260,7 @@ def _sum_statement(params: GroupParams, pk: int, slots: list[Ciphertext]):
         prod_b = (prod_b * ct.c2) % p
     # Claimed plaintext sum is exactly 1, so the second public value is
     # prod_b / g under the base pk.
-    y = (prod_b * pow(params.g, -1, p)) % p
+    y = (prod_b * params.exp(params.g, -1)) % p
     return prod_a, prod_b, y
 
 
@@ -287,8 +288,8 @@ def prove_wellformed(
     prod_a, prod_b, y = _sum_statement(params, pk, slots)
     total_r = sum(randomness) % q
     w = _nonce(params, "sum-w", total_r, sd)
-    commit_g = pow(params.g, w, params.p)
-    commit_h = pow(pk, w, params.p)
+    commit_g = params.exp(params.g, w, fixed=True)
+    commit_h = params.exp(pk, w, fixed=True)
     e = _challenge(
         params, DOMAIN_SUM, pk, prod_a, prod_b, commit_g, commit_h, sd
     )
@@ -316,8 +317,9 @@ def verify_wellformed(
     if e != sp.challenge:
         return False
     z = sp.response
-    if pow(params.g, z, p) != (sp.commit_g * pow(prod_a, e, p)) % p:
+    exp = params.exp
+    if exp(params.g, z, fixed=True) != (sp.commit_g * exp(prod_a, e)) % p:
         return False
-    if pow(pk, z, p) != (sp.commit_c1 * pow(y, e, p)) % p:
+    if exp(pk, z, fixed=True) != (sp.commit_c1 * exp(y, e)) % p:
         return False
     return True

@@ -1,6 +1,6 @@
 import pytest
 
-from board_utils import drop_entry, flip_byte, replace_payload
+from board_utils import clone_board, drop_entry, flip_byte, rechain, replace_payload
 from evote.ballot import compose_ballot, encode_choice
 from evote.bulletin import (
     Board,
@@ -10,16 +10,18 @@ from evote.bulletin import (
     KIND_PARTIAL_DECRYPTION,
     KIND_RESULT,
     KIND_TRANSFER,
+    TRANSFER_LABEL,
     login_payload,
     parse_decrypted_ballot,
     parse_mix_stage,
     parse_partial_decryption,
     parse_result,
     parse_transfer,
+    transfer_payload,
     universal_verify,
     verify_chain,
 )
-from evote.canonical import derive_rng
+from evote.canonical import derive_rng, encode
 from evote.tally import Election, ElectionConfig
 
 
@@ -224,3 +226,70 @@ def test_altered_result_counts_fail(tallied):
     report = _verify(election, config, mutated)
     assert not report.checks["count_recomputation"]
     assert report.checks["chain_integrity"]
+
+
+def test_every_one_byte_transfer_edit_is_reported_not_raised(tallied):
+    """Edits that break the framing or the UTF-8 of the label, or change the
+    digest, each fail the mix check by name; none escapes as an exception."""
+    election, config = tallied
+    board = election.board
+    transfer = board.find(KIND_TRANSFER)[0]
+    for offset in range(len(transfer.payload)):
+        edited = bytearray(transfer.payload)
+        edited[offset] ^= 0x80
+        mutated = replace_payload(board, transfer.seq, bytes(edited), fix_chain=True)
+        report = _verify(election, config, mutated)
+        assert report.checks["chain_integrity"]
+        assert not report.checks["mix_stages"], offset
+        assert any(
+            f"entry {transfer.seq}:" in f or "transferred batch" in f for f in report.failures
+        ), (offset, report.failures)
+
+
+def test_transfer_with_another_label_fails(tallied):
+    election, config = tallied
+    board = election.board
+    transfer = board.find(KIND_TRANSFER)[0]
+    label, batch_digest = parse_transfer(transfer.payload)
+    assert label == TRANSFER_LABEL
+    forged = transfer_payload("to-mixnes", batch_digest)
+    report = _verify(election, config, replace_payload(board, transfer.seq, forged, True))
+    assert not report.checks["mix_stages"]
+    assert report.failures == [f"entry {transfer.seq}: transfer label 'to-mixnes'"]
+
+
+def test_validity_flag_of_two_is_unparseable(tallied):
+    election, config = tallied
+    board = election.board
+    entry = board.find(KIND_DECRYPTED_BALLOT)[0]
+    item_i, exponents, valid = parse_decrypted_ballot(entry.payload)
+    assert valid
+    forged = encode(item_i, exponents, 2)
+    report = _verify(election, config, replace_payload(board, entry.seq, forged, True))
+    assert report.checks["chain_integrity"]
+    assert not report.checks["decryption_proofs"]
+    assert f"entry {entry.seq}: unparseable decrypted ballot" in report.failures
+
+
+def test_coercion_flag_of_two_is_unparseable(tallied):
+    election, config = tallied
+    board = election.board
+    entry = board.find(KIND_RESULT)[0]
+    counts, invalid, revoked, kept, cast, flagged = parse_result(entry.payload)
+    forged = encode(counts, invalid, revoked, kept, cast, 2)
+    report = _verify(election, config, replace_payload(board, entry.seq, forged, True))
+    assert not report.checks["count_recomputation"]
+    assert "unparseable result payload" in report.failures
+
+
+def test_missing_or_repeated_transfer_fails(tallied):
+    election, config = tallied
+    board = election.board
+    transfer = board.find(KIND_TRANSFER)[0]
+    report = _verify(election, config, drop_entry(board, transfer.seq, fix_chain=True))
+    assert not report.checks["mix_stages"]
+    assert report.failures == ["expected one transfer entry, found 0"]
+    repeated = clone_board(board)
+    repeated.entries.append(transfer)
+    report = _verify(election, config, rechain(repeated))
+    assert report.failures == ["expected one transfer entry, found 2"]

@@ -73,3 +73,16 @@ def test_derive_rng_is_deterministic():
 def test_derive_rng_labels_are_separated():
     assert derive_rng("s", 1).random() != derive_rng("s", 2).random()
     assert derive_rng("ab", "c").random() != derive_rng("a", "bc").random()
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_bool_round_trip(flag):
+    r = Reader(encode(flag))
+    assert r.read_bool() is flag
+    r.expect_end()
+
+
+@pytest.mark.parametrize("data", [encode(2), encode(256), b"\x00\x00\x00\x02\x00\x01"])
+def test_flag_other_than_canonical_0_or_1_rejected(data):
+    with pytest.raises(ValueError):
+        Reader(data).read_bool()
