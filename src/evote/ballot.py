@@ -12,7 +12,7 @@ import enum
 import random
 from dataclasses import dataclass
 
-from .canonical import Reader, digest, encode
+from .canonical import Record, encode
 from .errors import IndexOutOfRange, MalformedChoice
 from .groups import Ciphertext, GroupParams, encrypt, rand_scalar
 from .registry import (
@@ -50,16 +50,13 @@ def encode_choice(candidate_index: int, n_candidates: int) -> ChoiceVector:
 
 
 @dataclass(frozen=True)
-class EncryptedBallot:
+class EncryptedBallot(Record):
     slots: tuple[Ciphertext, ...]
     wellformed: WellformedProof
 
-    def to_bytes(self) -> bytes:
-        return encode([ct.to_bytes() for ct in self.slots], self.wellformed.to_bytes())
-
 
 @dataclass(frozen=True)
-class SignedBallot:
+class SignedBallot(Record):
     """Double envelope: encrypted ballot inside, voter signature outside."""
 
     voter_id: str
@@ -68,18 +65,21 @@ class SignedBallot:
     signature: Signature
 
     def signed_message(self) -> bytes:
-        return encode(self.encrypted.to_bytes(), self.timestamp)
+        return encode(self.encrypted, self.timestamp)
 
-    def to_bytes(self) -> bytes:
-        return encode(
-            self.voter_id,
-            self.encrypted.to_bytes(),
-            self.timestamp,
-            self.signature.to_bytes(),
-        )
+    def published(self) -> "BallotCastPayload":
+        """Public form of a cast ballot: digest, slots and proof only.
 
-    def digest(self) -> bytes:
-        return digest(self.to_bytes())
+        Voter id and timestamp stay out of the public record.
+        """
+        return BallotCastPayload(self.digest(), self.encrypted.slots, self.encrypted.wellformed)
+
+
+@dataclass(frozen=True)
+class BallotCastPayload(Record):
+    ballot_digest: bytes
+    slots: tuple[Ciphertext, ...]
+    wellformed: WellformedProof
 
 
 def compose_ballot(
@@ -100,8 +100,7 @@ def compose_ballot(
     choice_index = choice.bits.index(1)
     proof = prove_wellformed(params, election_pk, list(slots), randomness, choice_index)
     encrypted = EncryptedBallot(slots=slots, wellformed=proof)
-    message = encode(encrypted.to_bytes(), timestamp)
-    signature = sign(params, credential.signing_key, message)
+    signature = sign(params, credential.signing_key, encode(encrypted, timestamp))
     return SignedBallot(
         voter_id=credential.voter_id,
         encrypted=encrypted,
@@ -164,22 +163,23 @@ def issue_receipt(sb: SignedBallot, now: int, ttl: int = DEFAULT_RECEIPT_TTL) ->
 def check_receipt(receipt: Receipt, board, now: int) -> ReceiptStatus:
     """Confirmed while now < expiry and the digest is on the board.
 
-    `board` only needs to expose `.entries` with `.kind` and `.payload`;
-    ballot-cast payloads start with the ballot digest.
+    `board` only needs to expose `.entries` with `.kind` and `.payload`.
+    A ballot-cast entry that does not decode is skipped.
     """
-    present = False
-    for entry in board.entries:
-        if entry.kind != _KIND_BALLOT_CAST:
-            continue
-        r = Reader(entry.payload)
-        if r.read_bytes() == receipt.ballot_digest:
-            present = True
-            break
-    if not present:
+    if not any(_casts_digest(e, receipt.ballot_digest) for e in board.entries):
         return ReceiptStatus.NOT_FOUND
     if now >= receipt.expiry:
         return ReceiptStatus.EXPIRED
     return ReceiptStatus.CONFIRMED
+
+
+def _casts_digest(entry, ballot_digest: bytes) -> bool:
+    if entry.kind != _KIND_BALLOT_CAST:
+        return False
+    try:
+        return BallotCastPayload.from_bytes(entry.payload).ballot_digest == ballot_digest
+    except ValueError:
+        return False
 
 
 def validate_decrypted(exponents: list[int], n_candidates: int) -> bool:
@@ -190,29 +190,3 @@ def validate_decrypted(exponents: list[int], n_candidates: int) -> bool:
         and all(e in (0, 1) for e in exponents)
         and sum(exponents) == 1
     )
-
-
-def ballot_cast_payload(sb: SignedBallot) -> bytes:
-    """Published form of a cast ballot: digest, slots and proof only.
-
-    Voter id and timestamp stay out of the public record.
-    """
-    return encode(
-        sb.digest(),
-        [ct.to_bytes() for ct in sb.encrypted.slots],
-        sb.encrypted.wellformed.to_bytes(),
-    )
-
-
-def parse_ballot_cast(payload: bytes) -> tuple[bytes, list[Ciphertext], WellformedProof]:
-    r = Reader(payload)
-    ballot_digest = r.read_bytes()
-    n = r.read_int()
-    slots = []
-    for _ in range(n):
-        sr = Reader(r.read_bytes())
-        slots.append(Ciphertext.read_from(sr))
-        sr.expect_end()
-    proof = WellformedProof.from_bytes(r.read_bytes())
-    r.expect_end()
-    return ballot_digest, slots, proof

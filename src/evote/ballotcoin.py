@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .canonical import derive_rng, digest, encode
+from .canonical import Record, derive_rng, digest, encode
 from .errors import NoOnlineNodes
 from .groups import GROUP_PROFILES, GroupParams, keygen
 from .registry import Signature, sign, verify_sig
@@ -50,7 +50,7 @@ def make_wallet(params: GroupParams, rng: random.Random, is_candidate: bool = Fa
 
 
 @dataclass(frozen=True)
-class CoinTransaction:
+class CoinTransaction(Record):
     sender: str
     recipient: str
     amount: int
@@ -60,19 +60,6 @@ class CoinTransaction:
 
     def message(self) -> bytes:
         return encode(self.sender, self.recipient, self.amount, self.timestamp)
-
-    def to_bytes(self) -> bytes:
-        return encode(
-            self.sender,
-            self.recipient,
-            self.amount,
-            self.timestamp,
-            self.sender_vk,
-            self.signature.to_bytes(),
-        )
-
-    def digest(self) -> bytes:
-        return digest(self.to_bytes())
 
 
 def make_transaction(
@@ -94,30 +81,15 @@ def make_transaction(
 
 
 @dataclass(frozen=True)
-class Block:
+class Block(Record):
     height: int
     prev_digest: bytes
     forger: str
     txs: tuple[CoinTransaction, ...]
-    forger_signature: Signature | None
+    forger_signature: Signature | None  # None on the genesis block
 
     def signed_message(self) -> bytes:
-        return encode(
-            self.height, self.prev_digest, self.forger, [tx.to_bytes() for tx in self.txs]
-        )
-
-    def to_bytes(self) -> bytes:
-        sig = self.forger_signature.to_bytes() if self.forger_signature else b""
-        return encode(
-            self.height,
-            self.prev_digest,
-            self.forger,
-            [tx.to_bytes() for tx in self.txs],
-            sig,
-        )
-
-    def digest(self) -> bytes:
-        return digest(self.to_bytes())
+        return encode(self.height, self.prev_digest, self.forger, self.txs)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,18 @@
 
 Every published artifact (cast ballots, transfers, mix stages, partial
 decryptions, decrypted ballots, the result, receipts, login events) lands
-here as a chained entry.  universal_verify replays the whole election from
-the board using public data only.
+here as a chained entry.  Each payload is a canonical `Record`, so a
+payload that does not decode strictly is reported, never half-read.
+universal_verify replays the whole election from the board using public
+data only.
+
+Bytes that no check covers (the chain still fixes them):
+- the Login payload, and how many Login entries there are;
+- the Receipt payload;
+- the BallotCast digest prefix, which cannot be recomputed without the
+  voter id and the timestamp, neither of which is published;
+- the Result coercion flag, whose threshold is not among the published
+  parameters.
 """
 
 from __future__ import annotations
@@ -12,8 +22,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .ballot import parse_ballot_cast, validate_decrypted
-from .canonical import Reader, digest, encode
+from .ballot import BallotCastPayload, validate_decrypted
+from .canonical import Record, digest
 from .groups import GroupParams
 from .mixnet import MixStage, verify_mix
 from .zkp import DecryptionProof, verify_correct_decryption, verify_wellformed
@@ -135,99 +145,59 @@ def verify_chain(board: Board) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Payload schemas for entries not owned by another module
+# Payload records for entries not owned by another module
 # ---------------------------------------------------------------------------
 
-def login_payload(voter_id: str) -> bytes:
-    # Only a digest of the id is published; raw ids are sensitive.
-    return encode(digest(voter_id))
+@dataclass(frozen=True)
+class LoginPayload(Record):
+    voter_digest: bytes  # digest(voter_id); raw ids are sensitive
 
 
 # Label of the Transfer entry that hands the kept ballots to the mix-net.
 TRANSFER_LABEL = "to-mixnet"
 
 
-def transfer_payload(label: str, batch_digest: bytes) -> bytes:
-    return encode(label, batch_digest)
+@dataclass(frozen=True)
+class TransferPayload(Record):
+    label: str
+    batch_digest: bytes
 
 
-def parse_transfer(payload: bytes) -> tuple[str, bytes]:
-    r = Reader(payload)
-    label = r.read_str()
-    batch_digest = r.read_bytes()
-    r.expect_end()
-    return label, batch_digest
+@dataclass(frozen=True)
+class MixStagePayload(Record):
+    index: int
+    stage: MixStage
 
 
-def mix_stage_payload(stage_index: int, stage: MixStage) -> bytes:
-    return encode(stage_index, stage.to_bytes())
+@dataclass(frozen=True)
+class PartialDecryptionPayload(Record):
+    item_index: int
+    slot_index: int
+    trustee_index: int
+    d: int
+    proof: DecryptionProof
 
 
-def parse_mix_stage(payload: bytes) -> tuple[int, MixStage]:
-    r = Reader(payload)
-    stage_index = r.read_int()
-    stage = MixStage.from_bytes(r.read_bytes())
-    r.expect_end()
-    return stage_index, stage
+@dataclass(frozen=True)
+class DecryptedBallotPayload(Record):
+    item_index: int
+    exponents: tuple[int, ...]
+    valid: bool
 
 
-def partial_decryption_payload(
-    item_index: int, slot_index: int, trustee_index: int, d: int, proof: DecryptionProof
-) -> bytes:
-    return encode(item_index, slot_index, trustee_index, d, proof.to_bytes())
+@dataclass(frozen=True)
+class ResultPayload(Record):
+    counts: tuple[int, ...]
+    invalid_count: int
+    revoked_count: int
+    kept_count: int
+    cast_count: int
+    flagged: bool
 
 
-def parse_partial_decryption(payload: bytes) -> tuple[int, int, int, int, DecryptionProof]:
-    r = Reader(payload)
-    item_index = r.read_int()
-    slot_index = r.read_int()
-    trustee_index = r.read_int()
-    d = r.read_int()
-    proof = DecryptionProof.from_bytes(r.read_bytes())
-    r.expect_end()
-    return item_index, slot_index, trustee_index, d, proof
-
-
-def decrypted_ballot_payload(item_index: int, exponents: list[int], valid: bool) -> bytes:
-    return encode(item_index, exponents, int(valid))
-
-
-def parse_decrypted_ballot(payload: bytes) -> tuple[int, list[int], bool]:
-    r = Reader(payload)
-    item_index = r.read_int()
-    n = r.read_int()
-    exponents = [r.read_int() for _ in range(n)]
-    valid = r.read_bool()
-    r.expect_end()
-    return item_index, exponents, valid
-
-
-def result_payload(
-    counts: list[int],
-    invalid_count: int,
-    revoked_count: int,
-    kept_count: int,
-    cast_count: int,
-    flagged: bool,
-) -> bytes:
-    return encode(counts, invalid_count, revoked_count, kept_count, cast_count, int(flagged))
-
-
-def parse_result(payload: bytes) -> tuple[list[int], int, int, int, int, bool]:
-    r = Reader(payload)
-    n = r.read_int()
-    counts = [r.read_int() for _ in range(n)]
-    invalid_count = r.read_int()
-    revoked_count = r.read_int()
-    kept_count = r.read_int()
-    cast_count = r.read_int()
-    flagged = r.read_bool()
-    r.expect_end()
-    return counts, invalid_count, revoked_count, kept_count, cast_count, flagged
-
-
-def receipt_payload(ballot_digest: bytes) -> bytes:
-    return encode(ballot_digest)
+@dataclass(frozen=True)
+class ReceiptPayload(Record):
+    ballot_digest: bytes
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +267,15 @@ def universal_verify(
     cast_entries = board.find(KIND_BALLOT_CAST)
     for e in cast_entries:
         try:
-            _, slots, proof = parse_ballot_cast(e.payload)
+            cast = BallotCastPayload.from_bytes(e.payload)
         except ValueError:
             checks[CHECK_WELLFORMED] = False
             failures.append(f"entry {e.seq}: unparseable ballot payload")
             continue
-        if len(slots) != n_candidates:
+        if len(cast.slots) != n_candidates:
             checks[CHECK_WELLFORMED] = False
-            failures.append(f"entry {e.seq}: {len(slots)} slots for {n_candidates} candidates")
-        elif not verify_wellformed(params, election_pk, slots, proof):
+            failures.append(f"entry {e.seq}: {len(cast.slots)} slots for {n_candidates} candidates")
+        elif not verify_wellformed(params, election_pk, cast.slots, cast.wellformed):
             checks[CHECK_WELLFORMED] = False
             failures.append(f"entry {e.seq}: well-formedness proof rejected")
 
@@ -313,10 +283,8 @@ def universal_verify(
     stages: list[tuple[int, MixStage]] = []
     final_batch = None
     try:
-        stages = sorted(
-            (parse_mix_stage(e.payload) for e in board.find(KIND_MIX_STAGE)),
-            key=lambda s: s[0],
-        )
+        parsed = [MixStagePayload.from_bytes(e.payload) for e in board.find(KIND_MIX_STAGE)]
+        stages = sorted(((s.index, s.stage) for s in parsed), key=lambda s: s[0])
     except ValueError:
         checks[CHECK_MIX] = False
         failures.append("unparseable mix stage payload")
@@ -334,15 +302,15 @@ def universal_verify(
         elif stages:
             transfer = transfers[0]
             try:
-                label, first_digest = parse_transfer(transfer.payload)
+                handoff = TransferPayload.from_bytes(transfer.payload)
             except ValueError:
                 checks[CHECK_MIX] = False
                 failures.append(f"entry {transfer.seq}: unparseable transfer payload")
             else:
-                if label != TRANSFER_LABEL:
+                if handoff.label != TRANSFER_LABEL:
                     checks[CHECK_MIX] = False
-                    failures.append(f"entry {transfer.seq}: transfer label {label!r}")
-                if stages[0][1].batch_in.digest() != first_digest:
+                    failures.append(f"entry {transfer.seq}: transfer label {handoff.label!r}")
+                if stages[0][1].batch_in.digest() != handoff.batch_digest:
                     checks[CHECK_MIX] = False
                     failures.append("first mix input does not match the transferred batch")
         for idx, stage in stages:
@@ -368,12 +336,13 @@ def universal_verify(
     decryption_parse_ok = True
     for e in board.find(KIND_PARTIAL_DECRYPTION):
         try:
-            item_i, slot_i, trustee_i, d, proof = parse_partial_decryption(e.payload)
+            pd = PartialDecryptionPayload.from_bytes(e.payload)
         except ValueError:
             checks[CHECK_DECRYPTION] = False
             failures.append(f"entry {e.seq}: unparseable partial decryption")
             decryption_parse_ok = False
             continue
+        item_i, slot_i, trustee_i = pd.item_index, pd.slot_index, pd.trustee_index
         if final_batch is None or not (
             0 <= item_i < len(final_batch.items)
             and 0 <= slot_i < len(final_batch.items[item_i])
@@ -384,25 +353,25 @@ def universal_verify(
         ct = final_batch.items[item_i][slot_i]
         commitment = trustee_commitments.get(trustee_i)
         if commitment is None or not verify_correct_decryption(
-            params, commitment, ct, d, proof
+            params, commitment, ct, pd.d, pd.proof
         ):
             checks[CHECK_DECRYPTION] = False
             failures.append(
                 f"entry {e.seq}: decryption proof rejected (trustee {trustee_i})"
             )
             continue
-        partials.setdefault((item_i, slot_i), {})[trustee_i] = d
+        partials.setdefault((item_i, slot_i), {})[trustee_i] = pd.d
 
-    decrypted: dict[int, tuple[list[int], bool]] = {}
+    decrypted: dict[int, DecryptedBallotPayload] = {}
     for e in board.find(KIND_DECRYPTED_BALLOT):
         try:
-            item_i, exponents, valid = parse_decrypted_ballot(e.payload)
+            claim = DecryptedBallotPayload.from_bytes(e.payload)
         except ValueError:
             checks[CHECK_DECRYPTION] = False
             failures.append(f"entry {e.seq}: unparseable decrypted ballot")
             decryption_parse_ok = False
             continue
-        decrypted[item_i] = (exponents, valid)
+        decrypted[claim.item_index] = claim
 
     if final_batch is not None and decryption_parse_ok:
         for item_i, item in enumerate(final_batch.items):
@@ -411,7 +380,7 @@ def universal_verify(
                 checks[CHECK_DECRYPTION] = False
                 failures.append(f"item {item_i}: no decrypted ballot published")
                 continue
-            exponents, valid = claim
+            exponents = claim.exponents
             if len(exponents) != len(item):
                 checks[CHECK_DECRYPTION] = False
                 failures.append(f"item {item_i}: wrong slot count")
@@ -433,7 +402,7 @@ def universal_verify(
                     failures.append(
                         f"item {item_i} slot {slot_i}: claimed plaintext mismatch"
                     )
-            if valid != validate_decrypted(exponents, n_candidates):
+            if claim.valid != validate_decrypted(exponents, n_candidates):
                 checks[CHECK_DECRYPTION] = False
                 failures.append(f"item {item_i}: validity flag incorrect")
 
@@ -447,9 +416,7 @@ def universal_verify(
         failures.append("no mix output to recount from")
     else:
         try:
-            counts, invalid_count, revoked_count, kept_count, cast_count, _flagged = (
-                parse_result(result_entries[0].payload)
-            )
+            result = ResultPayload.from_bytes(result_entries[0].payload)
         except ValueError:
             checks[CHECK_COUNTS] = False
             failures.append("unparseable result payload")
@@ -460,21 +427,25 @@ def universal_verify(
                 claim = decrypted.get(item_i)
                 if claim is None:
                     continue
-                exponents, _ = claim
-                if validate_decrypted(exponents, n_candidates):
-                    for c, e_val in enumerate(exponents):
+                if validate_decrypted(claim.exponents, n_candidates):
+                    for c, e_val in enumerate(claim.exponents):
                         recount[c] += e_val
                 else:
                     invalid += 1
-            if recount != counts or invalid != invalid_count:
+            counts = list(result.counts)
+            if recount != counts or invalid != result.invalid_count:
                 checks[CHECK_COUNTS] = False
                 failures.append(
-                    f"recomputed counts {recount}/{invalid} != published {counts}/{invalid_count}"
+                    f"recomputed counts {recount}/{invalid} != published "
+                    f"{counts}/{result.invalid_count}"
                 )
-            if kept_count != len(final_batch.items):
+            if result.kept_count != len(final_batch.items):
                 checks[CHECK_COUNTS] = False
                 failures.append("kept count does not match mix batch size")
-            if cast_count != len(cast_entries) or revoked_count != cast_count - kept_count:
+            if (
+                result.cast_count != len(cast_entries)
+                or result.revoked_count != result.cast_count - result.kept_count
+            ):
                 checks[CHECK_COUNTS] = False
                 failures.append("cast/revoked bookkeeping does not match the board")
 

@@ -1,15 +1,43 @@
-"""Canonical byte encoding shared by everything that hashes or signs.
+"""Canonical byte encoding shared by everything that hashes, signs or publishes.
 
-Every value that ends up inside a digest, a signature, or a Fiat-Shamir
-challenge is serialized here: fields in declaration order, each item as a
-4-byte big-endian length prefix followed by minimal big-endian magnitude
-bytes (zero encodes as the empty string).  Decoders reject trailing bytes.
+Every value that ends up inside a digest, a signature, a Fiat-Shamir
+challenge or a board entry is serialized here, and the public record's
+bytes are defined by these rules alone.
+
+Items.  Every item is a 4-byte big-endian length followed by a body:
+
+- an int is its minimal big-endian magnitude (zero is the empty body;
+  negative ints have no encoding);
+- bytes are themselves; a str is its UTF-8 bytes;
+- a bool is the int 0 or 1.
+
+Records.  A `Record` is a frozen dataclass whose layout follows from its
+field order and annotations:
+
+1. A record's own bytes are its fields, in declaration order.
+2. A record nested as a field is one length-prefixed blob of its own bytes.
+3. A tuple or list is its count (an int item), then its items.
+4. A bool is the int 0 or 1.
+5. `None` is an empty blob (for an optional record field, `X | None`).
+
+A record's digest is sha256 over its bytes as one blob, `digest(record)`.
+
+Decoding is strict and follows the annotations; anything else raises
+`ValueError`: an int with a leading zero byte, a flag other than 0 or 1,
+text that is not UTF-8, a length that runs past the data, a nested blob
+not consumed exactly, and trailing bytes after the record.  The decoder is
+built once per class from its annotations, never per value.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
+import operator
 import random
+import types
+import typing
 
 _LEN_BYTES = 4
 
@@ -30,22 +58,24 @@ def enc_str(s: str) -> bytes:
     return enc_bytes(s.encode("utf-8"))
 
 
+_ENCODERS = {int: enc_int, bool: enc_int, bytes: enc_bytes, str: enc_str}
+
+
 def encode(*fields) -> bytes:
-    """Concatenate the canonical encodings of ints, bytes, strings and
-    (possibly nested) sequences.  Sequences encode their length first."""
+    """Concatenate the canonical encodings of ints (bools included), bytes,
+    records, (possibly nested) sequences, strings and None."""
     out = bytearray()
     for f in fields:
-        if isinstance(f, bool):
-            out += enc_int(int(f))
-        elif isinstance(f, int):
-            out += enc_int(f)
-        elif isinstance(f, bytes):
-            out += enc_bytes(f)
-        elif isinstance(f, str):
-            out += enc_str(f)
+        enc = _ENCODERS.get(type(f))
+        if enc is not None:
+            out += enc(f)
+        elif isinstance(f, Record):
+            out += enc_bytes(f.to_bytes())
         elif isinstance(f, (list, tuple)):
             out += enc_int(len(f))
             out += encode(*f)
+        elif f is None:
+            out += enc_bytes(b"")
         else:
             raise TypeError(f"cannot canonically encode {type(f).__name__}")
     return bytes(out)
@@ -60,40 +90,137 @@ def hexdigest(*fields) -> str:
     return digest(*fields).hex()
 
 
-class Reader:
-    """Sequential decoder for canonical bytes.
+class Record:
+    """Base of every hashed, signed or published frozen dataclass."""
 
-    Callers know the schema; the reader only enforces framing and the
-    no-trailing-bytes rule.
+    def to_bytes(self) -> bytes:
+        return encode(*_codec(type(self))[0](self))
+
+    @classmethod
+    def from_bytes(cls, data: bytes):
+        return _codec(cls)[1](data)
+
+    def digest(self) -> bytes:
+        return digest(self.to_bytes())
+
+
+# Readers take the data and a position and return (value, next position).
+
+def _read_bytes(data: bytes, pos: int) -> tuple[bytes, int]:
+    start = pos + _LEN_BYTES
+    stop = start + int.from_bytes(data[pos:start], "big")
+    if stop > len(data):  # also a cut length prefix: then start > len(data)
+        raise ValueError("truncated canonical data")
+    return data[start:stop], stop
+
+
+def _read_int(data: bytes, pos: int) -> tuple[int, int]:
+    body, pos = _read_bytes(data, pos)
+    if body[:1] == b"\x00":
+        raise ValueError("integer has a leading zero byte")
+    return int.from_bytes(body, "big"), pos
+
+
+def _read_bool(data: bytes, pos: int) -> tuple[bool, int]:
+    value, pos = _read_int(data, pos)
+    if value > 1:
+        raise ValueError("flag is not 0 or 1")
+    return value == 1, pos
+
+
+def _read_str(data: bytes, pos: int) -> tuple[str, int]:
+    body, pos = _read_bytes(data, pos)
+    return body.decode("utf-8"), pos
+
+
+_SCALAR_READERS = {int: _read_int, bool: _read_bool, bytes: _read_bytes, str: _read_str}
+
+
+def _sequence_reader(read_item):
+    def read(data: bytes, pos: int):
+        n, pos = _read_int(data, pos)
+        items = []
+        for _ in range(n):
+            item, pos = read_item(data, pos)
+            items.append(item)
+        return tuple(items), pos
+
+    return read
+
+
+def _blob_reader(decode, optional: bool):
+    def read(data: bytes, pos: int):
+        body, pos = _read_bytes(data, pos)
+        if optional and not body:
+            return None, pos
+        return decode(body), pos
+
+    return read
+
+
+def _reader(tp):
+    """Reader for one field annotation."""
+    if tp in _SCALAR_READERS:
+        return _SCALAR_READERS[tp]
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        return _sequence_reader(_reader(args[0]))
+    if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        (inner,) = (a for a in args if a is not type(None))
+        return _blob_reader(_codec(inner)[1], optional=True)
+    if isinstance(tp, type) and issubclass(tp, Record):
+        return _blob_reader(_codec(tp)[1], optional=False)
+    raise TypeError(f"no canonical decoding for {tp!r}")
+
+
+@functools.cache
+def _codec(cls):
+    """(field values getter, strict decoder) for one Record class."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    hints = typing.get_type_hints(cls)
+    readers = [_reader(hints[name]) for name in names]
+    get = operator.attrgetter(*names)
+    values = get if len(names) > 1 else lambda record: (get(record),)
+
+    def decode(data: bytes):
+        pos = 0
+        args = []
+        for read in readers:
+            value, pos = read(data, pos)
+            args.append(value)
+        if pos != len(data):
+            raise ValueError("trailing bytes after canonical record")
+        return cls(*args)
+
+    return values, decode
+
+
+class Reader:
+    """Sequential decoder for canonical bytes with the records' strictness.
+
+    Callers know the schema; the reader enforces framing, minimal ints,
+    0/1 flags and, with `expect_end`, the no-trailing-bytes rule.
     """
 
     def __init__(self, data: bytes):
         self._data = data
         self._pos = 0
 
+    def _read(self, read):
+        value, self._pos = read(self._data, self._pos)
+        return value
+
     def read_bytes(self) -> bytes:
-        if self._pos + _LEN_BYTES > len(self._data):
-            raise ValueError("truncated canonical data")
-        n = int.from_bytes(self._data[self._pos : self._pos + _LEN_BYTES], "big")
-        self._pos += _LEN_BYTES
-        if self._pos + n > len(self._data):
-            raise ValueError("truncated canonical data")
-        body = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return body
+        return self._read(_read_bytes)
 
     def read_int(self) -> int:
-        return int.from_bytes(self.read_bytes(), "big")
+        return self._read(_read_int)
 
     def read_str(self) -> str:
-        return self.read_bytes().decode("utf-8")
+        return self._read(_read_str)
 
     def read_bool(self) -> bool:
-        """Strict flag: only the encodings of 0 and 1 are accepted."""
-        body = self.read_bytes()
-        if body not in (b"", b"\x01"):
-            raise ValueError("flag is not 0 or 1")
-        return body == b"\x01"
+        return self._read(_read_bool)
 
     def done(self) -> bool:
         return self._pos == len(self._data)

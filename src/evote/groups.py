@@ -15,7 +15,7 @@ import functools
 import random
 from dataclasses import dataclass
 
-from .canonical import Reader, encode
+from .canonical import Record
 from .errors import (
     DecodeRangeError,
     DuplicateShareError,
@@ -109,7 +109,7 @@ def _comb(p: int, base: int) -> _Comb:
 
 
 @dataclass(frozen=True)
-class GroupParams:
+class GroupParams(Record):
     """Prime-order-q subgroup of Z*_p.
 
     Invariants: q divides p-1, g generates the subgroup (g != 1, g^q = 1).
@@ -144,9 +144,6 @@ class GroupParams:
     def is_element(self, x: int) -> bool:
         return 1 <= x < self.p and self.exp(x, self.q) == 1
 
-    def to_bytes(self) -> bytes:
-        return encode(self.p, self.q, self.g)
-
 
 # Small group for tests and worked examples: order-11 subgroup of Z*_23.
 TEST_GROUP = GroupParams(p=23, q=11, g=2)
@@ -160,16 +157,9 @@ GROUP_PROFILES = {"test": TEST_GROUP, "prod3072": PROD_GROUP_3072}
 
 
 @dataclass(frozen=True)
-class Ciphertext:
+class Ciphertext(Record):
     c1: int
     c2: int
-
-    def to_bytes(self) -> bytes:
-        return encode(self.c1, self.c2)
-
-    @classmethod
-    def read_from(cls, r: Reader) -> "Ciphertext":
-        return cls(r.read_int(), r.read_int())
 
 
 @dataclass(frozen=True)
@@ -200,9 +190,6 @@ class PartialDecryption:
     trustee_index: int
     d: int
     proof: "object"  # zkp.DecryptionProof; typed loosely to avoid a cycle
-
-    def to_bytes(self) -> bytes:
-        return encode(self.trustee_index, self.d, self.proof.to_bytes())
 
 
 def rand_scalar(params: GroupParams, rng: random.Random, nonzero: bool = False) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .canonical import Reader, digest, encode
+from .canonical import Record, digest
 from .groups import Ciphertext, GroupParams, rand_scalar, reencrypt
 
 DOMAIN_MIX = "evote/mixnet/challenge"
@@ -25,7 +25,7 @@ SIDE_OUT = 1
 
 
 @dataclass(frozen=True)
-class MixBatch:
+class MixBatch(Record):
     """Ordered slot-tuples (one ciphertext per candidate), no identifiers."""
 
     items: tuple[tuple[Ciphertext, ...], ...]
@@ -35,85 +35,19 @@ class MixBatch:
         if len(widths) > 1:
             raise ValueError("all batch items must have the same slot count")
 
-    def to_bytes(self) -> bytes:
-        return encode([[ct.to_bytes() for ct in item] for item in self.items])
-
-    def digest(self) -> bytes:
-        return digest(self.to_bytes())
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "MixBatch":
-        r = Reader(data)
-        batch = cls.read_from(r)
-        r.expect_end()
-        return batch
-
-    @classmethod
-    def read_from(cls, r: Reader) -> "MixBatch":
-        n = r.read_int()
-        items = []
-        for _ in range(n):
-            width = r.read_int()
-            slots = []
-            for _ in range(width):
-                sr = Reader(r.read_bytes())
-                slots.append(Ciphertext.read_from(sr))
-                sr.expect_end()
-            items.append(tuple(slots))
-        return cls(items=tuple(items))
-
 
 @dataclass(frozen=True)
-class OpenedLink:
+class OpenedLink(Record):
     side: int  # SIDE_IN: input -> mid, SIDE_OUT: mid -> output
     index: int  # input index (in) or output index (out)
     scalars: tuple[int, ...]  # one re-encryption scalar per slot
 
-    def to_bytes(self) -> bytes:
-        return encode(self.side, self.index, list(self.scalars))
-
 
 @dataclass(frozen=True)
-class ShuffleProof:
+class ShuffleProof(Record):
     mid: MixBatch
     mid_commit: bytes
     rounds: tuple[tuple[OpenedLink, ...], ...]
-
-    def to_bytes(self) -> bytes:
-        return encode(
-            self.mid.to_bytes(),
-            self.mid_commit,
-            [[link.to_bytes() for link in rnd] for rnd in self.rounds],
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "ShuffleProof":
-        r = Reader(data)
-        mid = MixBatch.from_bytes(r.read_bytes())
-        mid_commit = r.read_bytes()
-        n_rounds = r.read_int()
-        rounds = []
-        for _ in range(n_rounds):
-            n_links = r.read_int()
-            links = []
-            for _ in range(n_links):
-                lr = Reader(r.read_bytes())
-                links.append(
-                    OpenedLink(
-                        side=lr.read_int(),
-                        index=lr.read_int(),
-                        scalars=tuple(_read_int_list(lr)),
-                    )
-                )
-                lr.expect_end()
-            rounds.append(tuple(links))
-        r.expect_end()
-        return cls(mid=mid, mid_commit=mid_commit, rounds=tuple(rounds))
-
-
-def _read_int_list(r: Reader) -> list[int]:
-    n = r.read_int()
-    return [r.read_int() for _ in range(n)]
 
 
 @dataclass(frozen=True)
@@ -294,26 +228,12 @@ def verify_mix(
 
 
 @dataclass(frozen=True)
-class MixStage:
+class MixStage(Record):
     """Published record of one server's pass: batches plus proof."""
 
     batch_in: MixBatch
     batch_out: MixBatch
     proof: ShuffleProof
-
-    def to_bytes(self) -> bytes:
-        return encode(
-            self.batch_in.to_bytes(), self.batch_out.to_bytes(), self.proof.to_bytes()
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "MixStage":
-        r = Reader(data)
-        batch_in = MixBatch.from_bytes(r.read_bytes())
-        batch_out = MixBatch.from_bytes(r.read_bytes())
-        proof = ShuffleProof.from_bytes(r.read_bytes())
-        r.expect_end()
-        return cls(batch_in=batch_in, batch_out=batch_out, proof=proof)
 
 
 def run_mixnet(

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .canonical import digest, encode
+from .canonical import Record, digest
 from .errors import DuplicateVoter
 from .groups import GroupParams, keygen
 
@@ -37,12 +37,9 @@ class VoterCredential:
 
 
 @dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     commit: int
     response: int
-
-    def to_bytes(self) -> bytes:
-        return encode(self.commit, self.response)
 
 
 class Registry:

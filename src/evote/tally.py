@@ -19,14 +19,13 @@ from .ballot import (
     DEFAULT_RECEIPT_TTL,
     Receipt,
     SignedBallot,
-    ballot_cast_payload,
     filter_latest,
     issue_receipt,
     validate_decrypted,
     verify_ballot,
 )
 from .bulletin import Board
-from .canonical import derive_rng
+from .canonical import derive_rng, digest
 from .errors import AlreadyClosed, DecodeRangeError, FairnessViolation, MixRejected
 from .groups import (
     Ciphertext,
@@ -180,7 +179,7 @@ def run_tally(
     proof_seqs: list[int] = []
     entry = board.append(
         bulletin.KIND_TRANSFER,
-        bulletin.transfer_payload(bulletin.TRANSFER_LABEL, batch.digest()),
+        bulletin.TransferPayload(bulletin.TRANSFER_LABEL, batch.digest()).to_bytes(),
     )
     proof_seqs.append(entry.seq)
 
@@ -201,7 +200,7 @@ def run_tally(
         ):
             raise MixRejected(f"mix stage {idx} failed verification")
         entry = board.append(
-            bulletin.KIND_MIX_STAGE, bulletin.mix_stage_payload(idx, stage)
+            bulletin.KIND_MIX_STAGE, bulletin.MixStagePayload(idx, stage).to_bytes()
         )
         proof_seqs.append(entry.seq)
 
@@ -218,9 +217,9 @@ def run_tally(
             for pd in partials:
                 entry = board.append(
                     bulletin.KIND_PARTIAL_DECRYPTION,
-                    bulletin.partial_decryption_payload(
+                    bulletin.PartialDecryptionPayload(
                         item_i, slot_i, pd.trustee_index, pd.d, pd.proof
-                    ),
+                    ).to_bytes(),
                 )
                 proof_seqs.append(entry.seq)
         valid = validate_decrypted(exponents, n_candidates)
@@ -231,20 +230,20 @@ def run_tally(
             invalid_count += 1
         entry = board.append(
             bulletin.KIND_DECRYPTED_BALLOT,
-            bulletin.decrypted_ballot_payload(item_i, exponents, valid),
+            bulletin.DecryptedBallotPayload(item_i, tuple(exponents), valid).to_bytes(),
         )
         proof_seqs.append(entry.seq)
 
     entry = board.append(
         bulletin.KIND_RESULT,
-        bulletin.result_payload(
-            counts,
+        bulletin.ResultPayload(
+            tuple(counts),
             invalid_count,
             revoked_count,
             len(kept),
             len(collected),
             verdict.flagged,
-        ),
+        ).to_bytes(),
     )
     proof_seqs.append(entry.seq)
 
@@ -342,11 +341,12 @@ class Election:
             return None
         if not verify_ballot(self.params, sb, self.registry, self.election_key.h):
             return None
-        self.board.append(bulletin.KIND_LOGIN, bulletin.login_payload(sb.voter_id))
-        self.board.append(bulletin.KIND_BALLOT_CAST, ballot_cast_payload(sb))
+        login = bulletin.LoginPayload(digest(sb.voter_id))
+        self.board.append(bulletin.KIND_LOGIN, login.to_bytes())
+        self.board.append(bulletin.KIND_BALLOT_CAST, sb.published().to_bytes())
         receipt = issue_receipt(sb, now, self.config.receipt_ttl)
         self.board.append(
-            bulletin.KIND_RECEIPT, bulletin.receipt_payload(receipt.ballot_digest)
+            bulletin.KIND_RECEIPT, bulletin.ReceiptPayload(receipt.ballot_digest).to_bytes()
         )
         self.collected.append(sb)
         return receipt

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import Reader, digest, encode
+from .canonical import Record, digest, encode
 from .groups import Ciphertext, GroupParams
 
 DOMAIN_CP = "evote/zkp/chaum-pedersen"
@@ -34,27 +34,13 @@ def _nonce(params: GroupParams, *secret_and_statement) -> int:
 
 
 @dataclass(frozen=True)
-class DecryptionProof:
+class DecryptionProof(Record):
     """Equal-dlog proof: the same exponent links both commitment bases."""
 
     commit_g: int
     commit_c1: int
     challenge: int
     response: int
-
-    def to_bytes(self) -> bytes:
-        return encode(self.commit_g, self.commit_c1, self.challenge, self.response)
-
-    @classmethod
-    def read_from(cls, r: Reader) -> "DecryptionProof":
-        return cls(r.read_int(), r.read_int(), r.read_int(), r.read_int())
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "DecryptionProof":
-        r = Reader(data)
-        proof = cls.read_from(r)
-        r.expect_end()
-        return proof
 
 
 def prove_correct_decryption(
@@ -103,7 +89,7 @@ def verify_correct_decryption(
 
 
 @dataclass(frozen=True)
-class SlotProof:
+class SlotProof(Record):
     """Disjunctive proof that one ciphertext encrypts 0 or 1.
 
     One branch is real, the other simulated; e0 + e1 must equal the
@@ -119,57 +105,14 @@ class SlotProof:
     z0: int
     z1: int
 
-    def to_bytes(self) -> bytes:
-        return encode(
-            self.commit_g0,
-            self.commit_h0,
-            self.commit_g1,
-            self.commit_h1,
-            self.e0,
-            self.e1,
-            self.z0,
-            self.z1,
-        )
-
-    @classmethod
-    def read_from(cls, r: Reader) -> "SlotProof":
-        return cls(*(r.read_int() for _ in range(8)))
-
 
 @dataclass(frozen=True)
-class WellformedProof:
+class WellformedProof(Record):
     """Per-slot 0/1 proofs plus a sum argument that the slots encrypt
     exactly one 1 in total."""
 
     slots: tuple[SlotProof, ...]
     sum_proof: DecryptionProof
-
-    def to_bytes(self) -> bytes:
-        return encode([sp.to_bytes() for sp in self.slots], self.sum_proof.to_bytes())
-
-    @classmethod
-    def read_from(cls, r: Reader) -> "WellformedProof":
-        n = r.read_int()
-        slots = []
-        for _ in range(n):
-            sr = Reader(r.read_bytes())
-            slots.append(SlotProof.read_from(sr))
-            sr.expect_end()
-        sr = Reader(r.read_bytes())
-        sum_proof = DecryptionProof.read_from(sr)
-        sr.expect_end()
-        return cls(slots=tuple(slots), sum_proof=sum_proof)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "WellformedProof":
-        r = Reader(data)
-        proof = cls.read_from(r)
-        r.expect_end()
-        return proof
-
-
-def _slots_digest(slots: list[Ciphertext]) -> bytes:
-    return digest([ct.to_bytes() for ct in slots])
 
 
 def _slot_challenge(
@@ -277,7 +220,7 @@ def prove_wellformed(
     per-slot randomness; a dishonest input yields an unverifiable proof.
     """
     q = params.q
-    sd = _slots_digest(slots)
+    sd = digest(slots)
     slot_proofs = [
         _prove_slot(
             params, pk, ct, i, sd, randomness[i], 1 if i == choice_index else 0
@@ -304,7 +247,7 @@ def verify_wellformed(
     p = params.p
     if len(proof.slots) != len(slots) or not slots:
         return False
-    sd = _slots_digest(slots)
+    sd = digest(slots)
     for i, (ct, sp) in enumerate(zip(slots, proof.slots)):
         if not _verify_slot(params, pk, ct, i, sd, sp):
             return False

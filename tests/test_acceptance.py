@@ -5,6 +5,7 @@ line per criterion.  These intentionally exercise public entry points
 only, the way an auditor would.
 """
 
+import hashlib
 import itertools
 import json
 from collections import Counter
@@ -15,7 +16,6 @@ import pytest
 from evote.ballot import (
     Receipt,
     ReceiptStatus,
-    ballot_cast_payload,
     check_receipt,
     compose_ballot,
     encode_choice,
@@ -47,14 +47,10 @@ from evote.bulletin import (
     KIND_MIX_STAGE,
     KIND_PARTIAL_DECRYPTION,
     KIND_RESULT,
-    decrypted_ballot_payload,
-    mix_stage_payload,
-    parse_decrypted_ballot,
-    parse_mix_stage,
-    parse_partial_decryption,
-    parse_result,
-    partial_decryption_payload,
-    result_payload,
+    DecryptedBallotPayload,
+    MixStagePayload,
+    PartialDecryptionPayload,
+    ResultPayload,
     universal_verify,
 )
 from evote.canonical import derive_rng, digest
@@ -216,11 +212,9 @@ def _mutate_delete_entry(board):
 
 def _mutate_result_counts(board):
     e = board.find(KIND_RESULT)[0]
-    counts, invalid, revoked, kept, cast, flagged = parse_result(e.payload)
-    forged = result_payload(
-        [counts[0] + 1] + counts[1:], invalid, revoked, kept, cast, flagged
-    )
-    return replace_payload(board, e.seq, forged, fix_chain=True)
+    result = ResultPayload.from_bytes(e.payload)
+    forged = replace(result, counts=(result.counts[0] + 1,) + result.counts[1:])
+    return replace_payload(board, e.seq, forged.to_bytes(), fix_chain=True)
 
 
 def _mutate_drop_mix_stage(board):
@@ -229,7 +223,8 @@ def _mutate_drop_mix_stage(board):
 
 def _mutate_swap_mix_rows(board):
     e = board.find(KIND_MIX_STAGE)[-1]
-    idx, stage = parse_mix_stage(e.payload)
+    staged = MixStagePayload.from_bytes(e.payload)
+    stage = staged.stage
     items = list(stage.batch_out.items)
     items[0], items[1] = items[1], items[0]
     forged = MixStage(
@@ -237,24 +232,26 @@ def _mutate_swap_mix_rows(board):
         batch_out=MixBatch(items=tuple(items)),
         proof=stage.proof,
     )
-    return replace_payload(board, e.seq, mix_stage_payload(idx, forged), fix_chain=True)
+    return replace_payload(board, e.seq, replace(staged, stage=forged).to_bytes(), fix_chain=True)
 
 
 def _mutate_break_continuity(board):
     entries = board.find(KIND_MIX_STAGE)
-    _, stage0 = parse_mix_stage(entries[0].payload)
-    idx1, stage1 = parse_mix_stage(entries[1].payload)
+    stage0 = MixStagePayload.from_bytes(entries[0].payload).stage
+    staged1 = MixStagePayload.from_bytes(entries[1].payload)
+    stage1 = staged1.stage
     forged = MixStage(
         batch_in=stage0.batch_in, batch_out=stage1.batch_out, proof=stage1.proof
     )
     return replace_payload(
-        board, entries[1].seq, mix_stage_payload(idx1, forged), fix_chain=True
+        board, entries[1].seq, replace(staged1, stage=forged).to_bytes(), fix_chain=True
     )
 
 
 def _mutate_post_mix_ciphertext(board):
     e = board.find(KIND_MIX_STAGE)[-1]
-    idx, stage = parse_mix_stage(e.payload)
+    staged = MixStagePayload.from_bytes(e.payload)
+    stage = staged.stage
     items = [list(item) for item in stage.batch_out.items]
     ct = items[0][0]
     items[0][0] = Ciphertext(ct.c1, (ct.c2 * GRP.g) % GRP.p)
@@ -263,16 +260,14 @@ def _mutate_post_mix_ciphertext(board):
         batch_out=MixBatch(items=tuple(tuple(i) for i in items)),
         proof=stage.proof,
     )
-    return replace_payload(board, e.seq, mix_stage_payload(idx, forged), fix_chain=True)
+    return replace_payload(board, e.seq, replace(staged, stage=forged).to_bytes(), fix_chain=True)
 
 
 def _mutate_forge_share(board):
     e = board.find(KIND_PARTIAL_DECRYPTION)[0]
-    item_i, slot_i, trustee_i, d, proof = parse_partial_decryption(e.payload)
-    forged = partial_decryption_payload(
-        item_i, slot_i, trustee_i, (d * GRP.g) % GRP.p, proof
-    )
-    return replace_payload(board, e.seq, forged, fix_chain=True)
+    pd = PartialDecryptionPayload.from_bytes(e.payload)
+    forged = replace(pd, d=(pd.d * GRP.g) % GRP.p)
+    return replace_payload(board, e.seq, forged.to_bytes(), fix_chain=True)
 
 
 def _mutate_drop_share(board):
@@ -281,9 +276,9 @@ def _mutate_drop_share(board):
 
 def _mutate_decrypted_claim(board):
     e = board.find(KIND_DECRYPTED_BALLOT)[0]
-    item_i, exponents, valid = parse_decrypted_ballot(e.payload)
-    forged = decrypted_ballot_payload(item_i, [exponents[0] + 1] + exponents[1:], valid)
-    return replace_payload(board, e.seq, forged, fix_chain=True)
+    claim = DecryptedBallotPayload.from_bytes(e.payload)
+    forged = replace(claim, exponents=(claim.exponents[0] + 1,) + claim.exponents[1:])
+    return replace_payload(board, e.seq, forged.to_bytes(), fix_chain=True)
 
 
 def _mutate_duplicate_result(board):
@@ -645,46 +640,89 @@ def test_c13_receipt_lifecycle_and_staleness():
     assert sb2.digest() not in revoked_digests
 
 
+C14_CONFIG = {
+    "candidates": ["alice", "bob", "carol"],
+    "trustee_count": 3,
+    "mix_server_count": 3,
+    "proof_rounds": 6,
+    "revote_allowed": True,
+    "coercion_threshold": 0.9,
+    "receipt_ttl": 30,
+    "group": "test",
+}
+C14_SCENARIO = {
+    "voters": ["v01", "v02", "v03"],
+    "votes": [
+        {"voter": "v01", "candidate": 0, "time": 1},
+        {"voter": "v02", "candidate": 1, "time": 2},
+        {"voter": "v03", "candidate": 2, "time": 3},
+        {"voter": "v01", "candidate": 1, "time": 4},
+    ],
+}
+# sha256 of the c14 board.jsonl, the same on CPython 3.10 to 3.13.
+C14_BOARD_SHA256 = "47da1da00b2e92431bad0be340a44c9d13a294370dc49f57849eb254be4bf7b0"
+
+
+def _c14_run(tmp_path, out):
+    (tmp_path / "config.json").write_text(json.dumps(C14_CONFIG))
+    (tmp_path / "scenario.json").write_text(json.dumps(C14_SCENARIO))
+    rc = cli_main(
+        [
+            "run",
+            "--config", str(tmp_path / "config.json"),
+            "--scenario", str(tmp_path / "scenario.json"),
+            "--seed", "1234",
+            "--out-dir", str(tmp_path / out),
+        ]
+    )
+    assert rc == 0
+    return tmp_path / out
+
+
 # criterion 14: identical (config, scenario, seed) yields byte-identical
 # bulletin board files
 def test_c14_byte_identical_artifacts(tmp_path):
-    config = {
-        "candidates": ["alice", "bob", "carol"],
-        "trustee_count": 3,
-        "mix_server_count": 3,
-        "proof_rounds": 6,
-        "revote_allowed": True,
-        "coercion_threshold": 0.9,
-        "receipt_ttl": 30,
-        "group": "test",
-    }
-    scenario = {
-        "voters": ["v01", "v02", "v03"],
-        "votes": [
-            {"voter": "v01", "candidate": 0, "time": 1},
-            {"voter": "v02", "candidate": 1, "time": 2},
-            {"voter": "v03", "candidate": 2, "time": 3},
-            {"voter": "v01", "candidate": 1, "time": 4},
-        ],
-    }
-    (tmp_path / "config.json").write_text(json.dumps(config))
-    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
     for out in ("a", "b"):
-        rc = cli_main(
-            [
-                "run",
-                "--config", str(tmp_path / "config.json"),
-                "--scenario", str(tmp_path / "scenario.json"),
-                "--seed", "1234",
-                "--out-dir", str(tmp_path / out),
-            ]
-        )
-        assert rc == 0
+        _c14_run(tmp_path, out)
     board_a = (tmp_path / "a" / "board.jsonl").read_bytes()
     board_b = (tmp_path / "b" / "board.jsonl").read_bytes()
     assert board_a == board_b  # exact
     for name in ("result.json", "params.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# The c14 board's bytes are pinned, so a change to any encoder shows here.
+def test_c14_board_bytes_are_pinned(tmp_path):
+    board = (_c14_run(tmp_path, "a") / "board.jsonl").read_bytes()
+    assert hashlib.sha256(board).hexdigest() == C14_BOARD_SHA256
+
+
+# The public record has one encoding: an item index with a leading zero
+# byte is unparseable, even on a rechained board.
+def test_c14_non_minimal_item_index_is_unparseable(tmp_path):
+    out = _c14_run(tmp_path, "a")
+    board = Board.load(out / "board.jsonl")
+    params = json.loads((out / "params.json").read_text())
+    entry = next(
+        e for e in board.find(KIND_DECRYPTED_BALLOT)
+        if DecryptedBallotPayload.from_bytes(e.payload).item_index == 1
+    )
+    assert entry.payload.startswith(bytes.fromhex("00000001" "01"))
+    forged = bytes.fromhex("00000002" "0001") + entry.payload[5:]
+    report = universal_verify(
+        GRP,
+        replace_payload(board, entry.seq, forged, fix_chain=True),
+        ElectionConfig(
+            candidates=params["candidates"],
+            mix_server_count=params["mix_server_count"],
+            proof_rounds=params["proof_rounds"],
+        ),
+        params["election_pk"],
+        {int(i): h for i, h in params["trustee_commitments"].items()},
+    )
+    assert report.checks[CHECK_CHAIN]
+    assert not report.checks[CHECK_DECRYPTION]
+    assert f"entry {entry.seq}: unparseable decrypted ballot" in report.failures
 
 
 def _short_ballot_election(seed):
@@ -722,7 +760,7 @@ def test_short_ballot_cannot_stop_the_tally():
     assert _verify(election, election.board).overall
 
     e = election.board.find(KIND_BALLOT_CAST)[0]
-    mutated = replace_payload(election.board, e.seq, ballot_cast_payload(short), True)
+    mutated = replace_payload(election.board, e.seq, short.published().to_bytes(), True)
     r = _verify(election, mutated)
     assert r.checks[CHECK_WELLFORMED] is False
     assert r.checks[CHECK_CHAIN] is True

@@ -8,7 +8,6 @@ from evote.ballot import (
     encode_choice,
     filter_latest,
     issue_receipt,
-    parse_ballot_cast,
     validate_decrypted,
     verify_ballot,
 )
@@ -118,14 +117,14 @@ def test_ballot_digest_distinct_per_composition(grp, setup):
 
 
 def test_cast_payload_round_trip(grp, setup):
-    from evote.ballot import ballot_cast_payload
+    from evote.ballot import BallotCastPayload
 
     _, cred, ek = setup
     sb = _ballot(grp, cred, ek)
-    digest, slots, proof = parse_ballot_cast(ballot_cast_payload(sb))
-    assert digest == sb.digest()
-    assert slots == list(sb.encrypted.slots)
-    assert proof == sb.encrypted.wellformed
+    cast = BallotCastPayload.from_bytes(sb.published().to_bytes())
+    assert cast.ballot_digest == sb.digest()
+    assert cast.slots == sb.encrypted.slots
+    assert cast.wellformed == sb.encrypted.wellformed
 
 
 # --- re-vote filtering ---
@@ -183,14 +182,13 @@ def test_filter_latest_brute_force_oracle():
 # --- receipts ---
 
 def test_receipt_lifecycle(grp, setup):
-    from evote.ballot import ballot_cast_payload
     from evote.bulletin import Board
 
     registry, cred, ek = setup
 
     sb = _ballot(grp, cred, ek, timestamp=10)
     board = Board()
-    board.append("BallotCast", ballot_cast_payload(sb))
+    board.append("BallotCast", sb.published().to_bytes())
     receipt = issue_receipt(sb, now=10, ttl=30)
 
     assert check_receipt(receipt, board, now=10) is ReceiptStatus.CONFIRMED
@@ -200,6 +198,21 @@ def test_receipt_lifecycle(grp, setup):
 
     foreign = issue_receipt(_ballot(grp, cred, ek, nonce=7), now=10)
     assert check_receipt(foreign, board, now=10) is ReceiptStatus.NOT_FOUND
+
+
+def test_receipt_check_skips_malformed_cast_entries(grp, setup):
+    from evote.bulletin import Board
+
+    _, cred, ek = setup
+    sb = _ballot(grp, cred, ek, timestamp=10)
+    payload = sb.published().to_bytes()
+    board = Board()
+    board.append("BallotCast", payload[:3])
+    board.append("BallotCast", payload + b"\x00")
+    receipt = issue_receipt(sb, now=10, ttl=30)
+    assert check_receipt(receipt, board, now=10) is ReceiptStatus.NOT_FOUND
+    board.append("BallotCast", payload)
+    assert check_receipt(receipt, board, now=10) is ReceiptStatus.CONFIRMED
 
 
 # --- decrypted content validation ---

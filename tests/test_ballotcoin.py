@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -424,3 +425,19 @@ def test_simulation_with_forks_conserves_supply():
     report = simulate(config, seed=4, observer=observer)
     assert report.fork_count > 0
     assert supplies == [config.n_voters] * config.rounds
+
+
+# sha256 of the concatenated Block.to_bytes() of the final canonical chain of
+# one seeded simulation with malicious forgers, so a change to the block or
+# transaction encoding shows here.
+def test_simulated_chain_bytes_are_pinned():
+    config = SimConfig(
+        rounds=30, n_voters=40, n_candidates=3, malicious_fraction=0.25, vote_prob=0.2
+    )
+    canonical = []
+    report = simulate(config, seed=7, observer=lambda state: canonical.append(state.canonical))
+    chain = canonical[-1]
+    assert (report.fork_count, chain.height, report.txs_included) == (7, 23, 37)
+    assert hashlib.sha256(b"".join(b.to_bytes() for b in chain.blocks)).hexdigest() == (
+        "7df6b601965a287c4756eef10f73723ef22ae93ff79954fa366f9a276c3b9ce6"
+    )

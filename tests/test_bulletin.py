@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from board_utils import clone_board, drop_entry, flip_byte, rechain, replace_payload
@@ -11,17 +13,16 @@ from evote.bulletin import (
     KIND_RESULT,
     KIND_TRANSFER,
     TRANSFER_LABEL,
-    login_payload,
-    parse_decrypted_ballot,
-    parse_mix_stage,
-    parse_partial_decryption,
-    parse_result,
-    parse_transfer,
-    transfer_payload,
+    DecryptedBallotPayload,
+    LoginPayload,
+    MixStagePayload,
+    PartialDecryptionPayload,
+    ResultPayload,
+    TransferPayload,
     universal_verify,
     verify_chain,
 )
-from evote.canonical import derive_rng, encode
+from evote.canonical import derive_rng, digest, encode
 from evote.tally import Election, ElectionConfig
 
 
@@ -48,8 +49,8 @@ def tallied():
 
 def test_board_appends_chain(grp):
     board = Board()
-    e0 = board.append("Login", login_payload("alice"))
-    e1 = board.append("Login", login_payload("bob"))
+    e0 = board.append("Login", LoginPayload(digest("alice")).to_bytes())
+    e1 = board.append("Login", LoginPayload(digest("bob")).to_bytes())
     assert e0.seq == 0 and e1.seq == 1
     assert e1.prev_digest == e0.digest
     assert verify_chain(board)
@@ -93,23 +94,17 @@ def test_rechained_board_passes_chain_check(tallied):
 def test_payload_codecs_round_trip(tallied):
     election, _ = tallied
     board = election.board
-    label, digest = parse_transfer(board.find(KIND_TRANSFER)[0].payload)
-    assert isinstance(label, str) and len(digest) == 32
-    idx, stage = parse_mix_stage(board.find(KIND_MIX_STAGE)[0].payload)
-    assert idx == 0 and stage.batch_in.items
-    item, slot, trustee, d, proof = parse_partial_decryption(
-        board.find(KIND_PARTIAL_DECRYPTION)[0].payload
-    )
-    assert (item, slot, trustee) == (0, 0, 1)
-    item, exps, valid = parse_decrypted_ballot(
-        board.find(KIND_DECRYPTED_BALLOT)[0].payload
-    )
-    assert valid and sum(exps) == 1
-    counts, invalid, revoked, kept, cast, flagged = parse_result(
-        board.find(KIND_RESULT)[0].payload
-    )
-    assert sum(counts) == kept
-    assert cast == kept + revoked
+    transfer = TransferPayload.from_bytes(board.find(KIND_TRANSFER)[0].payload)
+    assert isinstance(transfer.label, str) and len(transfer.batch_digest) == 32
+    staged = MixStagePayload.from_bytes(board.find(KIND_MIX_STAGE)[0].payload)
+    assert staged.index == 0 and staged.stage.batch_in.items
+    pd = PartialDecryptionPayload.from_bytes(board.find(KIND_PARTIAL_DECRYPTION)[0].payload)
+    assert (pd.item_index, pd.slot_index, pd.trustee_index) == (0, 0, 1)
+    claim = DecryptedBallotPayload.from_bytes(board.find(KIND_DECRYPTED_BALLOT)[0].payload)
+    assert claim.valid and sum(claim.exponents) == 1
+    result = ResultPayload.from_bytes(board.find(KIND_RESULT)[0].payload)
+    assert sum(result.counts) == result.kept_count
+    assert result.cast_count == result.kept_count + result.revoked_count
 
 
 def test_universal_verify_passes_honest_board(tallied):
@@ -153,12 +148,12 @@ def test_tampered_ballot_payload_fails_wellformedness(tallied):
 
 def test_swapped_mix_output_rows_fail(tallied):
     from evote.mixnet import MixBatch, MixStage
-    from evote.bulletin import mix_stage_payload
 
     election, config = tallied
     board = election.board
     entry = board.find(KIND_MIX_STAGE)[-1]
-    idx, stage = parse_mix_stage(entry.payload)
+    staged = MixStagePayload.from_bytes(entry.payload)
+    idx, stage = staged.index, staged.stage
     items = list(stage.batch_out.items)
     items[0], items[1] = items[1], items[0]
     forged_stage = MixStage(
@@ -167,7 +162,7 @@ def test_swapped_mix_output_rows_fail(tallied):
         proof=stage.proof,
     )
     mutated = replace_payload(
-        board, entry.seq, mix_stage_payload(idx, forged_stage), fix_chain=True
+        board, entry.seq, MixStagePayload(idx, forged_stage).to_bytes(), fix_chain=True
     )
     report = _verify(election, config, mutated)
     assert not report.checks["mix_stages"]
@@ -176,20 +171,20 @@ def test_swapped_mix_output_rows_fail(tallied):
 
 def test_broken_stage_continuity_fails(tallied):
     from evote.mixnet import MixStage
-    from evote.bulletin import mix_stage_payload
 
     election, config = tallied
     board = election.board
     entries = board.find(KIND_MIX_STAGE)
-    _, stage0 = parse_mix_stage(entries[0].payload)
-    idx1, stage1 = parse_mix_stage(entries[1].payload)
+    stage0 = MixStagePayload.from_bytes(entries[0].payload).stage
+    staged1 = MixStagePayload.from_bytes(entries[1].payload)
+    idx1, stage1 = staged1.index, staged1.stage
     forged_stage = MixStage(
         batch_in=stage0.batch_in,  # should be stage0.batch_out
         batch_out=stage1.batch_out,
         proof=stage1.proof,
     )
     mutated = replace_payload(
-        board, entries[1].seq, mix_stage_payload(idx1, forged_stage), fix_chain=True
+        board, entries[1].seq, MixStagePayload(idx1, forged_stage).to_bytes(), fix_chain=True
     )
     report = _verify(election, config, mutated)
     assert not report.checks["mix_stages"]
@@ -218,10 +213,8 @@ def test_altered_result_counts_fail(tallied):
     election, config = tallied
     board = election.board
     entry = board.find(KIND_RESULT)[0]
-    counts, invalid, revoked, kept, cast, flagged = parse_result(entry.payload)
-    from evote.bulletin import result_payload
-
-    forged = result_payload([counts[0] + 1] + counts[1:], invalid, revoked, kept, cast, flagged)
+    result = ResultPayload.from_bytes(entry.payload)
+    forged = replace(result, counts=(result.counts[0] + 1,) + result.counts[1:]).to_bytes()
     mutated = replace_payload(board, entry.seq, forged, fix_chain=True)
     report = _verify(election, config, mutated)
     assert not report.checks["count_recomputation"]
@@ -250,9 +243,9 @@ def test_transfer_with_another_label_fails(tallied):
     election, config = tallied
     board = election.board
     transfer = board.find(KIND_TRANSFER)[0]
-    label, batch_digest = parse_transfer(transfer.payload)
-    assert label == TRANSFER_LABEL
-    forged = transfer_payload("to-mixnes", batch_digest)
+    handoff = TransferPayload.from_bytes(transfer.payload)
+    assert handoff.label == TRANSFER_LABEL
+    forged = replace(handoff, label="to-mixnes").to_bytes()
     report = _verify(election, config, replace_payload(board, transfer.seq, forged, True))
     assert not report.checks["mix_stages"]
     assert report.failures == [f"entry {transfer.seq}: transfer label 'to-mixnes'"]
@@ -262,9 +255,9 @@ def test_validity_flag_of_two_is_unparseable(tallied):
     election, config = tallied
     board = election.board
     entry = board.find(KIND_DECRYPTED_BALLOT)[0]
-    item_i, exponents, valid = parse_decrypted_ballot(entry.payload)
-    assert valid
-    forged = encode(item_i, exponents, 2)
+    claim = DecryptedBallotPayload.from_bytes(entry.payload)
+    assert claim.valid
+    forged = encode(claim.item_index, claim.exponents, 2)
     report = _verify(election, config, replace_payload(board, entry.seq, forged, True))
     assert report.checks["chain_integrity"]
     assert not report.checks["decryption_proofs"]
@@ -275,8 +268,8 @@ def test_coercion_flag_of_two_is_unparseable(tallied):
     election, config = tallied
     board = election.board
     entry = board.find(KIND_RESULT)[0]
-    counts, invalid, revoked, kept, cast, flagged = parse_result(entry.payload)
-    forged = encode(counts, invalid, revoked, kept, cast, 2)
+    r = ResultPayload.from_bytes(entry.payload)
+    forged = encode(r.counts, r.invalid_count, r.revoked_count, r.kept_count, r.cast_count, 2)
     report = _verify(election, config, replace_payload(board, entry.seq, forged, True))
     assert not report.checks["count_recomputation"]
     assert "unparseable result payload" in report.failures

@@ -86,3 +86,13 @@ def test_bool_round_trip(flag):
 def test_flag_other_than_canonical_0_or_1_rejected(data):
     with pytest.raises(ValueError):
         Reader(data).read_bool()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [bytes.fromhex("00000001" "00"), bytes.fromhex("00000002" "0001"), bytes.fromhex("00000003" "000100")],
+    ids=bytes.hex,
+)
+def test_int_with_leading_zero_byte_rejected(data):
+    with pytest.raises(ValueError):
+        Reader(data).read_int()

@@ -12,7 +12,7 @@ import hashlib
 import pytest
 
 from evote import bulletin
-from evote.ballot import ballot_cast_payload, compose_ballot, encode_choice
+from evote.ballot import compose_ballot, encode_choice
 from evote.canonical import derive_rng
 from evote.groups import PROD_GROUP_3072, partial_decrypt, threshold_keygen
 from evote.mixnet import MixStage, mix_once, strip_signatures, verify_mix
@@ -41,11 +41,11 @@ def artifacts():
     ct = out.items[0][0]
     pd = partial_decrypt(params, shares[0], ct)
     payloads = {
-        "ballot": ballot_cast_payload(sb),
-        "mix_stage": bulletin.mix_stage_payload(0, stage),
-        "partial_decryption": bulletin.partial_decryption_payload(
+        "ballot": sb.published().to_bytes(),
+        "mix_stage": bulletin.MixStagePayload(0, stage).to_bytes(),
+        "partial_decryption": bulletin.PartialDecryptionPayload(
             0, 0, pd.trustee_index, pd.d, pd.proof
-        ),
+        ).to_bytes(),
     }
     return params, key, shares, sb, stage, ct, pd, payloads
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import StubRng
-from evote.canonical import Reader, derive_rng
+from evote.canonical import derive_rng
 from evote.errors import (
     DecodeRangeError,
     DuplicateShareError,
@@ -120,9 +120,7 @@ def test_reencrypt_changes_ciphertext(grp):
 
 def test_ciphertext_serialization_round_trip(grp):
     ct = encrypt(grp, 8, 1, 4)
-    r = Reader(ct.to_bytes())
-    assert Ciphertext.read_from(r) == ct
-    r.expect_end()
+    assert Ciphertext.from_bytes(ct.to_bytes()) == ct
 
 
 # --- n-of-n threshold decryption ---

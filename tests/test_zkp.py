@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evote.canonical import derive_rng
+from evote.canonical import derive_rng, digest
 from evote.groups import TEST_GROUP, encrypt, keygen, rand_scalar
 from evote.zkp import (
     DecryptionProof,
@@ -79,7 +79,7 @@ def _prove_with_true_bits(grp, pk, slots, rs, bits):
     failing) sum argument, isolating the sum check from the slot checks."""
     from evote import zkp
 
-    sd = zkp._slots_digest(slots)
+    sd = digest(slots)
     slot_proofs = tuple(
         zkp._prove_slot(grp, pk, ct, i, sd, rs[i], bits[i])
         for i, ct in enumerate(slots)
