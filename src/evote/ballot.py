@@ -1,4 +1,5 @@
-"""Ballot encoding, the double envelope, re-vote filtering and receipts.
+"""Ballot encoding, the double envelope, re-vote filtering, receipts and
+the counting rule.
 
 A ballot is a unit bit-vector over the candidate list, encrypted slotwise
 under the election key, proven well-formed, then signed by the voter with
@@ -11,6 +12,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .canonical import Record, encode
 from .errors import IndexOutOfRange, MalformedChoice
@@ -189,4 +191,62 @@ def validate_decrypted(exponents: list[int], n_candidates: int) -> bool:
         len(exponents) == n_candidates
         and all(e in (0, 1) for e in exponents)
         and sum(exponents) == 1
+    )
+
+
+@dataclass(frozen=True)
+class CoercionVerdict:
+    revoked_fraction: float
+    threshold: float
+    flagged: bool
+
+
+def coercion_evidence(revoked_count: int, kept_count: int, threshold: float) -> CoercionVerdict:
+    """Flag when revoked/(revoked+kept) strictly exceeds the threshold.
+
+    Exact rational comparison; a fraction equal to the threshold does not
+    flag.  Zero total ballots count as fraction 0.
+    """
+    if revoked_count < 0 or kept_count < 0:
+        raise ValueError("counts must be non-negative")
+    total = revoked_count + kept_count
+    fraction = Fraction(revoked_count, total) if total else Fraction(0)
+    flagged = fraction > Fraction(threshold)
+    return CoercionVerdict(
+        revoked_fraction=float(fraction), threshold=threshold, flagged=flagged
+    )
+
+
+@dataclass(frozen=True)
+class ResultPayload(Record):
+    counts: tuple[int, ...]
+    invalid_count: int
+    revoked_count: int
+    kept_count: int
+    cast_count: int
+    flagged: bool
+
+
+def count_result(
+    exponent_vectors: list[tuple[int, ...]],
+    n_candidates: int,
+    cast_count: int,
+    kept_count: int,
+    threshold: float,
+) -> ResultPayload:
+    """The published result: per-candidate sums over the valid decrypted
+    ballots, the number of invalid ones, and the re-vote bookkeeping with its
+    coercion flag.  Raises ValueError when more ballots are kept than cast."""
+    counts = [0] * n_candidates
+    invalid_count = 0
+    for exponents in exponent_vectors:
+        if validate_decrypted(exponents, n_candidates):
+            for c, e_val in enumerate(exponents):
+                counts[c] += e_val
+        else:
+            invalid_count += 1
+    revoked_count = cast_count - kept_count
+    verdict = coercion_evidence(revoked_count, kept_count, threshold)
+    return ResultPayload(
+        tuple(counts), invalid_count, revoked_count, kept_count, cast_count, verdict.flagged
     )

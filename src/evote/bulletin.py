@@ -8,24 +8,23 @@ universal_verify replays the whole election from the board using public
 data only.
 
 Bytes that no check covers (the chain still fixes them):
-- the Login payload, and how many Login entries there are;
-- the Receipt payload;
+- the Login payload, whose voter digest cannot be recomputed without the
+  voter id; each cast ballot still needs a Login entry right before it;
 - the BallotCast digest prefix, which cannot be recomputed without the
-  voter id and the timestamp, neither of which is published;
-- the Result coercion flag, whose threshold is not among the published
-  parameters.
+  voter id and the timestamp, neither of which is published; the Receipt
+  right after the cast must repeat it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .ballot import BallotCastPayload, validate_decrypted
+from .ballot import BallotCastPayload, ResultPayload, count_result, validate_decrypted
 from .canonical import Record, digest
 from .groups import GroupParams
-from .mixnet import MixStage, verify_mix
+from .mixnet import MixBatch, MixStage, stage_failures
 from .zkp import DecryptionProof, verify_correct_decryption, verify_wellformed
 
 GENESIS_TAG = "evote/bulletin/genesis"
@@ -186,16 +185,6 @@ class DecryptedBallotPayload(Record):
 
 
 @dataclass(frozen=True)
-class ResultPayload(Record):
-    counts: tuple[int, ...]
-    invalid_count: int
-    revoked_count: int
-    kept_count: int
-    cast_count: int
-    flagged: bool
-
-
-@dataclass(frozen=True)
 class ReceiptPayload(Record):
     ballot_digest: bytes
 
@@ -228,12 +217,7 @@ class VerificationReport:
         return all(self.checks.values())
 
     def to_dict(self) -> dict:
-        return {
-            "checks": dict(self.checks),
-            "signatures_skipped": self.signatures_skipped,
-            "failures": list(self.failures),
-            "overall": self.overall,
-        }
+        return {**asdict(self), "overall": self.overall}
 
 
 def universal_verify(
@@ -245,208 +229,202 @@ def universal_verify(
 ) -> VerificationReport:
     """Recheck chain, proofs and counts from the published record.
 
-    `config` needs `.candidates`, `.mix_server_count` and `.proof_rounds`.
-    Failures are reported per named check; nothing raises.
+    `config` needs `.candidates`, `.mix_server_count`, `.proof_rounds` and
+    `.coercion_threshold`.  Each named check returns its failures and passes
+    when there are none; nothing raises.
+    """
+    n_candidates = len(config.candidates)
+    results = {CHECK_CHAIN: [] if verify_chain(board) else ["hash chain does not recompute"]}
+    results[CHECK_WELLFORMED] = _check_wellformed(params, board, election_pk, n_candidates)
+    results[CHECK_MIX], final_batch = _check_mix(params, board, election_pk, config)
+    results[CHECK_DECRYPTION], claims = _check_decryption(
+        params, board, final_batch, trustee_commitments, n_candidates
+    )
+    results[CHECK_COUNTS] = _check_counts(
+        board, final_batch, claims, n_candidates, config.coercion_threshold
+    )
+    return VerificationReport(
+        checks={name: not failed for name, failed in results.items()},
+        signatures_skipped=True,
+        failures=[f for failed in results.values() for f in failed],
+    )
+
+
+def _decode_all(
+    board: Board, kind: str, record: type[Record], what: str
+) -> tuple[list, list[str]]:
+    """(seq, record) for each entry of `kind` that decodes, and a failure for
+    each that does not."""
+    decoded, failures = [], []
+    for e in board.find(kind):
+        try:
+            decoded.append((e.seq, record.from_bytes(e.payload)))
+        except ValueError:
+            failures.append(f"entry {e.seq}: unparseable {what}")
+    return decoded, failures
+
+
+def _check_wellformed(
+    params: GroupParams, board: Board, election_pk: int, n_candidates: int
+) -> list[str]:
+    """Every cast ballot's well-formedness proof.  Each cast entry stands right
+    after a Login entry and right before a Receipt entry that repeats its
+    digest; no other Login or Receipt entry is on the board."""
+    casts, failures = _decode_all(board, KIND_BALLOT_CAST, BallotCastPayload, "ballot payload")
+    receipts, unparsed = _decode_all(board, KIND_RECEIPT, ReceiptPayload, "receipt payload")
+    failures += unparsed
+    for seq, cast in casts:
+        if len(cast.slots) != n_candidates:
+            failures.append(f"entry {seq}: {len(cast.slots)} slots for {n_candidates} candidates")
+        elif not verify_wellformed(params, election_pk, cast.slots, cast.wellformed):
+            failures.append(f"entry {seq}: well-formedness proof rejected")
+    digests = {seq: cast.ballot_digest for seq, cast in casts}
+    failures += [
+        f"entry {seq}: receipt does not repeat the ballot digest"
+        for seq, receipt in receipts
+        if seq - 1 in digests and receipt.ballot_digest != digests[seq - 1]
+    ]
+    cast_seqs = {e.seq for e in board.find(KIND_BALLOT_CAST)}
+    for kind, offset in ((KIND_LOGIN, 1), (KIND_RECEIPT, -1)):
+        beside = {e.seq + offset for e in board.find(kind)}
+        failures += [f"entry {s}: no {kind} entry beside it" for s in sorted(cast_seqs - beside)]
+        failures += [
+            f"entry {s - offset}: {kind} entry not beside a cast ballot"
+            for s in sorted(beside - cast_seqs)
+        ]
+    return failures
+
+
+def _check_mix(
+    params: GroupParams, board: Board, election_pk: int, config
+) -> tuple[list[str], MixBatch | None]:
+    """Stage count, the transfer hand-off, continuity and every shuffle proof;
+    hands on the final mix batch, or None when the stages cannot be read."""
+    staged, failures = _decode_all(board, KIND_MIX_STAGE, MixStagePayload, "mix stage payload")
+    if failures:
+        return failures, None
+    staged.sort(key=lambda s: s[1].index)
+    if [s.index for _, s in staged] != list(range(config.mix_server_count)):
+        return [f"expected {config.mix_server_count} mix stages, found {len(staged)}"], None
+
+    transfers, failures = _decode_all(board, KIND_TRANSFER, TransferPayload, "transfer payload")
+    n_transfers = len(board.find(KIND_TRANSFER))
+    batch_digest = None
+    if n_transfers != 1:
+        failures = [f"expected one transfer entry, found {n_transfers}"]
+    elif transfers:
+        seq, handoff = transfers[0]
+        if handoff.label != TRANSFER_LABEL:
+            failures.append(f"entry {seq}: transfer label {handoff.label!r}")
+        batch_digest = handoff.batch_digest
+    stages = [s.stage for _, s in staged]
+    failures += [
+        f"entry {staged[idx][0]}: mix stage {idx} {reason}"
+        for idx, reason in stage_failures(
+            params, election_pk, batch_digest, stages, config.proof_rounds
+        )
+    ]
+    return failures, stages[-1].batch_out if stages else None
+
+
+def _check_decryption(
+    params: GroupParams,
+    board: Board,
+    final_batch: MixBatch | None,
+    trustee_commitments: dict[int, int],
+    n_candidates: int,
+) -> tuple[list[str], dict[int, tuple[int, DecryptedBallotPayload]]]:
+    """Every trustee's partial decryption proof, and each claimed plaintext
+    and validity flag against the final mix batch.
+
+    Hands on (seq, claim) for every decrypted ballot that decodes, by item.
     """
     p, g = params.p, params.g
-    n_candidates = len(config.candidates)
-    failures: list[str] = []
-    checks = {
-        CHECK_CHAIN: True,
-        CHECK_WELLFORMED: True,
-        CHECK_MIX: True,
-        CHECK_DECRYPTION: True,
-        CHECK_COUNTS: True,
-    }
-
-    if not verify_chain(board):
-        checks[CHECK_CHAIN] = False
-        failures.append("hash chain does not recompute")
-
-    # Well-formedness of every published cast ballot.
-    cast_entries = board.find(KIND_BALLOT_CAST)
-    for e in cast_entries:
-        try:
-            cast = BallotCastPayload.from_bytes(e.payload)
-        except ValueError:
-            checks[CHECK_WELLFORMED] = False
-            failures.append(f"entry {e.seq}: unparseable ballot payload")
-            continue
-        if len(cast.slots) != n_candidates:
-            checks[CHECK_WELLFORMED] = False
-            failures.append(f"entry {e.seq}: {len(cast.slots)} slots for {n_candidates} candidates")
-        elif not verify_wellformed(params, election_pk, cast.slots, cast.wellformed):
-            checks[CHECK_WELLFORMED] = False
-            failures.append(f"entry {e.seq}: well-formedness proof rejected")
-
-    # Mix stages: count, continuity, and every shuffle proof.
-    stages: list[tuple[int, MixStage]] = []
-    final_batch = None
-    try:
-        parsed = [MixStagePayload.from_bytes(e.payload) for e in board.find(KIND_MIX_STAGE)]
-        stages = sorted(((s.index, s.stage) for s in parsed), key=lambda s: s[0])
-    except ValueError:
-        checks[CHECK_MIX] = False
-        failures.append("unparseable mix stage payload")
-    if checks[CHECK_MIX]:
-        if [i for i, _ in stages] != list(range(config.mix_server_count)):
-            checks[CHECK_MIX] = False
-            failures.append(
-                f"expected {config.mix_server_count} mix stages, found {len(stages)}"
-            )
-    if checks[CHECK_MIX]:
-        transfers = board.find(KIND_TRANSFER)
-        if len(transfers) != 1:
-            checks[CHECK_MIX] = False
-            failures.append(f"expected one transfer entry, found {len(transfers)}")
-        elif stages:
-            transfer = transfers[0]
-            try:
-                handoff = TransferPayload.from_bytes(transfer.payload)
-            except ValueError:
-                checks[CHECK_MIX] = False
-                failures.append(f"entry {transfer.seq}: unparseable transfer payload")
-            else:
-                if handoff.label != TRANSFER_LABEL:
-                    checks[CHECK_MIX] = False
-                    failures.append(f"entry {transfer.seq}: transfer label {handoff.label!r}")
-                if stages[0][1].batch_in.digest() != handoff.batch_digest:
-                    checks[CHECK_MIX] = False
-                    failures.append("first mix input does not match the transferred batch")
-        for idx, stage in stages:
-            if idx > 0 and stage.batch_in != stages[idx - 1][1].batch_out:
-                checks[CHECK_MIX] = False
-                failures.append(f"mix stage {idx} input breaks continuity")
-            if not verify_mix(
-                params,
-                election_pk,
-                stage.batch_in,
-                stage.batch_out,
-                stage.proof,
-                min_rounds=config.proof_rounds,
-            ):
-                checks[CHECK_MIX] = False
-                failures.append(f"mix stage {idx} proof rejected")
-        if stages:
-            final_batch = stages[-1][1].batch_out
-
-    # Partial decryptions: all trustees, valid proofs, consistent plaintexts.
-    n_trustees = len(trustee_commitments)
+    shares, failures = _decode_all(
+        board, KIND_PARTIAL_DECRYPTION, PartialDecryptionPayload, "partial decryption"
+    )
+    decoded, unparsed_claims = _decode_all(
+        board, KIND_DECRYPTED_BALLOT, DecryptedBallotPayload, "decrypted ballot"
+    )
+    parse_ok = not failures and not unparsed_claims
+    failures += unparsed_claims
     partials: dict[tuple[int, int], dict[int, int]] = {}
-    decryption_parse_ok = True
-    for e in board.find(KIND_PARTIAL_DECRYPTION):
-        try:
-            pd = PartialDecryptionPayload.from_bytes(e.payload)
-        except ValueError:
-            checks[CHECK_DECRYPTION] = False
-            failures.append(f"entry {e.seq}: unparseable partial decryption")
-            decryption_parse_ok = False
-            continue
+    for seq, pd in shares:
         item_i, slot_i, trustee_i = pd.item_index, pd.slot_index, pd.trustee_index
         if final_batch is None or not (
             0 <= item_i < len(final_batch.items)
             and 0 <= slot_i < len(final_batch.items[item_i])
         ):
-            checks[CHECK_DECRYPTION] = False
-            failures.append(f"entry {e.seq}: partial decryption out of range")
+            failures.append(f"entry {seq}: partial decryption out of range")
             continue
         ct = final_batch.items[item_i][slot_i]
         commitment = trustee_commitments.get(trustee_i)
         if commitment is None or not verify_correct_decryption(
             params, commitment, ct, pd.d, pd.proof
         ):
-            checks[CHECK_DECRYPTION] = False
-            failures.append(
-                f"entry {e.seq}: decryption proof rejected (trustee {trustee_i})"
-            )
+            failures.append(f"entry {seq}: decryption proof rejected (trustee {trustee_i})")
             continue
         partials.setdefault((item_i, slot_i), {})[trustee_i] = pd.d
 
-    decrypted: dict[int, DecryptedBallotPayload] = {}
-    for e in board.find(KIND_DECRYPTED_BALLOT):
-        try:
-            claim = DecryptedBallotPayload.from_bytes(e.payload)
-        except ValueError:
-            checks[CHECK_DECRYPTION] = False
-            failures.append(f"entry {e.seq}: unparseable decrypted ballot")
-            decryption_parse_ok = False
+    claims = {claim.item_index: (seq, claim) for seq, claim in decoded}
+    if final_batch is None or not parse_ok:
+        return failures, claims
+
+    for item_i, item in enumerate(final_batch.items):
+        if item_i not in claims:
+            failures.append(f"item {item_i}: no decrypted ballot published")
             continue
-        decrypted[claim.item_index] = claim
-
-    if final_batch is not None and decryption_parse_ok:
-        for item_i, item in enumerate(final_batch.items):
-            claim = decrypted.get(item_i)
-            if claim is None:
-                checks[CHECK_DECRYPTION] = False
-                failures.append(f"item {item_i}: no decrypted ballot published")
+        seq, claim = claims[item_i]
+        exponents = claim.exponents
+        if len(exponents) != len(item):
+            failures.append(f"entry {seq}: item {item_i}: wrong slot count")
+            continue
+        for slot_i, ct in enumerate(item):
+            ds = partials.get((item_i, slot_i), {})
+            if set(ds) != set(trustee_commitments):
+                failures.append(
+                    f"entry {seq}: item {item_i} slot {slot_i}: trustee partials incomplete"
+                )
                 continue
-            exponents = claim.exponents
-            if len(exponents) != len(item):
-                checks[CHECK_DECRYPTION] = False
-                failures.append(f"item {item_i}: wrong slot count")
-                continue
-            for slot_i, ct in enumerate(item):
-                ds = partials.get((item_i, slot_i), {})
-                if set(ds) != set(trustee_commitments):
-                    checks[CHECK_DECRYPTION] = False
-                    failures.append(
-                        f"item {item_i} slot {slot_i}: trustee partials incomplete"
-                    )
-                    continue
-                prod_d = 1
-                for t in sorted(ds):
-                    prod_d = (prod_d * ds[t]) % p
-                lhs = params.exp(g, exponents[slot_i], fixed=True)
-                if prod_d == 0 or lhs != (ct.c2 * params.exp(prod_d, -1)) % p:
-                    checks[CHECK_DECRYPTION] = False
-                    failures.append(
-                        f"item {item_i} slot {slot_i}: claimed plaintext mismatch"
-                    )
-            if claim.valid != validate_decrypted(exponents, n_candidates):
-                checks[CHECK_DECRYPTION] = False
-                failures.append(f"item {item_i}: validity flag incorrect")
+            prod_d = 1
+            for t in sorted(ds):
+                prod_d = (prod_d * ds[t]) % p
+            lhs = params.exp(g, exponents[slot_i], fixed=True)
+            if prod_d == 0 or lhs != (ct.c2 * params.exp(prod_d, -1)) % p:
+                failures.append(
+                    f"entry {seq}: item {item_i} slot {slot_i}: claimed plaintext mismatch"
+                )
+        if claim.valid != validate_decrypted(exponents, n_candidates):
+            failures.append(f"entry {seq}: item {item_i}: validity flag incorrect")
+    return failures, claims
 
-    # Count recomputation against the published result.
+
+def _check_counts(
+    board: Board,
+    final_batch: MixBatch | None,
+    claims: dict[int, tuple[int, DecryptedBallotPayload]],
+    n_candidates: int,
+    threshold: float,
+) -> list[str]:
+    """Recompute the whole Result entry from the board: the counts over the
+    decrypted ballots of the final mix batch, the cast, kept and revoked
+    numbers, and the coercion flag."""
     result_entries = board.find(KIND_RESULT)
     if len(result_entries) != 1:
-        checks[CHECK_COUNTS] = False
-        failures.append(f"expected exactly one result entry, found {len(result_entries)}")
-    elif final_batch is None:
-        checks[CHECK_COUNTS] = False
-        failures.append("no mix output to recount from")
-    else:
-        try:
-            result = ResultPayload.from_bytes(result_entries[0].payload)
-        except ValueError:
-            checks[CHECK_COUNTS] = False
-            failures.append("unparseable result payload")
-        else:
-            recount = [0] * n_candidates
-            invalid = 0
-            for item_i in range(len(final_batch.items)):
-                claim = decrypted.get(item_i)
-                if claim is None:
-                    continue
-                if validate_decrypted(claim.exponents, n_candidates):
-                    for c, e_val in enumerate(claim.exponents):
-                        recount[c] += e_val
-                else:
-                    invalid += 1
-            counts = list(result.counts)
-            if recount != counts or invalid != result.invalid_count:
-                checks[CHECK_COUNTS] = False
-                failures.append(
-                    f"recomputed counts {recount}/{invalid} != published "
-                    f"{counts}/{result.invalid_count}"
-                )
-            if result.kept_count != len(final_batch.items):
-                checks[CHECK_COUNTS] = False
-                failures.append("kept count does not match mix batch size")
-            if (
-                result.cast_count != len(cast_entries)
-                or result.revoked_count != result.cast_count - result.kept_count
-            ):
-                checks[CHECK_COUNTS] = False
-                failures.append("cast/revoked bookkeeping does not match the board")
-
-    return VerificationReport(checks=checks, signatures_skipped=True, failures=failures)
+        return [f"expected exactly one result entry, found {len(result_entries)}"]
+    if final_batch is None:
+        return ["no mix output to recount from"]
+    entry = result_entries[0]
+    try:
+        published = ResultPayload.from_bytes(entry.payload)
+    except ValueError:
+        return ["unparseable result payload"]
+    cast_count = len(board.find(KIND_BALLOT_CAST))
+    kept_count = len(final_batch.items)
+    if kept_count > cast_count:
+        return [f"{kept_count} ballots mixed but only {cast_count} cast"]
+    exponent_vectors = [claims[i][1].exponents for i in range(kept_count) if i in claims]
+    recount = count_result(exponent_vectors, n_candidates, cast_count, kept_count, threshold)
+    if recount != published:
+        return [f"entry {entry.seq}: recomputed {recount} != published {published}"]
+    return []

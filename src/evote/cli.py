@@ -12,14 +12,12 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 from .ballot import compose_ballot, encode_choice
 from .ballotcoin import SimConfig, estimate_storage, simulate
-from .bulletin import Board, universal_verify
+from .bulletin import KIND_RESULT, Board, ResultPayload, universal_verify
 from .canonical import derive_rng, hexdigest
 from .errors import EvoteError
-from .groups import GROUP_PROFILES
 from .tally import Election, ElectionConfig
 
 EXIT_OK = 0
@@ -59,17 +57,16 @@ def _scenario_voters(scenario: dict) -> list[str]:
     return list(voters)
 
 
-def _setup_election(config: ElectionConfig, scenario: dict, seed: int):
-    voter_ids = _scenario_voters(scenario)
-    return Election.setup(config, voter_ids, seed)
+# The config fields that params.json publishes; `verify` rebuilds its config
+# from them.
+PUBLISHED_CONFIG = (
+    "group", "candidates", "mix_server_count", "proof_rounds", "coercion_threshold"
+)
 
 
 def _params_dict(config: ElectionConfig, election) -> dict:
     return {
-        "group": config.group,
-        "candidates": list(config.candidates),
-        "mix_server_count": config.mix_server_count,
-        "proof_rounds": config.proof_rounds,
+        **{name: getattr(config, name) for name in PUBLISHED_CONFIG},
         "election_pk": election.election_key.h,
         "trustee_commitments": {
             str(i): h for i, h in sorted(election.commitments.items())
@@ -90,8 +87,10 @@ def _apply_tamper(board: Board, tamper: dict) -> None:
     elif kind == "alter_result_counts":
         # Re-chain after the mutation so only the count check trips.
         for i, e in enumerate(entries):
-            if e.kind == "Result":
-                entries[i] = replace(e, payload=e.payload[:-1] + bytes([e.payload[-1] ^ 0x01]))
+            if e.kind == KIND_RESULT:
+                result = ResultPayload.from_bytes(e.payload)
+                counts = (result.counts[0] + 1,) + result.counts[1:]
+                entries[i] = replace(e, payload=replace(result, counts=counts).to_bytes())
                 break
         board.rechain()
     else:
@@ -103,7 +102,7 @@ def cmd_setup(args) -> int:
     scenario = _load_json(args.scenario) if args.scenario else {"voters": []}
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    election, _credentials = _setup_election(config, scenario, args.seed)
+    election, _credentials = Election.setup(config, _scenario_voters(scenario), args.seed)
     election.registry.save(out_dir / "registry.jsonl")
     _dump_json(out_dir / "params.json", _params_dict(config, election))
     print(f"wrote {out_dir / 'params.json'} and {out_dir / 'registry.jsonl'}")
@@ -116,7 +115,7 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    election, credentials = _setup_election(config, scenario, args.seed)
+    election, credentials = Election.setup(config, _scenario_voters(scenario), args.seed)
     n_candidates = len(config.candidates)
     votes = sorted(enumerate(scenario.get("votes", [])), key=lambda iv: (iv[1]["time"], iv[0]))
     for idx, vote in votes:
@@ -170,17 +169,13 @@ def cmd_verify(args) -> int:
         raise UsageError(f"file not found: {args.board}")
     params_data = _load_json(args.params)
     board = Board.load(args.board)
-    params = GROUP_PROFILES[params_data["group"]]
-    config = SimpleNamespace(
-        candidates=params_data["candidates"],
-        mix_server_count=params_data["mix_server_count"],
-        proof_rounds=params_data["proof_rounds"],
-    )
-    commitments = {
-        int(i): h for i, h in params_data["trustee_commitments"].items()
-    }
+    try:
+        config = ElectionConfig(**{name: params_data[name] for name in PUBLISHED_CONFIG})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad parameters in {args.params}: {exc!r}") from exc
+    commitments = {int(i): h for i, h in params_data["trustee_commitments"].items()}
     report = universal_verify(
-        params, board, config, params_data["election_pk"], commitments
+        config.params, board, config, params_data["election_pk"], commitments
     )
     print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
     return EXIT_OK if report.overall else EXIT_VERIFY_FAILED

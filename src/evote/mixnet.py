@@ -236,6 +236,32 @@ class MixStage(Record):
     proof: ShuffleProof
 
 
+def stage_failures(
+    params: GroupParams,
+    pk: int,
+    batch_digest: bytes | None,
+    stages: list[MixStage],
+    min_rounds: int,
+) -> list[tuple[int, str]]:
+    """(stage index, reason) for each fault in a chain of mix stages.
+
+    The first input must be the batch with `batch_digest` (not compared
+    when None), each later input the previous output, and every shuffle
+    proof must verify with at least `min_rounds` rounds.
+    """
+    failures = []
+    if stages and batch_digest is not None and stages[0].batch_in.digest() != batch_digest:
+        failures.append((0, "input does not match the transferred batch"))
+    for idx, stage in enumerate(stages):
+        if idx > 0 and stage.batch_in != stages[idx - 1].batch_out:
+            failures.append((idx, "input breaks continuity"))
+        if not verify_mix(
+            params, pk, stage.batch_in, stage.batch_out, stage.proof, min_rounds=min_rounds
+        ):
+            failures.append((idx, "proof rejected"))
+    return failures
+
+
 def run_mixnet(
     params: GroupParams,
     pk: int,

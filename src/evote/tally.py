@@ -11,14 +11,16 @@ recount cross-checks the per-ballot count.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import asdict, dataclass, field
 
 from . import bulletin
 from .ballot import (
     DEFAULT_RECEIPT_TTL,
+    CoercionVerdict,
     Receipt,
     SignedBallot,
+    coercion_evidence,
+    count_result,
     filter_latest,
     issue_receipt,
     validate_decrypted,
@@ -38,7 +40,7 @@ from .groups import (
     threshold_decrypt,
     threshold_keygen,
 )
-from .mixnet import MixBatch, run_mixnet, strip_signatures, verify_mix
+from .mixnet import MixBatch, run_mixnet, stage_failures, strip_signatures
 from .registry import Registry, VoterCredential, enroll_voter
 
 
@@ -72,43 +74,11 @@ class ElectionConfig:
         return GROUP_PROFILES[self.group]
 
     def to_dict(self) -> dict:
-        return {
-            "candidates": list(self.candidates),
-            "trustee_count": self.trustee_count,
-            "mix_server_count": self.mix_server_count,
-            "proof_rounds": self.proof_rounds,
-            "revote_allowed": self.revote_allowed,
-            "coercion_threshold": self.coercion_threshold,
-            "receipt_ttl": self.receipt_ttl,
-            "group": self.group,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ElectionConfig":
         return cls(**d)
-
-
-@dataclass(frozen=True)
-class CoercionVerdict:
-    revoked_fraction: float
-    threshold: float
-    flagged: bool
-
-
-def coercion_evidence(revoked_count: int, kept_count: int, threshold: float) -> CoercionVerdict:
-    """Flag when revoked/(revoked+kept) strictly exceeds the threshold.
-
-    Exact rational comparison; a fraction equal to the threshold does not
-    flag.  Zero total ballots count as fraction 0.
-    """
-    if revoked_count < 0 or kept_count < 0:
-        raise ValueError("counts must be non-negative")
-    total = revoked_count + kept_count
-    fraction = Fraction(revoked_count, total) if total else Fraction(0)
-    flagged = fraction > Fraction(threshold)
-    return CoercionVerdict(
-        revoked_fraction=float(fraction), threshold=threshold, flagged=flagged
-    )
 
 
 @dataclass
@@ -125,11 +95,7 @@ class ElectionResult:
             "counts": {name: c for name, c in zip(candidates, self.counts)},
             "invalid_count": self.invalid_count,
             "revoked_count": self.revoked_count,
-            "coercion": {
-                "revoked_fraction": self.coercion.revoked_fraction,
-                "threshold": self.coercion.threshold,
-                "flagged": self.coercion.flagged,
-            },
+            "coercion": asdict(self.coercion),
             "proof_bundle": list(self.proof_bundle),
         }
 
@@ -170,88 +136,61 @@ def run_tally(
     board: Board,
     seed,
 ) -> ElectionResult:
-    """Full pipeline over already-verified ballots; publishes as it goes."""
+    """Full pipeline over already-verified ballots; publishes as it goes.
+
+    Every mix stage is checked before any is published; the first fault
+    raises MixRejected."""
     commitments = {share.index: share.h for share in trustees}
-    kept, revoked_count = filter_latest(collected)
-    verdict = coercion_evidence(revoked_count, len(kept), config.coercion_threshold)
-
+    kept, _ = filter_latest(collected)
     batch = strip_signatures(kept)
+    batch_digest = batch.digest()
     proof_seqs: list[int] = []
-    entry = board.append(
-        bulletin.KIND_TRANSFER,
-        bulletin.TransferPayload(bulletin.TRANSFER_LABEL, batch.digest()).to_bytes(),
-    )
-    proof_seqs.append(entry.seq)
 
-    server_rngs = [
-        derive_rng(seed, "mix-server", i) for i in range(config.mix_server_count)
-    ]
-    final, stages = run_mixnet(
-        params, election_key.h, batch, server_rngs, config.proof_rounds
-    )
+    def publish(kind: str, record) -> None:
+        proof_seqs.append(board.append(kind, record.to_bytes()).seq)
+
+    transfer = bulletin.TransferPayload(bulletin.TRANSFER_LABEL, batch_digest)
+    publish(bulletin.KIND_TRANSFER, transfer)
+    server_rngs = [derive_rng(seed, "mix-server", i) for i in range(config.mix_server_count)]
+    final, stages = run_mixnet(params, election_key.h, batch, server_rngs, config.proof_rounds)
+    for idx, reason in stage_failures(
+        params, election_key.h, batch_digest, stages, config.proof_rounds
+    ):
+        raise MixRejected(f"mix stage {idx} {reason}")
     for idx, stage in enumerate(stages):
-        if not verify_mix(
-            params,
-            election_key.h,
-            stage.batch_in,
-            stage.batch_out,
-            stage.proof,
-            min_rounds=config.proof_rounds,
-        ):
-            raise MixRejected(f"mix stage {idx} failed verification")
-        entry = board.append(
-            bulletin.KIND_MIX_STAGE, bulletin.MixStagePayload(idx, stage).to_bytes()
-        )
-        proof_seqs.append(entry.seq)
+        publish(bulletin.KIND_MIX_STAGE, bulletin.MixStagePayload(idx, stage))
 
     n_candidates = len(config.candidates)
-    counts = [0] * n_candidates
-    invalid_count = 0
+    exponent_vectors = []
     for item_i, item in enumerate(final.items):
         exponents = []
         for slot_i, ct in enumerate(item):
-            m, partials = _decrypt_slot(
-                params, ct, trustees, commitments, len(final.items)
-            )
+            m, partials = _decrypt_slot(params, ct, trustees, commitments, len(final.items))
             exponents.append(m)
             for pd in partials:
-                entry = board.append(
+                publish(
                     bulletin.KIND_PARTIAL_DECRYPTION,
                     bulletin.PartialDecryptionPayload(
                         item_i, slot_i, pd.trustee_index, pd.d, pd.proof
-                    ).to_bytes(),
+                    ),
                 )
-                proof_seqs.append(entry.seq)
+        exponents = tuple(exponents)
+        exponent_vectors.append(exponents)
         valid = validate_decrypted(exponents, n_candidates)
-        if valid:
-            for c, e_val in enumerate(exponents):
-                counts[c] += e_val
-        else:
-            invalid_count += 1
-        entry = board.append(
-            bulletin.KIND_DECRYPTED_BALLOT,
-            bulletin.DecryptedBallotPayload(item_i, tuple(exponents), valid).to_bytes(),
-        )
-        proof_seqs.append(entry.seq)
+        claim = bulletin.DecryptedBallotPayload(item_i, exponents, valid)
+        publish(bulletin.KIND_DECRYPTED_BALLOT, claim)
 
-    entry = board.append(
-        bulletin.KIND_RESULT,
-        bulletin.ResultPayload(
-            tuple(counts),
-            invalid_count,
-            revoked_count,
-            len(kept),
-            len(collected),
-            verdict.flagged,
-        ).to_bytes(),
+    result = count_result(
+        exponent_vectors, n_candidates, len(collected), len(kept), config.coercion_threshold
     )
-    proof_seqs.append(entry.seq)
-
+    publish(bulletin.KIND_RESULT, result)
     return ElectionResult(
-        counts=counts,
-        invalid_count=invalid_count,
-        revoked_count=revoked_count,
-        coercion=verdict,
+        counts=list(result.counts),
+        invalid_count=result.invalid_count,
+        revoked_count=result.revoked_count,
+        coercion=coercion_evidence(
+            result.revoked_count, result.kept_count, config.coercion_threshold
+        ),
         proof_bundle=proof_seqs,
         mixed_batch=final,
     )

@@ -716,6 +716,7 @@ def test_c14_non_minimal_item_index_is_unparseable(tmp_path):
             candidates=params["candidates"],
             mix_server_count=params["mix_server_count"],
             proof_rounds=params["proof_rounds"],
+            coercion_threshold=params["coercion_threshold"],
         ),
         params["election_pk"],
         {int(i): h for i, h in params["trustee_commitments"].items()},
@@ -723,6 +724,34 @@ def test_c14_non_minimal_item_index_is_unparseable(tmp_path):
     assert report.checks[CHECK_CHAIN]
     assert not report.checks[CHECK_DECRYPTION]
     assert f"entry {entry.seq}: unparseable decrypted ballot" in report.failures
+
+
+# The coercion flag is recomputed from the published threshold: flipping it
+# on the c14 board, even rechained, fails the count check and `evote verify`.
+def test_c14_flipped_coercion_flag_fails_the_recount(tmp_path, capsys):
+    out = _c14_run(tmp_path, "a")
+    board = Board.load(out / "board.jsonl")
+    [entry] = board.find(KIND_RESULT)
+    result = ResultPayload.from_bytes(entry.payload)
+    assert result.flagged is False
+    flipped = replace(result, flagged=True).to_bytes()
+    replace_payload(board, entry.seq, flipped, fix_chain=True).save(out / "board.jsonl")
+    capsys.readouterr()  # discard run output
+    rc = cli_main(
+        ["verify", "--board", str(out / "board.jsonl"), "--params", str(out / "params.json")]
+    )
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 2
+    assert report["checks"] == {
+        CHECK_CHAIN: True,
+        CHECK_WELLFORMED: True,
+        CHECK_MIX: True,
+        CHECK_DECRYPTION: True,
+        CHECK_COUNTS: False,
+    }
+    [failure] = report["failures"]
+    assert failure.startswith(f"entry {entry.seq}: recomputed ")
+    assert "flagged=False) != published " in failure and failure.endswith("flagged=True)")
 
 
 def _short_ballot_election(seed):

@@ -1,6 +1,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from board_utils import clone_board, drop_entry, flip_byte, rechain, replace_payload
 from evote.ballot import compose_ballot, encode_choice
@@ -8,15 +10,19 @@ from evote.bulletin import (
     Board,
     KIND_BALLOT_CAST,
     KIND_DECRYPTED_BALLOT,
+    KIND_LOGIN,
     KIND_MIX_STAGE,
     KIND_PARTIAL_DECRYPTION,
+    KIND_RECEIPT,
     KIND_RESULT,
     KIND_TRANSFER,
+    KINDS,
     TRANSFER_LABEL,
     DecryptedBallotPayload,
     LoginPayload,
     MixStagePayload,
     PartialDecryptionPayload,
+    ReceiptPayload,
     ResultPayload,
     TransferPayload,
     universal_verify,
@@ -286,3 +292,84 @@ def test_missing_or_repeated_transfer_fails(tallied):
     repeated.entries.append(transfer)
     report = _verify(election, config, rechain(repeated))
     assert report.failures == ["expected one transfer entry, found 2"]
+
+
+def _edit_receipt_digest(board):
+    receipt = board.find(KIND_RECEIPT)[0]
+    forged = ReceiptPayload(flip_byte(ReceiptPayload.from_bytes(receipt.payload).ballot_digest))
+    return replace_payload(board, receipt.seq, forged.to_bytes(), fix_chain=True)
+
+
+# Election.cast writes Login, BallotCast, Receipt back to back: entries 0-2
+# belong to the first cast ballot.
+@pytest.mark.parametrize(
+    "mutate, failure",
+    [
+        (lambda b: drop_entry(b, 0, fix_chain=True), "entry 0: no Login entry beside it"),
+        (lambda b: drop_entry(b, 2, fix_chain=True), "entry 1: no Receipt entry beside it"),
+        (_edit_receipt_digest, "entry 2: receipt does not repeat the ballot digest"),
+        (
+            lambda b: rechain(Board(entries=b.entries[:4] + b.entries[3:])),
+            "entry 3: Login entry not beside a cast ballot",
+        ),
+    ],
+    ids=["dropped login", "dropped receipt", "edited receipt digest", "stray login"],
+)
+def test_login_and_receipt_stand_beside_their_cast_ballot(tallied, mutate, failure):
+    election, config = tallied
+    assert [e.kind for e in election.board.entries[:3]] == [
+        KIND_LOGIN,
+        KIND_BALLOT_CAST,
+        KIND_RECEIPT,
+    ]
+    report = _verify(election, config, mutate(election.board))
+    assert report.failures == [failure]
+    assert not report.checks["wellformedness"]
+    assert report.checks["chain_integrity"]
+
+
+def test_failures_about_one_entry_name_it(tallied):
+    election, config = tallied
+    board = election.board
+    stage_entry = board.find(KIND_MIX_STAGE)[-1]
+    staged = MixStagePayload.from_bytes(stage_entry.payload)
+    rows = staged.stage.batch_out.items
+    swapped = replace(staged.stage.batch_out, items=(rows[1], rows[0]) + rows[2:])
+    forged_stage = replace(staged, stage=replace(staged.stage, batch_out=swapped))
+    mutated = replace_payload(board, stage_entry.seq, forged_stage.to_bytes(), True)
+    report = _verify(election, config, mutated)
+    assert report.failures[0] == (
+        f"entry {stage_entry.seq}: mix stage {staged.index} proof rejected"
+    )
+    # The swapped rows also fail every decryption proof of the two items.
+    assert all(f.startswith("entry ") for f in report.failures), report.failures
+
+    claim_entry = board.find(KIND_DECRYPTED_BALLOT)[0]
+    claim = DecryptedBallotPayload.from_bytes(claim_entry.payload)
+    forged = replace(claim, exponents=(claim.exponents[0] + 1,) + claim.exponents[1:])
+    mutated = replace_payload(board, claim_entry.seq, forged.to_bytes(), True)
+    report = _verify(election, config, mutated)
+    result_seq = board.find(KIND_RESULT)[0].seq
+    assert report.failures[:2] == [
+        f"entry {claim_entry.seq}: item {claim.item_index} slot 0: claimed plaintext mismatch",
+        f"entry {claim_entry.seq}: item {claim.item_index}: validity flag incorrect",
+    ]
+    assert report.failures[2].startswith(f"entry {result_seq}: recomputed ResultPayload(")
+    assert len(report.failures) == 3
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_every_one_byte_edit_is_reported_not_raised(tallied, kind, data):
+    """A one-byte edit of any entry kind, rechained, never makes the verifier
+    raise; the report keeps every named check."""
+    election, config = tallied
+    board = election.board
+    entry = data.draw(st.sampled_from(board.find(kind)))
+    offset = data.draw(st.integers(0, len(entry.payload) - 1))
+    edited = bytearray(entry.payload)
+    edited[offset] ^= data.draw(st.integers(1, 255))
+    report = _verify(election, config, replace_payload(board, entry.seq, bytes(edited), True))
+    assert report.checks["chain_integrity"]
+    assert len(report.checks) == 5

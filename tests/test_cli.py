@@ -144,6 +144,11 @@ def test_alter_result_counts_keeps_chain_valid(workdir, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["checks"]["chain_integrity"] is True
     assert report["checks"]["count_recomputation"] is False
+    # The tamper adds a vote to the first count; the result still decodes.
+    assert "unparseable result payload" not in report["failures"]
+    [failure] = report["failures"]
+    assert "recomputed ResultPayload(counts=(1, 2, 1)" in failure
+    assert "published ResultPayload(counts=(2, 2, 1)" in failure
 
 
 def test_run_is_byte_identical_across_invocations(workdir):
@@ -241,6 +246,32 @@ def test_missing_board_is_usage_error(workdir, capsys):
         ]
     )
     assert rc == 4
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda params: params.update(coercion_threshold="0.05"),
+        lambda params: params.update(proof_rounds=0),
+        lambda params: params.pop("coercion_threshold"),
+    ],
+    ids=["threshold as text", "no proof rounds", "no threshold"],
+)
+def test_bad_params_for_verify_is_usage_error(workdir, capsys, edit):
+    _run(workdir)
+    params = json.loads((workdir / "out" / "params.json").read_text())
+    edit(params)
+    (workdir / "bad_params.json").write_text(json.dumps(params))
+    capsys.readouterr()  # discard run output
+    rc = main(
+        [
+            "verify",
+            "--board", str(workdir / "out" / "board.jsonl"),
+            "--params", str(workdir / "bad_params.json"),
+        ]
+    )
+    assert rc == 4
+    assert "bad parameters" in capsys.readouterr().err
 
 
 def test_malformed_json_is_usage_error(workdir, capsys):

@@ -1,9 +1,12 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from evote.ballot import compose_ballot, encode_choice
+from evote import tally
+from evote.bulletin import KIND_MIX_STAGE, KIND_TRANSFER
 from evote.canonical import derive_rng
 from evote.errors import AlreadyClosed, FairnessViolation, MixRejected
 from evote.tally import (
@@ -101,6 +104,26 @@ def test_revote_filtering_and_flagging():
     assert result.revoked_count == 1
     # 1 of 2 kept+revoked... fraction 1/3 > 0.2
     assert result.coercion.flagged
+
+
+def test_cheating_mix_stage_is_rejected_before_any_stage_is_published(monkeypatch):
+    election, creds = _make_election()
+    for i, vid in enumerate(("v1", "v2", "v3")):
+        _vote(election, creds, vid, i, i + 1)
+    election.close_election()
+    mix = tally.run_mixnet
+
+    def cheating_mixnet(*args, **kwargs):
+        final, stages = mix(*args, **kwargs)
+        stages[1] = replace(stages[1], proof=stages[0].proof)
+        return final, stages
+
+    monkeypatch.setattr(tally, "run_mixnet", cheating_mixnet)
+    with pytest.raises(MixRejected, match="^mix stage 1 proof rejected$"):
+        election.run_tally()
+    assert election.board.find(KIND_MIX_STAGE) == []
+    assert len(election.board.find(KIND_TRANSFER)) == 1
+    assert election.state is ElectionState.CLOSED
 
 
 def test_tally_before_close_raises():
