@@ -196,6 +196,31 @@ def test_broken_stage_continuity_fails(tallied):
     assert not report.checks["mix_stages"]
 
 
+def test_stage_proven_from_another_input_breaks_continuity(tallied):
+    """Stage 1 re-mixes the first input with a valid proof: only the
+    continuity rule catches it, at stage 1 and again at stage 2."""
+    from evote.mixnet import MixStage, mix_once
+
+    election, config = tallied
+    board = election.board
+    entries = board.find(KIND_MIX_STAGE)
+    stage0 = MixStagePayload.from_bytes(entries[0].payload).stage
+    out, proof = mix_once(
+        election.params,
+        election.election_key.h,
+        stage0.batch_in,
+        derive_rng("bulletin", "re-mix"),
+        config.proof_rounds,
+    )
+    forged = MixStagePayload(1, MixStage(batch_in=stage0.batch_in, batch_out=out, proof=proof))
+    mutated = replace_payload(board, entries[1].seq, forged.to_bytes(), True)
+    report = _verify(election, config, mutated)
+    assert report.failures == [
+        f"entry {entries[1].seq}: mix stage 1 input breaks continuity",
+        f"entry {entries[2].seq}: mix stage 2 input breaks continuity",
+    ]
+
+
 def test_missing_mix_stage_fails(tallied):
     election, config = tallied
     board = election.board

@@ -6,7 +6,14 @@ import pytest
 
 from evote.ballot import compose_ballot, encode_choice
 from evote import tally
-from evote.bulletin import KIND_MIX_STAGE, KIND_TRANSFER
+from evote.bulletin import (
+    KIND_MIX_STAGE,
+    KIND_RESULT,
+    KIND_TRANSFER,
+    Board,
+    ResultPayload,
+    universal_verify,
+)
 from evote.canonical import derive_rng
 from evote.errors import AlreadyClosed, FairnessViolation, MixRejected
 from evote.tally import (
@@ -104,6 +111,33 @@ def test_revote_filtering_and_flagging():
     assert result.revoked_count == 1
     # 1 of 2 kept+revoked... fraction 1/3 > 0.2
     assert result.coercion.flagged
+
+
+def test_published_result_carries_the_coercion_flag():
+    election, creds = _make_election(coercion_threshold=0.2)
+    _vote(election, creds, "v1", 0, 1)
+    _vote(election, creds, "v1", 2, 5, nonce=1)  # re-vote: 1/3 > 0.2
+    _vote(election, creds, "v2", 1, 3)
+    election.close_election()
+    assert election.run_tally().coercion.flagged
+    [entry] = election.board.find(KIND_RESULT)
+    result = ResultPayload.from_bytes(entry.payload)
+    assert result.flagged is True
+
+    def verify(board):
+        return universal_verify(
+            election.params, board, election.config, election.election_key.h,
+            election.commitments,
+        )
+
+    assert verify(election.board).overall
+    unflagged = Board(entries=list(election.board.entries))
+    flipped = replace(result, flagged=False).to_bytes()
+    unflagged.entries[entry.seq] = replace(entry, payload=flipped)
+    unflagged.rechain()
+    report = verify(unflagged)
+    assert report.checks["chain_integrity"]
+    assert not report.checks["count_recomputation"]
 
 
 def test_cheating_mix_stage_is_rejected_before_any_stage_is_published(monkeypatch):
