@@ -231,7 +231,8 @@ def universal_verify(
 
     `config` needs `.candidates`, `.mix_server_count`, `.proof_rounds` and
     `.coercion_threshold`.  Each named check returns its failures and passes
-    when there are none; nothing raises.
+    when there are none; nothing raises.  A failure about one entry names its
+    position on the board, which is its seq whenever the chain recomputes.
     """
     n_candidates = len(config.candidates)
     results = {CHECK_CHAIN: [] if verify_chain(board) else ["hash chain does not recompute"]}
@@ -250,17 +251,16 @@ def universal_verify(
     )
 
 
-def _decode_all(
-    board: Board, kind: str, record: type[Record], what: str
-) -> tuple[list, list[str]]:
+def _decode_all(board: Board, kind: str, record: type[Record], what: str) -> tuple[list, list[str]]:
     """(seq, record) for each entry of `kind` that decodes, and a failure for
     each that does not."""
     decoded, failures = [], []
-    for e in board.find(kind):
-        try:
-            decoded.append((e.seq, record.from_bytes(e.payload)))
-        except ValueError:
-            failures.append(f"entry {e.seq}: unparseable {what}")
+    for seq, e in enumerate(board.entries):
+        if e.kind == kind:
+            try:
+                decoded.append((seq, record.from_bytes(e.payload)))
+            except ValueError:
+                failures.append(f"entry {seq}: unparseable {what}")
     return decoded, failures
 
 
@@ -284,9 +284,10 @@ def _check_wellformed(
         for seq, receipt in receipts
         if seq - 1 in digests and receipt.ballot_digest != digests[seq - 1]
     ]
-    cast_seqs = {e.seq for e in board.find(KIND_BALLOT_CAST)}
+    kinds = [e.kind for e in board.entries]
+    cast_seqs = {seq for seq, k in enumerate(kinds) if k == KIND_BALLOT_CAST}
     for kind, offset in ((KIND_LOGIN, 1), (KIND_RECEIPT, -1)):
-        beside = {e.seq + offset for e in board.find(kind)}
+        beside = {seq + offset for seq, k in enumerate(kinds) if k == kind}
         failures += [f"entry {s}: no {kind} entry beside it" for s in sorted(cast_seqs - beside)]
         failures += [
             f"entry {s - offset}: {kind} entry not beside a cast ballot"
@@ -335,10 +336,8 @@ def _check_decryption(
     n_candidates: int,
 ) -> tuple[list[str], dict[int, tuple[int, DecryptedBallotPayload]]]:
     """Every trustee's partial decryption proof, and each claimed plaintext
-    and validity flag against the final mix batch.
-
-    Hands on (seq, claim) for every decrypted ballot that decodes, by item.
-    """
+    and validity flag against the final mix batch; hands on (seq, claim) for
+    every decrypted ballot that decodes, by item."""
     p, g = params.p, params.g
     shares, failures = _decode_all(
         board, KIND_PARTIAL_DECRYPTION, PartialDecryptionPayload, "partial decryption"
@@ -409,14 +408,14 @@ def _check_counts(
     """Recompute the whole Result entry from the board: the counts over the
     decrypted ballots of the final mix batch, the cast, kept and revoked
     numbers, and the coercion flag."""
-    result_entries = board.find(KIND_RESULT)
-    if len(result_entries) != 1:
-        return [f"expected exactly one result entry, found {len(result_entries)}"]
+    result_seqs = [seq for seq, e in enumerate(board.entries) if e.kind == KIND_RESULT]
+    if len(result_seqs) != 1:
+        return [f"expected exactly one result entry, found {len(result_seqs)}"]
     if final_batch is None:
         return ["no mix output to recount from"]
-    entry = result_entries[0]
+    [seq] = result_seqs
     try:
-        published = ResultPayload.from_bytes(entry.payload)
+        published = ResultPayload.from_bytes(board.entries[seq].payload)
     except ValueError:
         return ["unparseable result payload"]
     cast_count = len(board.find(KIND_BALLOT_CAST))
@@ -426,5 +425,5 @@ def _check_counts(
     exponent_vectors = [claims[i][1].exponents for i in range(kept_count) if i in claims]
     recount = count_result(exponent_vectors, n_candidates, cast_count, kept_count, threshold)
     if recount != published:
-        return [f"entry {entry.seq}: recomputed {recount} != published {published}"]
+        return [f"entry {seq}: recomputed {recount} != published {published}"]
     return []
