@@ -12,11 +12,11 @@ simulator is there to demonstrate exactly that.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 from .canonical import Record, derive_rng, digest, encode
-from .errors import NoOnlineNodes
+from .errors import NoOnlineNodes, SupplyNotConserved
 from .groups import GROUP_PROFILES, GroupParams, keygen
 from .registry import Signature, sign, verify_sig
 
@@ -111,7 +111,7 @@ class Chain:
     def height(self) -> int:
         return self.blocks[-1].height
 
-    @property
+    @cached_property
     def tip_digest(self) -> bytes:
         return self.blocks[-1].digest()
 
@@ -363,16 +363,7 @@ class SimConfig:
     group: str = "test"
 
     def to_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "n_voters": self.n_voters,
-            "n_candidates": self.n_candidates,
-            "online_prob": self.online_prob,
-            "malicious_fraction": self.malicious_fraction,
-            "mode": self.mode,
-            "vote_prob": self.vote_prob,
-            "group": self.group,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
@@ -396,18 +387,7 @@ class SimReport:
         return self.malicious_selected / self.total_selected if self.total_selected else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "final_tally": dict(self.final_tally),
-            "fork_count": self.fork_count,
-            "total_selected": self.total_selected,
-            "malicious_selected": self.malicious_selected,
-            "malicious_frequency": self.malicious_frequency,
-            "skipped_rounds": self.skipped_rounds,
-            "chain_height": self.chain_height,
-            "txs_included": self.txs_included,
-            "rounds": self.rounds,
-            "mode": self.mode,
-        }
+        return {**asdict(self), "malicious_frequency": self.malicious_frequency}
 
 
 @dataclass
@@ -424,6 +404,8 @@ def simulate(config: SimConfig, seed, observer=None) -> SimReport:
     """Deterministic round loop: churn, select, forge, broadcast, fork choice.
 
     `observer(SimState)` runs after every round, seeing live chain state.
+    Raises `SupplyNotConserved` when a round leaves the canonical balances
+    summing to anything but one coin per voter.
     """
     params = GROUP_PROFILES[config.group]
     cand_wallets = []
@@ -456,7 +438,11 @@ def simulate(config: SimConfig, seed, observer=None) -> SimReport:
 
     leaves = [chain]
     canonical = chain
-    all_txs: list[CoinTransaction] = []
+    balances, included = chain._valid_ledger()
+    # Every chain forged so far, by tip digest: a fork base is looked up,
+    # never rebuilt by replaying its blocks.
+    by_tip = {chain.tip_digest: chain}
+    broadcast: list[tuple[bytes, CoinTransaction]] = []  # (digest, tx) in order
     pool: list[CoinTransaction] = []
     voted: set[str] = set()
     fork_count = 0
@@ -478,12 +464,11 @@ def simulate(config: SimConfig, seed, observer=None) -> SimReport:
             if rng.random() < config.vote_prob:
                 cand = candidate_addrs[rng.randrange(len(candidate_addrs))]
                 tx = make_transaction(params, n.signing_key, n.wallet, cand, r)
-                all_txs.append(tx)
+                broadcast.append((tx.digest(), tx))
                 pool.append(tx)
                 voted.add(n.node_id)
 
         # Stake weights follow the canonical chain.
-        balances = canonical.balances()
         for n in nodes:
             n.wallet.balance = balances.get(n.wallet.address, 0)
 
@@ -500,22 +485,26 @@ def simulate(config: SimConfig, seed, observer=None) -> SimReport:
         # A malicious forger builds on the tip's parent, manufacturing a
         # same-height fork; honest forgers extend the canonical tip.
         if forger.malicious and len(canonical.blocks) > 1:
-            base = replace(canonical, blocks=canonical.blocks[:-1])
+            base = by_tip[canonical.blocks[-1].prev_digest]
             fork_count += 1
         else:
             base = canonical
         block = forge_block(forger, pool, base)
         new_chain = base.extend(block)
+        by_tip[new_chain.tip_digest] = new_chain
 
         if base is canonical and canonical in leaves:
             leaves.remove(canonical)
         leaves.append(new_chain)
         canonical = fork_choice(leaves)
+        balances, included = canonical._valid_ledger()
+        supply = sum(balances.values())
+        if supply != config.n_voters:
+            raise SupplyNotConserved(f"round {r}: {supply} coins, not {config.n_voters}")
 
         # Rebuild the pool from every broadcast transaction not yet in the
         # canonical chain, so re-orgs return orphaned votes to the mempool.
-        included = canonical.included_tx_digests()
-        pool = [tx for tx in all_txs if tx.digest() not in included]
+        pool = [tx for tx_digest, tx in broadcast if tx_digest not in included]
 
         if observer is not None:
             observer(SimState(round_no=r, canonical=canonical, pool=pool))
@@ -527,7 +516,7 @@ def simulate(config: SimConfig, seed, observer=None) -> SimReport:
         malicious_selected=malicious_selected,
         skipped_rounds=skipped,
         chain_height=canonical.height,
-        txs_included=len(canonical.included_tx_digests()),
+        txs_included=len(included),
         rounds=config.rounds,
         mode=config.mode,
     )

@@ -132,10 +132,10 @@ class Board:
 
 
 def verify_chain(board: Board) -> bool:
-    """Every digest recomputes, sequence numbers are dense from 0."""
+    """Every digest recomputes, sequence numbers are the ints 0, 1, 2, ..."""
     prev = genesis_digest()
     for i, e in enumerate(board.entries):
-        if e.seq != i or e.prev_digest != prev:
+        if type(e.seq) is not int or e.seq != i or e.prev_digest != prev:
             return False
         if e.digest != entry_digest(prev, e.seq, e.kind, e.payload):
             return False

@@ -164,6 +164,21 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _published_keys(p: int, params_data: dict, path: str) -> tuple[int, dict[int, int]]:
+    """The election key and the trustee commitments keyed 1..n, each an int
+    in [1, p); anything else in params.json is a usage error."""
+    election_pk = params_data.get("election_pk")
+    commitments = params_data.get("trustee_commitments")
+    if not isinstance(commitments, dict) or not commitments or set(commitments) != {
+        str(i) for i in range(1, len(commitments) + 1)
+    }:
+        raise UsageError(f"bad parameters in {path}: trustee_commitments not keyed 1..n")
+    for value in (election_pk, *commitments.values()):
+        if type(value) is not int or not 1 <= value < p:
+            raise UsageError(f"bad parameters in {path}: {value!r} is not an int in [1, p)")
+    return election_pk, {int(i): h for i, h in commitments.items()}
+
+
 def cmd_verify(args) -> int:
     if not Path(args.board).exists():
         raise UsageError(f"file not found: {args.board}")
@@ -173,10 +188,8 @@ def cmd_verify(args) -> int:
         config = ElectionConfig(**{name: params_data[name] for name in PUBLISHED_CONFIG})
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad parameters in {args.params}: {exc!r}") from exc
-    commitments = {int(i): h for i, h in params_data["trustee_commitments"].items()}
-    report = universal_verify(
-        config.params, board, config, params_data["election_pk"], commitments
-    )
+    election_pk, commitments = _published_keys(config.params.p, params_data, args.params)
+    report = universal_verify(config.params, board, config, election_pk, commitments)
     print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
     return EXIT_OK if report.overall else EXIT_VERIFY_FAILED
 

@@ -47,3 +47,7 @@ class MixRejected(EvoteError):
 
 class NoOnlineNodes(EvoteError):
     """Forger selection found no online eligible node this round."""
+
+
+class SupplyNotConserved(EvoteError):
+    """A BallotCoin chain holds other than one coin per eligible voter."""

@@ -754,6 +754,26 @@ def test_c14_flipped_coercion_flag_fails_the_recount(tmp_path, capsys):
     assert "flagged=False) != published " in failure and failure.endswith("flagged=True)")
 
 
+# A seq that is not exactly an int breaks the chain: with entry 3's seq
+# written as 3.0 on the c14 board, `evote verify` reports a failed chain
+# check instead of raising.
+def test_c14_float_seq_breaks_the_chain(tmp_path, capsys):
+    out = _c14_run(tmp_path, "a")
+    lines = (out / "board.jsonl").read_text().splitlines()
+    row = json.loads(lines[3])
+    assert row["seq"] == 3
+    lines[3] = json.dumps(dict(row, seq=3.0), sort_keys=True)
+    (out / "board.jsonl").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()  # discard run output
+    rc = cli_main(
+        ["verify", "--board", str(out / "board.jsonl"), "--params", str(out / "params.json")]
+    )
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 2
+    assert report["checks"][CHECK_CHAIN] is False
+    assert "hash chain does not recompute" in report["failures"]
+
+
 def _short_ballot_election(seed):
     """Open 3-candidate election plus, for voter "s", a ballot over 2 slots."""
     config = ElectionConfig(

@@ -1,10 +1,13 @@
 import hashlib
+import json
 from dataclasses import replace
 
 import pytest
 
+from evote import ballotcoin
 from evote.ballotcoin import (
     Block,
+    Chain,
     NodeState,
     Wallet,
     SimConfig,
@@ -22,7 +25,7 @@ from evote.ballotcoin import (
     wallet_address,
 )
 from evote.canonical import derive_rng, digest
-from evote.errors import NoOnlineNodes
+from evote.errors import NoOnlineNodes, SupplyNotConserved
 from evote.registry import sign
 
 
@@ -425,6 +428,66 @@ def test_simulation_with_forks_conserves_supply():
     report = simulate(config, seed=4, observer=observer)
     assert report.fork_count > 0
     assert supplies == [config.n_voters] * config.rounds
+
+
+FORKING_CONFIG = SimConfig(
+    rounds=30, n_voters=40, n_candidates=3, malicious_fraction=0.25, vote_prob=0.2
+)
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+# A forked chain starts from the chain its fork point already is, so no
+# block is checked twice: one block check per forged block.
+def test_simulation_checks_each_forged_block_once(monkeypatch):
+    applied = _counting(monkeypatch, Chain, "_apply")
+    report = simulate(FORKING_CONFIG, seed=7)
+    assert report.fork_count == 7
+    assert len(applied) == report.total_selected == 30
+
+
+# Signature checks in the same simulation: 30 forged blocks, each checked
+# once, holding 58 transactions, each checked twice (while forging, then in
+# the block check).
+def test_simulation_signature_checks_are_pinned(monkeypatch):
+    checked = _counting(monkeypatch, ballotcoin, "verify_sig")
+    simulate(FORKING_CONFIG, seed=7)
+    assert len(checked) == 146
+
+
+def test_simulation_raises_when_supply_is_not_conserved(monkeypatch):
+    real_admit = ballotcoin._admit
+
+    def credit_without_debit(chain, balances, included, tx):
+        admitted = real_admit(chain, balances, included, tx)
+        if admitted:
+            balances[tx.sender] += tx.amount
+        return admitted
+
+    monkeypatch.setattr(ballotcoin, "_admit", credit_without_debit)
+    with pytest.raises(SupplyNotConserved, match="coins, not 40"):
+        simulate(FORKING_CONFIG, seed=7)
+
+
+# sha256 of the sorted-key JSON of the SimReports of five seeds of the
+# coin-forks benchmark shape (100 voters x 20 rounds, 20% malicious).
+def test_coin_forks_reports_are_pinned():
+    config = SimConfig(rounds=20, n_voters=100, n_candidates=3, malicious_fraction=0.2)
+    reports = json.dumps([simulate(config, seed).to_dict() for seed in range(5)], sort_keys=True)
+    assert hashlib.sha256(reports.encode()).hexdigest() == (
+        "e06a20e8860c59d5f447d0e1d2ab214a3f887fe0b0f842a7eb8da5657063a78c"
+    )
 
 
 # sha256 of the concatenated Block.to_bytes() of the final canonical chain of

@@ -254,8 +254,18 @@ def test_missing_board_is_usage_error(workdir, capsys):
         lambda params: params.update(coercion_threshold="0.05"),
         lambda params: params.update(proof_rounds=0),
         lambda params: params.pop("coercion_threshold"),
+        lambda params: params.update(election_pk=str(params["election_pk"])),
+        lambda params: params.update(election_pk=True),
+        lambda params: params["trustee_commitments"].update({"2": 23}),
+        lambda params: params["trustee_commitments"].update({"5": 2}),
+        lambda params: params["trustee_commitments"].pop("1"),
+        lambda params: params.update(trustee_commitments={}),
     ],
-    ids=["threshold as text", "no proof rounds", "no threshold"],
+    ids=[
+        "threshold as text", "no proof rounds", "no threshold", "key as text",
+        "key as bool", "commitment equal to p", "trustee 4 missing", "trustee 1 missing",
+        "no trustees",
+    ],
 )
 def test_bad_params_for_verify_is_usage_error(workdir, capsys, edit):
     _run(workdir)
