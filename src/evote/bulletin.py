@@ -114,20 +114,23 @@ class Board:
 
     @classmethod
     def load(cls, path: str | Path) -> "Board":
+        """Each line is a JSON object whose kind is a string and whose
+        payload, prev and digest are hex strings; any other line raises
+        ValueError naming it.  The seq is kept as read, so a bad one fails
+        verify_chain instead."""
         board = cls()
-        for line in Path(path).read_text().splitlines():
+        for number, line in enumerate(Path(path).read_text().splitlines(), 1):
             if not line.strip():
                 continue
-            row = json.loads(line)
-            board.entries.append(
-                BulletinEntry(
-                    seq=row["seq"],
-                    kind=row["kind"],
-                    payload=bytes.fromhex(row["payload"]),
-                    prev_digest=bytes.fromhex(row["prev"]),
-                    digest=bytes.fromhex(row["digest"]),
-                )
-            )
+            try:
+                row = json.loads(line)
+                kind, *hex_fields = (row[key] for key in ("kind", "payload", "prev", "digest"))
+                if not isinstance(kind, str):
+                    raise TypeError(f"kind {kind!r} is not a string")
+                payload, prev, entry_hash = map(bytes.fromhex, hex_fields)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"line {number}: {exc!r}") from exc
+            board.entries.append(BulletinEntry(row.get("seq"), kind, payload, prev, entry_hash))
         return board
 
 

@@ -195,41 +195,6 @@ def _codec(cls):
     return values, decode
 
 
-class Reader:
-    """Sequential decoder for canonical bytes with the records' strictness.
-
-    Callers know the schema; the reader enforces framing, minimal ints,
-    0/1 flags and, with `expect_end`, the no-trailing-bytes rule.
-    """
-
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-
-    def _read(self, read):
-        value, self._pos = read(self._data, self._pos)
-        return value
-
-    def read_bytes(self) -> bytes:
-        return self._read(_read_bytes)
-
-    def read_int(self) -> int:
-        return self._read(_read_int)
-
-    def read_str(self) -> str:
-        return self._read(_read_str)
-
-    def read_bool(self) -> bool:
-        return self._read(_read_bool)
-
-    def done(self) -> bool:
-        return self._pos == len(self._data)
-
-    def expect_end(self) -> None:
-        if not self.done():
-            raise ValueError("trailing bytes after canonical record")
-
-
 def derive_rng(*labels) -> random.Random:
     """Deterministic RNG derived from a master seed plus context labels.
 

@@ -45,6 +45,18 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"invalid JSON in {path}: {exc}") from exc
 
 
+def _load_config(path: str, fields=None) -> tuple[ElectionConfig, dict]:
+    """The election config in the JSON file at `path`, read from `fields`
+    only when given, and the file's data.  A config that the library
+    refuses (an unknown or missing key, a bad value) is a usage error."""
+    data = _load_json(path)
+    try:
+        picked = data if fields is None else {name: data[name] for name in fields}
+        return ElectionConfig.from_dict(picked), data
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad parameters in {path}: {exc!r}") from exc
+
+
 def _dump_json(path: Path, data: dict) -> None:
     path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
@@ -98,7 +110,7 @@ def _apply_tamper(board: Board, tamper: dict) -> None:
 
 
 def cmd_setup(args) -> int:
-    config = ElectionConfig.from_dict(_load_json(args.config))
+    config, _ = _load_config(args.config)
     scenario = _load_json(args.scenario) if args.scenario else {"voters": []}
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -110,7 +122,7 @@ def cmd_setup(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = ElectionConfig.from_dict(_load_json(args.config))
+    config, _ = _load_config(args.config)
     scenario = _load_json(args.scenario)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -119,6 +131,8 @@ def cmd_run(args) -> int:
     n_candidates = len(config.candidates)
     votes = sorted(enumerate(scenario.get("votes", [])), key=lambda iv: (iv[1]["time"], iv[0]))
     for idx, vote in votes:
+        if vote["voter"] not in credentials:
+            raise UsageError(f"vote {idx} in {args.scenario}: unknown voter {vote['voter']!r}")
         credential = credentials[vote["voter"]]
         choice = encode_choice(vote["candidate"], n_candidates)
         sb = compose_ballot(
@@ -182,12 +196,11 @@ def _published_keys(p: int, params_data: dict, path: str) -> tuple[int, dict[int
 def cmd_verify(args) -> int:
     if not Path(args.board).exists():
         raise UsageError(f"file not found: {args.board}")
-    params_data = _load_json(args.params)
-    board = Board.load(args.board)
+    config, params_data = _load_config(args.params, PUBLISHED_CONFIG)
     try:
-        config = ElectionConfig(**{name: params_data[name] for name in PUBLISHED_CONFIG})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad parameters in {args.params}: {exc!r}") from exc
+        board = Board.load(args.board)
+    except ValueError as exc:
+        raise UsageError(f"bad board {args.board}: {exc}") from exc
     election_pk, commitments = _published_keys(config.params.p, params_data, args.params)
     report = universal_verify(config.params, board, config, election_pk, commitments)
     print(json.dumps(report.to_dict(), sort_keys=True, indent=2))

@@ -185,8 +185,10 @@ def verify_mix(
 
     Uses public data only.  Also enforces the structural half-opening: per
     round, one link per mid item, of the derived side, with distinct sources
-    and targets.
+    and targets.  Every opened scalar lies in [0, q): r + q re-encrypts to
+    the same ciphertext, so it would be a second encoding of the proof.
     """
+    q = params.q
     n = len(batch_in.items)
     if len(batch_out.items) != n or len(proof.mid.items) != n:
         return False
@@ -222,7 +224,7 @@ def verify_mix(
             if len(link.scalars) != len(source):
                 return False
             for ct, r, expected in zip(source, link.scalars, target):
-                if reencrypt(params, pk, ct, r) != expected:
+                if not 0 <= r < q or reencrypt(params, pk, ct, r) != expected:
                     return False
     return True
 

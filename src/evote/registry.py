@@ -15,6 +15,7 @@ from pathlib import Path
 from .canonical import Record, digest
 from .errors import DuplicateVoter
 from .groups import GroupParams, keygen
+from .zkp import commit, holds
 
 DOMAIN_SIG = "evote/registry/schnorr"
 _DOMAIN_SIG_NONCE = "evote/registry/schnorr-nonce"
@@ -107,18 +108,17 @@ def sign(params: GroupParams, signing_key: int, message: bytes) -> Signature:
     # Derandomized nonce: a function of key and message, never reused across
     # distinct messages, no RNG dependency at signing time.
     w = int.from_bytes(digest(_DOMAIN_SIG_NONCE, signing_key, message), "big") % q
-    commit = params.exp(g, w, fixed=True)
-    e = _sig_challenge(params, vk, commit, message)
+    [t] = commit(params, ((g, True),), w)
+    e = _sig_challenge(params, vk, t, message)
     z = (w + e * signing_key) % q
-    return Signature(commit=commit, response=z)
+    return Signature(commit=t, response=z)
 
 
 def verify_sig(params: GroupParams, verify_key: int, message: bytes, sig: Signature) -> bool:
     e = _sig_challenge(params, verify_key, sig.commit, message)
-    rhs = sig.commit * params.exp(verify_key, e) % params.p
-    return params.exp(params.g, sig.response, fixed=True) == rhs
+    return holds(params, ((params.g, True),), (verify_key,), (sig.commit,), e, sig.response)
 
 
-def _sig_challenge(params: GroupParams, vk: int, commit: int, message: bytes) -> int:
-    h = digest(DOMAIN_SIG, params.to_bytes(), vk, commit, message)
+def _sig_challenge(params: GroupParams, vk: int, t: int, message: bytes) -> int:
+    h = digest(DOMAIN_SIG, params.to_bytes(), vk, t, message)
     return int.from_bytes(h, "big") % params.q

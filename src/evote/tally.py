@@ -28,7 +28,7 @@ from .ballot import (
 )
 from .bulletin import Board
 from .canonical import derive_rng, digest
-from .errors import AlreadyClosed, DecodeRangeError, FairnessViolation, MixRejected
+from .errors import AlreadyClosed, FairnessViolation, MixRejected
 from .groups import (
     Ciphertext,
     ElectionKey,
@@ -113,18 +113,15 @@ def _decrypt_slot(
     commitments: dict[int, int],
     batch_size: int,
 ) -> tuple[int, list]:
-    """Per-slot threshold decryption: bound-1 fast path, wider fallback so a
-    malformed slot still yields a diagnosable exponent.
+    """Per-slot threshold decryption with a wide decode bound, so a
+    malformed slot still yields a diagnosable exponent.  The scan stops at
+    the first match, so a 0 or 1 costs no more than with a bound of 1.
 
-    The fallback scan is capped: anything past it could never have carried a
-    valid well-formedness proof, so the error is allowed to surface."""
+    The scan is capped: anything past it could never have carried a valid
+    well-formedness proof, so the error is allowed to surface."""
     partials = [partial_decrypt(params, share, ct) for share in trustees]
-    try:
-        m = threshold_decrypt(params, ct, partials, commitments, decode_bound=1)
-    except DecodeRangeError:
-        bound = min(params.q - 1, max(batch_size, 1024))
-        m = threshold_decrypt(params, ct, partials, commitments, decode_bound=bound)
-    return m, partials
+    bound = min(params.q - 1, max(batch_size, 1024))
+    return threshold_decrypt(params, ct, partials, commitments, bound), partials
 
 
 def run_tally(

@@ -1,7 +1,9 @@
 """Non-interactive zero-knowledge proofs.
 
-Three obligations are covered: deterministic challenge derivation from a
-transcript, equal-discrete-log proofs used for correct decryption and for
+Every proof here, and every registry signature, is one sigma protocol over
+some bases: `commit` makes the prover's commitments t = b^w, and `holds`
+checks the one verification equation b^z = t * y^e with e and z in [0, q).
+On it are built equal-discrete-log proofs for correct decryption and for
 the ballot sum argument, and disjunctive 0-or-1 proofs for each encrypted
 ballot slot.  All challenges are sha256 over the canonical encoding of the
 statement, reduced mod q; verification never touches a secret key.
@@ -33,6 +35,30 @@ def _nonce(params: GroupParams, *secret_and_statement) -> int:
     return int.from_bytes(digest(_DOMAIN_NONCE, *secret_and_statement), "big") % params.q
 
 
+def commit(params: GroupParams, bases, w: int) -> list[int]:
+    """b^w for each base; a base is a (b, fixed) pair, as `GroupParams.exp`
+    takes it."""
+    return [params.exp(b, w, fixed) for b, fixed in bases]
+
+
+def holds(params: GroupParams, bases, values, commits, e: int, z: int) -> bool:
+    """True iff e and z lie in [0, q) and b^z = t * y^e for each base b with
+    public value y and commitment t.
+
+    Without the range check z + q (or e + q) would pass too, since every
+    base has order q, and two encodings would prove the same statement.
+    """
+    q = params.q
+    if not (0 <= e < q and 0 <= z < q):
+        return False
+    p, exp = params.p, params.exp
+    # A plain loop: all() over a generator costs measurably more per call.
+    for (b, fixed), y, t in zip(bases, values, commits):
+        if exp(b, z, fixed) != t * exp(y, e) % p:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class DecryptionProof(Record):
     """Equal-dlog proof: the same exponent links both commitment bases."""
@@ -47,16 +73,12 @@ def prove_correct_decryption(
     params: GroupParams, x: int, ct: Ciphertext, d: int
 ) -> DecryptionProof:
     """Prove d = c1^x for the committed share g^x, without revealing x."""
-    q, g = params.q, params.g
-    pk_component = params.exp(g, x, fixed=True)
+    pk_component = params.exp(params.g, x, fixed=True)
     w = _nonce(params, x, ct.to_bytes(), d)
-    commit_g = params.exp(g, w, fixed=True)
-    commit_c1 = params.exp(ct.c1, w)
-    e = _challenge(
-        params, DOMAIN_CP, pk_component, ct.to_bytes(), d, commit_g, commit_c1
-    )
-    z = (w + e * x) % q
-    return DecryptionProof(commit_g, commit_c1, e, z)
+    commits = commit(params, ((params.g, True), (ct.c1, False)), w)
+    e = _challenge(params, DOMAIN_CP, pk_component, ct.to_bytes(), d, *commits)
+    z = (w + e * x) % params.q
+    return DecryptionProof(*commits, e, z)
 
 
 def verify_correct_decryption(
@@ -67,25 +89,12 @@ def verify_correct_decryption(
     proof: DecryptionProof,
 ) -> bool:
     """True iff the challenge recomputes and both verification equations hold."""
-    p = params.p
-    e = _challenge(
-        params,
-        DOMAIN_CP,
-        pk_component,
-        ct.to_bytes(),
-        d,
-        proof.commit_g,
-        proof.commit_c1,
+    commits = (proof.commit_g, proof.commit_c1)
+    e = _challenge(params, DOMAIN_CP, pk_component, ct.to_bytes(), d, *commits)
+    bases = ((params.g, True), (ct.c1, False))
+    return e == proof.challenge and holds(
+        params, bases, (pk_component, d), commits, e, proof.response
     )
-    if e != proof.challenge:
-        return False
-    z = proof.response
-    exp = params.exp
-    if exp(params.g, z, fixed=True) != (proof.commit_g * exp(pk_component, e)) % p:
-        return False
-    if exp(ct.c1, z) != (proof.commit_c1 * exp(d, e)) % p:
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -115,17 +124,10 @@ class WellformedProof(Record):
     sum_proof: DecryptionProof
 
 
-def _slot_challenge(
-    params: GroupParams,
-    pk: int,
-    ct: Ciphertext,
-    index: int,
-    slots_digest: bytes,
-    commits: tuple[int, int, int, int],
-) -> int:
-    return _challenge(
-        params, DOMAIN_SLOT, pk, ct.to_bytes(), index, slots_digest, *commits
-    )
+def _slot_values(params: GroupParams, ct: Ciphertext, m: int) -> tuple[int, int]:
+    """Public values of the branch "ct encrypts m": c1 = g^r, c2 / g^m = pk^r."""
+    p, g, exp = params.p, params.g, params.exp
+    return ct.c1, (ct.c2 * exp(exp(g, m, fixed=True), -1)) % p
 
 
 def _prove_slot(
@@ -138,34 +140,29 @@ def _prove_slot(
     value: int,
 ) -> SlotProof:
     """Real branch for `value`, simulated branch for its complement."""
-    p, q, g, exp = params.p, params.q, params.g, params.exp
-    a, b = ct.c1, ct.c2
+    p, q, exp = params.p, params.q, params.exp
+    bases = ((params.g, True), (pk, True))
     fake = 1 - value
     statement = encode(pk, ct.to_bytes(), index, slots_digest)
 
     e_fake = _nonce(params, "fake-e", r, value, statement)
     z_fake = _nonce(params, "fake-z", r, value, statement)
-    # Simulated branch commitments satisfy the verification equations by
-    # construction for the pre-chosen (e_fake, z_fake).
-    b_over_gm = (b * exp(exp(g, fake, fixed=True), -1)) % p
-    commit_g_fake = (exp(g, z_fake, fixed=True) * exp(exp(a, e_fake), -1)) % p
-    commit_h_fake = (exp(pk, z_fake, fixed=True) * exp(exp(b_over_gm, e_fake), -1)) % p
-
     w = _nonce(params, "real-w", r, value, statement)
-    commit_g_real = exp(g, w, fixed=True)
-    commit_h_real = exp(pk, w, fixed=True)
-
-    if value == 0:
-        commits = (commit_g_real, commit_h_real, commit_g_fake, commit_h_fake)
-    else:
-        commits = (commit_g_fake, commit_h_fake, commit_g_real, commit_h_real)
-    e = _slot_challenge(params, pk, ct, index, slots_digest, commits)
+    # Simulated branch commitments t = b^z / y^e satisfy the verification
+    # equations by construction for the pre-chosen (e_fake, z_fake).
+    commits = {
+        fake: [
+            (t * exp(exp(y, e_fake), -1)) % p
+            for t, y in zip(commit(params, bases, z_fake), _slot_values(params, ct, fake))
+        ],
+        value: commit(params, bases, w),
+    }
+    transcript = commits[0] + commits[1]
+    e = _challenge(params, DOMAIN_SLOT, pk, ct.to_bytes(), index, slots_digest, *transcript)
     e_real = (e - e_fake) % q
-    z_real = (w + e_real * r) % q
-
-    if value == 0:
-        return SlotProof(*commits, e_real, e_fake, z_real, z_fake)
-    return SlotProof(*commits, e_fake, e_real, z_fake, z_real)
+    es = {fake: e_fake, value: e_real}
+    zs = {fake: z_fake, value: (w + e_real * r) % q}
+    return SlotProof(*transcript, es[0], es[1], zs[0], zs[1])
 
 
 def _verify_slot(
@@ -176,22 +173,14 @@ def _verify_slot(
     slots_digest: bytes,
     sp: SlotProof,
 ) -> bool:
-    p, q, g, exp = params.p, params.q, params.g, params.exp
-    a, b = ct.c1, ct.c2
     commits = (sp.commit_g0, sp.commit_h0, sp.commit_g1, sp.commit_h1)
-    e = _slot_challenge(params, pk, ct, index, slots_digest, commits)
-    if (sp.e0 + sp.e1) % q != e:
+    e = _challenge(params, DOMAIN_SLOT, pk, ct.to_bytes(), index, slots_digest, *commits)
+    if (sp.e0 + sp.e1) % params.q != e:
         return False
-    for m, e_m, z_m, cg, ch in (
-        (0, sp.e0, sp.z0, sp.commit_g0, sp.commit_h0),
-        (1, sp.e1, sp.z1, sp.commit_g1, sp.commit_h1),
-    ):
-        b_over_gm = (b * exp(exp(g, m, fixed=True), -1)) % p
-        if exp(g, z_m, fixed=True) != (cg * exp(a, e_m)) % p:
-            return False
-        if exp(pk, z_m, fixed=True) != (ch * exp(b_over_gm, e_m)) % p:
-            return False
-    return True
+    bases = ((params.g, True), (pk, True))
+    return holds(
+        params, bases, _slot_values(params, ct, 0), commits[:2], sp.e0, sp.z0
+    ) and holds(params, bases, _slot_values(params, ct, 1), commits[2:], sp.e1, sp.z1)
 
 
 def _sum_statement(params: GroupParams, pk: int, slots: list[Ciphertext]):
@@ -231,20 +220,16 @@ def prove_wellformed(
     prod_a, prod_b, y = _sum_statement(params, pk, slots)
     total_r = sum(randomness) % q
     w = _nonce(params, "sum-w", total_r, sd)
-    commit_g = params.exp(params.g, w, fixed=True)
-    commit_h = params.exp(pk, w, fixed=True)
-    e = _challenge(
-        params, DOMAIN_SUM, pk, prod_a, prod_b, commit_g, commit_h, sd
-    )
+    commits = commit(params, ((params.g, True), (pk, True)), w)
+    e = _challenge(params, DOMAIN_SUM, pk, prod_a, prod_b, *commits, sd)
     z = (w + e * total_r) % q
-    sum_proof = DecryptionProof(commit_g, commit_h, e, z)
+    sum_proof = DecryptionProof(*commits, e, z)
     return WellformedProof(slots=tuple(slot_proofs), sum_proof=sum_proof)
 
 
 def verify_wellformed(
     params: GroupParams, pk: int, slots: list[Ciphertext], proof: WellformedProof
 ) -> bool:
-    p = params.p
     if len(proof.slots) != len(slots) or not slots:
         return False
     sd = digest(slots)
@@ -254,15 +239,8 @@ def verify_wellformed(
 
     prod_a, prod_b, y = _sum_statement(params, pk, slots)
     sp = proof.sum_proof
-    e = _challenge(
-        params, DOMAIN_SUM, pk, prod_a, prod_b, sp.commit_g, sp.commit_c1, sd
+    commits = (sp.commit_g, sp.commit_c1)
+    e = _challenge(params, DOMAIN_SUM, pk, prod_a, prod_b, *commits, sd)
+    return e == sp.challenge and holds(
+        params, ((params.g, True), (pk, True)), (prod_a, y), commits, e, sp.response
     )
-    if e != sp.challenge:
-        return False
-    z = sp.response
-    exp = params.exp
-    if exp(params.g, z, fixed=True) != (sp.commit_g * exp(prod_a, e)) % p:
-        return False
-    if exp(pk, z, fixed=True) != (sp.commit_c1 * exp(y, e)) % p:
-        return False
-    return True

@@ -774,6 +774,34 @@ def test_c14_float_seq_breaks_the_chain(tmp_path, capsys):
     assert "hash chain does not recompute" in report["failures"]
 
 
+# A board row is a JSON object whose kind is a string and whose payload,
+# prev and digest are hex strings; any other row on the c14 board is a usage
+# error that names its line.
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda row: row.update(prev=5),
+        lambda row: row.update(digest="zz"),
+        lambda row: row.pop("payload"),
+        lambda row: row.update(kind={"name": row["kind"]}),
+    ],
+    ids=["prev as int", "digest not hex", "no payload", "kind as object"],
+)
+def test_c14_mistyped_row_is_a_usage_error(tmp_path, capsys, edit):
+    out = _c14_run(tmp_path, "a")
+    lines = (out / "board.jsonl").read_text().splitlines()
+    row = json.loads(lines[3])
+    edit(row)
+    lines[3] = json.dumps(row, sort_keys=True)
+    (out / "board.jsonl").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()  # discard run output
+    rc = cli_main(
+        ["verify", "--board", str(out / "board.jsonl"), "--params", str(out / "params.json")]
+    )
+    assert rc == 4
+    assert "line 4" in capsys.readouterr().err
+
+
 def _short_ballot_election(seed):
     """Open 3-candidate election plus, for voter "s", a ballot over 2 slots."""
     config = ElectionConfig(

@@ -240,6 +240,24 @@ def test_corrupted_partial_decryption_fails(tallied):
     assert report.checks["chain_integrity"]
 
 
+def test_decryption_response_plus_q_fails(tallied):
+    """z and z + q satisfy the same equation; only the range check tells
+    the two boards apart."""
+    election, config = tallied
+    board = election.board
+    entry = board.find(KIND_PARTIAL_DECRYPTION)[0]
+    pd = PartialDecryptionPayload.from_bytes(entry.payload)
+    assert pd.proof.response == 4
+    edited = replace(pd, proof=replace(pd.proof, response=4 + election.params.q))
+    assert edited.proof.response == 15
+    mutated = replace_payload(board, entry.seq, edited.to_bytes(), fix_chain=True)
+    report = _verify(election, config, mutated)
+    assert report.checks["chain_integrity"]
+    assert not report.checks["decryption_proofs"]
+    rejected = f"entry {entry.seq}: decryption proof rejected (trustee {pd.trustee_index})"
+    assert rejected in report.failures
+
+
 def test_altered_result_counts_fail(tallied):
     election, config = tallied
     board = election.board

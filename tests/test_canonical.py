@@ -1,8 +1,25 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evote.canonical import Reader, derive_rng, digest, encode, hexdigest
+from evote.canonical import Record, derive_rng, digest, encode, hexdigest
+
+
+def _record(*types):
+    """A Record class whose fields have `types`, so its bytes are exactly
+    encode() of its field values."""
+    fields = [(f"f{i}", tp) for i, tp in enumerate(types)]
+    return dataclasses.make_dataclass("Probe", fields, bases=(Record,), frozen=True)
+
+
+INT, BOOL, BYTES, MIXED = _record(int), _record(bool), _record(bytes), _record(bytes, int, str)
+
+
+def _decode(record, data: bytes) -> tuple:
+    """The field values of `record` decoded strictly from `data`."""
+    return dataclasses.astuple(record.from_bytes(data))
 
 
 def test_int_zero_encodes_empty():
@@ -27,31 +44,24 @@ def test_string_encodes_utf8():
 
 @given(st.integers(min_value=0, max_value=2**256))
 def test_int_round_trip(n):
-    r = Reader(encode(n))
-    assert r.read_int() == n
-    r.expect_end()
+    assert _decode(INT, encode(n)) == (n,)
 
 
 @given(st.binary(max_size=64), st.integers(min_value=0, max_value=2**64), st.text(max_size=20))
 def test_mixed_round_trip(b, n, s):
-    r = Reader(encode(b, n, s))
-    assert r.read_bytes() == b
-    assert r.read_int() == n
-    assert r.read_str() == s
-    r.expect_end()
+    assert _decode(MIXED, encode(b, n, s)) == (b, n, s)
 
 
 def test_trailing_bytes_rejected():
-    r = Reader(encode(5) + b"\x00")
-    r.read_int()
-    with pytest.raises(ValueError):
-        r.expect_end()
+    assert _decode(INT, encode(5)) == (5,)
+    with pytest.raises(ValueError, match="trailing bytes"):
+        _decode(INT, encode(5) + b"\x00")
 
 
 def test_truncated_input_rejected():
     data = encode(b"abcdef")
-    with pytest.raises(ValueError):
-        Reader(data[:-2]).read_bytes()
+    with pytest.raises(ValueError, match="truncated"):
+        _decode(BYTES, data[:-2])
 
 
 def test_distinct_structures_have_distinct_digests():
@@ -77,15 +87,14 @@ def test_derive_rng_labels_are_separated():
 
 @pytest.mark.parametrize("flag", [False, True])
 def test_bool_round_trip(flag):
-    r = Reader(encode(flag))
-    assert r.read_bool() is flag
-    r.expect_end()
+    [decoded] = _decode(BOOL, encode(flag))
+    assert decoded is flag
 
 
 @pytest.mark.parametrize("data", [encode(2), encode(256), b"\x00\x00\x00\x02\x00\x01"])
 def test_flag_other_than_canonical_0_or_1_rejected(data):
     with pytest.raises(ValueError):
-        Reader(data).read_bool()
+        _decode(BOOL, data)
 
 
 @pytest.mark.parametrize(
@@ -94,5 +103,5 @@ def test_flag_other_than_canonical_0_or_1_rejected(data):
     ids=bytes.hex,
 )
 def test_int_with_leading_zero_byte_rejected(data):
-    with pytest.raises(ValueError):
-        Reader(data).read_int()
+    with pytest.raises(ValueError, match="leading zero"):
+        _decode(INT, data)

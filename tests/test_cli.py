@@ -284,6 +284,37 @@ def test_bad_params_for_verify_is_usage_error(workdir, capsys, edit):
     assert "bad parameters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "setup"])
+@pytest.mark.parametrize(
+    "edit",
+    [lambda config: config.update(bogus_knob=1), lambda config: config.update(candidates=[])],
+    ids=["unknown key", "no candidates"],
+)
+def test_bad_config_is_usage_error(workdir, capsys, command, edit):
+    config = dict(CONFIG)
+    edit(config)
+    (workdir / "bad_config.json").write_text(json.dumps(config))
+    rc = main(
+        [
+            command,
+            "--config", str(workdir / "bad_config.json"),
+            "--scenario", str(workdir / "scenario.json"),
+            "--out-dir", str(workdir / "out"),
+        ]
+    )
+    assert rc == 4
+    assert "bad parameters" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+def test_vote_by_unknown_voter_is_usage_error(workdir, capsys):
+    votes = SCENARIO_CLEAN["votes"] + [{"voter": "v99", "candidate": 0, "time": 5}]
+    scenario = dict(SCENARIO_CLEAN, votes=votes)
+    (workdir / "stranger.json").write_text(json.dumps(scenario))
+    assert _run(workdir, scenario="stranger.json") == 4
+    assert "'v99'" in capsys.readouterr().err
+
+
 def test_malformed_json_is_usage_error(workdir, capsys):
     (workdir / "bad.json").write_text("{not json")
     rc = main(

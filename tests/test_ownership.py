@@ -1,0 +1,77 @@
+"""Each concern has one owner, checked on the source tree.
+
+- `groups.py` owns every exponentiation: no other module calls `pow`.
+- `zkp.holds` owns every verification equation: in `zkp.py` and
+  `registry.py`, the result of an `exp(...)` call is compared only there.
+  A name bound to such a result counts as the result.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import evote
+
+SRC = Path(evote.__file__).parent
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _called(node: ast.AST, name: str) -> bool:
+    """True iff some call inside `node` is to `name` or to `<obj>.name`."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call):
+            func = sub.func
+            if (isinstance(func, ast.Name) and func.id == name) or (
+                isinstance(func, ast.Attribute) and func.attr == name
+            ):
+                return True
+    return False
+
+
+def _exp_comparisons(tree: ast.Module) -> list[tuple[str, int]]:
+    """(function, line) of each comparison of an exp result."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        tainted = {
+            target.id
+            for stmt in ast.walk(fn)
+            if isinstance(stmt, ast.Assign) and _called(stmt.value, "exp")
+            for target in stmt.targets
+            if isinstance(target, ast.Name)
+        }
+        for cmp in ast.walk(fn):
+            if isinstance(cmp, ast.Compare) and (
+                _called(cmp, "exp")
+                or any(isinstance(n, ast.Name) and n.id in tainted for n in ast.walk(cmp))
+            ):
+                found.append((fn.name, cmp.lineno))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_groups_calls_pow(path):
+    if path.name != "groups.py":
+        assert not _called(ast.parse(path.read_text()), "pow")
+
+
+@pytest.mark.parametrize(
+    "name, owners", [("zkp.py", {"holds"}), ("registry.py", set())], ids=["zkp", "registry"]
+)
+def test_exp_results_are_compared_only_in_holds(name, owners):
+    found = _exp_comparisons(ast.parse((SRC / name).read_text()))
+    assert {fn for fn, _ in found} == owners, found
+
+
+def test_the_guards_see_a_violation():
+    bad = ast.parse(
+        "def verify(params, y, t, e, z):\n"
+        "    lhs = params.exp(params.g, z, True)\n"
+        "    return lhs == t * params.exp(y, e) % params.p\n"
+        "def key(x):\n"
+        "    return pow(2, x, 23)\n"
+    )
+    assert _exp_comparisons(bad) == [("verify", 3)]
+    assert _called(bad, "pow")

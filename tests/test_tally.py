@@ -268,12 +268,13 @@ def test_aggregate_check_empty_election():
 
 # --- malformed ballots surfacing as invalid, not crashing ---
 
-def test_dishonest_slot_vector_counted_invalid(grp):
+def test_dishonest_slot_vector_counted_invalid(grp, monkeypatch):
     """A ballot whose slots decrypt outside {0,1} lands in invalid_count.
 
     Built by bypassing compose_ballot and casting directly into the
     collected pile (its signature and proof both verify as composed, so we
-    inject at the filtered stage instead)."""
+    inject at the filtered stage instead).  Each slot is decrypted once, so
+    each partial proof is verified once, the slot holding 2 included."""
     from evote.ballot import SignedBallot
     from evote.groups import encrypt, rand_scalar
     from evote.tally import run_tally
@@ -301,6 +302,14 @@ def test_dishonest_slot_vector_counted_invalid(grp):
 
     forged_encrypted = replace(honest.encrypted, slots=slots)
     forged = replace(honest, encrypted=forged_encrypted)
+    verified = []
+    verify = zkp.verify_correct_decryption
+
+    def counting_verify(*args):
+        verified.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(zkp, "verify_correct_decryption", counting_verify)
     result = run_tally(
         election.params,
         election.config,
@@ -312,6 +321,7 @@ def test_dishonest_slot_vector_counted_invalid(grp):
     )
     assert result.invalid_count == 1
     assert result.counts == [0, 0, 0]
+    assert len(verified) == 3 * len(election.trustees)
 
 
 def test_invalid_ballot_shifts_aggregate_but_not_counts(grp):

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from evote.canonical import derive_rng, digest
 from evote.groups import TEST_GROUP, encrypt, keygen, rand_scalar
+from evote.mixnet import MixBatch, mix_once, verify_mix
+from evote.registry import sign, verify_sig
 from evote.zkp import (
     DecryptionProof,
     WellformedProof,
@@ -167,3 +169,86 @@ def test_wellformed_accepts_any_choice_position(idx, seed):
     grp, kp, slots, rs = _ballot_setup(bits, seed=f"pos{seed}")
     proof = prove_wellformed(grp, kp.pk, slots, rs, idx)
     assert verify_wellformed(grp, kp.pk, slots, proof)
+
+
+# --- every scalar of every proof lies in [0, q) ---
+#
+# Each case builds an honest transcript, adds `shift` to one of its scalars
+# and returns the verifier's verdict.  Adding q leaves every verification
+# equation true (each base has order q), so only a range check can reject it.
+
+
+def _signature_response(shift):
+    grp = TEST_GROUP
+    kp = keygen(grp, derive_rng("range", "sig"))
+    sig = sign(grp, kp.sk, b"message")
+    edited = dataclasses.replace(sig, response=sig.response + shift)
+    return verify_sig(grp, kp.pk, b"message", edited)
+
+
+def _decryption_response(shift):
+    grp, kp, ct, d, proof = _decryption_setup("range")
+    return verify_correct_decryption(
+        grp, kp.pk, ct, d, dataclasses.replace(proof, response=proof.response + shift)
+    )
+
+
+def _wellformed(edit):
+    def case(shift):
+        grp, kp, slots, rs = _ballot_setup((0, 1, 0), seed="range")
+        proof = prove_wellformed(grp, kp.pk, slots, rs, 1)
+        return verify_wellformed(grp, kp.pk, slots, edit(proof, shift))
+
+    return case
+
+
+def _slot_field(field):
+    def edit(proof, shift):
+        first = proof.slots[0]
+        first = dataclasses.replace(first, **{field: getattr(first, field) + shift})
+        return dataclasses.replace(proof, slots=(first, *proof.slots[1:]))
+
+    return _wellformed(edit)
+
+
+def _sum_response(proof, shift):
+    sum_proof = proof.sum_proof
+    edited = dataclasses.replace(sum_proof, response=sum_proof.response + shift)
+    return dataclasses.replace(proof, sum_proof=edited)
+
+
+def _mix_scalar(shift):
+    grp = TEST_GROUP
+    kp = keygen(grp, derive_rng("range", "mix-key"))
+    rng = derive_rng("range", "mix-batch")
+    batch = MixBatch(
+        items=tuple(
+            (encrypt(grp, kp.pk, m, rand_scalar(grp, rng, nonzero=True)),) for m in (0, 1, 1)
+        )
+    )
+    out, proof = mix_once(grp, kp.pk, batch, derive_rng("range", "mix"), rounds=2)
+    first_round = proof.rounds[0]
+    link = first_round[0]
+    link = dataclasses.replace(link, scalars=(link.scalars[0] + shift, *link.scalars[1:]))
+    rounds = ((link, *first_round[1:]), *proof.rounds[1:])
+    return verify_mix(grp, kp.pk, batch, out, dataclasses.replace(proof, rounds=rounds))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _signature_response,
+        _decryption_response,
+        _slot_field("z0"),
+        _slot_field("e0"),
+        _wellformed(_sum_response),
+        _mix_scalar,
+    ],
+    ids=[
+        "signature response", "decryption response", "slot z0", "slot e0",
+        "sum-proof response", "opened re-encryption scalar",
+    ],
+)
+def test_scalar_plus_q_is_rejected(case):
+    assert case(0)
+    assert not case(TEST_GROUP.q)
