@@ -12,8 +12,10 @@ simulator is there to demonstrate exactly that.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
+from itertools import accumulate
 
 from .canonical import Record, derive_rng, digest, encode
 from .errors import NoOnlineNodes, SupplyNotConserved
@@ -256,25 +258,16 @@ def select_forger(
         eligible = [n for n in eligible if n.wallet.balance > 0]
         if not any(n.online for n in eligible):
             raise NoOnlineNodes("no online eligible node with stake")
-        total = sum(n.wallet.balance for n in eligible)
+        weights = [n.wallet.balance for n in eligible]
     else:
         if not any(n.online for n in eligible):
             raise NoOnlineNodes("no online eligible node")
-        total = len(eligible)
+        weights = [1] * len(eligible)
+    bounds = list(accumulate(weights))
     attempt = 0
     while True:
         h = int.from_bytes(digest(_DOMAIN_LOTTERY, seed, round_no, attempt), "big")
-        x = h % total
-        if mode == "uniform":
-            picked = eligible[x]
-        else:
-            acc = 0
-            picked = eligible[-1]
-            for n in eligible:
-                acc += n.wallet.balance
-                if x < acc:
-                    picked = n
-                    break
+        picked = eligible[bisect_right(bounds, h % bounds[-1])]
         if picked.online:
             return picked.node_id
         attempt += 1
@@ -436,12 +429,10 @@ def simulate(config: SimConfig, seed, observer=None) -> SimReport:
     )
     candidate_addrs = [w.address for _, w in cand_wallets]
 
-    leaves = [chain]
-    canonical = chain
+    # The canonical chain and the chain it extends, kept so that a fork base
+    # is never rebuilt by replaying its blocks.
+    canonical, parent = chain, None
     balances, included = chain._valid_ledger()
-    # Every chain forged so far, by tip digest: a fork base is looked up,
-    # never rebuilt by replaying its blocks.
-    by_tip = {chain.tip_digest: chain}
     broadcast: list[tuple[bytes, CoinTransaction]] = []  # (digest, tx) in order
     pool: list[CoinTransaction] = []
     voted: set[str] = set()
@@ -484,19 +475,18 @@ def simulate(config: SimConfig, seed, observer=None) -> SimReport:
 
         # A malicious forger builds on the tip's parent, manufacturing a
         # same-height fork; honest forgers extend the canonical tip.
-        if forger.malicious and len(canonical.blocks) > 1:
-            base = by_tip[canonical.blocks[-1].prev_digest]
+        if forger.malicious and parent is not None:
+            base = parent
             fork_count += 1
         else:
             base = canonical
         block = forge_block(forger, pool, base)
         new_chain = base.extend(block)
-        by_tip[new_chain.tip_digest] = new_chain
 
-        if base is canonical and canonical in leaves:
-            leaves.remove(canonical)
-        leaves.append(new_chain)
-        canonical = fork_choice(leaves)
+        # Every other chain forged so far is shorter than the canonical one,
+        # or as long with a larger tip digest, so only these two can win.
+        if fork_choice([canonical, new_chain]) is new_chain:
+            canonical, parent = new_chain, base
         balances, included = canonical._valid_ledger()
         supply = sum(balances.values())
         if supply != config.n_voters:

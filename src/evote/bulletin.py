@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from itertools import product
 from pathlib import Path
 
 from .ballot import BallotCastPayload, ResultPayload, count_result, validate_decrypted
-from .canonical import Record, digest
+from .canonical import Record, digest, encode
 from .groups import GroupParams
 from .mixnet import MixBatch, MixStage, stage_failures
 from .zkp import DecryptionProof, verify_correct_decryption, verify_wellformed
@@ -114,10 +115,11 @@ class Board:
 
     @classmethod
     def load(cls, path: str | Path) -> "Board":
-        """Each line is a JSON object whose kind is a string and whose
-        payload, prev and digest are hex strings; any other line raises
-        ValueError naming it.  The seq is kept as read, so a bad one fails
-        verify_chain instead."""
+        """Each line is a JSON object whose kind is one of KINDS and whose
+        payload, prev and digest are lowercase hex, as `save` writes them;
+        any other line raises ValueError naming it, so the file has one
+        encoding.  The seq is kept as read, so a bad one fails verify_chain
+        instead."""
         board = cls()
         for number, line in enumerate(Path(path).read_text().splitlines(), 1):
             if not line.strip():
@@ -125,9 +127,11 @@ class Board:
             try:
                 row = json.loads(line)
                 kind, *hex_fields = (row[key] for key in ("kind", "payload", "prev", "digest"))
-                if not isinstance(kind, str):
-                    raise TypeError(f"kind {kind!r} is not a string")
+                if not isinstance(kind, str) or kind not in KINDS:
+                    raise ValueError(f"unknown kind {kind!r}")
                 payload, prev, entry_hash = map(bytes.fromhex, hex_fields)
+                if [payload.hex(), prev.hex(), entry_hash.hex()] != hex_fields:
+                    raise ValueError("payload, prev and digest must be lowercase hex")
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"line {number}: {exc!r}") from exc
             board.entries.append(BulletinEntry(row.get("seq"), kind, payload, prev, entry_hash))
@@ -302,17 +306,19 @@ def _check_wellformed(
 def _check_mix(
     params: GroupParams, board: Board, election_pk: int, config
 ) -> tuple[list[str], MixBatch | None]:
-    """Stage count, the transfer hand-off, continuity and every shuffle proof;
+    """Stage count and order, the transfer hand-off and its place between the
+    cast ballots and the mix stages, continuity and every shuffle proof;
     hands on the final mix batch, or None when the stages cannot be read."""
     staged, failures = _decode_all(board, KIND_MIX_STAGE, MixStagePayload, "mix stage payload")
     if failures:
         return failures, None
-    staged.sort(key=lambda s: s[1].index)
-    if [s.index for _, s in staged] != list(range(config.mix_server_count)):
-        return [f"expected {config.mix_server_count} mix stages, found {len(staged)}"], None
+    indices = [s.index for _, s in staged]
+    if indices != list(range(config.mix_server_count)):
+        return [f"expected mix stages 0 to {config.mix_server_count - 1}, found {indices}"], None
 
     transfers, failures = _decode_all(board, KIND_TRANSFER, TransferPayload, "transfer payload")
-    n_transfers = len(board.find(KIND_TRANSFER))
+    kinds = [e.kind for e in board.entries]
+    n_transfers = kinds.count(KIND_TRANSFER)
     batch_digest = None
     if n_transfers != 1:
         failures = [f"expected one transfer entry, found {n_transfers}"]
@@ -321,6 +327,10 @@ def _check_mix(
         if handoff.label != TRANSFER_LABEL:
             failures.append(f"entry {seq}: transfer label {handoff.label!r}")
         batch_digest = handoff.batch_digest
+    if n_transfers == 1:
+        at = kinds.index(KIND_TRANSFER)
+        if {KIND_LOGIN, KIND_BALLOT_CAST, KIND_RECEIPT} & set(kinds[at:]) or staged[0][0] < at:
+            failures.append(f"entry {at}: transfer not between the casts and the mix stages")
     stages = [s.stage for _, s in staged]
     failures += [
         f"entry {staged[idx][0]}: mix stage {idx} {reason}"
@@ -331,92 +341,103 @@ def _check_mix(
     return failures, stages[-1].batch_out if stages else None
 
 
+# The record each decryption entry decodes to, and its name in failures.
+_DECRYPTION_RECORDS = {
+    KIND_PARTIAL_DECRYPTION: (PartialDecryptionPayload, "partial decryption"),
+    KIND_DECRYPTED_BALLOT: (DecryptedBallotPayload, "decrypted ballot"),
+}
+
+
 def _check_decryption(
     params: GroupParams,
     board: Board,
     final_batch: MixBatch | None,
     trustee_commitments: dict[int, int],
     n_candidates: int,
-) -> tuple[list[str], dict[int, tuple[int, DecryptedBallotPayload]]]:
-    """Every trustee's partial decryption proof, and each claimed plaintext
-    and validity flag against the final mix batch; hands on (seq, claim) for
-    every decrypted ballot that decodes, by item."""
+) -> tuple[list[str], list[DecryptedBallotPayload]]:
+    """Walk the decryption entries in board order, after the last mix stage,
+    expecting what run_tally writes: for each item of the final mix batch,
+    each slot's partial decryptions by trustee index, then its decrypted
+    ballot.  Checks every decryption proof and each claimed plaintext and
+    validity flag; the first entry out of place ends the walk with one
+    failure naming it.  Hands on the claims read, in item order."""
     p, g = params.p, params.g
-    shares, failures = _decode_all(
-        board, KIND_PARTIAL_DECRYPTION, PartialDecryptionPayload, "partial decryption"
-    )
-    decoded, unparsed_claims = _decode_all(
-        board, KIND_DECRYPTED_BALLOT, DecryptedBallotPayload, "decrypted ballot"
-    )
-    parse_ok = not failures and not unparsed_claims
-    failures += unparsed_claims
-    partials: dict[tuple[int, int], dict[int, int]] = {}
-    for seq, pd in shares:
-        item_i, slot_i, trustee_i = pd.item_index, pd.slot_index, pd.trustee_index
-        if final_batch is None or not (
-            0 <= item_i < len(final_batch.items)
-            and 0 <= slot_i < len(final_batch.items[item_i])
-        ):
-            failures.append(f"entry {seq}: partial decryption out of range")
-            continue
-        ct = final_batch.items[item_i][slot_i]
-        commitment = trustee_commitments.get(trustee_i)
-        if commitment is None or not verify_correct_decryption(
-            params, commitment, ct, pd.d, pd.proof
-        ):
-            failures.append(f"entry {seq}: decryption proof rejected (trustee {trustee_i})")
-            continue
-        partials.setdefault((item_i, slot_i), {})[trustee_i] = pd.d
+    kinds = [e.kind for e in board.entries]
+    seqs = [seq for seq, kind in enumerate(kinds) if kind in _DECRYPTION_RECORDS]
+    if seqs and KIND_MIX_STAGE in kinds[seqs[0]:]:
+        return [f"entry {seqs[0]}: decryption entry before the last mix stage"], []
+    if final_batch is None:
+        return ["no mix output to check the decryptions against"], []
+    walk, failures, claims = iter(seqs), [], []
 
-    claims = {claim.item_index: (seq, claim) for seq, claim in decoded}
-    if final_batch is None or not parse_ok:
-        return failures, claims
+    def take(kind: str, *place: int):
+        """(seq, record) for the next entry if it is the `kind` entry whose
+        leading fields are `place`, else (seq, None) after a failure names it.
+        A payload that decodes is canonical: it starts with their encoding."""
+        record, what = _DECRYPTION_RECORDS[kind]
+        seq = next(walk, None)
+        try:
+            if seq is not None and kinds[seq] == kind:
+                decoded = record.from_bytes(board.entries[seq].payload)
+                if board.entries[seq].payload.startswith(encode(*place)):
+                    return seq, decoded
+        except ValueError:
+            failures.append(f"entry {seq}: unparseable {what}")
+            return seq, None
+        where = " ".join(f"{name} {i}" for name, i in zip(("item", "slot", "trustee"), place))
+        found = "no entry" if seq is None else f"entry {seq}: {kinds[seq]} entry"
+        failures.append(f"{found} where the {what} for {where} is due")
+        return seq, None
 
     for item_i, item in enumerate(final_batch.items):
-        if item_i not in claims:
-            failures.append(f"item {item_i}: no decrypted ballot published")
-            continue
-        seq, claim = claims[item_i]
-        exponents = claim.exponents
-        if len(exponents) != len(item):
+        products = [1] * len(item)
+        for slot_i, trustee_i in product(range(len(item)), sorted(trustee_commitments)):
+            seq, pd = take(KIND_PARTIAL_DECRYPTION, item_i, slot_i, trustee_i)
+            if pd is None:
+                return failures, claims
+            commitment = trustee_commitments[trustee_i]
+            if not verify_correct_decryption(params, commitment, item[slot_i], pd.d, pd.proof):
+                failures.append(f"entry {seq}: decryption proof rejected (trustee {trustee_i})")
+            products[slot_i] = (products[slot_i] * pd.d) % p
+        seq, claim = take(KIND_DECRYPTED_BALLOT, item_i)
+        if claim is None:
+            return failures, claims
+        claims.append(claim)
+        if len(claim.exponents) != len(item):
             failures.append(f"entry {seq}: item {item_i}: wrong slot count")
             continue
-        for slot_i, ct in enumerate(item):
-            ds = partials.get((item_i, slot_i), {})
-            if set(ds) != set(trustee_commitments):
-                failures.append(
-                    f"entry {seq}: item {item_i} slot {slot_i}: trustee partials incomplete"
-                )
-                continue
-            prod_d = 1
-            for t in sorted(ds):
-                prod_d = (prod_d * ds[t]) % p
-            lhs = params.exp(g, exponents[slot_i], fixed=True)
+        for slot_i, (ct, prod_d, m) in enumerate(zip(item, products, claim.exponents)):
+            lhs = params.exp(g, m, fixed=True)
             if prod_d == 0 or lhs != (ct.c2 * params.exp(prod_d, -1)) % p:
                 failures.append(
                     f"entry {seq}: item {item_i} slot {slot_i}: claimed plaintext mismatch"
                 )
-        if claim.valid != validate_decrypted(exponents, n_candidates):
+        if claim.valid != validate_decrypted(claim.exponents, n_candidates):
             failures.append(f"entry {seq}: item {item_i}: validity flag incorrect")
+    if (extra := next(walk, None)) is not None:
+        failures.append(f"entry {extra}: {kinds[extra]} entry past the last item")
     return failures, claims
 
 
 def _check_counts(
     board: Board,
     final_batch: MixBatch | None,
-    claims: dict[int, tuple[int, DecryptedBallotPayload]],
+    claims: list[DecryptedBallotPayload],
     n_candidates: int,
     threshold: float,
 ) -> list[str]:
     """Recompute the whole Result entry from the board: the counts over the
     decrypted ballots of the final mix batch, the cast, kept and revoked
-    numbers, and the coercion flag."""
+    numbers, and the coercion flag.  The Result stands after the last
+    decryption entry."""
     result_seqs = [seq for seq, e in enumerate(board.entries) if e.kind == KIND_RESULT]
     if len(result_seqs) != 1:
         return [f"expected exactly one result entry, found {len(result_seqs)}"]
+    [seq] = result_seqs
+    if any(e.kind in _DECRYPTION_RECORDS for e in board.entries[seq:]):
+        return [f"entry {seq}: result before the last decryption entry"]
     if final_batch is None:
         return ["no mix output to recount from"]
-    [seq] = result_seqs
     try:
         published = ResultPayload.from_bytes(board.entries[seq].payload)
     except ValueError:
@@ -425,7 +446,7 @@ def _check_counts(
     kept_count = len(final_batch.items)
     if kept_count > cast_count:
         return [f"{kept_count} ballots mixed but only {cast_count} cast"]
-    exponent_vectors = [claims[i][1].exponents for i in range(kept_count) if i in claims]
+    exponent_vectors = [claim.exponents for claim in claims]
     recount = count_result(exponent_vectors, n_candidates, cast_count, kept_count, threshold)
     if recount != published:
         return [f"entry {seq}: recomputed {recount} != published {published}"]

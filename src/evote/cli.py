@@ -121,6 +121,20 @@ def cmd_setup(args) -> int:
     return EXIT_OK
 
 
+def _check_vote(vote, voters: dict, n_candidates: int, where: str) -> None:
+    """A vote is an object naming a scenario voter, a candidate index and a
+    non-negative int time; anything else is a usage error."""
+    if not isinstance(vote, dict):
+        raise UsageError(f"{where}: {vote!r} is not an object")
+    voter, candidate, time = (vote.get(key) for key in ("voter", "candidate", "time"))
+    if not isinstance(voter, (str, int)) or voter not in voters:
+        raise UsageError(f"{where}: unknown voter {voter!r}")
+    if type(candidate) is not int or not 0 <= candidate < n_candidates:
+        raise UsageError(f"{where}: candidate {candidate!r} is not an index below {n_candidates}")
+    if type(time) is not int or time < 0:
+        raise UsageError(f"{where}: time {time!r} is not a non-negative int")
+
+
 def cmd_run(args) -> int:
     config, _ = _load_config(args.config)
     scenario = _load_json(args.scenario)
@@ -129,10 +143,10 @@ def cmd_run(args) -> int:
 
     election, credentials = Election.setup(config, _scenario_voters(scenario), args.seed)
     n_candidates = len(config.candidates)
-    votes = sorted(enumerate(scenario.get("votes", [])), key=lambda iv: (iv[1]["time"], iv[0]))
+    votes = list(enumerate(scenario.get("votes", [])))
     for idx, vote in votes:
-        if vote["voter"] not in credentials:
-            raise UsageError(f"vote {idx} in {args.scenario}: unknown voter {vote['voter']!r}")
+        _check_vote(vote, credentials, n_candidates, f"vote {idx} in {args.scenario}")
+    for idx, vote in sorted(votes, key=lambda iv: (iv[1]["time"], iv[0])):
         credential = credentials[vote["voter"]]
         choice = encode_choice(vote["candidate"], n_candidates)
         sb = compose_ballot(

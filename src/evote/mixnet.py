@@ -17,9 +17,6 @@ from .groups import Ciphertext, GroupParams, rand_scalar, reencrypt
 
 DOMAIN_MIX = "evote/mixnet/challenge"
 
-DEFAULT_ROUNDS = 20
-DEFAULT_SERVERS = 3
-
 SIDE_IN = 0
 SIDE_OUT = 1
 
@@ -163,7 +160,7 @@ def mix_once(
     pk: int,
     batch: MixBatch,
     rng: random.Random,
-    rounds: int = DEFAULT_ROUNDS,
+    rounds: int,
 ) -> tuple[MixBatch, ShuffleProof]:
     """One server's double shuffle-and-re-encrypt plus its opening proof."""
     if rounds < 1:
@@ -269,7 +266,7 @@ def run_mixnet(
     pk: int,
     batch: MixBatch,
     server_rngs: list[random.Random],
-    rounds: int = DEFAULT_ROUNDS,
+    rounds: int,
 ) -> tuple[MixBatch, list[MixStage]]:
     """Sequential pass through every server; one honest server suffices for
     anonymity, every stage is recorded for publication."""

@@ -68,6 +68,8 @@ class ElectionConfig:
             raise ValueError("coercion threshold must lie in [0, 1]")
         if self.group not in GROUP_PROFILES:
             raise ValueError(f"unknown group profile {self.group!r}")
+        if self.revote_allowed is not True:
+            raise ValueError("revote_allowed must be true: a voter's latest ballot counts")
 
     @property
     def params(self) -> GroupParams:

@@ -774,9 +774,10 @@ def test_c14_float_seq_breaks_the_chain(tmp_path, capsys):
     assert "hash chain does not recompute" in report["failures"]
 
 
-# A board row is a JSON object whose kind is a string and whose payload,
-# prev and digest are hex strings; any other row on the c14 board is a usage
-# error that names its line.
+# A board row is a JSON object whose kind is a known entry kind and whose
+# payload, prev and digest are lowercase hex strings, as `save` writes them;
+# any other row on the c14 board is a usage error that names its line, so
+# the file has one encoding.
 @pytest.mark.parametrize(
     "edit",
     [
@@ -784,8 +785,13 @@ def test_c14_float_seq_breaks_the_chain(tmp_path, capsys):
         lambda row: row.update(digest="zz"),
         lambda row: row.pop("payload"),
         lambda row: row.update(kind={"name": row["kind"]}),
+        lambda row: row.update(payload=row["payload"].upper()),
+        lambda row: row.update(kind="Gossip"),
     ],
-    ids=["prev as int", "digest not hex", "no payload", "kind as object"],
+    ids=[
+        "prev as int", "digest not hex", "no payload", "kind as object", "payload in uppercase",
+        "unknown kind",
+    ],
 )
 def test_c14_mistyped_row_is_a_usage_error(tmp_path, capsys, edit):
     out = _c14_run(tmp_path, "a")

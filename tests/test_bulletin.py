@@ -416,3 +416,88 @@ def test_every_one_byte_edit_is_reported_not_raised(tallied, kind, data):
     report = _verify(election, config, replace_payload(board, entry.seq, bytes(edited), True))
     assert report.checks["chain_integrity"]
     assert len(report.checks) == 5
+
+
+def _move(board, entries, to):
+    """The board with `entries` taken out and put back at index `to` of the
+    rest (at the end when None), rechained."""
+    rest = [e for e in board.entries if e not in entries]
+    to = len(rest) if to is None else to
+    return rechain(Board(entries=rest[:to] + list(entries) + rest[to:]))
+
+
+def _duplicate_first(kind):
+    def mutate(board):
+        entry = board.find(kind)[0]
+        entries = list(board.entries)
+        entries.insert(entry.seq + 1, entry)
+        return rechain(Board(entries=entries))
+
+    return mutate
+
+
+def _reverse_mix_stages(board):
+    stages = board.find(KIND_MIX_STAGE)
+    entries = list(board.entries)
+    for stage, replacement in zip(stages, reversed(stages)):
+        entries[stage.seq] = replacement
+    return rechain(Board(entries=entries))
+
+
+# The verifier reads the board in the order the tally writes it: the cast
+# ballots, the transfer, the mix stages in index order, per item each slot's
+# partial decryptions by trustee and then the decrypted ballot, the result.
+# Each edit keeps every entry's bytes and only moves or repeats entries.
+@pytest.mark.parametrize(
+    "mutate, check, failure",
+    [
+        (
+            _duplicate_first(KIND_PARTIAL_DECRYPTION),
+            "decryption_proofs",
+            "entry 20: PartialDecryption entry where the partial decryption"
+            " for item 0 slot 0 trustee 2 is due",
+        ),
+        (
+            _duplicate_first(KIND_DECRYPTED_BALLOT),
+            "decryption_proofs",
+            "entry 29: DecryptedBallot entry where the partial decryption"
+            " for item 1 slot 0 trustee 1 is due",
+        ),
+        (_reverse_mix_stages, "mix_stages", "expected mix stages 0 to 2, found [2, 1, 0]"),
+        (
+            lambda b: _move(b, b.find(KIND_TRANSFER), None),
+            "mix_stages",
+            "entry 59: transfer not between the casts and the mix stages",
+        ),
+        (
+            lambda b: _move(b, b.entries[12:15], None),
+            "mix_stages",
+            "entry 12: transfer not between the casts and the mix stages",
+        ),
+        (
+            lambda b: _move(b, b.find(KIND_RESULT), 0),
+            "count_recomputation",
+            "entry 0: result before the last decryption entry",
+        ),
+    ],
+    ids=[
+        "repeated partial decryption",
+        "repeated decrypted ballot",
+        "mix stages reversed",
+        "transfer at the end",
+        "last cast after the result",
+        "result first",
+    ],
+)
+def test_entries_out_of_board_order_fail(tallied, mutate, check, failure):
+    election, config = tallied
+    assert [e.kind for e in election.board.entries[12:16]] == [
+        KIND_LOGIN,
+        KIND_BALLOT_CAST,
+        KIND_RECEIPT,
+        KIND_TRANSFER,
+    ]
+    report = _verify(election, config, mutate(election.board))
+    assert report.checks["chain_integrity"]
+    assert not report.checks[check]
+    assert report.failures[0] == failure

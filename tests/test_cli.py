@@ -287,8 +287,12 @@ def test_bad_params_for_verify_is_usage_error(workdir, capsys, edit):
 @pytest.mark.parametrize("command", ["run", "setup"])
 @pytest.mark.parametrize(
     "edit",
-    [lambda config: config.update(bogus_knob=1), lambda config: config.update(candidates=[])],
-    ids=["unknown key", "no candidates"],
+    [
+        lambda config: config.update(bogus_knob=1),
+        lambda config: config.update(candidates=[]),
+        lambda config: config.update(revote_allowed=False),
+    ],
+    ids=["unknown key", "no candidates", "re-votes off"],
 )
 def test_bad_config_is_usage_error(workdir, capsys, command, edit):
     config = dict(CONFIG)
@@ -313,6 +317,29 @@ def test_vote_by_unknown_voter_is_usage_error(workdir, capsys):
     (workdir / "stranger.json").write_text(json.dumps(scenario))
     assert _run(workdir, scenario="stranger.json") == 4
     assert "'v99'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "vote",
+    [
+        {"voter": "v02", "candidate": 1},
+        {"voter": "v02", "candidate": "1", "time": 5},
+        {"voter": "v02", "candidate": 1, "time": "x"},
+        {"voter": "v02", "candidate": 7, "time": 5},
+        {"voter": "v02", "candidate": True, "time": 5},
+        {"voter": "v02", "candidate": 1, "time": -1},
+        ["v02", 1, 5],
+    ],
+    ids=[
+        "no time", "candidate as text", "time as text", "candidate out of range",
+        "candidate as bool", "negative time", "vote as list",
+    ],
+)
+def test_malformed_vote_is_usage_error(workdir, capsys, vote):
+    scenario = dict(SCENARIO_CLEAN, votes=SCENARIO_CLEAN["votes"] + [vote])
+    (workdir / "bad_vote.json").write_text(json.dumps(scenario))
+    assert _run(workdir, scenario="bad_vote.json") == 4
+    assert "vote 4 in " in capsys.readouterr().err
 
 
 def test_malformed_json_is_usage_error(workdir, capsys):
