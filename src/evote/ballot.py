@@ -30,8 +30,6 @@ from .zkp import WellformedProof, prove_wellformed, verify_wellformed
 
 DEFAULT_RECEIPT_TTL = 30  # logical minutes
 
-_KIND_BALLOT_CAST = "BallotCast"
-
 
 @dataclass(frozen=True)
 class ChoiceVector:
@@ -95,7 +93,7 @@ def compose_ballot(
     """Encrypt each slot with fresh randomness, prove well-formedness, sign."""
     if not choice.is_unit_vector():
         raise MalformedChoice(f"not a unit vector: {choice.bits}")
-    randomness = [rand_scalar(params, rng, nonzero=True) for _ in choice.bits]
+    randomness = [rand_scalar(params, rng) for _ in choice.bits]
     slots = tuple(
         encrypt(params, election_pk, bit, r) for bit, r in zip(choice.bits, randomness)
     )
@@ -160,28 +158,6 @@ class ReceiptStatus(enum.Enum):
 
 def issue_receipt(sb: SignedBallot, now: int, ttl: int = DEFAULT_RECEIPT_TTL) -> Receipt:
     return Receipt(ballot_digest=sb.digest(), issued_at=now, ttl=ttl)
-
-
-def check_receipt(receipt: Receipt, board, now: int) -> ReceiptStatus:
-    """Confirmed while now < expiry and the digest is on the board.
-
-    `board` only needs to expose `.entries` with `.kind` and `.payload`.
-    A ballot-cast entry that does not decode is skipped.
-    """
-    if not any(_casts_digest(e, receipt.ballot_digest) for e in board.entries):
-        return ReceiptStatus.NOT_FOUND
-    if now >= receipt.expiry:
-        return ReceiptStatus.EXPIRED
-    return ReceiptStatus.CONFIRMED
-
-
-def _casts_digest(entry, ballot_digest: bytes) -> bool:
-    if entry.kind != _KIND_BALLOT_CAST:
-        return False
-    try:
-        return BallotCastPayload.from_bytes(entry.payload).ballot_digest == ballot_digest
-    except ValueError:
-        return False
 
 
 def validate_decrypted(exponents: list[int], n_candidates: int) -> bool:

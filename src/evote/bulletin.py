@@ -2,14 +2,16 @@
 
 Every published artifact (cast ballots, transfers, mix stages, partial
 decryptions, decrypted ballots, the result, receipts, login events) lands
-here as a chained entry.  Each payload is a canonical `Record`, so a
-payload that does not decode strictly is reported, never half-read.
-universal_verify replays the whole election from the board using public
-data only.
+here as a chained entry.  `RECORDS` names, for each entry kind, the
+canonical `Record` its payload decodes to and the named check that owns
+it.  universal_verify replays the whole election from the board using
+public data only, decoding every payload once and strictly through it, so
+a payload that does not decode is reported, never half-read.
 
 Bytes that no check covers (the chain still fixes them):
-- the Login payload, whose voter digest cannot be recomputed without the
-  voter id; each cast ballot still needs a Login entry right before it;
+- the Login voter digest: the payload decodes strictly, but the digest
+  cannot be recomputed without the voter id; each cast ballot still needs
+  a Login entry right before it;
 - the BallotCast digest prefix, which cannot be recomputed without the
   voter id and the timestamp, neither of which is published; the Receipt
   right after the cast must repeat it.
@@ -18,12 +20,13 @@ Bytes that no check covers (the chain still fixes them):
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import product
 from pathlib import Path
 
-from .ballot import BallotCastPayload, ResultPayload, count_result, validate_decrypted
-from .canonical import Record, digest, encode
+from .ballot import BallotCastPayload, Receipt, ReceiptStatus, ResultPayload
+from .ballot import count_result, validate_decrypted
+from .canonical import Record, digest
 from .groups import GroupParams
 from .mixnet import MixBatch, MixStage, stage_failures
 from .zkp import DecryptionProof, verify_correct_decryption, verify_wellformed
@@ -39,16 +42,72 @@ KIND_DECRYPTED_BALLOT = "DecryptedBallot"
 KIND_RESULT = "Result"
 KIND_RECEIPT = "Receipt"
 
-KINDS = {
-    KIND_BALLOT_CAST,
-    KIND_TRANSFER,
-    KIND_LOGIN,
-    KIND_MIX_STAGE,
-    KIND_PARTIAL_DECRYPTION,
-    KIND_DECRYPTED_BALLOT,
-    KIND_RESULT,
-    KIND_RECEIPT,
+
+# ---------------------------------------------------------------------------
+# Payload records for entries not owned by another module
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LoginPayload(Record):
+    voter_digest: bytes  # digest(voter_id); raw ids are sensitive
+
+
+# Label of the Transfer entry that hands the kept ballots to the mix-net.
+TRANSFER_LABEL = "to-mixnet"
+
+
+@dataclass(frozen=True)
+class TransferPayload(Record):
+    label: str
+    batch_digest: bytes
+
+
+@dataclass(frozen=True)
+class MixStagePayload(Record):
+    index: int
+    stage: MixStage
+
+
+@dataclass(frozen=True)
+class PartialDecryptionPayload(Record):
+    item_index: int
+    slot_index: int
+    trustee_index: int
+    d: int
+    proof: DecryptionProof
+
+
+@dataclass(frozen=True)
+class DecryptedBallotPayload(Record):
+    item_index: int
+    exponents: tuple[int, ...]
+    valid: bool
+
+
+@dataclass(frozen=True)
+class ReceiptPayload(Record):
+    ballot_digest: bytes
+
+
+CHECK_CHAIN = "chain_integrity"
+CHECK_WELLFORMED = "wellformedness"
+CHECK_MIX = "mix_stages"
+CHECK_DECRYPTION = "decryption_proofs"
+CHECK_COUNTS = "count_recomputation"
+
+# Each entry kind: the record its payload decodes to, its name in failures,
+# and the named check that owns it.
+RECORDS = {
+    KIND_LOGIN: (LoginPayload, "login payload", CHECK_WELLFORMED),
+    KIND_BALLOT_CAST: (BallotCastPayload, "ballot payload", CHECK_WELLFORMED),
+    KIND_RECEIPT: (ReceiptPayload, "receipt payload", CHECK_WELLFORMED),
+    KIND_TRANSFER: (TransferPayload, "transfer payload", CHECK_MIX),
+    KIND_MIX_STAGE: (MixStagePayload, "mix stage payload", CHECK_MIX),
+    KIND_PARTIAL_DECRYPTION: (PartialDecryptionPayload, "partial decryption", CHECK_DECRYPTION),
+    KIND_DECRYPTED_BALLOT: (DecryptedBallotPayload, "decrypted ballot", CHECK_DECRYPTION),
+    KIND_RESULT: (ResultPayload, "result payload", CHECK_COUNTS),
 }
+KINDS = frozenset(RECORDS)
 
 
 @dataclass(frozen=True)
@@ -150,62 +209,26 @@ def verify_chain(board: Board) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# Payload records for entries not owned by another module
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LoginPayload(Record):
-    voter_digest: bytes  # digest(voter_id); raw ids are sensitive
-
-
-# Label of the Transfer entry that hands the kept ballots to the mix-net.
-TRANSFER_LABEL = "to-mixnet"
+def _decode(entry: BulletinEntry) -> Record | None:
+    """The entry's payload record through RECORDS, or None if it does not decode."""
+    try:
+        return RECORDS[entry.kind][0].from_bytes(entry.payload)
+    except ValueError:
+        return None
 
 
-@dataclass(frozen=True)
-class TransferPayload(Record):
-    label: str
-    batch_digest: bytes
-
-
-@dataclass(frozen=True)
-class MixStagePayload(Record):
-    index: int
-    stage: MixStage
-
-
-@dataclass(frozen=True)
-class PartialDecryptionPayload(Record):
-    item_index: int
-    slot_index: int
-    trustee_index: int
-    d: int
-    proof: DecryptionProof
-
-
-@dataclass(frozen=True)
-class DecryptedBallotPayload(Record):
-    item_index: int
-    exponents: tuple[int, ...]
-    valid: bool
-
-
-@dataclass(frozen=True)
-class ReceiptPayload(Record):
-    ballot_digest: bytes
+def check_receipt(receipt: Receipt, board: Board, now: int) -> ReceiptStatus:
+    """Confirmed while now < expiry and the digest is on the board; a cast
+    entry that does not decode is skipped."""
+    casts = (_decode(e) for e in board.find(KIND_BALLOT_CAST))
+    if not any(c is not None and c.ballot_digest == receipt.ballot_digest for c in casts):
+        return ReceiptStatus.NOT_FOUND
+    return ReceiptStatus.EXPIRED if now >= receipt.expiry else ReceiptStatus.CONFIRMED
 
 
 # ---------------------------------------------------------------------------
 # Universal verification
 # ---------------------------------------------------------------------------
-
-CHECK_CHAIN = "chain_integrity"
-CHECK_WELLFORMED = "wellformedness"
-CHECK_MIX = "mix_stages"
-CHECK_DECRYPTION = "decryption_proofs"
-CHECK_COUNTS = "count_recomputation"
-
 
 @dataclass
 class VerificationReport:
@@ -237,19 +260,51 @@ def universal_verify(
     """Recheck chain, proofs and counts from the published record.
 
     `config` needs `.candidates`, `.mix_server_count`, `.proof_rounds` and
-    `.coercion_threshold`.  Each named check returns its failures and passes
-    when there are none; nothing raises.  A failure about one entry names its
-    position on the board, which is its seq whenever the chain recomputes.
+    `.coercion_threshold`.  Each entry is decoded once through RECORDS, right
+    before the check that owns its kind, and fails that check if it does not
+    decode; an entry of a kind with no row fails the chain check.  Each named
+    check passes when it has no failures; nothing raises.  A failure about
+    one entry names its position on the board, its seq if the chain holds.
     """
-    n_candidates = len(config.candidates)
     results = {CHECK_CHAIN: [] if verify_chain(board) else ["hash chain does not recompute"]}
-    results[CHECK_WELLFORMED] = _check_wellformed(params, board, election_pk, n_candidates)
-    results[CHECK_MIX], final_batch = _check_mix(params, board, election_pk, config)
-    results[CHECK_DECRYPTION], claims = _check_decryption(
-        params, board, final_batch, trustee_commitments, n_candidates
+    sections = {check: [] for _, _, check in RECORDS.values()}  # the seqs each check owns
+    for seq, e in enumerate(board.entries):
+        if e.kind in RECORDS:
+            sections[RECORDS[e.kind][2]].append(seq)
+        else:
+            results[CHECK_CHAIN].append(f"entry {seq}: unknown kind {e.kind!r}")
+    results.update((check, []) for check in sections)
+
+    def decoded(check: str) -> list[tuple[int, str, Record | None]]:
+        """What each check takes: (seq, kind, record) for each entry it owns,
+        in board order, the record None after a failure names the entry."""
+        entries = []
+        for seq in sections[check]:
+            kind, record = board.entries[seq].kind, _decode(board.entries[seq])
+            if record is None:
+                results[check].append(f"entry {seq}: unparseable {RECORDS[kind][1]}")
+            entries.append((seq, kind, record))
+        return entries
+
+    def last(check: str, kind: str | None = None) -> int:
+        seqs = (s for s in sections[check] if kind in (None, board.entries[s].kind))
+        return max(seqs, default=-1)
+
+    results[CHECK_WELLFORMED] += _check_wellformed(
+        params, election_pk, config, decoded(CHECK_WELLFORMED)
     )
-    results[CHECK_COUNTS] = _check_counts(
-        board, final_batch, claims, n_candidates, config.coercion_threshold
+    failures, final_batch = _check_mix(
+        params, election_pk, config, decoded(CHECK_MIX), last(CHECK_WELLFORMED)
+    )
+    results[CHECK_MIX] += failures
+    failures, claims = _check_decryption(
+        params, trustee_commitments, config, decoded(CHECK_DECRYPTION), final_batch,
+        last(CHECK_MIX, KIND_MIX_STAGE),
+    )
+    results[CHECK_DECRYPTION] += failures
+    casts = [s for s in sections[CHECK_WELLFORMED] if board.entries[s].kind == KIND_BALLOT_CAST]
+    results[CHECK_COUNTS] += _check_counts(
+        config, decoded(CHECK_COUNTS), claims, len(casts), last(CHECK_DECRYPTION)
     )
     return VerificationReport(
         checks={name: not failed for name, failed in results.items()},
@@ -258,150 +313,107 @@ def universal_verify(
     )
 
 
-def _decode_all(board: Board, kind: str, record: type[Record], what: str) -> tuple[list, list[str]]:
-    """(seq, record) for each entry of `kind` that decodes, and a failure for
-    each that does not."""
-    decoded, failures = [], []
-    for seq, e in enumerate(board.entries):
-        if e.kind == kind:
-            try:
-                decoded.append((seq, record.from_bytes(e.payload)))
-            except ValueError:
-                failures.append(f"entry {seq}: unparseable {what}")
-    return decoded, failures
-
-
-def _check_wellformed(
-    params: GroupParams, board: Board, election_pk: int, n_candidates: int
-) -> list[str]:
+def _check_wellformed(params: GroupParams, election_pk: int, config, entries) -> list[str]:
     """Every cast ballot's well-formedness proof.  Each cast entry stands right
     after a Login entry and right before a Receipt entry that repeats its
     digest; no other Login or Receipt entry is on the board."""
-    casts, failures = _decode_all(board, KIND_BALLOT_CAST, BallotCastPayload, "ballot payload")
-    receipts, unparsed = _decode_all(board, KIND_RECEIPT, ReceiptPayload, "receipt payload")
-    failures += unparsed
-    for seq, cast in casts:
-        if len(cast.slots) != n_candidates:
-            failures.append(f"entry {seq}: {len(cast.slots)} slots for {n_candidates} candidates")
-        elif not verify_wellformed(params, election_pk, cast.slots, cast.wellformed):
-            failures.append(f"entry {seq}: well-formedness proof rejected")
-    digests = {seq: cast.ballot_digest for seq, cast in casts}
-    failures += [
-        f"entry {seq}: receipt does not repeat the ballot digest"
-        for seq, receipt in receipts
-        if seq - 1 in digests and receipt.ballot_digest != digests[seq - 1]
-    ]
-    kinds = [e.kind for e in board.entries]
-    cast_seqs = {seq for seq, k in enumerate(kinds) if k == KIND_BALLOT_CAST}
-    for kind, offset in ((KIND_LOGIN, 1), (KIND_RECEIPT, -1)):
-        beside = {seq + offset for seq, k in enumerate(kinds) if k == kind}
-        failures += [f"entry {s}: no {kind} entry beside it" for s in sorted(cast_seqs - beside)]
-        failures += [
-            f"entry {s - offset}: {kind} entry not beside a cast ballot"
-            for s in sorted(beside - cast_seqs)
-        ]
+    n, failures, casts = len(config.candidates), [], {}
+    for seq, kind, record in entries:
+        if record is None:
+            continue
+        if kind == KIND_BALLOT_CAST:
+            casts[seq] = record
+            if len(record.slots) != n:
+                failures.append(f"entry {seq}: {len(record.slots)} slots for {n} candidates")
+            elif not verify_wellformed(params, election_pk, record.slots, record.wellformed):
+                failures.append(f"entry {seq}: well-formedness proof rejected")
+        elif kind == KIND_RECEIPT and seq - 1 in casts:
+            if record.ballot_digest != casts[seq - 1].ballot_digest:
+                failures.append(f"entry {seq}: receipt does not repeat the ballot digest")
+    kind_at = {seq: kind for seq, kind, _ in entries}
+    for kind, offset in ((KIND_LOGIN, -1), (KIND_RECEIPT, 1)):
+        for seq, at in kind_at.items():
+            if at == KIND_BALLOT_CAST and kind_at.get(seq + offset) != kind:
+                failures.append(f"entry {seq}: no {kind} entry beside it")
+            elif at == kind and kind_at.get(seq - offset) != KIND_BALLOT_CAST:
+                failures.append(f"entry {seq}: {kind} entry not beside a cast ballot")
     return failures
 
 
 def _check_mix(
-    params: GroupParams, board: Board, election_pk: int, config
+    params: GroupParams, election_pk: int, config, entries, casts_end: int
 ) -> tuple[list[str], MixBatch | None]:
     """Stage count and order, the transfer hand-off and its place between the
-    cast ballots and the mix stages, continuity and every shuffle proof;
-    hands on the final mix batch, or None when the stages cannot be read."""
-    staged, failures = _decode_all(board, KIND_MIX_STAGE, MixStagePayload, "mix stage payload")
-    if failures:
-        return failures, None
+    cast ballots (the last ends at `casts_end`) and the mix stages, continuity
+    and every shuffle proof; hands on the final mix batch, or None when the
+    stages cannot be read."""
+    staged = [(seq, record) for seq, kind, record in entries if kind == KIND_MIX_STAGE]
+    if any(record is None for _, record in staged):
+        return [], None  # the stage that does not decode is named already
     indices = [s.index for _, s in staged]
     if indices != list(range(config.mix_server_count)):
         return [f"expected mix stages 0 to {config.mix_server_count - 1}, found {indices}"], None
 
-    transfers, failures = _decode_all(board, KIND_TRANSFER, TransferPayload, "transfer payload")
-    kinds = [e.kind for e in board.entries]
-    n_transfers = kinds.count(KIND_TRANSFER)
-    batch_digest = None
-    if n_transfers != 1:
-        failures = [f"expected one transfer entry, found {n_transfers}"]
-    elif transfers:
-        seq, handoff = transfers[0]
-        if handoff.label != TRANSFER_LABEL:
-            failures.append(f"entry {seq}: transfer label {handoff.label!r}")
-        batch_digest = handoff.batch_digest
-    if n_transfers == 1:
-        at = kinds.index(KIND_TRANSFER)
-        if {KIND_LOGIN, KIND_BALLOT_CAST, KIND_RECEIPT} & set(kinds[at:]) or staged[0][0] < at:
+    transfers = [(seq, record) for seq, kind, record in entries if kind == KIND_TRANSFER]
+    failures, batch_digest = [], None
+    if len(transfers) != 1:
+        failures.append(f"expected one transfer entry, found {len(transfers)}")
+    else:
+        [(at, handoff)] = transfers
+        if handoff is not None and handoff.label != TRANSFER_LABEL:
+            failures.append(f"entry {at}: transfer label {handoff.label!r}")
+        batch_digest = getattr(handoff, "batch_digest", None)
+        if casts_end > at or staged[0][0] < at:
             failures.append(f"entry {at}: transfer not between the casts and the mix stages")
     stages = [s.stage for _, s in staged]
-    failures += [
-        f"entry {staged[idx][0]}: mix stage {idx} {reason}"
-        for idx, reason in stage_failures(
-            params, election_pk, batch_digest, stages, config.proof_rounds
-        )
-    ]
+    faults = stage_failures(params, election_pk, batch_digest, stages, config.proof_rounds)
+    failures += [f"entry {staged[idx][0]}: mix stage {idx} {reason}" for idx, reason in faults]
     return failures, stages[-1].batch_out if stages else None
 
 
-# The record each decryption entry decodes to, and its name in failures.
-_DECRYPTION_RECORDS = {
-    KIND_PARTIAL_DECRYPTION: (PartialDecryptionPayload, "partial decryption"),
-    KIND_DECRYPTED_BALLOT: (DecryptedBallotPayload, "decrypted ballot"),
-}
-
-
 def _check_decryption(
-    params: GroupParams,
-    board: Board,
-    final_batch: MixBatch | None,
-    trustee_commitments: dict[int, int],
-    n_candidates: int,
-) -> tuple[list[str], list[DecryptedBallotPayload]]:
-    """Walk the decryption entries in board order, after the last mix stage,
-    expecting what run_tally writes: for each item of the final mix batch,
-    each slot's partial decryptions by trustee index, then its decrypted
-    ballot.  Checks every decryption proof and each claimed plaintext and
-    validity flag; the first entry out of place ends the walk with one
-    failure naming it.  Hands on the claims read, in item order."""
+    params: GroupParams, commitments: dict[int, int], config, entries, final_batch, end: int
+) -> tuple[list[str], list[DecryptedBallotPayload] | None]:
+    """Walk the decryption entries in board order, after the last mix stage
+    at `end`, expecting what run_tally writes: for each item of the
+    final mix batch, each slot's partial decryptions by trustee index, then
+    its decrypted ballot.  Checks every decryption proof and each claimed
+    plaintext and validity flag; the first entry out of place ends the walk
+    with one failure naming it.  Hands on the claims in item order, or None
+    when the walk ends early."""
     p, g = params.p, params.g
-    kinds = [e.kind for e in board.entries]
-    seqs = [seq for seq, kind in enumerate(kinds) if kind in _DECRYPTION_RECORDS]
-    if seqs and KIND_MIX_STAGE in kinds[seqs[0]:]:
-        return [f"entry {seqs[0]}: decryption entry before the last mix stage"], []
+    if entries and entries[0][0] < end:
+        return [f"entry {entries[0][0]}: decryption entry before the last mix stage"], None
     if final_batch is None:
-        return ["no mix output to check the decryptions against"], []
-    walk, failures, claims = iter(seqs), [], []
+        return ["no mix output to check the decryptions against"], None
+    walk, failures, claims = iter(entries), [], []
 
     def take(kind: str, *place: int):
         """(seq, record) for the next entry if it is the `kind` entry whose
-        leading fields are `place`, else (seq, None) after a failure names it.
-        A payload that decodes is canonical: it starts with their encoding."""
-        record, what = _DECRYPTION_RECORDS[kind]
-        seq = next(walk, None)
-        try:
-            if seq is not None and kinds[seq] == kind:
-                decoded = record.from_bytes(board.entries[seq].payload)
-                if board.entries[seq].payload.startswith(encode(*place)):
-                    return seq, decoded
-        except ValueError:
-            failures.append(f"entry {seq}: unparseable {what}")
-            return seq, None
+        leading fields are `place`, else (seq, None) after a failure names it;
+        a `kind` entry that does not decode is named already."""
+        seq, found, record = next(walk, (None, None, None))
+        leading = () if record is None else tuple(getattr(record, f.name) for f in fields(record))
+        if found == kind and (record is None or leading[: len(place)] == place):
+            return seq, record
         where = " ".join(f"{name} {i}" for name, i in zip(("item", "slot", "trustee"), place))
-        found = "no entry" if seq is None else f"entry {seq}: {kinds[seq]} entry"
-        failures.append(f"{found} where the {what} for {where} is due")
+        at = "no entry" if seq is None else f"entry {seq}: {found} entry"
+        failures.append(f"{at} where the {RECORDS[kind][1]} for {where} is due")
         return seq, None
 
     for item_i, item in enumerate(final_batch.items):
         products = [1] * len(item)
-        for slot_i, trustee_i in product(range(len(item)), sorted(trustee_commitments)):
+        for slot_i, trustee_i in product(range(len(item)), sorted(commitments)):
             seq, pd = take(KIND_PARTIAL_DECRYPTION, item_i, slot_i, trustee_i)
             if pd is None:
-                return failures, claims
-            commitment = trustee_commitments[trustee_i]
+                return failures, None
+            commitment = commitments[trustee_i]
             if not verify_correct_decryption(params, commitment, item[slot_i], pd.d, pd.proof):
                 failures.append(f"entry {seq}: decryption proof rejected (trustee {trustee_i})")
             products[slot_i] = (products[slot_i] * pd.d) % p
         seq, claim = take(KIND_DECRYPTED_BALLOT, item_i)
         if claim is None:
-            return failures, claims
+            return failures, None
         claims.append(claim)
         if len(claim.exponents) != len(item):
             failures.append(f"entry {seq}: item {item_i}: wrong slot count")
@@ -412,42 +424,34 @@ def _check_decryption(
                 failures.append(
                     f"entry {seq}: item {item_i} slot {slot_i}: claimed plaintext mismatch"
                 )
-        if claim.valid != validate_decrypted(claim.exponents, n_candidates):
+        if claim.valid != validate_decrypted(claim.exponents, len(config.candidates)):
             failures.append(f"entry {seq}: item {item_i}: validity flag incorrect")
     if (extra := next(walk, None)) is not None:
-        failures.append(f"entry {extra}: {kinds[extra]} entry past the last item")
+        failures.append(f"entry {extra[0]}: {extra[1]} entry past the last item")
     return failures, claims
 
 
-def _check_counts(
-    board: Board,
-    final_batch: MixBatch | None,
-    claims: list[DecryptedBallotPayload],
-    n_candidates: int,
-    threshold: float,
-) -> list[str]:
+def _check_counts(config, entries, claims: list | None, cast_count: int, end: int) -> list[str]:
     """Recompute the whole Result entry from the board: the counts over the
-    decrypted ballots of the final mix batch, the cast, kept and revoked
-    numbers, and the coercion flag.  The Result stands after the last
-    decryption entry."""
-    result_seqs = [seq for seq, e in enumerate(board.entries) if e.kind == KIND_RESULT]
-    if len(result_seqs) != 1:
-        return [f"expected exactly one result entry, found {len(result_seqs)}"]
-    [seq] = result_seqs
-    if any(e.kind in _DECRYPTION_RECORDS for e in board.entries[seq:]):
+    claims for the final mix batch, one per kept ballot, the cast, kept and
+    revoked numbers, and the coercion flag.  The Result stands after the last
+    decryption entry, at `end`."""
+    if len(entries) != 1:
+        return [f"expected exactly one result entry, found {len(entries)}"]
+    [(seq, _, published)] = entries
+    if seq < end:
         return [f"entry {seq}: result before the last decryption entry"]
-    if final_batch is None:
-        return ["no mix output to recount from"]
-    try:
-        published = ResultPayload.from_bytes(board.entries[seq].payload)
-    except ValueError:
-        return ["unparseable result payload"]
-    cast_count = len(board.find(KIND_BALLOT_CAST))
-    kept_count = len(final_batch.items)
+    if published is None:
+        return []
+    if claims is None:
+        return ["no complete decryption to recount from"]
+    kept_count = len(claims)
     if kept_count > cast_count:
         return [f"{kept_count} ballots mixed but only {cast_count} cast"]
-    exponent_vectors = [claim.exponents for claim in claims]
-    recount = count_result(exponent_vectors, n_candidates, cast_count, kept_count, threshold)
+    exponents = [claim.exponents for claim in claims]
+    recount = count_result(
+        exponents, len(config.candidates), cast_count, kept_count, config.coercion_threshold
+    )
     if recount != published:
         return [f"entry {seq}: recomputed {recount} != published {published}"]
     return []

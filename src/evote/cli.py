@@ -61,12 +61,37 @@ def _dump_json(path: Path, data: dict) -> None:
     path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
-def _scenario_voters(scenario: dict) -> list[str]:
-    voters = scenario.get("voters", [])
+def _load_scenario(path: str, n: int) -> tuple[dict, list]:
+    """The scenario in the JSON file at `path` and its voter ids.  Anything
+    but an object whose voters are a list of ids or {"count": int >= 0,
+    "prefix": str} and whose votes are a list of objects, each naming one of
+    those voters, a candidate index below `n` and a non-negative int time,
+    is a usage error naming the field or the vote."""
+    scenario = _load_json(path)
+    if not isinstance(scenario, dict):
+        raise UsageError(f"bad scenario {path}: not an object")
+    voters, votes = scenario.get("voters", []), scenario.get("votes", [])
     if isinstance(voters, dict):
-        prefix = voters.get("prefix", "voter")
-        return [f"{prefix}{i:04d}" for i in range(voters["count"])]
-    return list(voters)
+        count, prefix = voters.get("count"), voters.get("prefix", "voter")
+        if type(count) is int and count >= 0 and isinstance(prefix, str):
+            voters = [f"{prefix}{i:04d}" for i in range(count)]
+    if not isinstance(voters, list) or not all(isinstance(v, (str, int)) for v in voters):
+        raise UsageError(f"bad scenario {path}: voters {voters!r}")
+    if not isinstance(votes, list):
+        raise UsageError(f"bad scenario {path}: votes {votes!r} is not a list")
+    known = set(voters)
+    for idx, vote in enumerate(votes):
+        where = f"vote {idx} in {path}"
+        if not isinstance(vote, dict):
+            raise UsageError(f"{where}: {vote!r} is not an object")
+        voter, candidate, time = (vote.get(key) for key in ("voter", "candidate", "time"))
+        if not isinstance(voter, (str, int)) or voter not in known:
+            raise UsageError(f"{where}: unknown voter {voter!r}")
+        if type(candidate) is not int or not 0 <= candidate < n:
+            raise UsageError(f"{where}: candidate {candidate!r} is not an index below {n}")
+        if type(time) is not int or time < 0:
+            raise UsageError(f"{where}: time {time!r} is not a non-negative int")
+    return scenario, voters
 
 
 # The config fields that params.json publishes; `verify` rebuilds its config
@@ -111,41 +136,25 @@ def _apply_tamper(board: Board, tamper: dict) -> None:
 
 def cmd_setup(args) -> int:
     config, _ = _load_config(args.config)
-    scenario = _load_json(args.scenario) if args.scenario else {"voters": []}
+    voters = _load_scenario(args.scenario, len(config.candidates))[1] if args.scenario else []
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    election, _credentials = Election.setup(config, _scenario_voters(scenario), args.seed)
+    election, _credentials = Election.setup(config, voters, args.seed)
     election.registry.save(out_dir / "registry.jsonl")
     _dump_json(out_dir / "params.json", _params_dict(config, election))
     print(f"wrote {out_dir / 'params.json'} and {out_dir / 'registry.jsonl'}")
     return EXIT_OK
 
 
-def _check_vote(vote, voters: dict, n_candidates: int, where: str) -> None:
-    """A vote is an object naming a scenario voter, a candidate index and a
-    non-negative int time; anything else is a usage error."""
-    if not isinstance(vote, dict):
-        raise UsageError(f"{where}: {vote!r} is not an object")
-    voter, candidate, time = (vote.get(key) for key in ("voter", "candidate", "time"))
-    if not isinstance(voter, (str, int)) or voter not in voters:
-        raise UsageError(f"{where}: unknown voter {voter!r}")
-    if type(candidate) is not int or not 0 <= candidate < n_candidates:
-        raise UsageError(f"{where}: candidate {candidate!r} is not an index below {n_candidates}")
-    if type(time) is not int or time < 0:
-        raise UsageError(f"{where}: time {time!r} is not a non-negative int")
-
-
 def cmd_run(args) -> int:
     config, _ = _load_config(args.config)
-    scenario = _load_json(args.scenario)
+    n_candidates = len(config.candidates)
+    scenario, voters = _load_scenario(args.scenario, n_candidates)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    election, credentials = Election.setup(config, _scenario_voters(scenario), args.seed)
-    n_candidates = len(config.candidates)
-    votes = list(enumerate(scenario.get("votes", [])))
-    for idx, vote in votes:
-        _check_vote(vote, credentials, n_candidates, f"vote {idx} in {args.scenario}")
+    election, credentials = Election.setup(config, voters, args.seed)
+    votes = enumerate(scenario.get("votes", []))
     for idx, vote in sorted(votes, key=lambda iv: (iv[1]["time"], iv[0])):
         credential = credentials[vote["voter"]]
         choice = encode_choice(vote["candidate"], n_candidates)

@@ -192,16 +192,17 @@ class PartialDecryption:
     proof: "object"  # zkp.DecryptionProof; typed loosely to avoid a cycle
 
 
-def rand_scalar(params: GroupParams, rng: random.Random, nonzero: bool = False) -> int:
+def rand_scalar(params: GroupParams, rng: random.Random) -> int:
+    """Uniform in [1, q): a zero draw is retried."""
     x = rng.randrange(params.q)
-    while nonzero and x == 0:
+    while x == 0:
         x = rng.randrange(params.q)
     return x
 
 
 def keygen(params: GroupParams, rng: random.Random) -> KeyPair:
     """Fresh key pair with sk uniform in [1, q-1]; a zero draw is retried."""
-    sk = rand_scalar(params, rng, nonzero=True)
+    sk = rand_scalar(params, rng)
     return KeyPair(sk=sk, pk=params.exp(params.g, sk, fixed=True))
 
 
@@ -258,7 +259,7 @@ def threshold_keygen(
     shares = []
     h = 1
     for i in range(1, n + 1):
-        x = rand_scalar(params, rng, nonzero=True)
+        x = rand_scalar(params, rng)
         h_i = params.exp(params.g, x, fixed=True)
         shares.append(TrusteeKeyShare(index=i, x=x, h=h_i))
         h = (h * h_i) % params.p

@@ -78,7 +78,7 @@ def _shuffle_stage(
     out = []
     scalars = []
     for j in range(n):
-        rs = tuple(rand_scalar(params, rng, nonzero=True) for _ in items[sigma[j]])
+        rs = tuple(rand_scalar(params, rng) for _ in items[sigma[j]])
         out.append(
             tuple(
                 reencrypt(params, pk, ct, r) for ct, r in zip(items[sigma[j]], rs)

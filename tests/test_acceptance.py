@@ -16,7 +16,6 @@ import pytest
 from evote.ballot import (
     Receipt,
     ReceiptStatus,
-    check_receipt,
     compose_ballot,
     encode_choice,
     filter_latest,
@@ -51,6 +50,7 @@ from evote.bulletin import (
     MixStagePayload,
     PartialDecryptionPayload,
     ResultPayload,
+    check_receipt,
     universal_verify,
 )
 from evote.canonical import derive_rng, digest
@@ -97,7 +97,7 @@ def test_c01_worked_homomorphic_example():
     kp = keygen(GRP, rng)
     ballots = [(0, 1, 0), (0, 0, 1), (0, 1, 0)]
     encrypted = [
-        [encrypt(GRP, kp.pk, m, rand_scalar(GRP, rng, nonzero=True)) for m in b]
+        [encrypt(GRP, kp.pk, m, rand_scalar(GRP, rng)) for m in b]
         for b in ballots
     ]
     counts = []
@@ -329,7 +329,7 @@ def test_c03_universal_verification_and_mutation_corpus(audited):
         batch = MixBatch(
             items=tuple(
                 tuple(
-                    encrypt(GRP, kp.pk, rng.randrange(2), rand_scalar(GRP, rng, nonzero=True))
+                    encrypt(GRP, kp.pk, rng.randrange(2), rand_scalar(GRP, rng))
                     for _ in range(2)
                 )
                 for _ in range(4)
@@ -363,7 +363,7 @@ def test_c04_mixnet_multiset_preservation():
         batch = MixBatch(
             items=tuple(
                 tuple(
-                    encrypt(GRP, kp.pk, rng.randrange(4), rand_scalar(GRP, rng, nonzero=True))
+                    encrypt(GRP, kp.pk, rng.randrange(4), rand_scalar(GRP, rng))
                     for _ in range(2)
                 )
                 for _ in range(n)
@@ -389,7 +389,7 @@ def test_c05_threshold_n_of_n_exhaustive():
         key, shares = threshold_keygen(GRP, n, rng)
         commitments = {s.index: s.h for s in shares}
         m = 4
-        ct = encrypt(GRP, key.h, m, rand_scalar(GRP, rng, nonzero=True))
+        ct = encrypt(GRP, key.h, m, rand_scalar(GRP, rng))
 
         partials = [partial_decrypt(GRP, s, ct) for s in shares]
         assert threshold_decrypt(GRP, ct, partials, commitments, decode_bound=10) == m

@@ -3,7 +3,6 @@ import pytest
 from evote.ballot import (
     ChoiceVector,
     ReceiptStatus,
-    check_receipt,
     compose_ballot,
     encode_choice,
     filter_latest,
@@ -11,6 +10,7 @@ from evote.ballot import (
     validate_decrypted,
     verify_ballot,
 )
+from evote.bulletin import check_receipt
 from evote.canonical import derive_rng
 from evote.errors import IndexOutOfRange, MalformedChoice
 from evote.groups import threshold_keygen

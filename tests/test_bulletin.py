@@ -17,7 +17,9 @@ from evote.bulletin import (
     KIND_RESULT,
     KIND_TRANSFER,
     KINDS,
+    RECORDS,
     TRANSFER_LABEL,
+    BulletinEntry,
     DecryptedBallotPayload,
     LoginPayload,
     MixStagePayload,
@@ -25,6 +27,7 @@ from evote.bulletin import (
     ReceiptPayload,
     ResultPayload,
     TransferPayload,
+    entry_digest,
     universal_verify,
     verify_chain,
 )
@@ -321,7 +324,7 @@ def test_coercion_flag_of_two_is_unparseable(tallied):
     forged = encode(r.counts, r.invalid_count, r.revoked_count, r.kept_count, r.cast_count, 2)
     report = _verify(election, config, replace_payload(board, entry.seq, forged, True))
     assert not report.checks["count_recomputation"]
-    assert "unparseable result payload" in report.failures
+    assert report.failures == [f"entry {entry.seq}: unparseable result payload"]
 
 
 def test_missing_or_repeated_transfer_fails(tallied):
@@ -501,3 +504,49 @@ def test_entries_out_of_board_order_fail(tallied, mutate, check, failure):
     assert report.checks["chain_integrity"]
     assert not report.checks[check]
     assert report.failures[0] == failure
+
+
+def test_walk_that_stops_early_leaves_nothing_to_recount(tallied):
+    """The recount needs every claim: after the walk stops, the count check
+    names that instead of recounting from the claims read so far."""
+    election, config = tallied
+    report = _verify(election, config, _duplicate_first(KIND_PARTIAL_DECRYPTION)(election.board))
+    assert report.failures == [
+        "entry 20: PartialDecryption entry where the partial decryption"
+        " for item 0 slot 0 trustee 2 is due",
+        "no complete decryption to recount from",
+    ]
+
+
+def test_each_entry_is_decoded_once(tallied, monkeypatch):
+    election, config = tallied
+    read = []
+
+    def counted(decode):
+        return lambda data: read.append(data) or decode(data)
+
+    for record, _, _ in RECORDS.values():
+        monkeypatch.setattr(record, "from_bytes", counted(record.from_bytes))
+    assert _verify(election, config, election.board).overall
+    assert sorted(read) == sorted(e.payload for e in election.board.entries)
+
+
+def test_unparseable_login_fails_wellformedness(tallied):
+    election, config = tallied
+    assert election.board.entries[0].kind == KIND_LOGIN
+    report = _verify(election, config, replace_payload(election.board, 0, b"garbage", True))
+    assert report.checks["chain_integrity"]
+    assert report.failures == ["entry 0: unparseable login payload"]
+
+
+def test_unknown_kind_fails_the_chain_check(tallied):
+    """Only a hand-built board can hold an entry of a kind with no record;
+    the verifier names it instead of raising."""
+    election, config = tallied
+    entries = list(election.board.entries)
+    seq, prev = len(entries), entries[-1].digest
+    entries.append(BulletinEntry(seq, "Gossip", b"", prev, entry_digest(prev, seq, "Gossip", b"")))
+    report = _verify(election, config, Board(entries=entries))
+    assert verify_chain(Board(entries=entries))
+    assert report.failures == [f"entry {seq}: unknown kind 'Gossip'"]
+    assert not report.checks["chain_integrity"]

@@ -342,6 +342,32 @@ def test_malformed_vote_is_usage_error(workdir, capsys, vote):
     assert "vote 4 in " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "setup"])
+@pytest.mark.parametrize(
+    "scenario, field",
+    [
+        ({"voters": {"count": "3"}}, "voters"),
+        ([1, 2], "not an object"),
+        ({"voters": 5}, "voters"),
+        ({"voters": ["v01"], "votes": {"voter": "v01"}}, "votes"),
+    ],
+    ids=["count as text", "scenario as list", "voters as int", "votes as object"],
+)
+def test_malformed_scenario_is_usage_error(workdir, capsys, command, scenario, field):
+    (workdir / "bad_scenario.json").write_text(json.dumps(scenario))
+    rc = main(
+        [
+            command,
+            "--config", str(workdir / "config.json"),
+            "--scenario", str(workdir / "bad_scenario.json"),
+            "--out-dir", str(workdir / "out"),
+        ]
+    )
+    assert rc == 4
+    assert field in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
 def test_malformed_json_is_usage_error(workdir, capsys):
     (workdir / "bad.json").write_text("{not json")
     rc = main(

@@ -20,7 +20,7 @@ from evote.mixnet import (
 def _batch(grp, pk, rows, seed="batch"):
     rng = derive_rng("mix", seed)
     items = tuple(
-        tuple(encrypt(grp, pk, m, rand_scalar(grp, rng, nonzero=True)) for m in row)
+        tuple(encrypt(grp, pk, m, rand_scalar(grp, rng)) for m in row)
         for row in rows
     )
     return MixBatch(items=items)
@@ -89,7 +89,7 @@ def test_dropped_then_replaced_item_rejected(grp, keys):
     rng = derive_rng("mix", "replace")
     mid, out, state = mix_with_state(grp, keys.pk, batch, rng)
     rogue = tuple(
-        encrypt(grp, keys.pk, 1, rand_scalar(grp, rng, nonzero=True)) for _ in range(2)
+        encrypt(grp, keys.pk, 1, rand_scalar(grp, rng)) for _ in range(2)
     )
     forged_items = (rogue,) + out.items[1:]
     forged = MixBatch(items=forged_items)

@@ -4,6 +4,7 @@
 - `zkp.holds` owns every verification equation: in `zkp.py` and
   `registry.py`, the result of an `exp(...)` call is compared only there.
   A name bound to such a result counts as the result.
+- `bulletin.py` owns the entry kinds: no other module spells one out.
 """
 
 import ast
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import evote
+from evote.bulletin import KINDS
 
 SRC = Path(evote.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
@@ -65,6 +67,29 @@ def test_exp_results_are_compared_only_in_holds(name, owners):
     assert {fn for fn, _ in found} == owners, found
 
 
+def _kind_literals(tree: ast.Module) -> list[str]:
+    """Each string constant that names an entry kind, outside `__all__`
+    (where "Receipt" names the `ballot.Receipt` class)."""
+    exported = {
+        id(node)
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and any(getattr(target, "id", None) == "__all__" for target in stmt.targets)
+        for node in ast.walk(stmt.value)
+    }
+    return [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in KINDS and id(node) not in exported
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_bulletin_names_entry_kinds(path):
+    if path.name != "bulletin.py":
+        assert _kind_literals(ast.parse(path.read_text())) == []
+
+
 def test_the_guards_see_a_violation():
     bad = ast.parse(
         "def verify(params, y, t, e, z):\n"
@@ -72,6 +97,9 @@ def test_the_guards_see_a_violation():
         "    return lhs == t * params.exp(y, e) % params.p\n"
         "def key(x):\n"
         "    return pow(2, x, 23)\n"
+        "KIND = 'BallotCast'\n"
+        "__all__ = ['Receipt']\n"
     )
     assert _exp_comparisons(bad) == [("verify", 3)]
     assert _called(bad, "pow")
+    assert _kind_literals(bad) == ["BallotCast"]

@@ -285,7 +285,7 @@ def test_dishonest_slot_vector_counted_invalid(grp, monkeypatch):
     # Craft slots encrypting (2, 0, 0) with honest per-bit proofs replaced by
     # a proof object of the right shape (never verified by run_tally itself).
     rng = derive_rng("dishonest")
-    rs = [rand_scalar(grp, rng, nonzero=True) for _ in range(3)]
+    rs = [rand_scalar(grp, rng) for _ in range(3)]
     slots = tuple(
         encrypt(election.params, election.election_key.h, m, r)
         for m, r in zip((2, 0, 0), rs)
@@ -339,7 +339,7 @@ def test_invalid_ballot_shifts_aggregate_but_not_counts(grp):
     _vote(election, creds, "v3", 1, 2)
 
     rng = derive_rng("dishonest-aggregate")
-    rs = [rand_scalar(grp, rng, nonzero=True) for _ in range(3)]
+    rs = [rand_scalar(grp, rng) for _ in range(3)]
     slots = tuple(
         encrypt(election.params, election.election_key.h, m, r)
         for m, r in zip((0, 2, 0), rs)

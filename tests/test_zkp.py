@@ -64,7 +64,7 @@ def _ballot_setup(bits, seed="wf"):
     grp = TEST_GROUP
     kp = keygen(grp, derive_rng(seed, "key"))
     rng = derive_rng(seed, "r")
-    rs = [rand_scalar(grp, rng, nonzero=True) for _ in bits]
+    rs = [rand_scalar(grp, rng) for _ in bits]
     slots = [encrypt(grp, kp.pk, b, r) for b, r in zip(bits, rs)]
     return grp, kp, slots, rs
 
@@ -124,7 +124,7 @@ def test_wellformed_slot_check_rejects_value_two():
     kp = keygen(grp, derive_rng("two", "key"))
     rng = derive_rng("two", "r")
     bits = (2, 0, 0)  # not a 0/1 slot; prover lies and claims index 0
-    rs = [rand_scalar(grp, rng, nonzero=True) for _ in bits]
+    rs = [rand_scalar(grp, rng) for _ in bits]
     slots = [encrypt(grp, kp.pk, b, r) for b, r in zip(bits, rs)]
     forged = prove_wellformed(grp, kp.pk, slots, rs, 0)
     assert not verify_wellformed(grp, kp.pk, slots, forged)
@@ -223,7 +223,7 @@ def _mix_scalar(shift):
     rng = derive_rng("range", "mix-batch")
     batch = MixBatch(
         items=tuple(
-            (encrypt(grp, kp.pk, m, rand_scalar(grp, rng, nonzero=True)),) for m in (0, 1, 1)
+            (encrypt(grp, kp.pk, m, rand_scalar(grp, rng)),) for m in (0, 1, 1)
         )
     )
     out, proof = mix_once(grp, kp.pk, batch, derive_rng("range", "mix"), rounds=2)
