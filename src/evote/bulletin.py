@@ -360,9 +360,10 @@ def _check_mix(
         failures.append(f"expected one transfer entry, found {len(transfers)}")
     else:
         [(at, handoff)] = transfers
-        if handoff is not None and handoff.label != TRANSFER_LABEL:
-            failures.append(f"entry {at}: transfer label {handoff.label!r}")
-        batch_digest = getattr(handoff, "batch_digest", None)
+        if handoff is not None:
+            batch_digest = handoff.batch_digest
+            if handoff.label != TRANSFER_LABEL:
+                failures.append(f"entry {at}: transfer label {handoff.label!r}")
         if casts_end > at or staged[0][0] < at:
             failures.append(f"entry {at}: transfer not between the casts and the mix stages")
     stages = [s.stage for _, s in staged]
