@@ -26,6 +26,7 @@ GENESIS_TAG = "evote/ballotcoin/genesis"
 _DOMAIN_LOTTERY = "evote/ballotcoin/lottery"
 
 COIN_AMOUNT = 1
+_FORGER_MODES = ("stake_weighted", "uniform")
 
 _Ledger = tuple[dict[str, int], set[bytes]]  # balances, included tx digests
 
@@ -251,7 +252,7 @@ def select_forger(
     stake_weighted: probability proportional to coin balance.
     uniform: equal probability per eligible node, balances never read.
     """
-    if mode not in ("stake_weighted", "uniform"):
+    if mode not in _FORGER_MODES:
         raise ValueError(f"unknown forger mode {mode!r}")
     eligible = sorted((n for n in nodes if n.eligible), key=lambda n: n.node_id)
     if mode == "stake_weighted":
@@ -354,6 +355,20 @@ class SimConfig:
     mode: str = "stake_weighted"
     vote_prob: float = 0.1
     group: str = "test"
+
+    def __post_init__(self):
+        for name, least in (("rounds", 0), ("n_voters", 0), ("n_candidates", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+        for name in ("online_prob", "malicious_fraction", "vote_prob"):
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not 0 <= value <= 1:
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        if self.mode not in _FORGER_MODES:
+            raise ValueError(f"unknown forger mode {self.mode!r}")
+        if self.group not in GROUP_PROFILES:
+            raise ValueError(f"unknown group profile {self.group!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

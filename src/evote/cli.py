@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -61,12 +62,17 @@ def _dump_json(path: Path, data: dict) -> None:
     path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
+# The tamper types a scenario may name; see `_apply_tamper`.
+_TAMPERS = ("flip_payload_byte", "drop_entry", "alter_result_counts")
+
+
 def _load_scenario(path: str, n: int) -> tuple[dict, list]:
     """The scenario in the JSON file at `path` and its voter ids.  Anything
-    but an object whose voters are a list of ids or {"count": int >= 0,
-    "prefix": str} and whose votes are a list of objects, each naming one of
+    but an object whose voters are distinct ids or {"count": int >= 0,
+    "prefix": str}, whose votes are a list of objects, each naming one of
     those voters, a candidate index below `n` and a non-negative int time,
-    is a usage error naming the field or the vote."""
+    and whose tamper clause, if any, is an object with a known type, is a
+    usage error naming the field, the vote or the clause."""
     scenario = _load_json(path)
     if not isinstance(scenario, dict):
         raise UsageError(f"bad scenario {path}: not an object")
@@ -77,6 +83,9 @@ def _load_scenario(path: str, n: int) -> tuple[dict, list]:
             voters = [f"{prefix}{i:04d}" for i in range(count)]
     if not isinstance(voters, list) or not all(isinstance(v, (str, int)) for v in voters):
         raise UsageError(f"bad scenario {path}: voters {voters!r}")
+    repeated = [voter for voter, times in Counter(voters).items() if times > 1]
+    if repeated:
+        raise UsageError(f"bad scenario {path}: voter {repeated[0]!r} repeated")
     if not isinstance(votes, list):
         raise UsageError(f"bad scenario {path}: votes {votes!r} is not a list")
     known = set(voters)
@@ -91,6 +100,11 @@ def _load_scenario(path: str, n: int) -> tuple[dict, list]:
             raise UsageError(f"{where}: candidate {candidate!r} is not an index below {n}")
         if type(time) is not int or time < 0:
             raise UsageError(f"{where}: time {time!r} is not a non-negative int")
+    tamper = scenario.get("tamper")
+    if tamper is not None and not (
+        isinstance(tamper, dict) and tamper.get("type") in _TAMPERS
+    ):
+        raise UsageError(f"bad scenario {path}: tamper {tamper!r}")
     return scenario, voters
 
 
@@ -112,16 +126,11 @@ def _params_dict(config: ElectionConfig, election) -> dict:
 
 
 def _apply_tamper(board: Board, tamper: dict) -> None:
-    """Scenario-driven single mutations, for exercising the verifier."""
-    kind = tamper.get("type")
+    """Scenario-driven single mutations, for exercising the verifier.  The
+    clause's type is checked on load; a seq it uses must index an entry."""
+    kind = tamper["type"]
     entries = board.entries
-    if kind == "flip_payload_byte":
-        seq = tamper.get("seq", 0)
-        e = entries[seq]
-        entries[seq] = replace(e, payload=bytes([e.payload[0] ^ 0x01]) + e.payload[1:])
-    elif kind == "drop_entry":
-        del entries[tamper.get("seq", 0)]
-    elif kind == "alter_result_counts":
+    if kind == "alter_result_counts":
         # Re-chain after the mutation so only the count check trips.
         for i, e in enumerate(entries):
             if e.kind == KIND_RESULT:
@@ -130,8 +139,15 @@ def _apply_tamper(board: Board, tamper: dict) -> None:
                 entries[i] = replace(e, payload=replace(result, counts=counts).to_bytes())
                 break
         board.rechain()
+        return
+    seq = tamper.get("seq", 0)
+    if type(seq) is not int or not 0 <= seq < len(entries):
+        raise UsageError(f"tamper {tamper!r}: seq is not an int in [0, {len(entries)})")
+    if kind == "flip_payload_byte":
+        e = entries[seq]
+        entries[seq] = replace(e, payload=bytes([e.payload[0] ^ 0x01]) + e.payload[1:])
     else:
-        raise UsageError(f"unknown tamper type {kind!r}")
+        del entries[seq]
 
 
 def cmd_setup(args) -> int:
@@ -171,7 +187,7 @@ def cmd_run(args) -> int:
     election.close_election()
     result = election.run_tally()
 
-    if scenario.get("tamper"):
+    if scenario.get("tamper") is not None:
         _apply_tamper(election.board, scenario["tamper"])
 
     board_path = out_dir / "board.jsonl"
@@ -234,12 +250,13 @@ def cmd_coin_sim(args) -> int:
     data = _load_json(args.scenario)
     try:
         config = SimConfig.from_dict(data)
-    except TypeError as exc:
+        if args.rounds is not None:
+            config = replace(config, rounds=args.rounds)
+        if args.mode is not None:
+            mode = {"stake": "stake_weighted", "uniform": "uniform"}[args.mode]
+            config = replace(config, mode=mode)
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"bad scenario: {exc}") from exc
-    if args.rounds is not None:
-        config.rounds = args.rounds
-    if args.mode is not None:
-        config.mode = {"stake": "stake_weighted", "uniform": "uniform"}[args.mode]
     report = simulate(config, args.seed)
     out = json.dumps(report.to_dict(), sort_keys=True, indent=2)
     if args.out_dir:

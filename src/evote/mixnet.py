@@ -1,9 +1,10 @@
 """Re-encryption mix-net with randomized partial checking proofs.
 
 Each server shuffles and re-encrypts twice (input -> hidden mid layer ->
-output).  Its proof publishes the mid layer and, per challenge round and
-per mid item, opens exactly one adjacent link (toward input or output)
-with the re-encryption scalars for that link.  A single tampered item
+output).  Its secret is its link table: each mid item's link toward the
+input (`SIDE_IN`) and toward the output (`SIDE_OUT`), with that link's
+re-encryption scalars.  Its proof publishes the mid layer and, per challenge
+round and per mid item, one of the two links.  A single tampered item
 escapes detection with probability 2^-rounds.
 """
 
@@ -47,111 +48,68 @@ class ShuffleProof(Record):
     rounds: tuple[tuple[OpenedLink, ...], ...]
 
 
-@dataclass(frozen=True)
-class MixServerState:
-    """Secret permutations and re-encryption scalars for both stages.
-
-    sigma maps output position to source position; scalars are indexed by
-    output position, one per slot.
-    """
-
-    sigma1: tuple[int, ...]
-    scalars1: tuple[tuple[int, ...], ...]
-    sigma2: tuple[int, ...]
-    scalars2: tuple[tuple[int, ...], ...]
-
-
 def strip_signatures(ballots) -> MixBatch:
     """Bare slot-tuples in bulletin order; voter ids and signatures dropped."""
     return MixBatch(items=tuple(tuple(sb.encrypted.slots) for sb in ballots))
 
 
-def _shuffle_stage(
-    params: GroupParams,
-    pk: int,
-    items: tuple[tuple[Ciphertext, ...], ...],
-    rng: random.Random,
-):
-    n = len(items)
-    sigma = list(range(n))
+def _shuffle_stage(params: GroupParams, pk: int, batch: MixBatch, rng: random.Random):
+    """The shuffled, re-encrypted batch and each output's (source, scalars)."""
+    sigma = list(range(len(batch.items)))
     rng.shuffle(sigma)
     out = []
-    scalars = []
-    for j in range(n):
-        rs = tuple(rand_scalar(params, rng) for _ in items[sigma[j]])
-        out.append(
-            tuple(
-                reencrypt(params, pk, ct, r) for ct, r in zip(items[sigma[j]], rs)
-            )
-        )
-        scalars.append(rs)
-    return tuple(out), tuple(sigma), tuple(scalars)
+    sources = []
+    for i in sigma:
+        rs = tuple(rand_scalar(params, rng) for _ in batch.items[i])
+        out.append(tuple(reencrypt(params, pk, ct, r) for ct, r in zip(batch.items[i], rs)))
+        sources.append((i, rs))
+    return MixBatch(items=tuple(out)), sources
 
 
 def mix_with_state(
     params: GroupParams, pk: int, batch: MixBatch, rng: random.Random
-) -> tuple[MixBatch, MixBatch, MixServerState]:
-    """Both shuffle stages; exposed separately so tests can model a cheating
-    server that rebuilds a proof over a tampered output."""
-    mid_items, sigma1, scalars1 = _shuffle_stage(params, pk, batch.items, rng)
-    out_items, sigma2, scalars2 = _shuffle_stage(params, pk, mid_items, rng)
-    state = MixServerState(
-        sigma1=sigma1, scalars1=scalars1, sigma2=sigma2, scalars2=scalars2
-    )
-    return MixBatch(items=mid_items), MixBatch(items=out_items), state
+) -> tuple[MixBatch, MixBatch, tuple[tuple[OpenedLink, ...], ...]]:
+    """Both shuffle stages and the server's link table, where `links[side][j]`
+    is the link of mid item j on `side`.  Exposed separately so tests can
+    model a cheating server that rebuilds a proof over a tampered output."""
+    mid, mid_sources = _shuffle_stage(params, pk, batch, rng)
+    out, out_sources = _shuffle_stage(params, pk, mid, rng)
+    links_out = [None] * len(mid.items)
+    for t, (j, rs) in enumerate(out_sources):
+        links_out[j] = OpenedLink(side=SIDE_OUT, index=t, scalars=rs)
+    links_in = tuple(OpenedLink(side=SIDE_IN, index=i, scalars=rs) for i, rs in mid_sources)
+    return mid, out, (links_in, tuple(links_out))
 
 
 def _challenge_sides(
     input_digest: bytes, mid_commit: bytes, output_digest: bytes, round_idx: int, n: int
 ) -> list[int]:
-    """One side bit per mid item, expanded from the stage transcript."""
-    sides = []
-    block = b""
-    counter = 0
-    for j in range(n):
-        if j % 256 == 0:
-            block = digest(
-                DOMAIN_MIX, input_digest, mid_commit, output_digest, round_idx, counter
-            )
-            counter += 1
-        byte = block[(j % 256) // 8]
-        sides.append((byte >> (7 - (j % 8))) & 1)
-    return sides
+    """One side bit per mid item, read most-significant-first from the
+    stage transcript's digests joined, one 256-bit digest per 256 items."""
+    joined = b"".join(
+        digest(DOMAIN_MIX, input_digest, mid_commit, output_digest, round_idx, counter)
+        for counter in range((n + 255) // 256)
+    )
+    bits = int.from_bytes(joined, "big")
+    width = 8 * len(joined)
+    return [(bits >> (width - 1 - j)) & 1 for j in range(n)]
 
 
 def build_proof(
-    params: GroupParams,
-    state: MixServerState,
+    links: tuple[tuple[OpenedLink, ...], ...],
     batch_in: MixBatch,
     mid: MixBatch,
     batch_out: MixBatch,
     rounds: int,
 ) -> ShuffleProof:
-    n = len(mid.items)
+    """Per challenge round, the link of each mid item on its challenged side."""
     mid_commit = mid.digest()
     in_digest = batch_in.digest()
     out_digest = batch_out.digest()
-    # Output position that each mid item feeds: invert sigma2.
-    out_pos = [0] * n
-    for t, j in enumerate(state.sigma2):
-        out_pos[j] = t
     round_list = []
     for k in range(rounds):
-        sides = _challenge_sides(in_digest, mid_commit, out_digest, k, n)
-        links = []
-        for j in range(n):
-            if sides[j] == SIDE_IN:
-                links.append(
-                    OpenedLink(
-                        side=SIDE_IN, index=state.sigma1[j], scalars=state.scalars1[j]
-                    )
-                )
-            else:
-                t = out_pos[j]
-                links.append(
-                    OpenedLink(side=SIDE_OUT, index=t, scalars=state.scalars2[t])
-                )
-        round_list.append(tuple(links))
+        sides = _challenge_sides(in_digest, mid_commit, out_digest, k, len(mid.items))
+        round_list.append(tuple(links[side][j] for j, side in enumerate(sides)))
     return ShuffleProof(mid=mid, mid_commit=mid_commit, rounds=tuple(round_list))
 
 
@@ -165,9 +123,8 @@ def mix_once(
     """One server's double shuffle-and-re-encrypt plus its opening proof."""
     if rounds < 1:
         raise ValueError("at least one challenge round required")
-    mid, out, state = mix_with_state(params, pk, batch, rng)
-    proof = build_proof(params, state, batch, mid, out, rounds)
-    return out, proof
+    mid, out, links = mix_with_state(params, pk, batch, rng)
+    return out, build_proof(links, batch, mid, out, rounds)
 
 
 def verify_mix(
@@ -195,29 +152,18 @@ def verify_mix(
         return False
     in_digest = batch_in.digest()
     out_digest = batch_out.digest()
+    ins, mids, outs = batch_in.items, proof.mid.items, batch_out.items
     for k, links in enumerate(proof.rounds):
         if len(links) != n:
             return False
         sides = _challenge_sides(in_digest, proof.mid_commit, out_digest, k, n)
-        seen_in: set[int] = set()
-        seen_out: set[int] = set()
+        seen = (set(), set())
         for j, link in enumerate(links):
-            if link.side != sides[j]:
+            side, i = link.side, link.index
+            if side != sides[j] or not 0 <= i < n or i in seen[side]:
                 return False
-            if not 0 <= link.index < n:
-                return False
-            if link.side == SIDE_IN:
-                if link.index in seen_in:
-                    return False
-                seen_in.add(link.index)
-                source = batch_in.items[link.index]
-                target = proof.mid.items[j]
-            else:
-                if link.index in seen_out:
-                    return False
-                seen_out.add(link.index)
-                source = proof.mid.items[j]
-                target = batch_out.items[link.index]
+            seen[side].add(i)
+            source, target = ((ins[i], mids[j]), (mids[j], outs[i]))[side]
             if len(link.scalars) != len(source):
                 return False
             for ct, r, expected in zip(source, link.scalars, target):

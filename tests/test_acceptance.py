@@ -335,13 +335,13 @@ def test_c03_universal_verification_and_mutation_corpus(audited):
                 for _ in range(4)
             )
         )
-        mid, out, state = mix_with_state(GRP, kp.pk, batch, rng)
+        mid, out, links = mix_with_state(GRP, kp.pk, batch, rng)
         items = [list(item) for item in out.items]
         victim, slot = rng.randrange(4), rng.randrange(2)
         ct = items[victim][slot]
         items[victim][slot] = Ciphertext(ct.c1, (ct.c2 * GRP.g) % GRP.p)
         tampered = MixBatch(items=tuple(tuple(i) for i in items))
-        proof = build_proof(GRP, state, batch, mid, tampered, rounds=20)
+        proof = build_proof(links, batch, mid, tampered, rounds=20)
         if verify_mix(GRP, kp.pk, batch, tampered, proof, min_rounds=20):
             misses += 1
     assert misses == 0

@@ -350,8 +350,9 @@ def test_malformed_vote_is_usage_error(workdir, capsys, vote):
         ([1, 2], "not an object"),
         ({"voters": 5}, "voters"),
         ({"voters": ["v01"], "votes": {"voter": "v01"}}, "votes"),
+        ({"voters": ["a", "a"]}, "voter 'a' repeated"),
     ],
-    ids=["count as text", "scenario as list", "voters as int", "votes as object"],
+    ids=["count as text", "scenario as list", "voters as int", "votes as object", "repeated voter"],
 )
 def test_malformed_scenario_is_usage_error(workdir, capsys, command, scenario, field):
     (workdir / "bad_scenario.json").write_text(json.dumps(scenario))
@@ -389,17 +390,50 @@ def test_missing_required_flag_is_usage_error(workdir, capsys):
     assert main(["run", "--config", str(workdir / "config.json")]) == 4
 
 
-def test_unknown_tamper_type_is_usage_error(workdir, capsys):
-    scenario = dict(SCENARIO_CLEAN, tamper={"type": "set_winner"})
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        {"type": "set_winner"},
+        {"type": "flip_payload_byte", "seq": 999},
+        "drop",
+        {"type": "drop_entry", "seq": -1},
+        {"type": "drop_entry", "seq": "3"},
+        {"seq": 3},
+    ],
+    ids=["unknown type", "seq past the end", "clause as text", "negative seq", "seq as text",
+         "no type"],
+)
+def test_unknown_tamper_type_is_usage_error(workdir, capsys, tamper):
+    scenario = dict(SCENARIO_CLEAN, tamper=tamper)
     (workdir / "tampered.json").write_text(json.dumps(scenario))
     assert _run(workdir, scenario="tampered.json") == 4
+    assert f"tamper {tamper!r}" in capsys.readouterr().err
 
 
-def test_bad_sim_scenario_is_usage_error(workdir, capsys):
-    (workdir / "badsim.json").write_text(json.dumps({"bogus_knob": 1}))
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        {"bogus_knob": 1},
+        {"mode": "pow"},
+        {"group": "nope"},
+        {"n_candidates": 0},
+        {"rounds": "5"},
+        {"online_prob": 2},
+    ],
+    ids=["unknown key", "unknown mode", "unknown group", "no candidates", "rounds as text",
+         "probability above 1"],
+)
+def test_bad_sim_scenario_is_usage_error(workdir, capsys, scenario):
+    (workdir / "badsim.json").write_text(json.dumps(scenario))
     rc = main(["coin-sim", "--scenario", str(workdir / "badsim.json")])
     assert rc == 4
     assert "bad scenario" in capsys.readouterr().err
+
+
+def test_bad_sim_flag_override_is_usage_error(workdir, capsys):
+    rc = main(["coin-sim", "--scenario", str(workdir / "sim.json"), "--rounds", "-1"])
+    assert rc == 4
+    assert "rounds" in capsys.readouterr().err
 
 
 def test_console_script_entry_point(workdir):

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -87,13 +88,13 @@ def test_dropped_then_replaced_item_rejected(grp, keys):
     """A server replacing one ballot with its own encryption gets caught."""
     batch = _batch(grp, keys.pk, [(0, 1), (1, 0), (1, 1)])
     rng = derive_rng("mix", "replace")
-    mid, out, state = mix_with_state(grp, keys.pk, batch, rng)
+    mid, out, links = mix_with_state(grp, keys.pk, batch, rng)
     rogue = tuple(
         encrypt(grp, keys.pk, 1, rand_scalar(grp, rng)) for _ in range(2)
     )
     forged_items = (rogue,) + out.items[1:]
     forged = MixBatch(items=forged_items)
-    proof = build_proof(grp, state, batch, mid, forged, rounds=20)
+    proof = build_proof(links, batch, mid, forged, rounds=20)
     assert not verify_mix(grp, keys.pk, batch, forged, proof, min_rounds=20)
 
 
@@ -102,7 +103,7 @@ def _tampered_run(grp, keys, trial):
     rebuild the opening proof over the tampered transcript."""
     rng = derive_rng("mix", "tamper", trial)
     batch = _batch(grp, keys.pk, [(0, 1), (1, 0), (1, 1)], seed=f"t{trial}")
-    mid, out, state = mix_with_state(grp, keys.pk, batch, rng)
+    mid, out, links = mix_with_state(grp, keys.pk, batch, rng)
     victim = trial % len(out.items)
     row = list(out.items[victim])
     # multiply one slot by g: plaintext shifts by +1, re-encryption equations
@@ -111,7 +112,7 @@ def _tampered_run(grp, keys, trial):
     items = list(out.items)
     items[victim] = tuple(row)
     tampered = MixBatch(items=tuple(items))
-    proof = build_proof(grp, state, batch, mid, tampered, rounds=20)
+    proof = build_proof(links, batch, mid, tampered, rounds=20)
     return not verify_mix(grp, keys.pk, batch, tampered, proof, min_rounds=20)
 
 
@@ -173,3 +174,20 @@ def test_proof_serialization_round_trip(grp, keys):
     batch = _batch(grp, keys.pk, [(0, 1), (1, 0), (0, 0)])
     out, proof = mix_once(grp, keys.pk, batch, derive_rng("mix", "pser"), rounds=4)
     assert ShuffleProof.from_bytes(proof.to_bytes()) == proof
+
+
+# sha256 of proof.to_bytes() + out.to_bytes() from one mix_once.  n = 257
+# goes past the first 256-item challenge digest, which no pinned board does.
+@pytest.mark.parametrize(
+    "n, rounds, expected",
+    [
+        (0, 1, "e09426a17d2b610f81c3f654fc8f046a98695f4f4ef86a3c901ae26c05d8bbad"),
+        (1, 3, "4085d2b450c3bf6f98c9482bcc527e6bfd5355eaf4c61c621a5fd897f226c88c"),
+        (3, 2, "5d3629060f65197a1d30b9c5fd92a177d062fb5e34de7e85c3614126493b7931"),
+        (257, 2, "3e84110fa03274c993072b68c24de12c687dc861b65b1837d95a1fdf7c67d508"),
+    ],
+)
+def test_shuffle_proof_bytes_are_pinned(grp, keys, n, rounds, expected):
+    batch = _batch(grp, keys.pk, [(i % 2, (i + 1) % 2) for i in range(n)], seed=f"pin{n}")
+    out, proof = mix_once(grp, keys.pk, batch, derive_rng("mix", "pin", n), rounds=rounds)
+    assert hashlib.sha256(proof.to_bytes() + out.to_bytes()).hexdigest() == expected

@@ -5,6 +5,9 @@
   `registry.py`, the result of an `exp(...)` call is compared only there.
   A name bound to such a result counts as the result.
 - `bulletin.py` owns the entry kinds: no other module spells one out.
+- `canonical.py` owns every source of randomness, so that everything is
+  seeded: no other module calls `random.Random(...)` or a module-level
+  `random.*` function, or uses `secrets`, `os.urandom` or `time`.
 """
 
 import ast
@@ -90,6 +93,32 @@ def test_only_bulletin_names_entry_kinds(path):
         assert _kind_literals(ast.parse(path.read_text())) == []
 
 
+def _unseeded_sources(tree: ast.Module) -> list[str]:
+    """Each call to `random.<name>(...)`, import from `random`, import of
+    `secrets` or `time`, and use of `os.urandom`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if getattr(node.func.value, "id", None) == "random":
+                found.append(f"random.{node.func.attr}")
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name in ("secrets", "time")]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module in ("random", "secrets", "time") or any(
+                a.name == "urandom" for a in node.names
+            ):
+                found.append(node.module)
+        elif isinstance(node, ast.Attribute) and node.attr == "urandom":
+            found.append("os.urandom")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_canonical_draws_randomness(path):
+    if path.name != "canonical.py":
+        assert _unseeded_sources(ast.parse(path.read_text())) == []
+
+
 def test_the_guards_see_a_violation():
     bad = ast.parse(
         "def verify(params, y, t, e, z):\n"
@@ -99,7 +128,14 @@ def test_the_guards_see_a_violation():
         "    return pow(2, x, 23)\n"
         "KIND = 'BallotCast'\n"
         "__all__ = ['Receipt']\n"
+        "import time\n"
+        "from os import urandom\n"
+        "rng = random.Random(time.time())\n"
+        "pick = random.choice([urandom(4), os.urandom(4)])\n"
     )
     assert _exp_comparisons(bad) == [("verify", 3)]
     assert _called(bad, "pow")
     assert _kind_literals(bad) == ["BallotCast"]
+    assert sorted(_unseeded_sources(bad)) == [
+        "os", "os.urandom", "random.Random", "random.choice", "time"
+    ]
