@@ -5,8 +5,10 @@ plaintexts; decoding scans 0..decode_bound.  Includes re-encryption and
 an additive n-of-n threshold split of the election secret.
 
 Every modular exponentiation in the package goes through GroupParams.exp.
-On large groups, powers of a fixed base (g, the election key) use a
-Lim-Lee comb table; everywhere else they are one builtin `pow` call.
+On large groups, full-length powers of a recurring base use a Lim-Lee comb
+table: g and the election key share a small cache of tables, and the c1 of
+the ciphertext being decrypted has a one-entry cache of its own.  Every
+other power is one builtin `pow` call.
 """
 
 from __future__ import annotations
@@ -57,20 +59,25 @@ _COMB_MIN_P = 1 << 63
 # Tables kept at once: g and the election key, with room to spare.
 _COMB_TABLES = 4
 
+# `GroupParams.exp`'s `fixed` for the c1 of the ciphertext being decrypted.
+# Its partial decryptions and their proof checks follow one another, so one
+# table serves them all, and it never recurs once the next ciphertext starts.
+DECRYPTING = "decrypting"
+
+
+def _comb_cols(p: int) -> int:
+    """Columns of the comb's bit matrix modulo p: ROWS rows of them cover
+    every bit of p, and they split evenly into SUBS blocks."""
+    return -(-p.bit_length() // (_COMB_ROWS * _COMB_SUBS)) * _COMB_SUBS
+
 
 class _Comb:
     """Fixed-base comb table for one base modulo one p."""
 
     def __init__(self, p: int, base: int):
-        n = p.bit_length()
-        span = -(-n // (_COMB_ROWS * _COMB_SUBS))
         self.p = p
-        self.span = span
-        self.cols = span * _COMB_SUBS
-        # Exponents from `min_exp` to `max_exp` take the comb; shorter ones
-        # are cheaper with builtin `pow`, longer ones do not fit the matrix.
-        self.min_exp = 1 << (self.cols - 1)
-        self.max_exp = (1 << (self.cols * _COMB_ROWS)) - 1
+        self.cols = _comb_cols(p)
+        self.span = span = self.cols // _COMB_SUBS
         # powers[k] = base^(2^(k * span)); row r of block j uses k = r*SUBS + j.
         powers = [base % p]
         for _ in range(_COMB_ROWS * _COMB_SUBS - 1):
@@ -108,6 +115,21 @@ def _comb(p: int, base: int) -> _Comb:
     return _Comb(p, base)
 
 
+# The table of the c1 being decrypted, by (p, c1): one entry at most.
+_decryption_combs: dict[tuple[int, int], _Comb] = {}
+
+
+def _decryption_comb(p: int, base: int) -> _Comb:
+    """The c1 table, kept apart so that decrypting a batch never evicts the
+    tables above.  The last c1's table is dropped before the next one is
+    built, so only one is ever alive."""
+    comb = _decryption_combs.get((p, base))
+    if comb is None:
+        _decryption_combs.clear()
+        comb = _decryption_combs[p, base] = _Comb(p, base)
+    return comb
+
+
 @dataclass(frozen=True)
 class GroupParams(Record):
     """Prime-order-q subgroup of Z*_p.
@@ -125,18 +147,34 @@ class GroupParams(Record):
         if self.g in (0, 1) or self.exp(self.g, self.q) != 1:
             raise ValueError("g must generate the order-q subgroup")
 
-    def exp(self, base: int, exponent: int, fixed: bool = False) -> int:
+    def exp(self, base: int, exponent: int, fixed: bool | str = False) -> int:
         """base^exponent mod p; a negative exponent inverts first.
 
-        `fixed` marks a base that recurs (g or an election key): on a group
-        of at least 64 bits, a full-length power of it uses that base's comb
-        table, built on first use.  The result is the same either way.
+        `fixed` marks a base that recurs: True for g or an election key,
+        DECRYPTING for the c1 of the ciphertext being decrypted.  On a group
+        of at least 64 bits, a full-length power of a marked base uses that
+        base's comb table, built on first use; a shorter power never builds
+        one.  The tables of g and the election keys share a small cache, and
+        the c1 table has a one-entry cache of its own.  The result is the
+        same either way.
         """
-        if fixed and self.p > _COMB_MIN_P:
-            comb = _comb(self.p, base)
-            if comb.min_exp <= exponent <= comb.max_exp:
-                return comb.power(exponent)
+        if fixed and self.p > _COMB_MIN_P and exponent in self._comb_exponents:
+            tables = _decryption_comb if fixed is DECRYPTING else _comb
+            return tables(self.p, base).power(exponent)
         return pow(base, exponent, self.p)
+
+    @functools.cached_property
+    def _comb_exponents(self) -> range:
+        """Exponents that take a comb power on a large group: from `cols`
+        bits up, since shorter ones are cheaper with builtin `pow`, to
+        ROWS * cols bits, the most the bit matrix holds."""
+        cols = _comb_cols(self.p)
+        return range(1 << (cols - 1), 1 << (cols * _COMB_ROWS))
+
+    @functools.cached_property
+    def encoded(self) -> bytes:
+        """`to_bytes()`, kept: every Fiat-Shamir challenge hashes it."""
+        return self.to_bytes()
 
     def is_scalar(self, x: int) -> bool:
         return 0 <= x < self.q
@@ -272,7 +310,7 @@ def partial_decrypt(
     """d_i = c1^x_i plus a proof that d_i used the committed share."""
     from .zkp import prove_correct_decryption
 
-    d = params.exp(ct.c1, share.x)
+    d = params.exp(ct.c1, share.x, DECRYPTING)
     proof = prove_correct_decryption(params, share.x, ct, d)
     return PartialDecryption(trustee_index=share.index, d=d, proof=proof)
 

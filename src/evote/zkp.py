@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canonical import Record, digest, encode
-from .groups import Ciphertext, GroupParams
+from .groups import DECRYPTING, Ciphertext, GroupParams
 
 DOMAIN_CP = "evote/zkp/chaum-pedersen"
 DOMAIN_SLOT = "evote/zkp/slot01"
@@ -25,7 +25,7 @@ _DOMAIN_NONCE = "evote/zkp/nonce"
 def _challenge(params: GroupParams, domain: str, *fields) -> int:
     """Fiat-Shamir challenge in [0, q-1]: sha256 over the domain tag and the
     canonically encoded group and statement fields."""
-    items = [params.to_bytes()] + [f if isinstance(f, bytes) else encode(f) for f in fields]
+    items = [params.encoded] + [f if isinstance(f, bytes) else encode(f) for f in fields]
     return int.from_bytes(digest(domain, items), "big") % params.q
 
 
@@ -75,7 +75,7 @@ def prove_correct_decryption(
     """Prove d = c1^x for the committed share g^x, without revealing x."""
     pk_component = params.exp(params.g, x, fixed=True)
     w = _nonce(params, x, ct.to_bytes(), d)
-    commits = commit(params, ((params.g, True), (ct.c1, False)), w)
+    commits = commit(params, ((params.g, True), (ct.c1, DECRYPTING)), w)
     e = _challenge(params, DOMAIN_CP, pk_component, ct.to_bytes(), d, *commits)
     z = (w + e * x) % params.q
     return DecryptionProof(*commits, e, z)
@@ -91,7 +91,7 @@ def verify_correct_decryption(
     """True iff the challenge recomputes and both verification equations hold."""
     commits = (proof.commit_g, proof.commit_c1)
     e = _challenge(params, DOMAIN_CP, pk_component, ct.to_bytes(), d, *commits)
-    bases = ((params.g, True), (ct.c1, False))
+    bases = ((params.g, True), (ct.c1, DECRYPTING))
     return e == proof.challenge and holds(
         params, bases, (pk_component, d), commits, e, proof.response
     )

@@ -8,12 +8,14 @@ only, the way an auditor would.
 import hashlib
 import itertools
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 
 import pytest
 
 from evote.ballot import (
+    BallotCastPayload,
     Receipt,
     ReceiptStatus,
     compose_ballot,
@@ -57,6 +59,7 @@ from evote.canonical import derive_rng, digest
 from evote.cli import main as cli_main
 from evote.errors import AlreadyClosed, FairnessViolation, MissingShareError
 from evote.groups import (
+    PROD_GROUP_3072,
     TEST_GROUP,
     Ciphertext,
     combine,
@@ -70,6 +73,7 @@ from evote.groups import (
 )
 from evote.mixnet import MixBatch, MixStage, build_proof, mix_with_state, run_mixnet, verify_mix
 from evote import tally
+from evote.registry import DOMAIN_SIG, Registry, enroll_voter
 from evote.tally import Election, ElectionConfig, coercion_evidence
 
 from board_utils import clone_board, drop_entry, flip_byte, rechain, replace_payload
@@ -867,3 +871,95 @@ def test_verifier_and_tally_agree_on_short_ballot_validity():
     assert result.counts == [0, 0, 0] and result.invalid_count == 1
     r = _verify(election, board)
     assert r.checks[CHECK_DECRYPTION] is True, r.failures
+
+
+# Short Fiat-Shamir nonces.  Every prover nonce is sha256 reduced mod q, so
+# on prod3072 it has 256 bits where a response z = w + e*s (mod q) needs
+# 3071 to hide the secret s.  Each test below asserts the secure property;
+# the fix changes proof bytes, so it waits for a versioned board format.
+_NONCE_BITS = 256
+
+
+def _short_nonce_secrets(q, first, second):
+    """Every secret s that two responses z = w + e*s (mod q) allow when both
+    nonces w have at most 256 bits: a handful, which one power each checks
+    against the public key.  Eliminating s leaves e2*w1 - e1*w2 = c
+    (mod q).  Both sides are far below q, so the equation holds over the
+    integers, and each of its short solutions gives w1, then s."""
+    (e1, z1), (e2, z2) = first, second
+    c = (e2 * z1 - e1 * z2) % q
+    if c > q // 2:
+        c -= q
+    g = math.gcd(e1, e2)
+    if c % g:
+        return []
+    step = e1 // g
+    found = []
+    for w1 in range(c // g * pow(e2 // g, -1, step) % step, 1 << _NONCE_BITS, step):
+        w2 = (e2 * w1 - c) // e1
+        if 0 <= w2 < 1 << _NONCE_BITS:
+            found.append((z1 - w1) * pow(e1, -1, q) % q)
+    return found
+
+
+@pytest.fixture(scope="module")
+def prod_revotes():
+    """One prod3072 voter who votes 0, re-votes 1, 1, then 0, and the
+    election's two trustee shares."""
+    params = PROD_GROUP_3072
+    key, shares = threshold_keygen(params, 2, derive_rng("acceptance-nonce", "trustees"))
+    cred = enroll_voter(Registry(params), "v", derive_rng("acceptance-nonce", "enroll"))
+    choices = [0, 1, 1, 0]
+    ballots = [
+        compose_ballot(
+            params, cred, key.h, encode_choice(c, 2), timestamp=t,
+            rng=derive_rng("acceptance-nonce", "ballot", t),
+        )
+        for t, c in enumerate(choices)
+    ]
+    return params, shares, cred, ballots, choices
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="simulated slot responses have 256 bits, real ones 3071",
+)
+def test_slot_proof_responses_do_not_reveal_the_vote(prod_revotes):
+    _, _, _, ballots, choices = prod_revotes
+
+    def read_vote(payload):
+        # The branch with a full-length response is the real one.
+        ones = [
+            i for i, sp in enumerate(payload.wellformed.slots)
+            if sp.z1.bit_length() > _NONCE_BITS
+        ]
+        return ones[0] if ones else 0
+
+    read = [
+        read_vote(BallotCastPayload.from_bytes(sb.published().to_bytes())) for sb in ballots
+    ]
+    assert read != choices
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="decryption-proof nonces have 256 bits"
+)
+def test_two_decryption_proofs_do_not_reveal_the_trustee_share(prod_revotes):
+    params, shares, _, ballots, _ = prod_revotes
+    proofs = [partial_decrypt(params, shares[0], ct).proof for ct in ballots[0].encrypted.slots]
+    pairs = [(proof.challenge, proof.response) for proof in proofs]
+    assert shares[0].x not in _short_nonce_secrets(params.q, *pairs)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="Schnorr signature nonces have 256 bits"
+)
+def test_a_revotes_two_signatures_do_not_reveal_the_signing_key(prod_revotes):
+    params, _, cred, ballots, _ = prod_revotes
+    pairs = []
+    for sb in ballots[:2]:
+        t, message = sb.signature.commit, sb.signed_message()
+        h = digest(DOMAIN_SIG, params.to_bytes(), cred.verify_key, t, message)
+        pairs.append((int.from_bytes(h, "big") % params.q, sb.signature.response))
+    assert cred.signing_key not in _short_nonce_secrets(params.q, *pairs)

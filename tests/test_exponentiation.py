@@ -1,9 +1,9 @@
 """GroupParams.exp, the one exponentiation of the package, against builtin pow.
 
 On the test group every call is exactly one builtin `pow`.  On groups of
-64 bits and more, full-length powers of a fixed base come from a comb
-table; the tests cover the exponent lengths around each size threshold of
-that rule and the bounded table cache.
+64 bits and more, full-length powers of a fixed base, and of the c1 being
+decrypted, come from a comb table; the tests cover the exponent lengths
+around each size threshold of that rule and both table caches.
 """
 
 import functools
@@ -14,30 +14,45 @@ from hypothesis import strategies as st
 
 from evote import groups
 from evote.canonical import derive_rng
-from evote.groups import PROD_GROUP_3072, TEST_GROUP, GroupParams, threshold_keygen
+from evote.groups import (
+    DECRYPTING,
+    PROD_GROUP_3072,
+    TEST_GROUP,
+    GroupParams,
+    encrypt,
+    partial_decrypt,
+    threshold_decrypt,
+    threshold_keygen,
+)
 
 PROFILES = {"test": TEST_GROUP, "prod3072": PROD_GROUP_3072}
 
 
 @functools.cache
+def _trustees(name):
+    return threshold_keygen(PROFILES[name], 2, derive_rng("exp-tests", "key"))
+
+
 def _election_key(name):
-    key, _ = threshold_keygen(PROFILES[name], 2, derive_rng("exp-tests", "key"))
-    return key.h
+    return _trustees(name)[0].h
 
 
 def _bases(name):
-    """(base, fixed): g, an election key, and a base that has no table."""
+    """(base, fixed): g, an election key, a ciphertext's c1 and a base that
+    has no table."""
     params = PROFILES[name]
+    c1 = params.exp(params.g, 424242)
     other = params.exp(params.g, 12345) * 7 % params.p
-    return [(params.g, True), (_election_key(name), True), (other, False)]
+    return [(params.g, True), (_election_key(name), True), (c1, DECRYPTING), (other, False)]
 
 
 @functools.cache
 def _boundary_lengths(params):
-    """Bit lengths just below, at and just above each exponent threshold."""
-    comb = groups._Comb(params.p, params.g)
+    """Bit lengths just below, at and just above each exponent threshold
+    (the comb's thresholds also on the test group, which never takes it)."""
+    cols = groups._comb_cols(params.p)
     lengths = set()
-    for edge in (comb.min_exp.bit_length(), comb.max_exp.bit_length()):
+    for edge in (cols, cols * groups._COMB_ROWS):
         lengths |= {edge - 1, edge, edge + 1}
     return sorted(n for n in lengths if n > 0)
 
@@ -98,18 +113,59 @@ def test_every_exp_on_the_test_group_is_one_builtin_pow(monkeypatch):
 
 def test_prod_takes_the_comb_only_for_full_length_powers_of_a_fixed_base(monkeypatch):
     params = PROD_GROUP_3072
-    comb = groups._comb(params.p, params.g)
+    exponents = params._comb_exponents
     g, h = params.g, _election_key("prod3072")
+    c1 = params.exp(g, 999)
     calls = _count_pow_calls(monkeypatch)
     for base in (g, h):
-        for e in (comb.min_exp, params.q - 1, comb.max_exp):
+        for e in (exponents.start, params.q - 1, exponents.stop - 1):
             params.exp(base, e, fixed=True)
     assert calls == []
-    short = comb.min_exp - 1
+    short = exponents.start - 1
     assert params.exp(g, short, fixed=True) == pow(g, short, params.p)
     assert params.exp(g, params.q - 1) == pow(g, params.q - 1, params.p)
-    assert params.exp(g, comb.max_exp + 1, fixed=True) == pow(g, comb.max_exp + 1, params.p)
-    assert len(calls) == 3
+    assert params.exp(g, exponents.stop, fixed=True) == pow(g, exponents.stop, params.p)
+    # A short power of a c1 builds no table.
+    held = dict(groups._decryption_combs)
+    assert params.exp(c1, short, DECRYPTING) == pow(c1, short, params.p)
+    assert groups._decryption_combs == held
+    assert len(calls) == 4
+
+
+def _decrypt_slot(params, m, r):
+    """Encrypt m under the 2-trustee key, then decrypt it jointly: both
+    partial decryptions, then their proof checks in `threshold_decrypt`."""
+    key, shares = _trustees("prod3072")
+    ct = encrypt(params, key.h, m, r)
+    partials = [partial_decrypt(params, share, ct) for share in shares]
+    commitments = {share.index: share.h for share in shares}
+    return threshold_decrypt(params, ct, partials, commitments, decode_bound=1)
+
+
+def test_prod_decryption_takes_no_full_length_builtin_pow(monkeypatch):
+    params = PROD_GROUP_3072
+    _decrypt_slot(params, 0, 5)  # builds the g and election-key tables
+    built = []
+    build = groups._Comb.__init__
+    monkeypatch.setattr(
+        groups._Comb, "__init__", lambda comb, p, base: built.append(base) or build(comb, p, base)
+    )
+    calls = _count_pow_calls(monkeypatch)
+    assert _decrypt_slot(params, 1, params.q - 2) == 1
+    assert calls and [e for _, e, _ in calls if e in params._comb_exponents] == []
+    # One c1 table serves both partial decryptions and both proof checks.
+    assert len(built) == 1 and list(groups._decryption_combs) == [(params.p, built[0])]
+
+
+def test_decrypting_slots_keeps_the_g_and_election_key_tables():
+    params = PROD_GROUP_3072
+    _decrypt_slot(params, 0, 5)
+    misses = groups._comb.cache_info().misses
+    for k in range(groups._COMB_TABLES + 1):
+        assert _decrypt_slot(params, k % 2, params.q - 3 - k) == k % 2
+    encrypt(params, _election_key("prod3072"), 1, params.q - 2)
+    assert groups._comb.cache_info().misses == misses
+    assert len(groups._decryption_combs) == 1
 
 
 # Primes around the 64-bit modulus threshold: 2^63 - 25 has 63 bits, 2^63 + 29

@@ -1,6 +1,8 @@
 """Each concern has one owner, checked on the source tree.
 
-- `groups.py` owns every exponentiation: no other module calls `pow`.
+- `groups.py` owns every exponentiation: no other module calls `pow` or
+  names the comb (a private name with "comb" in it: `_Comb`, its caches
+  and its constants).
 - `zkp.holds` owns every verification equation: in `zkp.py` and
   `registry.py`, the result of an `exp(...)` call is compared only there.
   A name bound to such a result counts as the result.
@@ -11,6 +13,7 @@
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -60,6 +63,26 @@ def _exp_comparisons(tree: ast.Module) -> list[tuple[str, int]]:
 def test_only_groups_calls_pow(path):
     if path.name != "groups.py":
         assert not _called(ast.parse(path.read_text()), "pow")
+
+
+def _comb_names(tree: ast.Module) -> list[str]:
+    """Each private name containing "comb" that the module reads, sets or
+    imports; `combine` is public and does not count."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.append(node.attr)
+        elif isinstance(node, ast.alias):
+            found.append(node.name)
+    return [name for name in found if re.fullmatch(r"_\w*comb\w*", name, re.IGNORECASE)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_groups_names_the_comb(path):
+    if path.name != "groups.py":
+        assert _comb_names(ast.parse(path.read_text())) == []
 
 
 @pytest.mark.parametrize(
@@ -132,9 +155,12 @@ def test_the_guards_see_a_violation():
         "from os import urandom\n"
         "rng = random.Random(time.time())\n"
         "pick = random.choice([urandom(4), os.urandom(4)])\n"
+        "from .groups import _Comb, combine\n"
+        "table = groups._decryption_comb(p, c1)\n"
     )
     assert _exp_comparisons(bad) == [("verify", 3)]
     assert _called(bad, "pow")
+    assert sorted(_comb_names(bad)) == ["_Comb", "_decryption_comb"]
     assert _kind_literals(bad) == ["BallotCast"]
     assert sorted(_unseeded_sources(bad)) == [
         "os", "os.urandom", "random.Random", "random.choice", "time"
