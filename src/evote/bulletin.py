@@ -420,6 +420,12 @@ def _check_decryption(
             failures.append(f"entry {seq}: item {item_i}: wrong slot count")
             continue
         for slot_i, (ct, prod_d, m) in enumerate(zip(item, products, claim.exponents)):
+            # g has order q, so m + q would match wherever m does.
+            if not params.is_scalar(m):
+                failures.append(
+                    f"entry {seq}: item {item_i} slot {slot_i}: claimed plaintext out of range"
+                )
+                continue
             lhs = params.exp(g, m, fixed=True)
             if prod_d == 0 or lhs != (ct.c2 * params.exp(prod_d, -1)) % p:
                 failures.append(

@@ -5,10 +5,11 @@ plaintexts; decoding scans 0..decode_bound.  Includes re-encryption and
 an additive n-of-n threshold split of the election secret.
 
 Every modular exponentiation in the package goes through GroupParams.exp.
-On large groups, full-length powers of a recurring base use a Lim-Lee comb
-table: g and the election key share a small cache of tables, and the c1 of
-the ciphertext being decrypted has a one-entry cache of its own.  Every
-other power is one builtin `pow` call.
+On large groups, powers of a recurring base use Lim-Lee comb tables sized to
+the exponent.  g and each election key have a full-length table and a
+256-bit one, the size of every Fiat-Shamir nonce and challenge, in one small
+cache; the c1 of the ciphertext being decrypted has a full-length table in a
+one-entry cache of its own.  Every other power is one builtin `pow` call.
 """
 
 from __future__ import annotations
@@ -47,17 +48,24 @@ _RFC3526_3072_P = int(
 
 # Lim-Lee comb ("More Flexible Exponentiation with Precomputation", CRYPTO
 # 1994): an exponent of up to ROWS * cols bits is read as a ROWS x cols bit
-# matrix, and the columns are split into SUBS blocks of `span` columns.  Each
+# matrix, and the columns are split into blocks of `span` columns.  Each
 # block has a table of the 2^ROWS products of its row bases, so one power
-# costs `span` squarings and up to SUBS * span multiplications.  At 3072
-# bits that is 192 + 384 mulmods against about 3,600 for builtin `pow`, from
-# 512 table entries (about 0.2 MB).
+# costs span - 1 squarings and up to cols multiplications.  A table's width
+# is its column count, and its block count follows from the width:
+# - full length, enough columns for ROWS rows to cover p, in BLOCKS blocks:
+#   at 3072 bits, 384 columns cost 95 squarings + 384 multiplications
+#   against about 3,600 mulmods for builtin `pow`, from 1,024 entries (about
+#   0.44 MB);
+# - SHORT_COLS, for exponents of up to 256 bits, in one block: 31 squarings
+#   + 32 multiplications against about 300, from 256 entries (about 0.1 MB).
 _COMB_ROWS = 8
-_COMB_SUBS = 2
+_COMB_BLOCKS = 4
+_SHORT_COLS = 32
 # Below this modulus size builtin `pow` is as fast as the interpreted comb.
 _COMB_MIN_P = 1 << 63
-# Tables kept at once: g and the election key, with room to spare.
-_COMB_TABLES = 4
+# Tables kept at once: g and the election key in both widths, with room to
+# spare.
+_COMB_TABLES = 8
 
 # `GroupParams.exp`'s `fixed` for the c1 of the ciphertext being decrypted.
 # Its partial decryptions and their proof checks follow one another, so one
@@ -66,30 +74,31 @@ DECRYPTING = "decrypting"
 
 
 def _comb_cols(p: int) -> int:
-    """Columns of the comb's bit matrix modulo p: ROWS rows of them cover
-    every bit of p, and they split evenly into SUBS blocks."""
-    return -(-p.bit_length() // (_COMB_ROWS * _COMB_SUBS)) * _COMB_SUBS
+    """Columns of the full-length comb modulo p: ROWS rows of them cover
+    every bit of p, and they split evenly into BLOCKS blocks."""
+    return -(-p.bit_length() // (_COMB_ROWS * _COMB_BLOCKS)) * _COMB_BLOCKS
 
 
 class _Comb:
-    """Fixed-base comb table for one base modulo one p."""
+    """Fixed-base comb table `cols` columns wide for one base modulo one p."""
 
-    def __init__(self, p: int, base: int):
+    def __init__(self, p: int, base: int, cols: int):
         self.p = p
-        self.cols = _comb_cols(p)
-        self.span = span = self.cols // _COMB_SUBS
-        # powers[k] = base^(2^(k * span)); row r of block j uses k = r*SUBS + j.
+        self.cols = cols
+        blocks = _COMB_BLOCKS if cols > _SHORT_COLS else 1
+        self.span = span = cols // blocks
+        # powers[k] = base^(2^(k * span)); row r of block j uses k = r*blocks + j.
         powers = [base % p]
-        for _ in range(_COMB_ROWS * _COMB_SUBS - 1):
+        for _ in range(_COMB_ROWS * blocks - 1):
             x = powers[-1]
             for _ in range(span):
                 x = x * x % p
             powers.append(x)
         self.tables = []
-        for j in range(_COMB_SUBS):
+        for j in range(blocks):
             table = [1]
             for r in range(_COMB_ROWS):
-                row_base = powers[r * _COMB_SUBS + j]
+                row_base = powers[r * blocks + j]
                 table += [t * row_base % p for t in table]
             self.tables.append(table)
 
@@ -111,23 +120,42 @@ class _Comb:
 
 
 @functools.lru_cache(maxsize=_COMB_TABLES)
-def _comb(p: int, base: int) -> _Comb:
-    return _Comb(p, base)
+def _comb(p: int, base: int, cols: int) -> _Comb:
+    return _Comb(p, base, cols)
 
 
-# The table of the c1 being decrypted, by (p, c1): one entry at most.
+# The full-length table of the c1 being decrypted, by (p, c1): one entry at
+# most.
 _decryption_combs: dict[tuple[int, int], _Comb] = {}
 
 
-def _decryption_comb(p: int, base: int) -> _Comb:
+def _decryption_comb(p: int, base: int, cols: int) -> _Comb:
     """The c1 table, kept apart so that decrypting a batch never evicts the
     tables above.  The last c1's table is dropped before the next one is
     built, so only one is ever alive."""
     comb = _decryption_combs.get((p, base))
     if comb is None:
         _decryption_combs.clear()
-        comb = _decryption_combs[p, base] = _Comb(p, base)
+        comb = _decryption_combs[p, base] = _Comb(p, base, cols)
     return comb
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity (Cohen,
+    "A Course in Computational Algebraic Number Theory", Algorithm 1.4.10)."""
+    a %= n
+    sign = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        # (2/n) = -1 exactly when n = 3 or 5 (mod 8).
+        if twos & 1 and n & 7 in (3, 5):
+            sign = -sign
+        # Reciprocity flips the sign when a and n are both 3 (mod 4).
+        if a & n & 2:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
 
 
 @dataclass(frozen=True)
@@ -144,7 +172,7 @@ class GroupParams(Record):
     def __post_init__(self):
         if (self.p - 1) % self.q != 0:
             raise ValueError("q must divide p-1")
-        if self.g in (0, 1) or self.exp(self.g, self.q) != 1:
+        if self.g == 1 or not self.is_element(self.g):
             raise ValueError("g must generate the order-q subgroup")
 
     def exp(self, base: int, exponent: int, fixed: bool | str = False) -> int:
@@ -153,23 +181,34 @@ class GroupParams(Record):
         `fixed` marks a base that recurs: True for g or an election key,
         DECRYPTING for the c1 of the ciphertext being decrypted.  On a group
         of at least 64 bits, a full-length power of a marked base uses that
-        base's comb table, built on first use; a shorter power never builds
-        one.  The tables of g and the election keys share a small cache, and
-        the c1 table has a one-entry cache of its own.  The result is the
-        same either way.
+        base's full-length comb table, and a power of g or an election key
+        with 32 to 256 bits uses its 256-bit table; each table is built on
+        first use.  Any other power never builds one: exponents between the
+        two widths, negative ones, short powers of a c1 and every power of
+        an unmarked base.  The tables of g and the election keys share a
+        small cache, and the c1 table has a one-entry cache of its own.  The
+        result is the same either way.
         """
-        if fixed and self.p > _COMB_MIN_P and exponent in self._comb_exponents:
-            tables = _decryption_comb if fixed is DECRYPTING else _comb
-            return tables(self.p, base).power(exponent)
+        if fixed and self.p > _COMB_MIN_P:
+            (full, full_exponents), (short, short_exponents) = self._comb_widths
+            if exponent in full_exponents:
+                tables = _decryption_comb if fixed is DECRYPTING else _comb
+                return tables(self.p, base, full).power(exponent)
+            # A c1 has one short power per trustee, too few to repay a table.
+            if exponent in short_exponents and fixed is True:
+                return _comb(self.p, base, short).power(exponent)
         return pow(base, exponent, self.p)
 
     @functools.cached_property
-    def _comb_exponents(self) -> range:
-        """Exponents that take a comb power on a large group: from `cols`
-        bits up, since shorter ones are cheaper with builtin `pow`, to
-        ROWS * cols bits, the most the bit matrix holds."""
-        cols = _comb_cols(self.p)
-        return range(1 << (cols - 1), 1 << (cols * _COMB_ROWS))
+    def _comb_widths(self) -> tuple[tuple[int, range], tuple[int, range]]:
+        """(cols, exponents it takes) of the full-length table, then of the
+        256-bit one.  A table takes exponents from `cols` bits up, since
+        shorter ones are cheaper with builtin `pow` or a narrower table, to
+        ROWS * cols bits, the most its bit matrix holds."""
+        return tuple(
+            (cols, range(1 << (cols - 1), 1 << (cols * _COMB_ROWS)))
+            for cols in (_comb_cols(self.p), _SHORT_COLS)
+        )
 
     @functools.cached_property
     def encoded(self) -> bytes:
@@ -180,7 +219,15 @@ class GroupParams(Record):
         return 0 <= x < self.q
 
     def is_element(self, x: int) -> bool:
-        return 1 <= x < self.p and self.exp(x, self.q) == 1
+        """x lies in the order-q subgroup: 1 <= x < p and x^q = 1.  When
+        p = 2q + 1 that subgroup is the quadratic residues, so by Euler's
+        criterion x^q = 1 exactly when the Jacobi symbol (x/p) is 1, which
+        costs about 1 ms at 3072 bits against a full-length power."""
+        if not 1 <= x < self.p:
+            return False
+        if self.p == 2 * self.q + 1:
+            return _jacobi(x, self.p) == 1
+        return self.exp(x, self.q) == 1
 
 
 # Small group for tests and worked examples: order-11 subgroup of Z*_23.

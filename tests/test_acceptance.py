@@ -285,6 +285,28 @@ def _mutate_decrypted_claim(board):
     return replace_payload(board, e.seq, forged.to_bytes(), fix_chain=True)
 
 
+def _mutate_claim_past_q(board):
+    """Discard a valid vote: claim 1 + q for its 1 slot, flag it invalid and
+    move it to the Result's invalid count.  g^(1+q) = g^1, so only a range
+    check on the claim tells it apart."""
+    entries = board.find(KIND_DECRYPTED_BALLOT)
+    claim, seq = next(
+        (claim, e.seq)
+        for e in entries
+        if (claim := DecryptedBallotPayload.from_bytes(e.payload)).valid
+    )
+    candidate = claim.exponents.index(1)
+    exponents = tuple(m + GRP.q if c == candidate else m for c, m in enumerate(claim.exponents))
+    forged = replace(claim, exponents=exponents, valid=False)
+    mutated = replace_payload(board, seq, forged.to_bytes(), fix_chain=False)
+    e = board.find(KIND_RESULT)[0]
+    result = ResultPayload.from_bytes(e.payload)
+    counts = list(result.counts)
+    counts[candidate] -= 1
+    recount = replace(result, counts=tuple(counts), invalid_count=result.invalid_count + 1)
+    return replace_payload(mutated, e.seq, recount.to_bytes(), fix_chain=True)
+
+
 def _mutate_duplicate_result(board):
     mutated = clone_board(board)
     mutated.entries.append(mutated.entries[board.find(KIND_RESULT)[0].seq])
@@ -304,6 +326,7 @@ MUTATION_CORPUS = [
     ("forged decryption share", _mutate_forge_share, CHECK_DECRYPTION, True),
     ("removed decryption share", _mutate_drop_share, CHECK_DECRYPTION, True),
     ("false decrypted claim", _mutate_decrypted_claim, CHECK_DECRYPTION, True),
+    ("decrypted claim past q", _mutate_claim_past_q, CHECK_DECRYPTION, True),
     ("duplicated result entry", _mutate_duplicate_result, CHECK_COUNTS, True),
 ]
 

@@ -2,7 +2,8 @@
 
 On the test group every call is exactly one builtin `pow`.  On groups of
 64 bits and more, full-length powers of a fixed base, and of the c1 being
-decrypted, come from a comb table; the tests cover the exponent lengths
+decrypted, come from a full-length comb table, and 32- to 256-bit powers of
+a fixed base from a 256-bit one; the tests cover the exponent lengths
 around each size threshold of that rule and both table caches.
 """
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evote import groups
+from evote.ballot import compose_ballot, encode_choice, verify_ballot
 from evote.canonical import derive_rng
 from evote.groups import (
     DECRYPTING,
@@ -24,6 +26,7 @@ from evote.groups import (
     threshold_decrypt,
     threshold_keygen,
 )
+from evote.registry import Registry, enroll_voter
 
 PROFILES = {"test": TEST_GROUP, "prod3072": PROD_GROUP_3072}
 
@@ -49,11 +52,11 @@ def _bases(name):
 @functools.cache
 def _boundary_lengths(params):
     """Bit lengths just below, at and just above each exponent threshold
-    (the comb's thresholds also on the test group, which never takes it)."""
-    cols = groups._comb_cols(params.p)
+    of both table widths (also on the test group, which never takes one)."""
     lengths = set()
-    for edge in (cols, cols * groups._COMB_ROWS):
-        lengths |= {edge - 1, edge, edge + 1}
+    for cols in (groups._comb_cols(params.p), groups._SHORT_COLS):
+        for edge in (cols, cols * groups._COMB_ROWS):
+            lengths |= {edge - 1, edge, edge + 1}
     return sorted(n for n in lengths if n > 0)
 
 
@@ -111,25 +114,32 @@ def test_every_exp_on_the_test_group_is_one_builtin_pow(monkeypatch):
             assert calls[before:] == [(base, e, params.p)]
 
 
-def test_prod_takes_the_comb_only_for_full_length_powers_of_a_fixed_base(monkeypatch):
+def test_prod_takes_a_comb_only_for_full_length_or_256_bit_powers_of_a_fixed_base(
+    monkeypatch,
+):
     params = PROD_GROUP_3072
-    exponents = params._comb_exponents
+    (_, full), (_, short) = params._comb_widths
     g, h = params.g, _election_key("prod3072")
     c1 = params.exp(g, 999)
     calls = _count_pow_calls(monkeypatch)
     for base in (g, h):
-        for e in (exponents.start, params.q - 1, exponents.stop - 1):
+        for e in (full.start, params.q - 1, full.stop - 1, short.start, short.stop - 1):
             params.exp(base, e, fixed=True)
     assert calls == []
-    short = exponents.start - 1
-    assert params.exp(g, short, fixed=True) == pow(g, short, params.p)
+    # The full-length table has four blocks, the 256-bit one a single block.
+    shapes = [groups._comb(params.p, g, cols) for cols, _ in params._comb_widths]
+    assert [(comb.span, len(comb.tables)) for comb in shapes] == [(96, 4), (32, 1)]
+    # Too short for either table, between the two widths, too long, unmarked.
+    for e in (short.start - 1, short.stop, full.start - 1, full.stop):
+        assert params.exp(g, e, fixed=True) == pow(g, e, params.p)
     assert params.exp(g, params.q - 1) == pow(g, params.q - 1, params.p)
-    assert params.exp(g, exponents.stop, fixed=True) == pow(g, exponents.stop, params.p)
-    # A short power of a c1 builds no table.
-    held = dict(groups._decryption_combs)
-    assert params.exp(c1, short, DECRYPTING) == pow(c1, short, params.p)
+    # A short power of a c1 builds no table, not even a 256-bit one.
+    held, misses = dict(groups._decryption_combs), groups._comb.cache_info().misses
+    for e in (full.start - 1, short.stop - 1):
+        assert params.exp(c1, e, DECRYPTING) == pow(c1, e, params.p)
     assert groups._decryption_combs == held
-    assert len(calls) == 4
+    assert groups._comb.cache_info().misses == misses
+    assert len(calls) == 7
 
 
 def _decrypt_slot(params, m, r):
@@ -144,26 +154,58 @@ def _decrypt_slot(params, m, r):
 
 def test_prod_decryption_takes_no_full_length_builtin_pow(monkeypatch):
     params = PROD_GROUP_3072
-    _decrypt_slot(params, 0, 5)  # builds the g and election-key tables
+    _decrypt_slot(params, 0, params.q - 1)  # builds the g and election-key tables
     built = []
     build = groups._Comb.__init__
     monkeypatch.setattr(
-        groups._Comb, "__init__", lambda comb, p, base: built.append(base) or build(comb, p, base)
+        groups._Comb,
+        "__init__",
+        lambda comb, p, base, cols: built.append(base) or build(comb, p, base, cols),
     )
     calls = _count_pow_calls(monkeypatch)
     assert _decrypt_slot(params, 1, params.q - 2) == 1
-    assert calls and [e for _, e, _ in calls if e in params._comb_exponents] == []
+    full = params._comb_widths[0][1]
+    assert calls and [e for _, e, _ in calls if e in full] == []
     # One c1 table serves both partial decryptions and both proof checks.
     assert len(built) == 1 and list(groups._decryption_combs) == [(params.p, built[0])]
+
+
+@functools.cache
+def _prod_voter():
+    registry = Registry(PROD_GROUP_3072)
+    return registry, enroll_voter(registry, "voter0", derive_rng("exp-tests", "enroll"))
+
+
+def _cast_ballot(params, choice):
+    """Compose one 2-slot ballot under the 2-trustee key and check it as a
+    cast does."""
+    registry, cred = _prod_voter()
+    key = _election_key("prod3072")
+    rng = derive_rng("exp-tests", "ballot", choice)
+    sb = compose_ballot(params, cred, key, encode_choice(choice, 2), timestamp=1, rng=rng)
+    assert verify_ballot(params, sb, registry, key)
+
+
+def test_prod_ballot_takes_no_256_bit_builtin_pow_of_g_or_the_election_key(monkeypatch):
+    params = PROD_GROUP_3072
+    fixed_bases = (params.g, _election_key("prod3072"))
+    calls = _count_pow_calls(monkeypatch)
+    _cast_ballot(params, 0)
+    assert calls
+    short = range(1 << 31, 1 << 256)
+    assert [(b, e) for b, e, _ in calls if b in fixed_bases and e in short] == []
 
 
 def test_decrypting_slots_keeps_the_g_and_election_key_tables():
     params = PROD_GROUP_3072
     _decrypt_slot(params, 0, 5)
+    _cast_ballot(params, 0)
     misses = groups._comb.cache_info().misses
     for k in range(groups._COMB_TABLES + 1):
         assert _decrypt_slot(params, k % 2, params.q - 3 - k) == k % 2
     encrypt(params, _election_key("prod3072"), 1, params.q - 2)
+    # The next ballot finds g and the key in both widths.
+    _cast_ballot(params, 1)
     assert groups._comb.cache_info().misses == misses
     assert len(groups._decryption_combs) == 1
 

@@ -81,6 +81,23 @@ def test_bad_subgroup_order_rejected():
         GroupParams(p=23, q=7, g=2)
 
 
+_MEMBERSHIP_GROUPS = [TEST_GROUP, GroupParams(p=47, q=23, g=2), PROD_GROUP_3072]
+
+
+@pytest.mark.parametrize("grp", _MEMBERSHIP_GROUPS, ids=lambda grp: f"p{grp.p.bit_length()}")
+def test_membership_matches_the_order_q_power(grp):
+    for x in (0, 1, grp.g, grp.p - grp.g, grp.p - 1, grp.p):
+        assert grp.is_element(x) == (1 <= x < grp.p and pow(x, grp.q, grp.p) == 1), x
+
+
+@pytest.mark.parametrize("grp", _MEMBERSHIP_GROUPS, ids=lambda grp: f"p{grp.p.bit_length()}")
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_membership_matches_the_order_q_power_on_draws(grp, data):
+    x = data.draw(st.integers(min_value=-1, max_value=grp.p))
+    assert grp.is_element(x) == (1 <= x < grp.p and pow(x, grp.q, grp.p) == 1)
+
+
 def test_production_group_is_well_formed():
     g = PROD_GROUP_3072
     assert g.p.bit_length() == 3072
