@@ -22,6 +22,15 @@ field order and annotations:
 
 A record's digest is sha256 over its bytes as one blob, `digest(record)`.
 
+A record's bytes are computed on its first `to_bytes()` and kept on the
+instance, so a record that is hashed, signed and published is encoded once,
+and a record nested in another gives its kept bytes.  This is sound because
+every field is immutable (an int, bool, bytes, str, tuple or record), so the
+bytes are a function of the instance; `dataclasses.replace` builds a new
+instance with nothing kept, and equality and hashing see only the fields.
+Decoding does not keep the bytes it read, so a decoded record holds no copy
+of its slice of the input until something asks for its bytes.
+
 Decoding is strict and follows the annotations; anything else raises
 `ValueError`: an int with a leading zero byte, a flag other than 0 or 1,
 text that is not UTF-8, a length that runs past the data, a nested blob
@@ -94,7 +103,13 @@ class Record:
     """Base of every hashed, signed or published frozen dataclass."""
 
     def to_bytes(self) -> bytes:
-        return encode(*_codec(type(self))[0](self))
+        # A plain attribute, not a cached_property: before Python 3.12 that
+        # takes a lock, which slows the first encoding of every record.
+        raw = getattr(self, "_encoding", None)
+        if raw is None:
+            raw = encode(*_codec(type(self))[0](self))
+            object.__setattr__(self, "_encoding", raw)  # the dataclass is frozen
+        return raw
 
     @classmethod
     def from_bytes(cls, data: bytes):

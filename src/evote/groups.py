@@ -210,11 +210,6 @@ class GroupParams(Record):
             for cols in (_comb_cols(self.p), _SHORT_COLS)
         )
 
-    @functools.cached_property
-    def encoded(self) -> bytes:
-        """`to_bytes()`, kept: every Fiat-Shamir challenge hashes it."""
-        return self.to_bytes()
-
     def is_scalar(self, x: int) -> bool:
         return 0 <= x < self.q
 

@@ -120,5 +120,5 @@ def verify_sig(params: GroupParams, verify_key: int, message: bytes, sig: Signat
 
 
 def _sig_challenge(params: GroupParams, vk: int, t: int, message: bytes) -> int:
-    h = digest(DOMAIN_SIG, params.encoded, vk, t, message)
+    h = digest(DOMAIN_SIG, params, vk, t, message)
     return int.from_bytes(h, "big") % params.q

@@ -25,7 +25,7 @@ _DOMAIN_NONCE = "evote/zkp/nonce"
 def _challenge(params: GroupParams, domain: str, *fields) -> int:
     """Fiat-Shamir challenge in [0, q-1]: sha256 over the domain tag and the
     canonically encoded group and statement fields."""
-    items = [params.encoded] + [f if isinstance(f, bytes) else encode(f) for f in fields]
+    items = [params] + [f if isinstance(f, bytes) else encode(f) for f in fields]
     return int.from_bytes(digest(domain, items), "big") % params.q
 
 

@@ -10,6 +10,8 @@
 - `canonical.py` owns every source of randomness, so that everything is
   seeded: no other module calls `random.Random(...)` or a module-level
   `random.*` function, or uses `secrets`, `os.urandom` or `time`.
+- `canonical.py` owns the bytes a record keeps: no other module names the
+  attribute that keeps them or touches an instance's `__dict__` (or `vars`).
 """
 
 import ast
@@ -20,6 +22,7 @@ import pytest
 
 import evote
 from evote.bulletin import KINDS
+from evote.groups import Ciphertext
 
 SRC = Path(evote.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
@@ -65,9 +68,8 @@ def test_only_groups_calls_pow(path):
         assert not _called(ast.parse(path.read_text()), "pow")
 
 
-def _comb_names(tree: ast.Module) -> list[str]:
-    """Each private name containing "comb" that the module reads, sets or
-    imports; `combine` is public and does not count."""
+def _names(tree: ast.Module) -> list[str]:
+    """Each name, attribute and import the module spells."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -76,7 +78,13 @@ def _comb_names(tree: ast.Module) -> list[str]:
             found.append(node.attr)
         elif isinstance(node, ast.alias):
             found.append(node.name)
-    return [name for name in found if re.fullmatch(r"_\w*comb\w*", name, re.IGNORECASE)]
+    return found
+
+
+def _comb_names(tree: ast.Module) -> list[str]:
+    """Each private name containing "comb" that the module reads, sets or
+    imports; `combine` is public and does not count."""
+    return [name for name in _names(tree) if re.fullmatch(r"_\w*comb\w*", name, re.IGNORECASE)]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -142,6 +150,30 @@ def test_only_canonical_draws_randomness(path):
         assert _unseeded_sources(ast.parse(path.read_text())) == []
 
 
+# The attribute in which a record keeps its bytes.
+KEPT_BYTES = "_encoding"
+
+
+def test_kept_bytes_names_the_attribute_a_record_sets():
+    ct = Ciphertext(1, 2)
+    assert KEPT_BYTES not in vars(ct)
+    raw = ct.to_bytes()
+    assert vars(ct)[KEPT_BYTES] is raw
+
+
+def _kept_bytes_uses(tree: ast.Module) -> list[str]:
+    """Each name, attribute, import or string that spells the attribute
+    keeping a record's bytes, and each use of `__dict__` or `vars`."""
+    strings = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)]
+    return [name for name in _names(tree) + strings if name in (KEPT_BYTES, "__dict__", "vars")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_canonical_keeps_record_bytes(path):
+    if path.name != "canonical.py":
+        assert _kept_bytes_uses(ast.parse(path.read_text())) == []
+
+
 def test_the_guards_see_a_violation():
     bad = ast.parse(
         "def verify(params, y, t, e, z):\n"
@@ -157,6 +189,9 @@ def test_the_guards_see_a_violation():
         "pick = random.choice([urandom(4), os.urandom(4)])\n"
         "from .groups import _Comb, combine\n"
         "table = groups._decryption_comb(p, c1)\n"
+        f"raw = ballot.{KEPT_BYTES}\n"
+        f"object.__setattr__(ballot, '{KEPT_BYTES}', raw)\n"
+        "vars(ballot)['digest'] = ballot.__dict__.get('digest')\n"
     )
     assert _exp_comparisons(bad) == [("verify", 3)]
     assert _called(bad, "pow")
@@ -165,3 +200,4 @@ def test_the_guards_see_a_violation():
     assert sorted(_unseeded_sources(bad)) == [
         "os", "os.urandom", "random.Random", "random.choice", "time"
     ]
+    assert sorted(_kept_bytes_uses(bad)) == ["__dict__", KEPT_BYTES, KEPT_BYTES, "vars"]

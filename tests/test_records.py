@@ -5,9 +5,14 @@ without editing this file.  Instances are generated from the annotations.
 `_Layout` re-derives a record's bytes from the layout rules, independently
 of the encoder, and can give one int a leading zero byte or write one flag
 as 2 on the way.
+
+A record keeps its bytes after the first `to_bytes()`; the tests below check
+that what is kept is what the layout gives, that a replaced record does not
+inherit it, and that a tally computes no record's bytes twice.
 """
 
-from dataclasses import fields
+from collections import Counter
+from dataclasses import fields, replace
 from typing import get_args, get_origin, get_type_hints
 
 import pytest
@@ -15,9 +20,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import evote  # noqa: F401  (defines every record)
-from evote.canonical import Record
+from evote import canonical
+from evote.ballot import compose_ballot, encode_choice
+from evote.canonical import Record, derive_rng
 from evote.groups import TEST_GROUP, Ciphertext, GroupParams
 from evote.mixnet import MixBatch
+from evote.tally import Election, ElectionConfig
 
 
 def _subclasses(cls):
@@ -143,3 +151,93 @@ def test_record_round_trip_and_strict_decoding(cls, data):
         flag = data.draw(st.integers(min_value=0, max_value=layout.flags - 1), label="flag")
         with pytest.raises(ValueError):
             cls.from_bytes(_Layout(flag=flag).record(x))
+
+
+def _immutable(tp) -> bool:
+    """The annotation admits only values that never change: an int, bool,
+    bytes or str, a tuple of such values, a record, or an optional record."""
+    if tp in (int, bool, bytes, str):
+        return True
+    if get_origin(tp) is tuple:
+        args = get_args(tp)
+        return len(args) == 2 and args[1] is Ellipsis and _immutable(args[0])
+    inner = _optional_inner(tp)
+    if inner is not None:
+        tp = inner
+    return isinstance(tp, type) and issubclass(tp, Record)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_every_record_is_frozen_with_immutable_fields(cls):
+    # What makes keeping a record's bytes sound.
+    assert cls.__dataclass_params__.frozen
+    hints = get_type_hints(cls)
+    assert [f.name for f in fields(cls) if not _immutable(hints[f.name])] == []
+
+
+def test_the_immutability_check_sees_a_mutable_field():
+    assert not _immutable(list[int])
+    assert not _immutable(dict[str, int])
+    assert not _immutable(tuple[int, int])
+    assert not _immutable(tuple[list, ...])
+    assert not _immutable(object)
+    assert _immutable(tuple[tuple[Ciphertext, ...], ...])
+    assert _immutable(Ciphertext | None)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_record_bytes_are_kept_once_and_replace_starts_afresh(cls, data):
+    x = data.draw(_strategy(cls))
+    raw = x.to_bytes()  # what the layout gives: see the round-trip test
+    assert x.to_bytes() is raw
+    decoded = cls.from_bytes(raw)
+    assert decoded == x and hash(decoded) == hash(x)  # the kept bytes are not compared
+    assert decoded.to_bytes() == raw
+    other = data.draw(_strategy(cls), label="other")
+    # A validated record's fields constrain each other, so it takes all of
+    # the other's; any other record takes one.
+    names = [f.name for f in fields(cls)]
+    if cls not in _VALIDATED:
+        names = [data.draw(st.sampled_from(names), label="field")]
+    changed = replace(x, **{name: getattr(other, name) for name in names})
+    assert changed.to_bytes() == _Layout().record(changed)
+    assert (changed.to_bytes() == raw) == (changed == x)
+    assert x.to_bytes() is raw
+
+
+def test_one_tally_computes_each_record_s_bytes_once(monkeypatch):
+    config = ElectionConfig(candidates=["a", "b", "c"], proof_rounds=4)
+    election, creds = Election.setup(config, ["v1", "v2", "v3"], seed=5)
+    for when, (voter, choice) in enumerate([("v1", 0), ("v2", 2), ("v1", 1), ("v3", 2)]):
+        ballot = compose_ballot(
+            election.params,
+            creds[voter],
+            election.election_key.h,
+            encode_choice(choice, len(config.candidates)),
+            timestamp=when,
+            rng=derive_rng("records", voter, when),
+        )
+        election.cast(ballot, now=when)
+    election.close_election()
+
+    codec = canonical._codec
+    encoded = []  # every record whose bytes were computed; keeps ids unique
+    times = Counter()
+
+    def counting_codec(cls):
+        values, decode = codec(cls)
+
+        def counted(record):
+            encoded.append(record)
+            times[id(record)] += 1
+            return values(record)
+
+        return counted, decode
+
+    monkeypatch.setattr(canonical, "_codec", counting_codec)
+    assert election.run_tally().revoked_count == 1
+    assert encoded
+    twice = Counter(type(r).__name__ for r in encoded if times[id(r)] > 1)
+    assert twice == Counter()
