@@ -28,8 +28,14 @@ and a record nested in another gives its kept bytes.  This is sound because
 every field is immutable (an int, bool, bytes, str, tuple or record), so the
 bytes are a function of the instance; `dataclasses.replace` builds a new
 instance with nothing kept, and equality and hashing see only the fields.
-Decoding does not keep the bytes it read, so a decoded record holds no copy
-of its slice of the input until something asks for its bytes.
+A decoded record keeps the slice it was read from as its bytes, so its
+`to_bytes()`, its digest and every challenge over it encode nothing; strict
+decoding makes that slice exactly what encoding the record would give.
+Each `from_bytes` call keeps one memo of the nested records it has read,
+keyed by the blob and its class's decoder, so a blob repeated within one
+input (a link that several proof rounds open) is decoded once and its
+record shared; records are immutable, so sharing is unobservable.  The
+memo lives for that call only.
 
 Decoding is strict and follows the annotations; anything else raises
 `ValueError`: an int with a leading zero byte, a flag other than 0 or 1,
@@ -113,15 +119,18 @@ class Record:
 
     @classmethod
     def from_bytes(cls, data: bytes):
-        return _codec(cls)[1](data)
+        # bytes(): a bytearray or memoryview would give mutable fields and
+        # kept bytes; a bytes object is passed through uncopied.
+        return _codec(cls)[1](bytes(data), {})
 
     def digest(self) -> bytes:
         return digest(self.to_bytes())
 
 
-# Readers take the data and a position and return (value, next position).
+# Readers take the data, a position and the `from_bytes` call's memo of
+# nested records, and return (value, next position).
 
-def _read_bytes(data: bytes, pos: int) -> tuple[bytes, int]:
+def _read_bytes(data: bytes, pos: int, memo: dict) -> tuple[bytes, int]:
     start = pos + _LEN_BYTES
     stop = start + int.from_bytes(data[pos:start], "big")
     if stop > len(data):  # also a cut length prefix: then start > len(data)
@@ -129,22 +138,25 @@ def _read_bytes(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:stop], stop
 
 
-def _read_int(data: bytes, pos: int) -> tuple[int, int]:
-    body, pos = _read_bytes(data, pos)
-    if body[:1] == b"\x00":
+def _read_int(data: bytes, pos: int, memo: dict) -> tuple[int, int]:
+    start = pos + _LEN_BYTES
+    stop = start + int.from_bytes(data[pos:start], "big")
+    if stop > len(data):
+        raise ValueError("truncated canonical data")
+    if stop > start and not data[start]:
         raise ValueError("integer has a leading zero byte")
-    return int.from_bytes(body, "big"), pos
+    return int.from_bytes(data[start:stop], "big"), stop
 
 
-def _read_bool(data: bytes, pos: int) -> tuple[bool, int]:
-    value, pos = _read_int(data, pos)
+def _read_bool(data: bytes, pos: int, memo: dict) -> tuple[bool, int]:
+    value, pos = _read_int(data, pos, memo)
     if value > 1:
         raise ValueError("flag is not 0 or 1")
     return value == 1, pos
 
 
-def _read_str(data: bytes, pos: int) -> tuple[str, int]:
-    body, pos = _read_bytes(data, pos)
+def _read_str(data: bytes, pos: int, memo: dict) -> tuple[str, int]:
+    body, pos = _read_bytes(data, pos, memo)
     return body.decode("utf-8"), pos
 
 
@@ -152,11 +164,11 @@ _SCALAR_READERS = {int: _read_int, bool: _read_bool, bytes: _read_bytes, str: _r
 
 
 def _sequence_reader(read_item):
-    def read(data: bytes, pos: int):
-        n, pos = _read_int(data, pos)
+    def read(data: bytes, pos: int, memo: dict):
+        n, pos = _read_int(data, pos, memo)
         items = []
         for _ in range(n):
-            item, pos = read_item(data, pos)
+            item, pos = read_item(data, pos, memo)
             items.append(item)
         return tuple(items), pos
 
@@ -164,11 +176,15 @@ def _sequence_reader(read_item):
 
 
 def _blob_reader(decode, optional: bool):
-    def read(data: bytes, pos: int):
-        body, pos = _read_bytes(data, pos)
+    def read(data: bytes, pos: int, memo: dict):
+        body, pos = _read_bytes(data, pos, memo)
         if optional and not body:
             return None, pos
-        return decode(body), pos
+        key = (decode, body)
+        record = memo.get(key)
+        if record is None:  # a blob not yet read in this call
+            record = memo[key] = decode(body, memo)
+        return record, pos
 
     return read
 
@@ -190,22 +206,25 @@ def _reader(tp):
 
 @functools.cache
 def _codec(cls):
-    """(field values getter, strict decoder) for one Record class."""
+    """(field values getter, strict decoder) for one Record class.  The
+    decoder takes the data and the memo of its `from_bytes` call."""
     names = [f.name for f in dataclasses.fields(cls)]
     hints = typing.get_type_hints(cls)
     readers = [_reader(hints[name]) for name in names]
     get = operator.attrgetter(*names)
     values = get if len(names) > 1 else lambda record: (get(record),)
 
-    def decode(data: bytes):
+    def decode(data: bytes, memo: dict):
         pos = 0
         args = []
         for read in readers:
-            value, pos = read(data, pos)
+            value, pos = read(data, pos, memo)
             args.append(value)
         if pos != len(data):
             raise ValueError("trailing bytes after canonical record")
-        return cls(*args)
+        record = cls(*args)
+        object.__setattr__(record, "_encoding", data)  # what to_bytes() would give
+        return record
 
     return values, decode
 

@@ -6,9 +6,12 @@ without editing this file.  Instances are generated from the annotations.
 of the encoder, and can give one int a leading zero byte or write one flag
 as 2 on the way.
 
-A record keeps its bytes after the first `to_bytes()`; the tests below check
-that what is kept is what the layout gives, that a replaced record does not
-inherit it, and that a tally computes no record's bytes twice.
+A record keeps its bytes after the first `to_bytes()`, and a decoded record
+keeps the slice it was read from; the tests below check that what is kept
+is what the layout gives, that a replaced record does not inherit it, that
+a tally computes no record's bytes twice and a verify of a loaded board
+none.  One `from_bytes` call decodes each distinct nested blob once and
+shares its record; the last tests check the memo's scope.
 """
 
 from collections import Counter
@@ -22,7 +25,8 @@ from hypothesis import strategies as st
 import evote  # noqa: F401  (defines every record)
 from evote import canonical
 from evote.ballot import compose_ballot, encode_choice
-from evote.canonical import Record, derive_rng
+from evote.bulletin import KIND_MIX_STAGE, Board, LoginPayload, MixStagePayload, universal_verify
+from evote.canonical import Record, derive_rng, enc_bytes, enc_int
 from evote.groups import TEST_GROUP, Ciphertext, GroupParams
 from evote.mixnet import MixBatch
 from evote.tally import Election, ElectionConfig
@@ -207,7 +211,7 @@ def test_record_bytes_are_kept_once_and_replace_starts_afresh(cls, data):
     assert x.to_bytes() is raw
 
 
-def test_one_tally_computes_each_record_s_bytes_once(monkeypatch):
+def _closed_election():
     config = ElectionConfig(candidates=["a", "b", "c"], proof_rounds=4)
     election, creds = Election.setup(config, ["v1", "v2", "v3"], seed=5)
     for when, (voter, choice) in enumerate([("v1", 0), ("v2", 2), ("v1", 1), ("v3", 2)]):
@@ -221,23 +225,113 @@ def test_one_tally_computes_each_record_s_bytes_once(monkeypatch):
         )
         election.cast(ballot, now=when)
     election.close_election()
+    return election, config
 
+
+@pytest.fixture(scope="module")
+def tallied():
+    election, config = _closed_election()
+    election.run_tally()
+    return election, config
+
+
+def _count_encodings(monkeypatch) -> list:
+    """From now on, every record whose bytes are computed, once for each
+    time; the list keeps each record alive, so ids stay unique."""
     codec = canonical._codec
-    encoded = []  # every record whose bytes were computed; keeps ids unique
-    times = Counter()
+    encoded = []
 
     def counting_codec(cls):
         values, decode = codec(cls)
 
         def counted(record):
             encoded.append(record)
-            times[id(record)] += 1
             return values(record)
 
         return counted, decode
 
     monkeypatch.setattr(canonical, "_codec", counting_codec)
+    return encoded
+
+
+def test_one_tally_computes_each_record_s_bytes_once(monkeypatch):
+    election, _ = _closed_election()
+    encoded = _count_encodings(monkeypatch)
     assert election.run_tally().revoked_count == 1
     assert encoded
+    times = Counter(id(r) for r in encoded)
     twice = Counter(type(r).__name__ for r in encoded if times[id(r)] > 1)
     assert twice == Counter()
+
+
+def test_one_verify_of_a_saved_board_computes_no_record_s_bytes(tallied, tmp_path, monkeypatch):
+    election, config = tallied
+    path = tmp_path / "board.jsonl"
+    election.board.save(path)
+    board = Board.load(path)
+    encoded = _count_encodings(monkeypatch)
+    report = universal_verify(
+        election.params, board, config, election.election_key.h, election.commitments
+    )
+    assert report.overall, report.failures
+    assert Counter(type(r).__name__ for r in encoded) == Counter()
+
+
+@pytest.mark.parametrize("wrap", [bytearray, memoryview], ids=lambda w: w.__name__)
+def test_decoding_a_mutable_buffer_gives_bytes(wrap):
+    raw = LoginPayload(b"\x01" * 32).to_bytes()
+    login = LoginPayload.from_bytes(wrap(raw))
+    assert type(login.voter_digest) is bytes
+    assert hash(login) == hash(LoginPayload(b"\x01" * 32))
+    assert type(login.to_bytes()) is bytes and login.to_bytes() == raw
+
+
+def _records_in(value):
+    """Every record in a field value, at any depth, once per occurrence."""
+    if isinstance(value, Record):
+        yield value
+        for f in fields(value):
+            yield from _records_in(getattr(value, f.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _records_in(item)
+
+
+def test_decoding_a_mix_stage_decodes_each_distinct_blob_once(tallied, monkeypatch):
+    election, _ = tallied
+    raw = election.board.find(KIND_MIX_STAGE)[0].payload
+    built = Counter()  # a decoder call builds one record: count constructions
+    for cls in RECORDS:
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, _cls=cls, **kwargs):
+            built[_cls.__name__] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    staged = MixStagePayload.from_bytes(raw)
+    monkeypatch.undo()
+
+    nested = list(_records_in(staged))[1:]
+    distinct = {(type(r).__name__, r.to_bytes()) for r in nested}
+    assert len(distinct) < len(nested)  # links and ciphertexts repeat
+    assert built == Counter(name for name, _ in distinct) + Counter(["MixStagePayload"])
+
+
+def test_no_record_is_shared_between_two_decodes(tallied):
+    election, _ = tallied
+    raw = election.board.find(KIND_MIX_STAGE)[0].payload
+    first, second = MixStagePayload.from_bytes(raw), MixStagePayload.from_bytes(raw)
+    assert first == second
+    assert {id(r) for r in _records_in(first)}.isdisjoint(id(r) for r in _records_in(second))
+
+
+def test_a_repeated_blob_is_shared_and_a_bad_copy_still_rejected():
+    ct = Ciphertext(c1=5, c2=300)
+    good = enc_int(1) + enc_bytes(ct.to_bytes())
+    padded = enc_int(1) + enc_bytes(_Layout(pad=1).record(ct))  # c2 gets a leading zero
+    batch = MixBatch.from_bytes(enc_int(2) + good + good)
+    assert batch.items[0][0] is batch.items[1][0]
+    for items in (good + padded, padded + good):
+        with pytest.raises(ValueError):
+            MixBatch.from_bytes(enc_int(2) + items)
