@@ -19,6 +19,7 @@ from .ballotcoin import SimConfig, estimate_storage, simulate
 from .bulletin import KIND_RESULT, Board, ResultPayload, universal_verify
 from .canonical import derive_rng, hexdigest
 from .errors import EvoteError
+from .groups import GroupParams
 from .tally import Election, ElectionConfig
 
 EXIT_OK = 0
@@ -217,18 +218,22 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _published_keys(p: int, params_data: dict, path: str) -> tuple[int, dict[int, int]]:
+def _published_keys(
+    params: GroupParams, params_data: dict, path: str
+) -> tuple[int, dict[int, int]]:
     """The election key and the trustee commitments keyed 1..n, each an int
-    in [1, p); anything else in params.json is a usage error."""
+    in the order-q subgroup; anything else in params.json is a usage error."""
     election_pk = params_data.get("election_pk")
     commitments = params_data.get("trustee_commitments")
     if not isinstance(commitments, dict) or not commitments or set(commitments) != {
         str(i) for i in range(1, len(commitments) + 1)
     }:
         raise UsageError(f"bad parameters in {path}: trustee_commitments not keyed 1..n")
-    for value in (election_pk, *commitments.values()):
-        if type(value) is not int or not 1 <= value < p:
-            raise UsageError(f"bad parameters in {path}: {value!r} is not an int in [1, p)")
+    keys = {"election_pk": election_pk}
+    keys.update((f"trustee_commitments[{i}]", h) for i, h in commitments.items())
+    for name, value in keys.items():
+        if type(value) is not int or not params.is_element(value):
+            raise UsageError(f"bad parameters in {path}: {name} is not in the order-q subgroup")
     return election_pk, {int(i): h for i, h in commitments.items()}
 
 
@@ -240,7 +245,7 @@ def cmd_verify(args) -> int:
         board = Board.load(args.board)
     except ValueError as exc:
         raise UsageError(f"bad board {args.board}: {exc}") from exc
-    election_pk, commitments = _published_keys(config.params.p, params_data, args.params)
+    election_pk, commitments = _published_keys(config.params, params_data, args.params)
     report = universal_verify(config.params, board, config, election_pk, commitments)
     print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
     return EXIT_OK if report.overall else EXIT_VERIFY_FAILED

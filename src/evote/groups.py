@@ -9,7 +9,10 @@ On large groups, powers of a recurring base use Lim-Lee comb tables sized to
 the exponent.  g and each election key have a full-length table and a
 256-bit one, the size of every Fiat-Shamir nonce and challenge, in one small
 cache; the c1 of the ciphertext being decrypted has a full-length table in a
-one-entry cache of its own.  Every other power is one builtin `pow` call.
+one-entry cache of its own.  Every other power is one builtin `pow` call,
+but when p = 2q + 1 a subgroup member raised to an exponent within 2^256
+below q, as a wrapped slot challenge is, is raised to that exponent minus q:
+an inverse and a power of at most 256 bits.
 """
 
 from __future__ import annotations
@@ -186,17 +189,27 @@ class GroupParams(Record):
         first use.  Any other power never builds one: exponents between the
         two widths, negative ones, short powers of a c1 and every power of
         an unmarked base.  The tables of g and the election keys share a
-        small cache, and the c1 table has a one-entry cache of its own.  The
-        result is the same either way.
+        small cache, and the c1 table has a one-entry cache of its own.
+
+        On such a group with p = 2q + 1, an unmarked base raised to an
+        exponent longer than 256 bits but within 2^256 below q is tested
+        for membership (a Jacobi symbol, about 1 ms at 3072 bits); a member
+        is raised to exponent - q, since base^q = 1, so builtin `pow`
+        inverts it and makes a power of at most 256 bits instead of a
+        full-length one.  A non-member keeps its exponent.  The result is
+        the same either way.
         """
-        if fixed and self.p > _COMB_MIN_P:
-            (full, full_exponents), (short, short_exponents) = self._comb_widths
-            if exponent in full_exponents:
-                tables = _decryption_comb if fixed is DECRYPTING else _comb
-                return tables(self.p, base, full).power(exponent)
-            # A c1 has one short power per trustee, too few to repay a table.
-            if exponent in short_exponents and fixed is True:
-                return _comb(self.p, base, short).power(exponent)
+        if self.p > _COMB_MIN_P:
+            if fixed:
+                (full, full_exponents), (short, short_exponents) = self._comb_widths
+                if exponent in full_exponents:
+                    tables = _decryption_comb if fixed is DECRYPTING else _comb
+                    return tables(self.p, base, full).power(exponent)
+                # A c1 has one short power per trustee, too few to repay a table.
+                if exponent in short_exponents and fixed is True:
+                    return _comb(self.p, base, short).power(exponent)
+            elif exponent in self._wrapped_exponents and self.is_element(base):
+                return pow(base, exponent - self.q, self.p)
         return pow(base, exponent, self.p)
 
     @functools.cached_property
@@ -209,6 +222,17 @@ class GroupParams(Record):
             (cols, range(1 << (cols - 1), 1 << (cols * _COMB_ROWS)))
             for cols in (_comb_cols(self.p), _SHORT_COLS)
         )
+
+    @functools.cached_property
+    def _wrapped_exponents(self) -> range:
+        """Exponents longer than 256 bits but within 2^256 below q, such as
+        a slot challenge e - e_fake that wrapped mod q: a subgroup member
+        takes them as e - q.  Empty unless p = 2q + 1, where `is_element`
+        is a Jacobi symbol rather than a full-length power."""
+        if self.p != 2 * self.q + 1:
+            return range(0)
+        short = 1 << (_SHORT_COLS * _COMB_ROWS)
+        return range(max(self.q - short, short), self.q)
 
     def is_scalar(self, x: int) -> bool:
         return 0 <= x < self.q
@@ -320,6 +344,17 @@ def reencrypt(params: GroupParams, pk: int, ct: Ciphertext, r_prime: int) -> Cip
     c1 = (ct.c1 * params.exp(params.g, r_prime, fixed=True)) % params.p
     c2 = (ct.c2 * params.exp(pk, r_prime, fixed=True)) % params.p
     return Ciphertext(c1, c2)
+
+
+def reencrypts_to(
+    params: GroupParams, pk: int, ct: Ciphertext, r: int, target: Ciphertext
+) -> bool:
+    """reencrypt(params, pk, ct, r) == target, without building the record."""
+    p = params.p
+    return (
+        ct.c1 * params.exp(params.g, r, fixed=True) % p == target.c1
+        and ct.c2 * params.exp(pk, r, fixed=True) % p == target.c2
+    )
 
 
 def combine(a: Ciphertext, b: Ciphertext, params: GroupParams) -> Ciphertext:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .canonical import Record, digest
-from .groups import Ciphertext, GroupParams, rand_scalar, reencrypt
+from .groups import Ciphertext, GroupParams, rand_scalar, reencrypt, reencrypts_to
 
 DOMAIN_MIX = "evote/mixnet/challenge"
 
@@ -167,7 +167,7 @@ def verify_mix(
             if len(link.scalars) != len(source):
                 return False
             for ct, r, expected in zip(source, link.scalars, target):
-                if not 0 <= r < q or reencrypt(params, pk, ct, r) != expected:
+                if not 0 <= r < q or not reencrypts_to(params, pk, ct, r, expected):
                     return False
     return True
 

@@ -5,6 +5,7 @@ import subprocess
 import pytest
 
 from evote.cli import main
+from evote.groups import TEST_GROUP
 
 CONFIG = {
     "candidates": ["alice", "bob", "carol"],
@@ -34,6 +35,8 @@ SCENARIO_REVOTE = {
     "votes": SCENARIO_CLEAN["votes"][:3]
     + [{"voter": "v01", "candidate": 2, "time": 4}],
 }
+
+P = TEST_GROUP.p
 
 SIM_SCENARIO = {
     "rounds": 15,
@@ -248,6 +251,24 @@ def test_missing_board_is_usage_error(workdir, capsys):
     assert rc == 4
 
 
+def _verify_with_edited_params(workdir, capsys, edit):
+    """Exit code and stderr of `evote verify` on the clean board, with the
+    published params.json changed by `edit`."""
+    _run(workdir)
+    params = json.loads((workdir / "out" / "params.json").read_text())
+    edit(params)
+    (workdir / "bad_params.json").write_text(json.dumps(params))
+    capsys.readouterr()  # discard run output
+    rc = main(
+        [
+            "verify",
+            "--board", str(workdir / "out" / "board.jsonl"),
+            "--params", str(workdir / "bad_params.json"),
+        ]
+    )
+    return rc, capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -268,20 +289,30 @@ def test_missing_board_is_usage_error(workdir, capsys):
     ],
 )
 def test_bad_params_for_verify_is_usage_error(workdir, capsys, edit):
-    _run(workdir)
-    params = json.loads((workdir / "out" / "params.json").read_text())
-    edit(params)
-    (workdir / "bad_params.json").write_text(json.dumps(params))
-    capsys.readouterr()  # discard run output
-    rc = main(
-        [
-            "verify",
-            "--board", str(workdir / "out" / "board.jsonl"),
-            "--params", str(workdir / "bad_params.json"),
-        ]
-    )
+    rc, err = _verify_with_edited_params(workdir, capsys, edit)
     assert rc == 4
-    assert "bad parameters" in capsys.readouterr().err
+    assert "bad parameters" in err
+
+
+# p - h is outside the order-q subgroup for every member h: the test group
+# has p = 3 (mod 4), so -1 is a non-residue.
+@pytest.mark.parametrize(
+    "edit, name",
+    [
+        (lambda params: params.update(election_pk=P - params["election_pk"]), "election_pk"),
+        (
+            lambda params: params["trustee_commitments"].update(
+                {"2": P - params["trustee_commitments"]["2"]}
+            ),
+            "trustee_commitments[2]",
+        ),
+    ],
+    ids=["election key", "commitment 2"],
+)
+def test_non_member_key_for_verify_is_usage_error(workdir, capsys, edit, name):
+    rc, err = _verify_with_edited_params(workdir, capsys, edit)
+    assert rc == 4
+    assert "bad parameters" in err and name in err and "subgroup" in err
 
 
 @pytest.mark.parametrize("command", ["run", "setup"])

@@ -4,7 +4,10 @@ On the test group every call is exactly one builtin `pow`.  On groups of
 64 bits and more, full-length powers of a fixed base, and of the c1 being
 decrypted, come from a full-length comb table, and 32- to 256-bit powers of
 a fixed base from a 256-bit one; the tests cover the exponent lengths
-around each size threshold of that rule and both table caches.
+around each size threshold of that rule and both table caches.  On
+prod3072 an unmarked subgroup member raised to an exponent within 2^256
+below q, such as a wrapped slot challenge, takes a power of at most 256
+bits; the tests check that route against members and non-members.
 """
 
 import functools
@@ -177,13 +180,14 @@ def _prod_voter():
 
 
 def _cast_ballot(params, choice):
-    """Compose one 2-slot ballot under the 2-trustee key and check it as a
-    cast does."""
+    """Compose one 2-slot ballot under the 2-trustee key, check it as a
+    cast does and return it."""
     registry, cred = _prod_voter()
     key = _election_key("prod3072")
     rng = derive_rng("exp-tests", "ballot", choice)
     sb = compose_ballot(params, cred, key, encode_choice(choice, 2), timestamp=1, rng=rng)
     assert verify_ballot(params, sb, registry, key)
+    return sb
 
 
 def test_prod_ballot_takes_no_256_bit_builtin_pow_of_g_or_the_election_key(monkeypatch):
@@ -194,6 +198,70 @@ def test_prod_ballot_takes_no_256_bit_builtin_pow_of_g_or_the_election_key(monke
     assert calls
     short = range(1 << 31, 1 << 256)
     assert [(b, e) for b, e, _ in calls if b in fixed_bases and e in short] == []
+
+
+# Exponents of at most 256 bits; a wrapped one lies within this of q.
+SHORT = 1 << (groups._SHORT_COLS * groups._COMB_ROWS)
+
+
+@functools.cache
+def _member_and_non_member():
+    """A prod3072 subgroup member with no table, and p minus it, which lies
+    outside the subgroup: p = 3 (mod 4), so -1 is a non-residue."""
+    params = PROD_GROUP_3072
+    member = params.exp(params.g, 12345)
+    return member, params.p - member
+
+
+def test_wrapped_exponents_at_the_edges_match_pow():
+    params = PROD_GROUP_3072
+    q = params.q
+    member, non_member = _member_and_non_member()
+    assert params.is_element(member) and not params.is_element(non_member)
+    for e in (q - SHORT - 1, q - SHORT, q - 1, q):
+        for base in (member, non_member):
+            assert params.exp(base, e) == pow(base, e, params.p), (base, e)
+
+
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_wrapped_exponents_match_pow(data):
+    params = PROD_GROUP_3072
+    base = data.draw(st.sampled_from(_member_and_non_member()))
+    e = data.draw(st.integers(min_value=params.q - SHORT, max_value=params.q - 1))
+    assert params.exp(base, e) == pow(base, e, params.p)
+
+
+def test_only_a_member_takes_a_wrapped_exponent_as_a_short_power(monkeypatch):
+    params = PROD_GROUP_3072
+    e = params.q - 12345
+    member, non_member = _member_and_non_member()
+    calls = _count_pow_calls(monkeypatch)
+    params.exp(member, e)
+    assert calls == [(member, e - params.q, params.p)]
+    # A non-member keeps builtin pow with its exponent unchanged.
+    calls.clear()
+    params.exp(non_member, e)
+    assert calls == [(non_member, e, params.p)]
+
+
+def test_a_large_group_other_than_p_2q_1_takes_no_wrapped_route(monkeypatch):
+    # 2^521 - 1 is prime; with q = p - 1 membership is a full-length power.
+    params = GroupParams(p=2**521 - 1, q=2**521 - 2, g=3)
+    assert len(params._wrapped_exponents) == 0
+    calls = _count_pow_calls(monkeypatch)
+    params.exp(3, params.q - 1)
+    assert calls == [(3, params.q - 1, params.p)]
+
+
+def test_prod_ballot_with_a_wrapped_challenge_takes_no_long_builtin_pow(monkeypatch):
+    params = PROD_GROUP_3072
+    sb = _cast_ballot(params, 0)
+    challenges = [e for sp in sb.encrypted.wellformed.slots for e in (sp.e0, sp.e1)]
+    assert max(challenges) >= SHORT
+    calls = _count_pow_calls(monkeypatch)
+    assert verify_ballot(params, sb, _prod_voter()[0], _election_key("prod3072"))
+    assert calls and [e for _, e, _ in calls if e >= SHORT] == []
 
 
 def test_decrypting_slots_keeps_the_g_and_election_key_tables():

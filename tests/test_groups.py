@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from evote.groups import (
     keygen,
     partial_decrypt,
     reencrypt,
+    reencrypts_to,
     threshold_decrypt,
     threshold_keygen,
 )
@@ -133,6 +135,24 @@ def test_reencrypt_preserves_plaintext(m, r, r_prime, sk):
 def test_reencrypt_changes_ciphertext(grp):
     ct = encrypt(grp, 8, 1, 4)
     assert reencrypt(grp, 8, ct, 3) != ct
+
+
+@pytest.mark.parametrize("grp", [TEST_GROUP, PROD_GROUP_3072], ids=["test", "prod3072"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_reencrypts_to_agrees_with_reencrypt(grp, data):
+    pk = grp.exp(grp.g, 987654321)
+    scalars = st.integers(1, grp.q - 1)
+    ct = encrypt(grp, pk, data.draw(st.integers(0, 5)), data.draw(scalars))
+    r = data.draw(st.integers(0, grp.q - 1))
+    target = reencrypt(grp, pk, ct, r)
+    # Unchanged, or one component moved to another subgroup member.
+    changed = data.draw(st.sampled_from([None, "c1", "c2"]))
+    if changed:
+        moved = getattr(target, changed) * grp.g % grp.p
+        target = replace(target, **{changed: moved})
+    assert reencrypts_to(grp, pk, ct, r, target) == (reencrypt(grp, pk, ct, r) == target)
+    assert reencrypts_to(grp, pk, ct, r, target) == (changed is None)
 
 
 def test_ciphertext_serialization_round_trip(grp):

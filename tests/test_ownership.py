@@ -3,6 +3,8 @@
 - `groups.py` owns every exponentiation: no other module calls `pow` or
   names the comb (a private name with "comb" in it: `_Comb`, its caches
   and its constants).
+- `groups.py` decides subgroup membership (`GroupParams.is_element`): no
+  other module names `_jacobi` or raises a value to `q`.
 - `zkp.holds` owns every verification equation: in `zkp.py` and
   `registry.py`, the result of an `exp(...)` call is compared only there.
   A name bound to such a result counts as the result.
@@ -91,6 +93,33 @@ def _comb_names(tree: ast.Module) -> list[str]:
 def test_only_groups_names_the_comb(path):
     if path.name != "groups.py":
         assert _comb_names(ast.parse(path.read_text())) == []
+
+
+def _is_q(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "q") or (
+        isinstance(node, ast.Attribute) and node.attr == "q"
+    )
+
+
+def _membership_decisions(tree: ast.Module) -> list[str]:
+    """Each use of `_jacobi`, and each `exp(x, q)`, `pow(x, q, ...)` or
+    `x ** q`, where q is the name `q` or an attribute `.q`."""
+    found = [name for name in _names(tree) if name == "_jacobi"]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and len(node.args) >= 2 and _is_q(node.args[1]):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("exp", "pow"):
+                found.append(f"{name}(x, q)")
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and _is_q(node.right):
+            found.append("x ** q")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_groups_decides_membership(path):
+    if path.name != "groups.py":
+        assert _membership_decisions(ast.parse(path.read_text())) == []
 
 
 @pytest.mark.parametrize(
@@ -192,6 +221,9 @@ def test_the_guards_see_a_violation():
         f"raw = ballot.{KEPT_BYTES}\n"
         f"object.__setattr__(ballot, '{KEPT_BYTES}', raw)\n"
         "vars(ballot)['digest'] = ballot.__dict__.get('digest')\n"
+        "from .groups import _jacobi\n"
+        "member = params.exp(y, params.q) == 1 or pow(y, q, p) == 1 or y ** q == 1\n"
+        "fine = params.exp(y, q - 1), params.q * 2\n"
     )
     assert _exp_comparisons(bad) == [("verify", 3)]
     assert _called(bad, "pow")
@@ -201,3 +233,4 @@ def test_the_guards_see_a_violation():
         "os", "os.urandom", "random.Random", "random.choice", "time"
     ]
     assert sorted(_kept_bytes_uses(bad)) == ["__dict__", KEPT_BYTES, KEPT_BYTES, "vars"]
+    assert sorted(_membership_decisions(bad)) == ["_jacobi", "exp(x, q)", "pow(x, q)", "x ** q"]
