@@ -16,10 +16,11 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from itertools import accumulate
+from typing import Annotated, Literal
 
-from .canonical import Record, derive_rng, digest, encode
+from .canonical import Config, Record, at_least, between, derive_rng, digest, encode
 from .errors import NoOnlineNodes, SupplyNotConserved
-from .groups import GROUP_PROFILES, GroupParams, keygen
+from .groups import GROUP_PROFILES, GroupName, GroupParams, keygen
 from .registry import Signature, sign, verify_sig
 
 GENESIS_TAG = "evote/ballotcoin/genesis"
@@ -345,37 +346,16 @@ def estimate_storage(n_tx: int, bytes_per_tx: int) -> StorageEstimate:
     return StorageEstimate(n_tx=n_tx, bytes_per_tx=bytes_per_tx)
 
 
-@dataclass
-class SimConfig:
-    rounds: int = 50
-    n_voters: int = 100
-    n_candidates: int = 3
-    online_prob: float = 1.0
-    malicious_fraction: float = 0.0
-    mode: str = "stake_weighted"
-    vote_prob: float = 0.1
-    group: str = "test"
-
-    def __post_init__(self):
-        for name, least in (("rounds", 0), ("n_voters", 0), ("n_candidates", 1)):
-            value = getattr(self, name)
-            if type(value) is not int or value < least:
-                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
-        for name in ("online_prob", "malicious_fraction", "vote_prob"):
-            value = getattr(self, name)
-            if type(value) not in (int, float) or not 0 <= value <= 1:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        if self.mode not in _FORGER_MODES:
-            raise ValueError(f"unknown forger mode {self.mode!r}")
-        if self.group not in GROUP_PROFILES:
-            raise ValueError(f"unknown group profile {self.group!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimConfig":
-        return cls(**d)
+@dataclass(frozen=True)
+class SimConfig(Config):
+    rounds: Annotated[int, at_least(0)] = 50
+    n_voters: Annotated[int, at_least(0)] = 100
+    n_candidates: Annotated[int, at_least(1)] = 3
+    online_prob: Annotated[float, between(0, 1)] = 1.0
+    malicious_fraction: Annotated[float, between(0, 1)] = 0.0
+    mode: Literal[_FORGER_MODES] = "stake_weighted"
+    vote_prob: Annotated[float, between(0, 1)] = 0.1
+    group: GroupName = "test"
 
 
 @dataclass

@@ -42,6 +42,9 @@ Decoding is strict and follows the annotations; anything else raises
 text that is not UTF-8, a length that runs past the data, a nested blob
 not consumed exactly, and trailing bytes after the record.  The decoder is
 built once per class from its annotations, never per value.
+
+JSON input.  Configs, scenarios, `params.json` and registry rows are read
+into dataclasses by annotation too, through `from_json`; see there.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ import functools
 import hashlib
 import operator
 import random
+import reprlib
 import types
 import typing
 
@@ -227,6 +231,124 @@ def _codec(cls):
         return record
 
     return values, decode
+
+
+class Check(typing.NamedTuple):
+    """`Annotated` metadata for `from_json`: the value must pass `test`, and
+    `what` says what it must be."""
+
+    test: typing.Callable
+    what: str
+
+
+def at_least(low) -> Check:
+    return Check(lambda value: value >= low, f"at least {low}")
+
+
+def between(low, high) -> Check:
+    return Check(lambda value: low <= value <= high, f"in [{low}, {high}]")
+
+
+def from_json(cls, obj, path: str = ""):
+    """The dataclass `cls` read from the parsed JSON value `obj`, an object
+    whose keys are fields of `cls`, each field without a default among them.
+    A field typed `int`, `str` or `bool` takes exactly that type (a bool is
+    no int) and `float` an int or a float; `Annotated[T, Check(...)]` a `T`
+    that passes the check; `Literal[...]` one of the choices, of its type;
+    `list[T]`, `tuple[T, ...]` and `dict[str, T]` a list or an object of
+    `T`s; `A | B` the alternative of the value's JSON type (else `A`); and a
+    dataclass an object read by this function.  Anything else raises
+    ValueError naming the value's path in `obj`, such as `votes[4].time`."""
+    if type(obj) is not dict:
+        raise _refused(path, obj, "an object")
+    fields = _json_fields(cls)
+    for key in obj:
+        if key not in fields:
+            raise _refused(path, key, f"a field of {cls.__name__}")
+    values = {}
+    for name, (tp, required) in fields.items():
+        at = f"{path}.{name}" if path else name
+        if name in obj:
+            values[name] = _from_json(tp, obj[name], at)
+        elif required:
+            raise ValueError(f"{at}: missing")
+    return cls(**values)
+
+
+def check_fields(record) -> None:
+    """Raise ValueError unless each field of the dataclass `record` holds a
+    value that `from_json` takes for its annotation."""
+    for name, (tp, _) in _json_fields(type(record)).items():
+        _from_json(tp, getattr(record, name), name)
+
+
+class Config:
+    """Base of a dataclass that a JSON object configures: construction,
+    keyword arguments and `dataclasses.replace` included, checks each field
+    as `from_json` does."""
+
+    __post_init__ = check_fields
+    from_dict = classmethod(from_json)
+    to_dict = dataclasses.asdict
+
+
+@functools.cache
+def _json_fields(cls) -> dict:
+    """Each field's name -> (annotation, whether the field has no default)."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    missing = dataclasses.MISSING
+    return {
+        f.name: (hints[f.name], f.default is missing and f.default_factory is missing)
+        for f in dataclasses.fields(cls)
+    }
+
+
+def _refused(path: str, value, what: str) -> ValueError:
+    found = f"{reprlib.repr(value)} is not {what}"
+    return ValueError(f"{path}: {found}" if path else found)
+
+
+# The types of the JSON values that each scalar annotation takes, and its name.
+_SCALARS = {int: ((int,), "an int"), float: ((int, float), "a number"), str: ((str,), "a string"),
+            bool: ((bool,), "a bool"), type(None): ((type(None),), "null")}
+
+
+def _json_kind(tp) -> type:
+    """The type of the JSON values that `tp` reads: list, dict or a scalar's."""
+    base = typing.get_origin(tp) or tp
+    if base is typing.Annotated:
+        return _json_kind(typing.get_args(tp)[0])
+    return list if base is tuple else dict if dataclasses.is_dataclass(base) else base
+
+
+def _from_json(tp, value, path: str):
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Annotated:
+        value = _from_json(args[0], value, path)
+        for check in args[1:]:
+            if not check.test(value):
+                raise _refused(path, value, check.what)
+    elif origin is typing.Literal:
+        if not any(type(value) is type(choice) and value == choice for choice in args):
+            raise _refused(path, value, f"one of {list(args)}")
+    elif origin in (typing.Union, types.UnionType):
+        value = _from_json({_json_kind(a): a for a in args}.get(type(value), args[0]), value, path)
+    elif dataclasses.is_dataclass(tp):
+        value = from_json(tp, value, path)
+    elif tp in _SCALARS:
+        if type(value) not in _SCALARS[tp][0]:
+            raise _refused(path, value, _SCALARS[tp][1])
+    elif origin in (list, tuple):
+        if type(value) not in (list, origin):
+            raise _refused(path, value, "a list")
+        value = origin(_from_json(args[0], item, f"{path}[{i}]") for i, item in enumerate(value))
+    elif origin is dict:
+        if type(value) is not dict:
+            raise _refused(path, value, "an object")
+        value = {key: _from_json(args[1], item, f"{path}[{key}]") for key, item in value.items()}
+    else:
+        raise TypeError(f"no JSON decoding for {tp!r}")
+    return value
 
 
 def derive_rng(*labels) -> random.Random:

@@ -10,16 +10,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, field, make_dataclass, replace
 from pathlib import Path
+from typing import Annotated, Literal, get_type_hints
 
 from .ballot import compose_ballot, encode_choice
 from .ballotcoin import SimConfig, estimate_storage, simulate
 from .bulletin import KIND_RESULT, Board, ResultPayload, universal_verify
-from .canonical import derive_rng, hexdigest
+from .canonical import Check, at_least, derive_rng, from_json, hexdigest
 from .errors import EvoteError
-from .groups import GroupParams
 from .tally import Election, ElectionConfig
 
 EXIT_OK = 0
@@ -38,82 +37,92 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_json(path: str) -> dict:
+def _read(cls, path: str, what: str):
+    """The `cls` that `from_json` reads from the JSON file at `path`, and the
+    file's data; any fault is a usage error, which names the value's path."""
     try:
-        return json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text())
+        return from_json(cls, data), data
     except FileNotFoundError as exc:
         raise UsageError(f"file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"invalid JSON in {path}: {exc}") from exc
-
-
-def _load_config(path: str, fields=None) -> tuple[ElectionConfig, dict]:
-    """The election config in the JSON file at `path`, read from `fields`
-    only when given, and the file's data.  A config that the library
-    refuses (an unknown or missing key, a bad value) is a usage error."""
-    data = _load_json(path)
-    try:
-        picked = data if fields is None else {name: data[name] for name in fields}
-        return ElectionConfig.from_dict(picked), data
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad parameters in {path}: {exc!r}") from exc
+    except ValueError as exc:
+        raise UsageError(f"bad {what} {path}: {exc}") from exc
 
 
 def _dump_json(path: Path, data: dict) -> None:
     path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
-# The tamper types a scenario may name; see `_apply_tamper`.
-_TAMPERS = ("flip_payload_byte", "drop_entry", "alter_result_counts")
+@dataclass(frozen=True)
+class VoterRange:
+    """Generated voter ids: `prefix` followed by 0000, 0001, ..."""
+
+    count: Annotated[int, at_least(0)]
+    prefix: str = "voter"
+
+    def __iter__(self):
+        return (f"{self.prefix}{i:04d}" for i in range(self.count))
 
 
-def _load_scenario(path: str, n: int) -> tuple[dict, list]:
-    """The scenario in the JSON file at `path` and its voter ids.  Anything
-    but an object whose voters are distinct ids or {"count": int >= 0,
-    "prefix": str}, whose votes are a list of objects, each naming one of
-    those voters, a candidate index below `n` and a non-negative int time,
-    and whose tamper clause, if any, is an object with a known type, is a
-    usage error naming the field, the vote or the clause."""
-    scenario = _load_json(path)
-    if not isinstance(scenario, dict):
-        raise UsageError(f"bad scenario {path}: not an object")
-    voters, votes = scenario.get("voters", []), scenario.get("votes", [])
-    if isinstance(voters, dict):
-        count, prefix = voters.get("count"), voters.get("prefix", "voter")
-        if type(count) is int and count >= 0 and isinstance(prefix, str):
-            voters = [f"{prefix}{i:04d}" for i in range(count)]
-    if not isinstance(voters, list) or not all(isinstance(v, (str, int)) for v in voters):
-        raise UsageError(f"bad scenario {path}: voters {voters!r}")
-    repeated = [voter for voter, times in Counter(voters).items() if times > 1]
-    if repeated:
-        raise UsageError(f"bad scenario {path}: voter {repeated[0]!r} repeated")
-    if not isinstance(votes, list):
-        raise UsageError(f"bad scenario {path}: votes {votes!r} is not a list")
+@dataclass(frozen=True)
+class Vote:
+    voter: str
+    candidate: Annotated[int, at_least(0)]
+    time: Annotated[int, at_least(0)]
+
+
+@dataclass(frozen=True)
+class Tamper:
+    """One mutation of the board after the run, for exercising the verifier;
+    see `_apply_tamper`."""
+
+    type: Literal["flip_payload_byte", "drop_entry", "alter_result_counts"]
+    seq: Annotated[int, at_least(0)] = 0
+
+
+_VoterIds = Annotated[list[str], Check(lambda ids: len(ids) == len(set(ids)), "distinct ids")]
+
+
+@dataclass(frozen=True)
+class Scenario:
+    voters: _VoterIds | VoterRange = field(default_factory=list)
+    votes: list[Vote] = field(default_factory=list)
+    tamper: Tamper | None = None
+
+
+def _load_scenario(path: str, n: int) -> tuple[Scenario, dict, list[str]]:
+    """The scenario in the JSON file at `path`, the file's data and the voter
+    ids.  A vote that names no voter of the scenario or a candidate index of
+    `n` or more is a usage error, as is any value that `Scenario` refuses."""
+    scenario, data = _read(Scenario, path, "scenario")
+    voters = list(scenario.voters)
     known = set(voters)
-    for idx, vote in enumerate(votes):
-        where = f"vote {idx} in {path}"
-        if not isinstance(vote, dict):
-            raise UsageError(f"{where}: {vote!r} is not an object")
-        voter, candidate, time = (vote.get(key) for key in ("voter", "candidate", "time"))
-        if not isinstance(voter, (str, int)) or voter not in known:
-            raise UsageError(f"{where}: unknown voter {voter!r}")
-        if type(candidate) is not int or not 0 <= candidate < n:
-            raise UsageError(f"{where}: candidate {candidate!r} is not an index below {n}")
-        if type(time) is not int or time < 0:
-            raise UsageError(f"{where}: time {time!r} is not a non-negative int")
-    tamper = scenario.get("tamper")
-    if tamper is not None and not (
-        isinstance(tamper, dict) and tamper.get("type") in _TAMPERS
-    ):
-        raise UsageError(f"bad scenario {path}: tamper {tamper!r}")
-    return scenario, voters
+    for i, vote in enumerate(scenario.votes):
+        where = f"bad scenario {path}: votes[{i}]"
+        if vote.voter not in known:
+            raise UsageError(f"{where}.voter: {vote.voter!r} is not a voter of the scenario")
+        if vote.candidate >= n:
+            raise UsageError(f"{where}.candidate: {vote.candidate} is not below {n}")
+    return scenario, data, voters
 
 
-# The config fields that params.json publishes; `verify` rebuilds its config
-# from them.
+# params.json: the config fields that `verify` rebuilds its config from,
+# typed as in ElectionConfig, the election key and the trustee commitments.
 PUBLISHED_CONFIG = (
     "group", "candidates", "mix_server_count", "proof_rounds", "coercion_threshold"
 )
+_CONFIG_TYPES = get_type_hints(ElectionConfig, include_extras=True)
+_KEYED_1_TO_N = Check(
+    lambda keys: keys and set(keys) == {str(i) for i in range(1, len(keys) + 1)},
+    'keyed "1" to "n"',
+)
+Published = make_dataclass("Published", [
+    *((name, _CONFIG_TYPES[name]) for name in PUBLISHED_CONFIG),
+    ("election_pk", int),
+    ("trustee_commitments", Annotated[dict[str, int], _KEYED_1_TO_N]),
+], frozen=True)
 
 
 def _params_dict(config: ElectionConfig, election) -> dict:
@@ -126,12 +135,11 @@ def _params_dict(config: ElectionConfig, election) -> dict:
     }
 
 
-def _apply_tamper(board: Board, tamper: dict) -> None:
+def _apply_tamper(board: Board, tamper: Tamper) -> None:
     """Scenario-driven single mutations, for exercising the verifier.  The
-    clause's type is checked on load; a seq it uses must index an entry."""
-    kind = tamper["type"]
+    clause is checked on load; a seq it uses must also index an entry."""
     entries = board.entries
-    if kind == "alter_result_counts":
+    if tamper.type == "alter_result_counts":
         # Re-chain after the mutation so only the count check trips.
         for i, e in enumerate(entries):
             if e.kind == KIND_RESULT:
@@ -141,10 +149,10 @@ def _apply_tamper(board: Board, tamper: dict) -> None:
                 break
         board.rechain()
         return
-    seq = tamper.get("seq", 0)
-    if type(seq) is not int or not 0 <= seq < len(entries):
-        raise UsageError(f"tamper {tamper!r}: seq is not an int in [0, {len(entries)})")
-    if kind == "flip_payload_byte":
+    seq = tamper.seq
+    if seq >= len(entries):
+        raise UsageError(f"tamper.seq: {seq} is not below the board's {len(entries)} entries")
+    if tamper.type == "flip_payload_byte":
         e = entries[seq]
         entries[seq] = replace(e, payload=bytes([e.payload[0] ^ 0x01]) + e.payload[1:])
     else:
@@ -152,8 +160,8 @@ def _apply_tamper(board: Board, tamper: dict) -> None:
 
 
 def cmd_setup(args) -> int:
-    config, _ = _load_config(args.config)
-    voters = _load_scenario(args.scenario, len(config.candidates))[1] if args.scenario else []
+    config, _ = _read(ElectionConfig, args.config, "parameters in")
+    voters = _load_scenario(args.scenario, len(config.candidates))[2] if args.scenario else []
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     election, _credentials = Election.setup(config, voters, args.seed)
@@ -164,32 +172,30 @@ def cmd_setup(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config, _ = _load_config(args.config)
+    config, _ = _read(ElectionConfig, args.config, "parameters in")
     n_candidates = len(config.candidates)
-    scenario, voters = _load_scenario(args.scenario, n_candidates)
+    scenario, data, voters = _load_scenario(args.scenario, n_candidates)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     election, credentials = Election.setup(config, voters, args.seed)
-    votes = enumerate(scenario.get("votes", []))
-    for idx, vote in sorted(votes, key=lambda iv: (iv[1]["time"], iv[0])):
-        credential = credentials[vote["voter"]]
-        choice = encode_choice(vote["candidate"], n_candidates)
+    votes = enumerate(scenario.votes)
+    for idx, vote in sorted(votes, key=lambda iv: (iv[1].time, iv[0])):
         sb = compose_ballot(
             election.params,
-            credential,
+            credentials[vote.voter],
             election.election_key.h,
-            choice,
-            timestamp=vote["time"],
-            rng=derive_rng(args.seed, "ballot", vote["voter"], idx),
+            encode_choice(vote.candidate, n_candidates),
+            timestamp=vote.time,
+            rng=derive_rng(args.seed, "ballot", vote.voter, idx),
         )
-        election.cast(sb, now=vote["time"])
+        election.cast(sb, now=vote.time)
 
     election.close_election()
     result = election.run_tally()
 
-    if scenario.get("tamper") is not None:
-        _apply_tamper(election.board, scenario["tamper"])
+    if scenario.tamper is not None:
+        _apply_tamper(election.board, scenario.tamper)
 
     board_path = out_dir / "board.jsonl"
     election.board.save(board_path)
@@ -199,7 +205,7 @@ def cmd_run(args) -> int:
         out_dir / "manifest.json",
         {
             "config_digest": hexdigest(json.dumps(config.to_dict(), sort_keys=True)),
-            "scenario_digest": hexdigest(json.dumps(scenario, sort_keys=True)),
+            "scenario_digest": hexdigest(json.dumps(data, sort_keys=True)),
             "seed": args.seed,
             "board": board_path.name,
             "result": "result.json",
@@ -218,50 +224,35 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _published_keys(
-    params: GroupParams, params_data: dict, path: str
-) -> tuple[int, dict[int, int]]:
-    """The election key and the trustee commitments keyed 1..n, each an int
-    in the order-q subgroup; anything else in params.json is a usage error."""
-    election_pk = params_data.get("election_pk")
-    commitments = params_data.get("trustee_commitments")
-    if not isinstance(commitments, dict) or not commitments or set(commitments) != {
-        str(i) for i in range(1, len(commitments) + 1)
-    }:
-        raise UsageError(f"bad parameters in {path}: trustee_commitments not keyed 1..n")
-    keys = {"election_pk": election_pk}
-    keys.update((f"trustee_commitments[{i}]", h) for i, h in commitments.items())
-    for name, value in keys.items():
-        if type(value) is not int or not params.is_element(value):
-            raise UsageError(f"bad parameters in {path}: {name} is not in the order-q subgroup")
-    return election_pk, {int(i): h for i, h in commitments.items()}
-
-
 def cmd_verify(args) -> int:
     if not Path(args.board).exists():
         raise UsageError(f"file not found: {args.board}")
-    config, params_data = _load_config(args.params, PUBLISHED_CONFIG)
+    published, _ = _read(Published, args.params, "parameters in")
+    config = ElectionConfig(**{name: getattr(published, name) for name in PUBLISHED_CONFIG})
     try:
         board = Board.load(args.board)
     except ValueError as exc:
         raise UsageError(f"bad board {args.board}: {exc}") from exc
-    election_pk, commitments = _published_keys(config.params, params_data, args.params)
-    report = universal_verify(config.params, board, config, election_pk, commitments)
+    commitments = {int(i): h for i, h in published.trustee_commitments.items()}
+    keys = {f"trustee_commitments[{i}]": h for i, h in commitments.items()}
+    for name, value in {"election_pk": published.election_pk, **keys}.items():
+        if not config.params.is_element(value):
+            where = f"bad parameters in {args.params}"
+            raise UsageError(f"{where}: {name} is not in the order-q subgroup")
+    report = universal_verify(config.params, board, config, published.election_pk, commitments)
     print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
     return EXIT_OK if report.overall else EXIT_VERIFY_FAILED
 
 
 def cmd_coin_sim(args) -> int:
-    data = _load_json(args.scenario)
-    try:
-        config = SimConfig.from_dict(data)
-        if args.rounds is not None:
+    config, _ = _read(SimConfig, args.scenario, "scenario")
+    if args.mode is not None:
+        config = replace(config, mode={"stake": "stake_weighted", "uniform": "uniform"}[args.mode])
+    if args.rounds is not None:
+        try:
             config = replace(config, rounds=args.rounds)
-        if args.mode is not None:
-            mode = {"stake": "stake_weighted", "uniform": "uniform"}[args.mode]
-            config = replace(config, mode=mode)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad scenario: {exc}") from exc
+        except ValueError as exc:
+            raise UsageError(f"bad scenario: {exc}") from exc
     report = simulate(config, args.seed)
     out = json.dumps(report.to_dict(), sort_keys=True, indent=2)
     if args.out_dir:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import random
+import typing
 from dataclasses import dataclass
 
 from .canonical import Record
@@ -258,6 +259,8 @@ PROD_GROUP_3072 = GroupParams(
 )
 
 GROUP_PROFILES = {"test": TEST_GROUP, "prod3072": PROD_GROUP_3072}
+# A config's `group`: the name of one of the profiles.
+GroupName = typing.Literal[tuple(GROUP_PROFILES)]
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .canonical import Record, digest
+from .canonical import Record, digest, from_json
 from .errors import DuplicateVoter
 from .groups import GroupParams, keygen
 from .zkp import commit, holds
@@ -52,27 +52,17 @@ class Registry:
 
     def save(self, path: str | Path) -> None:
         """One voter per line: id, verify key, eligibility flag."""
-        lines = [
-            json.dumps(
-                {"voter_id": r.voter_id, "verify_key": r.verify_key, "eligible": r.eligible},
-                sort_keys=True,
-            )
-            for r in self.records.values()
-        ]
+        lines = [json.dumps(asdict(r), sort_keys=True) for r in self.records.values()]
         Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
     @classmethod
     def load(cls, params: GroupParams, path: str | Path) -> "Registry":
+        """The registry that `save` wrote; a line that `from_json` does not
+        read as a `VoterRecord` raises ValueError."""
         reg = cls(params)
-        for line in Path(path).read_text().splitlines():
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            reg.records[row["voter_id"]] = VoterRecord(
-                voter_id=row["voter_id"],
-                verify_key=row["verify_key"],
-                eligible=row["eligible"],
-            )
+        for line in filter(str.strip, Path(path).read_text().splitlines()):
+            record = from_json(VoterRecord, json.loads(line))
+            reg.records[record.voter_id] = record
         return reg
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import asdict, dataclass, field
+from typing import Annotated, Literal
 
 from . import bulletin
 from .ballot import (
@@ -27,12 +28,13 @@ from .ballot import (
     verify_ballot,
 )
 from .bulletin import Board
-from .canonical import derive_rng, digest
+from .canonical import Check, Config, at_least, between, derive_rng, digest
 from .errors import AlreadyClosed, FairnessViolation, MixRejected
 from .groups import (
     Ciphertext,
     ElectionKey,
     GROUP_PROFILES,
+    GroupName,
     GroupParams,
     TrusteeKeyShare,
     combine,
@@ -44,43 +46,29 @@ from .mixnet import MixBatch, run_mixnet, stage_failures, strip_signatures
 from .registry import Registry, VoterCredential, enroll_voter
 
 
-@dataclass
-class ElectionConfig:
-    candidates: list[str]
-    trustee_count: int = 3
-    mix_server_count: int = 3
-    proof_rounds: int = 20
-    revote_allowed: bool = True
-    coercion_threshold: float = 0.05
-    receipt_ttl: int = DEFAULT_RECEIPT_TTL
-    group: str = "test"
+# result.json keys the counts by candidate name, so the names differ.
+_Name = Annotated[str, Check(len, "a non-empty string")]
+_Names = Annotated[
+    list[_Name],
+    Check(lambda names: 0 < len(names) == len(set(names)), "a non-empty list of distinct names"),
+]
 
-    def __post_init__(self):
-        if not self.candidates:
-            raise ValueError("need at least one candidate")
-        if self.trustee_count < 1:
-            raise ValueError("need at least one trustee")
-        if self.mix_server_count < 1:
-            raise ValueError("need at least one mix server")
-        if self.proof_rounds < 1:
-            raise ValueError("need at least one proof round")
-        if not 0 <= self.coercion_threshold <= 1:
-            raise ValueError("coercion threshold must lie in [0, 1]")
-        if self.group not in GROUP_PROFILES:
-            raise ValueError(f"unknown group profile {self.group!r}")
-        if self.revote_allowed is not True:
-            raise ValueError("revote_allowed must be true: a voter's latest ballot counts")
+
+@dataclass(frozen=True)
+class ElectionConfig(Config):
+    candidates: _Names
+    trustee_count: Annotated[int, at_least(1)] = 3
+    mix_server_count: Annotated[int, at_least(1)] = 3
+    proof_rounds: Annotated[int, at_least(1)] = 20
+    # A voter's latest ballot is the one that counts; there is no other mode.
+    revote_allowed: Literal[True] = True
+    coercion_threshold: Annotated[float, between(0, 1)] = 0.05
+    receipt_ttl: Annotated[int, at_least(0)] = DEFAULT_RECEIPT_TTL
+    group: GroupName = "test"
 
     @property
     def params(self) -> GroupParams:
         return GROUP_PROFILES[self.group]
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ElectionConfig":
-        return cls(**d)
 
 
 @dataclass

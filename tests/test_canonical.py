@@ -1,10 +1,21 @@
 import dataclasses
+from typing import Annotated, Literal
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evote.canonical import Record, derive_rng, digest, encode, hexdigest
+from evote.canonical import (
+    Config,
+    Record,
+    at_least,
+    between,
+    derive_rng,
+    digest,
+    encode,
+    from_json,
+    hexdigest,
+)
 
 
 def _record(*types):
@@ -105,3 +116,79 @@ def test_flag_other_than_canonical_0_or_1_rejected(data):
 def test_int_with_leading_zero_byte_rejected(data):
     with pytest.raises(ValueError, match="leading zero"):
         _decode(INT, data)
+
+
+# --- JSON input ---
+
+@dataclasses.dataclass(frozen=True)
+class _Point:
+    x: int
+    label: str = "p"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Shape:
+    points: list[_Point]
+    scale: Annotated[float, between(0, 1)] = 1.0
+    kind: Literal["open", "closed"] = "open"
+    tags: tuple[str, ...] = ()
+    weights: dict[str, Annotated[int, at_least(0)]] = dataclasses.field(default_factory=dict)
+    extra: _Point | list[int] | None = None
+
+
+def test_from_json_reads_nested_dataclasses_by_annotation():
+    shape = from_json(
+        _Shape,
+        {
+            "points": [{"x": 1}, {"x": 2, "label": "q"}],
+            "scale": 1,
+            "kind": "closed",
+            "tags": ["a"],
+            "weights": {"w": 3},
+            "extra": [4],
+        },
+    )
+    assert shape == _Shape([_Point(1), _Point(2, "q")], 1, "closed", ("a",), {"w": 3}, [4])
+    assert from_json(_Shape, {"points": [], "extra": {"x": 0}}).extra == _Point(0)
+    assert from_json(_Shape, {"points": [], "extra": None}).extra is None
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([], "[] is not an object"),
+        ({}, "points: missing"),
+        ({"points": [], "bogus": 1}, "'bogus' is not a field of _Shape"),
+        ({"points": [{"x": True}]}, "points[0].x: True is not an int"),
+        ({"points": [{"x": 1.0}]}, "points[0].x: 1.0 is not an int"),
+        ({"points": [{}]}, "points[0].x: missing"),
+        ({"points": {"x": 1}}, "points: {'x': 1} is not a list"),
+        ({"points": [], "scale": "1"}, "scale: '1' is not a number"),
+        ({"points": [], "scale": False}, "scale: False is not a number"),
+        ({"points": [], "scale": 1.5}, "scale: 1.5 is not in [0, 1]"),
+        ({"points": [], "kind": "shut"}, "kind: 'shut' is not one of ['open', 'closed']"),
+        ({"points": [], "tags": "ab"}, "tags: 'ab' is not a list"),
+        ({"points": [], "weights": {"w": -1}}, "weights[w]: -1 is not at least 0"),
+        ({"points": [], "extra": {"y": 0}}, "extra: 'y' is not a field of _Point"),
+        ({"points": [], "extra": [1, "2"]}, "extra[1]: '2' is not an int"),
+        ({"points": [], "extra": "x"}, "extra: 'x' is not an object"),
+    ],
+)
+def test_from_json_names_the_path_of_a_refused_value(obj, message):
+    with pytest.raises(ValueError) as info:
+        from_json(_Shape, obj)
+    assert str(info.value) == message
+
+
+def test_a_config_checks_every_construction_like_json():
+    @dataclasses.dataclass(frozen=True)
+    class Knobs(Config):
+        n: Annotated[int, at_least(1)] = 1
+        on: Literal[True] = True
+
+    assert Knobs.from_dict({"n": 2}).to_dict() == {"n": 2, "on": True}
+    for build in (lambda: Knobs(n=0), lambda: dataclasses.replace(Knobs(), n=0)):
+        with pytest.raises(ValueError, match="^n: 0 is not at least 1$"):
+            build()
+    with pytest.raises(ValueError, match=r"^on: 1 is not one of \[True\]$"):
+        Knobs(on=1)

@@ -1,11 +1,17 @@
 import json
+import re
 import shutil
 import subprocess
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from evote.cli import main
+from evote import tally
+from evote.ballotcoin import SimConfig
+from evote.cli import Published, Scenario, Tamper, Vote, VoterRange, main
 from evote.groups import TEST_GROUP
+from evote.tally import ElectionConfig
 
 CONFIG = {
     "candidates": ["alice", "bob", "carol"],
@@ -281,11 +287,14 @@ def _verify_with_edited_params(workdir, capsys, edit):
         lambda params: params["trustee_commitments"].update({"5": 2}),
         lambda params: params["trustee_commitments"].pop("1"),
         lambda params: params.update(trustee_commitments={}),
+        lambda params: params.update(candidates=["alice", "alice", "carol"]),
+        lambda params: params.update(candidates="abc"),
+        lambda params: params.update(trustee_count=3),
     ],
     ids=[
         "threshold as text", "no proof rounds", "no threshold", "key as text",
         "key as bool", "commitment equal to p", "trustee 4 missing", "trustee 1 missing",
-        "no trustees",
+        "no trustees", "repeated candidate", "candidates as text", "unpublished key",
     ],
 )
 def test_bad_params_for_verify_is_usage_error(workdir, capsys, edit):
@@ -342,6 +351,76 @@ def test_bad_config_is_usage_error(workdir, capsys, command, edit):
     assert not (workdir / "out").exists()
 
 
+# Two votes for slot 0 and one for slot 1.
+SCENARIO_TWO_SLOTS = {
+    "voters": ["v01", "v02", "v03"],
+    "votes": [
+        {"voter": "v01", "candidate": 0, "time": 1},
+        {"voter": "v02", "candidate": 0, "time": 2},
+        {"voter": "v03", "candidate": 1, "time": 3},
+    ],
+}
+
+
+# Each of these ran, or crashed with a TypeError, before the config was
+# decoded by its annotations; with "candidates": ["a", "a"], result.json
+# showed {"a": 1} and two votes vanished from it.
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        ({"candidates": ["a", "a"]}, "candidates"),
+        ({"candidates": ["a", ""]}, "candidates[1]"),
+        ({"candidates": "ab"}, "candidates"),
+        ({"candidates": [1, 2]}, "candidates[0]"),
+        ({"trustee_count": 2.5}, "trustee_count"),
+        ({"mix_server_count": 2.5}, "mix_server_count"),
+        ({"proof_rounds": 2.5}, "proof_rounds"),
+        ({"trustee_count": True}, "trustee_count"),
+        ({"receipt_ttl": "x"}, "receipt_ttl"),
+        ({"receipt_ttl": -5}, "receipt_ttl"),
+        ({"receipt_ttl": 2.5}, "receipt_ttl"),
+    ],
+    ids=[
+        "repeated candidate", "empty candidate name", "candidates as text",
+        "candidates as ints", "trustees as float", "mix servers as float",
+        "proof rounds as float", "trustees as bool", "ttl as text", "negative ttl",
+        "ttl as float",
+    ],
+)
+def test_mistyped_config_field_is_usage_error(workdir, capsys, edit, field):
+    config = {**CONFIG, "candidates": ["a", "b"], **edit}
+    (workdir / "bad_config.json").write_text(json.dumps(config))
+    (workdir / "two_slots.json").write_text(json.dumps(SCENARIO_TWO_SLOTS))
+    rc = main(
+        [
+            "run",
+            "--config", str(workdir / "bad_config.json"),
+            "--scenario", str(workdir / "two_slots.json"),
+            "--out-dir", str(workdir / "out"),
+        ]
+    )
+    assert rc == 4
+    assert f"{field}: " in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "tamper", [{"type": "drop_entry", "seq": "3"}, {"type": "flip_payload_byte", "seq": -1}],
+    ids=["seq as text", "negative seq"],
+)
+def test_mistyped_tamper_seq_is_refused_before_the_election(workdir, capsys, monkeypatch, tamper):
+    tallies = []
+    run_tally = tally.Election.run_tally
+    monkeypatch.setattr(
+        tally.Election, "run_tally", lambda self: tallies.append(self) or run_tally(self)
+    )
+    (workdir / "tampered.json").write_text(json.dumps(dict(SCENARIO_CLEAN, tamper=tamper)))
+    assert _run(workdir, scenario="tampered.json") == 4
+    assert tallies == []
+    assert not (workdir / "out").exists()
+    assert "tamper.seq: " in capsys.readouterr().err
+
+
 def test_vote_by_unknown_voter_is_usage_error(workdir, capsys):
     votes = SCENARIO_CLEAN["votes"] + [{"voter": "v99", "candidate": 0, "time": 5}]
     scenario = dict(SCENARIO_CLEAN, votes=votes)
@@ -351,26 +430,26 @@ def test_vote_by_unknown_voter_is_usage_error(workdir, capsys):
 
 
 @pytest.mark.parametrize(
-    "vote",
+    "vote, field",
     [
-        {"voter": "v02", "candidate": 1},
-        {"voter": "v02", "candidate": "1", "time": 5},
-        {"voter": "v02", "candidate": 1, "time": "x"},
-        {"voter": "v02", "candidate": 7, "time": 5},
-        {"voter": "v02", "candidate": True, "time": 5},
-        {"voter": "v02", "candidate": 1, "time": -1},
-        ["v02", 1, 5],
+        ({"voter": "v02", "candidate": 1}, "votes[4].time"),
+        ({"voter": "v02", "candidate": "1", "time": 5}, "votes[4].candidate"),
+        ({"voter": "v02", "candidate": 1, "time": "x"}, "votes[4].time"),
+        ({"voter": "v02", "candidate": 7, "time": 5}, "votes[4].candidate"),
+        ({"voter": "v02", "candidate": True, "time": 5}, "votes[4].candidate"),
+        ({"voter": "v02", "candidate": 1, "time": -1}, "votes[4].time"),
+        (["v02", 1, 5], "votes[4]"),
     ],
     ids=[
         "no time", "candidate as text", "time as text", "candidate out of range",
         "candidate as bool", "negative time", "vote as list",
     ],
 )
-def test_malformed_vote_is_usage_error(workdir, capsys, vote):
+def test_malformed_vote_is_usage_error(workdir, capsys, vote, field):
     scenario = dict(SCENARIO_CLEAN, votes=SCENARIO_CLEAN["votes"] + [vote])
     (workdir / "bad_vote.json").write_text(json.dumps(scenario))
     assert _run(workdir, scenario="bad_vote.json") == 4
-    assert "vote 4 in " in capsys.readouterr().err
+    assert field in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "setup"])
@@ -381,9 +460,13 @@ def test_malformed_vote_is_usage_error(workdir, capsys, vote):
         ([1, 2], "not an object"),
         ({"voters": 5}, "voters"),
         ({"voters": ["v01"], "votes": {"voter": "v01"}}, "votes"),
-        ({"voters": ["a", "a"]}, "voter 'a' repeated"),
+        ({"voters": ["a", "a"]}, "voters: ['a', 'a']"),
+        ({"voters": [1, 2]}, "voters[0]: 1"),
+        ({"voters": {"count": 2, "prefix": 7}}, "voters.prefix: 7"),
+        ({"voters": ["v01"], "note": "x"}, "'note'"),
     ],
-    ids=["count as text", "scenario as list", "voters as int", "votes as object", "repeated voter"],
+    ids=["count as text", "scenario as list", "voters as int", "votes as object", "repeated voter",
+         "voter ids as ints", "prefix as int", "unknown key"],
 )
 def test_malformed_scenario_is_usage_error(workdir, capsys, command, scenario, field):
     (workdir / "bad_scenario.json").write_text(json.dumps(scenario))
@@ -422,23 +505,23 @@ def test_missing_required_flag_is_usage_error(workdir, capsys):
 
 
 @pytest.mark.parametrize(
-    "tamper",
+    "tamper, field",
     [
-        {"type": "set_winner"},
-        {"type": "flip_payload_byte", "seq": 999},
-        "drop",
-        {"type": "drop_entry", "seq": -1},
-        {"type": "drop_entry", "seq": "3"},
-        {"seq": 3},
+        ({"type": "set_winner"}, "tamper.type: 'set_winner'"),
+        ({"type": "flip_payload_byte", "seq": 999}, "tamper.seq: 999"),
+        ("drop", "tamper: 'drop'"),
+        ({"type": "drop_entry", "seq": -1}, "tamper.seq: -1"),
+        ({"type": "drop_entry", "seq": "3"}, "tamper.seq: '3'"),
+        ({"seq": 3}, "tamper.type"),
     ],
     ids=["unknown type", "seq past the end", "clause as text", "negative seq", "seq as text",
          "no type"],
 )
-def test_unknown_tamper_type_is_usage_error(workdir, capsys, tamper):
+def test_unknown_tamper_type_is_usage_error(workdir, capsys, tamper, field):
     scenario = dict(SCENARIO_CLEAN, tamper=tamper)
     (workdir / "tampered.json").write_text(json.dumps(scenario))
     assert _run(workdir, scenario="tampered.json") == 4
-    assert f"tamper {tamper!r}" in capsys.readouterr().err
+    assert field in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -465,6 +548,52 @@ def test_bad_sim_flag_override_is_usage_error(workdir, capsys):
     rc = main(["coin-sim", "--scenario", str(workdir / "sim.json"), "--rounds", "-1"])
     assert rc == 4
     assert "rounds" in capsys.readouterr().err
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def test_readme_examples_run_and_verify(tmp_path, capsys):
+    block = README.read_text().split("// config.json\n", 1)[1].split("```", 1)[0]
+    config, scenario = block.split("// scenario.json\n")
+    (tmp_path / "config.json").write_text(config)
+    (tmp_path / "scenario.json").write_text(scenario)
+    out = tmp_path / "out"
+    # The example's one re-vote among four ballots is past the 5% coercion
+    # threshold, so run flags it.
+    assert main(
+        [
+            "run",
+            "--config", str(tmp_path / "config.json"),
+            "--scenario", str(tmp_path / "scenario.json"),
+            "--seed", "42",
+            "--out-dir", str(out),
+        ]
+    ) == 3
+    assert main(
+        ["verify", "--board", str(out / "board.jsonl"), "--params", str(out / "params.json")]
+    ) == 0
+
+
+def _names(cls, prefix=""):
+    return sorted(prefix + f.name for f in fields(cls))
+
+
+def test_readme_field_table_names_every_field():
+    table = {}
+    for line in README.read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if cells[0] in ("config", "scenario", "params.json", "coin-sim"):
+            table.setdefault(cells[0], []).extend(re.findall(r"`([^`]+)`", cells[1]))
+    assert {file: sorted(names) for file, names in table.items()} == {
+        "config": _names(ElectionConfig),
+        "scenario": sorted(
+            _names(Scenario) + _names(VoterRange, "voters.") + _names(Vote, "votes[i].")
+            + _names(Tamper, "tamper.")
+        ),
+        "params.json": _names(Published),
+        "coin-sim": _names(SimConfig),
+    }
 
 
 def test_console_script_entry_point(workdir):

@@ -14,6 +14,9 @@
   `random.*` function, or uses `secrets`, `os.urandom` or `time`.
 - `canonical.py` owns the bytes a record keeps: no other module names the
   attribute that keeps them or touches an instance's `__dict__` (or `vars`).
+- `canonical.from_json` owns the types of JSON input: `cli.py`, a function
+  that calls `json.loads` and a config class (one based on `Config` or with
+  a `from_dict`) apply no `isinstance` and compare no `type(...)`.
 """
 
 import ast
@@ -203,6 +206,49 @@ def test_only_canonical_keeps_record_bytes(path):
         assert _kept_bytes_uses(ast.parse(path.read_text())) == []
 
 
+def _type_tests(node: ast.AST) -> int:
+    """How many `isinstance(...)` calls and comparisons of a `type(...)`
+    call `node` holds."""
+    return sum(
+        (isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "isinstance")
+        or (
+            isinstance(sub, ast.Compare)
+            and any(
+                isinstance(side, ast.Call) and getattr(side.func, "id", None) == "type"
+                for side in (sub.left, *sub.comparators)
+            )
+        )
+        for sub in ast.walk(node)
+    )
+
+
+def _is_config(node: ast.AST) -> bool:
+    return isinstance(node, ast.ClassDef) and (
+        any(getattr(base, "id", None) == "Config" for base in node.bases)
+        or any(getattr(stmt, "name", None) == "from_dict" for stmt in node.body)
+    )
+
+
+def _json_type_tests(tree: ast.Module) -> dict[str, int]:
+    """The type tests in each function that calls `json.loads` and in each
+    config class, by name, where there are any."""
+    readers = [
+        node
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.FunctionDef) and _called(node, "loads")) or _is_config(node)
+    ]
+    return {node.name: _type_tests(node) for node in readers if _type_tests(node)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_from_json_tests_the_types_of_json_input(path):
+    tree = ast.parse(path.read_text())
+    if path.name == "cli.py":
+        assert _type_tests(tree) == 0
+    if path.name != "canonical.py":
+        assert _json_type_tests(tree) == {}
+
+
 def test_the_guards_see_a_violation():
     bad = ast.parse(
         "def verify(params, y, t, e, z):\n"
@@ -224,6 +270,18 @@ def test_the_guards_see_a_violation():
         "from .groups import _jacobi\n"
         "member = params.exp(y, params.q) == 1 or pow(y, q, p) == 1 or y ** q == 1\n"
         "fine = params.exp(y, q - 1), params.q * 2\n"
+        "def load(line):\n"
+        "    row = json.loads(line)\n"
+        "    return isinstance(row, dict) and type(row['seq']) is int\n"
+        "class Limits(Config):\n"
+        "    def __post_init__(self):\n"
+        "        assert type(self.low) in (int, float)\n"
+        "class Sim:\n"
+        "    @classmethod\n"
+        "    def from_dict(cls, d):\n"
+        "        return cls(**d) if type(d) is dict else None\n"
+        "def check(x):\n"
+        "    return isinstance(x, int)\n"
     )
     assert _exp_comparisons(bad) == [("verify", 3)]
     assert _called(bad, "pow")
@@ -234,3 +292,5 @@ def test_the_guards_see_a_violation():
     ]
     assert sorted(_kept_bytes_uses(bad)) == ["__dict__", KEPT_BYTES, KEPT_BYTES, "vars"]
     assert sorted(_membership_decisions(bad)) == ["_jacobi", "exp(x, q)", "pow(x, q)", "x ** q"]
+    assert _json_type_tests(bad) == {"load": 2, "Limits": 1, "Sim": 1}
+    assert _type_tests(bad) == 5
