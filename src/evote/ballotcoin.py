@@ -32,25 +32,22 @@ _FORGER_MODES = ("stake_weighted", "uniform")
 _Ledger = tuple[dict[str, int], set[bytes]]  # balances, included tx digests
 
 
-@dataclass
+@dataclass(frozen=True)
 class Wallet:
+    """A node's public identity; its stake is its balance on the chain."""
+
     address: str  # lowercase hex digest of the verify key
     verify_key: int
-    balance: int = 0
-    is_candidate: bool = False
 
 
 def wallet_address(verify_key: int) -> str:
     return digest(verify_key).hex()
 
 
-def make_wallet(params: GroupParams, rng: random.Random, is_candidate: bool = False):
+def make_wallet(params: GroupParams, rng: random.Random) -> tuple[Wallet, int]:
     """Fresh wallet plus its signing key (held by the owner, not the chain)."""
     kp = keygen(params, rng)
-    wallet = Wallet(
-        address=wallet_address(kp.pk), verify_key=kp.pk, is_candidate=is_candidate
-    )
-    return wallet, kp.sk
+    return Wallet(address=wallet_address(kp.pk), verify_key=kp.pk), kp.sk
 
 
 @dataclass(frozen=True)
@@ -200,8 +197,9 @@ def _admit(
 def genesis(
     params: GroupParams, candidates: list[Wallet], voters: list[Wallet],
     forger_keys: dict[str, int] | None = None,
-) -> tuple[Chain, dict[str, int]]:
-    """Genesis chain crediting exactly one coin per eligible voter."""
+) -> Chain:
+    """Genesis chain crediting exactly one coin per eligible voter; the
+    allocation is the chain's `genesis_alloc`."""
     if not candidates:
         raise ValueError("need at least one candidate")
     alloc = {w.address: 0 for w in candidates}
@@ -216,14 +214,13 @@ def genesis(
         txs=(),
         forger_signature=None,
     )
-    chain = Chain(
+    return Chain(
         params=params,
         genesis_alloc=alloc,
         candidate_names={w.address: w.address for w in candidates},
         forger_keys=forger_keys or {},
         blocks=(block,),
     )
-    return chain, alloc
 
 
 def validate_tx(chain: Chain, pool: list[CoinTransaction], tx: CoinTransaction) -> bool:
@@ -246,21 +243,22 @@ class NodeState:
 
 
 def select_forger(
-    nodes: list[NodeState], mode: str, seed, round_no: int
+    nodes: list[NodeState], balances: dict[str, int], mode: str, seed, round_no: int
 ) -> str:
     """Seeded lottery over eligible nodes; an offline pick is redrawn.
 
-    stake_weighted: probability proportional to coin balance.
-    uniform: equal probability per eligible node, balances never read.
+    stake_weighted: probability proportional to the balance of the node's
+    address in `balances`, the ledger's coin balances.
+    uniform: equal probability per eligible node, `balances` never read.
     """
     if mode not in _FORGER_MODES:
         raise ValueError(f"unknown forger mode {mode!r}")
     eligible = sorted((n for n in nodes if n.eligible), key=lambda n: n.node_id)
     if mode == "stake_weighted":
-        eligible = [n for n in eligible if n.wallet.balance > 0]
+        eligible = [n for n in eligible if balances.get(n.wallet.address, 0) > 0]
         if not any(n.online for n in eligible):
             raise NoOnlineNodes("no online eligible node with stake")
-        weights = [n.wallet.balance for n in eligible]
+        weights = [balances[n.wallet.address] for n in eligible]
     else:
         if not any(n.online for n in eligible):
             raise NoOnlineNodes("no online eligible node")
@@ -398,14 +396,12 @@ def simulate(config: SimConfig, seed, observer=None) -> SimReport:
     params = GROUP_PROFILES[config.group]
     cand_wallets = []
     for i in range(config.n_candidates):
-        w, _ = make_wallet(params, derive_rng(seed, "candidate", i), is_candidate=True)
+        w, _ = make_wallet(params, derive_rng(seed, "candidate", i))
         cand_wallets.append((f"cand{i}", w))
 
     nodes: list[NodeState] = []
-    voter_wallets = []
     for i in range(config.n_voters):
         w, sk = make_wallet(params, derive_rng(seed, "voter", i))
-        voter_wallets.append(w)
         nodes.append(NodeState(node_id=f"node{i:04d}", wallet=w, signing_key=sk))
 
     n_malicious = int(round(config.malicious_fraction * config.n_voters))
@@ -413,10 +409,10 @@ def simulate(config: SimConfig, seed, observer=None) -> SimReport:
     for n in mal_rng.sample(nodes, n_malicious):
         n.malicious = True
 
-    chain, _alloc = genesis(
+    chain = genesis(
         params,
         [w for _, w in cand_wallets],
-        voter_wallets,
+        [n.wallet for n in nodes],
         forger_keys={n.node_id: n.wallet.verify_key for n in nodes},
     )
     chain = replace(
@@ -454,12 +450,8 @@ def simulate(config: SimConfig, seed, observer=None) -> SimReport:
                 pool.append(tx)
                 voted.add(n.node_id)
 
-        # Stake weights follow the canonical chain.
-        for n in nodes:
-            n.wallet.balance = balances.get(n.wallet.address, 0)
-
         try:
-            forger_id = select_forger(nodes, config.mode, seed, r)
+            forger_id = select_forger(nodes, balances, config.mode, seed, r)
         except NoOnlineNodes:
             skipped += 1
             continue

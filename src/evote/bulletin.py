@@ -109,6 +109,9 @@ RECORDS = {
 }
 KINDS = frozenset(RECORDS)
 
+# The keys of a board.jsonl row, as `Board.save` writes them.
+_ROW_KEYS = frozenset(("seq", "kind", "payload", "prev", "digest"))
+
 
 @dataclass(frozen=True)
 class BulletinEntry:
@@ -174,11 +177,11 @@ class Board:
 
     @classmethod
     def load(cls, path: str | Path) -> "Board":
-        """Each line is a JSON object whose kind is one of KINDS and whose
-        payload, prev and digest are lowercase hex, as `save` writes them;
-        any other line raises ValueError naming it, so the file has one
-        encoding.  The seq is kept as read, so a bad one fails verify_chain
-        instead."""
+        """Each line is a JSON object whose kind is one of KINDS, whose
+        payload, prev and digest are lowercase hex and whose keys are among
+        the row keys, as `save` writes them; any other line raises ValueError
+        naming it, so the file has one encoding.  The seq is kept as read, so
+        a bad or missing one fails verify_chain instead."""
         board = cls()
         for number, line in enumerate(Path(path).read_text().splitlines(), 1):
             if not line.strip():
@@ -191,6 +194,8 @@ class Board:
                 payload, prev, entry_hash = map(bytes.fromhex, hex_fields)
                 if [payload.hex(), prev.hex(), entry_hash.hex()] != hex_fields:
                     raise ValueError("payload, prev and digest must be lowercase hex")
+                if extra := row.keys() - _ROW_KEYS:
+                    raise ValueError(f"unknown keys {sorted(extra)}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"line {number}: {exc!r}") from exc
             board.entries.append(BulletinEntry(row.get("seq"), kind, payload, prev, entry_hash))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, make_dataclass, replace
 from pathlib import Path
 from typing import Annotated, Literal, get_type_hints
@@ -37,18 +38,37 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read(cls, path: str, what: str):
-    """The `cls` that `from_json` reads from the JSON file at `path`, and the
-    file's data; any fault is a usage error, which names the value's path."""
+@contextmanager
+def _reading(path: str, what: str):
+    """Any fault in reading the `what` file at `path` is a usage error that
+    names the file."""
     try:
-        data = json.loads(Path(path).read_text())
-        return from_json(cls, data), data
+        yield
     except FileNotFoundError as exc:
         raise UsageError(f"file not found: {path}") from exc
+    except OSError as exc:
+        raise UsageError(f"{exc.strerror.lower()}: {path}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"invalid JSON in {path}: {exc}") from exc
     except ValueError as exc:
         raise UsageError(f"bad {what} {path}: {exc}") from exc
+
+
+def _read(cls, path: str, what: str):
+    """The `cls` that `from_json` reads from the JSON file at `path`, and the
+    file's data; any fault is a usage error, which names the value's path."""
+    with _reading(path, what):
+        data = json.loads(Path(path).read_text())
+        return from_json(cls, data), data
+
+
+def _out_dir(path: str) -> Path:
+    """The directory at `path`, made if missing; a usage error if it cannot be."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot make the output directory {path}: {exc.strerror}") from exc
+    return Path(path)
 
 
 def _dump_json(path: Path, data: dict) -> None:
@@ -162,8 +182,7 @@ def _apply_tamper(board: Board, tamper: Tamper) -> None:
 def cmd_setup(args) -> int:
     config, _ = _read(ElectionConfig, args.config, "parameters in")
     voters = _load_scenario(args.scenario, len(config.candidates))[2] if args.scenario else []
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out_dir)
     election, _credentials = Election.setup(config, voters, args.seed)
     election.registry.save(out_dir / "registry.jsonl")
     _dump_json(out_dir / "params.json", _params_dict(config, election))
@@ -175,8 +194,7 @@ def cmd_run(args) -> int:
     config, _ = _read(ElectionConfig, args.config, "parameters in")
     n_candidates = len(config.candidates)
     scenario, data, voters = _load_scenario(args.scenario, n_candidates)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out_dir)
 
     election, credentials = Election.setup(config, voters, args.seed)
     votes = enumerate(scenario.votes)
@@ -225,14 +243,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not Path(args.board).exists():
-        raise UsageError(f"file not found: {args.board}")
+    with _reading(args.board, "board"):
+        board = Board.load(args.board)
     published, _ = _read(Published, args.params, "parameters in")
     config = ElectionConfig(**{name: getattr(published, name) for name in PUBLISHED_CONFIG})
-    try:
-        board = Board.load(args.board)
-    except ValueError as exc:
-        raise UsageError(f"bad board {args.board}: {exc}") from exc
     commitments = {int(i): h for i, h in published.trustee_commitments.items()}
     keys = {f"trustee_commitments[{i}]": h for i, h in commitments.items()}
     for name, value in {"election_pk": published.election_pk, **keys}.items():
@@ -256,15 +270,16 @@ def cmd_coin_sim(args) -> int:
     report = simulate(config, args.seed)
     out = json.dumps(report.to_dict(), sort_keys=True, indent=2)
     if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "simreport.json").write_text(out + "\n")
+        (_out_dir(args.out_dir) / "simreport.json").write_text(out + "\n")
     print(out)
     return EXIT_OK
 
 
 def cmd_estimate(args) -> int:
-    est = estimate_storage(args.n_tx, args.bytes_per_tx)
+    try:
+        est = estimate_storage(args.n_tx, args.bytes_per_tx)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     print(f"{est.total_bytes:,} bytes ({est.mib:.1f} MiB)")
     return EXIT_OK
 

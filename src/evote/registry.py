@@ -15,7 +15,7 @@ from pathlib import Path
 from .canonical import Record, digest, from_json
 from .errors import DuplicateVoter
 from .groups import GroupParams, keygen
-from .zkp import commit, holds
+from .zkp import commit, holds, nonce
 
 DOMAIN_SIG = "evote/registry/schnorr"
 _DOMAIN_SIG_NONCE = "evote/registry/schnorr-nonce"
@@ -95,9 +95,7 @@ def sign(params: GroupParams, signing_key: int, message: bytes) -> Signature:
     """Schnorr signature over the canonical encoding of message."""
     q, g = params.q, params.g
     vk = params.exp(g, signing_key, fixed=True)
-    # Derandomized nonce: a function of key and message, never reused across
-    # distinct messages, no RNG dependency at signing time.
-    w = int.from_bytes(digest(_DOMAIN_SIG_NONCE, signing_key, message), "big") % q
+    w = nonce(params, signing_key, message, domain=_DOMAIN_SIG_NONCE)
     [t] = commit(params, ((g, True),), w)
     e = _sig_challenge(params, vk, t, message)
     z = (w + e * signing_key) % q

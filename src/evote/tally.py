@@ -208,28 +208,23 @@ def aggregate_check(
     return totals
 
 
+@dataclass(eq=False)
 class Election:
     """Single-authority election state machine tying the modules together."""
 
-    def __init__(
-        self,
-        config: ElectionConfig,
-        registry: Registry,
-        board: Board,
-        election_key: ElectionKey,
-        trustees: list[TrusteeKeyShare],
-        seed,
-    ):
-        self.config = config
-        self.params = config.params
-        self.registry = registry
-        self.board = board
-        self.election_key = election_key
-        self.trustees = trustees
-        self.seed = seed
-        self.state = ElectionState.OPEN
-        self.collected: list[SignedBallot] = []
-        self.result: ElectionResult | None = None
+    config: ElectionConfig
+    registry: Registry
+    board: Board
+    election_key: ElectionKey
+    trustees: list[TrusteeKeyShare]
+    seed: int | str
+    state: ElectionState = ElectionState.OPEN
+    collected: list[SignedBallot] = field(default_factory=list)
+    result: ElectionResult | None = None
+
+    @property
+    def params(self) -> GroupParams:
+        return self.config.params
 
     @classmethod
     def setup(

@@ -29,10 +29,12 @@ def _challenge(params: GroupParams, domain: str, *fields) -> int:
     return int.from_bytes(digest(domain, items), "big") % params.q
 
 
-def _nonce(params: GroupParams, *secret_and_statement) -> int:
-    # Derandomized prover nonce: hashing the secret with the statement keeps
-    # proofs deterministic without reusing a nonce across statements.
-    return int.from_bytes(digest(_DOMAIN_NONCE, *secret_and_statement), "big") % params.q
+def nonce(params: GroupParams, *secret_and_statement, domain: str = _DOMAIN_NONCE) -> int:
+    """The prover nonce of every proof and signature, in [0, q).
+
+    Derandomized: hashing the secret with the statement keeps proofs
+    deterministic without reusing a nonce across statements."""
+    return int.from_bytes(digest(domain, *secret_and_statement), "big") % params.q
 
 
 def commit(params: GroupParams, bases, w: int) -> list[int]:
@@ -74,7 +76,7 @@ def prove_correct_decryption(
 ) -> DecryptionProof:
     """Prove d = c1^x for the committed share g^x, without revealing x."""
     pk_component = params.exp(params.g, x, fixed=True)
-    w = _nonce(params, x, ct.to_bytes(), d)
+    w = nonce(params, x, ct.to_bytes(), d)
     commits = commit(params, ((params.g, True), (ct.c1, DECRYPTING)), w)
     e = _challenge(params, DOMAIN_CP, pk_component, ct.to_bytes(), d, *commits)
     z = (w + e * x) % params.q
@@ -145,9 +147,9 @@ def _prove_slot(
     fake = 1 - value
     statement = encode(pk, ct.to_bytes(), index, slots_digest)
 
-    e_fake = _nonce(params, "fake-e", r, value, statement)
-    z_fake = _nonce(params, "fake-z", r, value, statement)
-    w = _nonce(params, "real-w", r, value, statement)
+    e_fake = nonce(params, "fake-e", r, value, statement)
+    z_fake = nonce(params, "fake-z", r, value, statement)
+    w = nonce(params, "real-w", r, value, statement)
     # Simulated branch commitments t = b^z / y^e satisfy the verification
     # equations by construction for the pre-chosen (e_fake, z_fake).
     commits = {
@@ -219,7 +221,7 @@ def prove_wellformed(
 
     prod_a, prod_b, y = _sum_statement(params, pk, slots)
     total_r = sum(randomness) % q
-    w = _nonce(params, "sum-w", total_r, sd)
+    w = nonce(params, "sum-w", total_r, sd)
     commits = commit(params, ((params.g, True), (pk, True)), w)
     e = _challenge(params, DOMAIN_SUM, pk, prod_a, prod_b, *commits, sd)
     z = (w + e * total_r) % q

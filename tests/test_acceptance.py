@@ -530,14 +530,15 @@ def test_c10_forger_selection_statistics():
     stake_nodes = [
         NodeState(
             node_id=f"n{i:03d}",
-            wallet=Wallet(address=f"a{i}", verify_key=1, balance=1),
+            wallet=Wallet(address=f"a{i}", verify_key=1),
             signing_key=1,
         )
         for i in range(100)
     ]
+    stakes = {f"a{i}": 1 for i in range(100)}
     draws = 100_000
     wins = Counter(
-        select_forger(stake_nodes, "stake_weighted", "acceptance-c10", r)
+        select_forger(stake_nodes, stakes, "stake_weighted", "acceptance-c10", r)
         for r in range(draws)
     )
     assert 0.005 <= wins["n000"] / draws <= 0.015
@@ -545,7 +546,7 @@ def test_c10_forger_selection_statistics():
     uniform_nodes = stake_nodes[:10]
     draws = 10_000
     wins = Counter(
-        select_forger(uniform_nodes, "uniform", "acceptance-c10u", r)
+        select_forger(uniform_nodes, stakes, "uniform", "acceptance-c10u", r)
         for r in range(draws)
     )
     for i in range(10):
@@ -553,18 +554,18 @@ def test_c10_forger_selection_statistics():
 
 
 def _coin_net():
-    def wallet(sk, is_candidate=False):
+    def wallet(sk):
         vk = pow(GRP.g, sk, GRP.p)
-        return Wallet(address=wallet_address(vk), verify_key=vk, is_candidate=is_candidate)
+        return Wallet(address=wallet_address(vk), verify_key=vk)
 
-    cand = wallet(1, is_candidate=True)
+    cand = wallet(1)
     keys = [4, 5, 6]
     voters = [wallet(sk) for sk in keys]
     nodes = [
         NodeState(node_id=f"n{i}", wallet=w, signing_key=sk)
         for i, (w, sk) in enumerate(zip(voters, keys))
     ]
-    chain, _ = genesis(
+    chain = genesis(
         GRP, [cand], voters, forger_keys={n.node_id: n.wallet.verify_key for n in nodes}
     )
     chain = replace(chain, candidate_names={cand.address: "cand"})
@@ -801,10 +802,10 @@ def test_c14_float_seq_breaks_the_chain(tmp_path, capsys):
     assert "hash chain does not recompute" in report["failures"]
 
 
-# A board row is a JSON object whose kind is a known entry kind and whose
-# payload, prev and digest are lowercase hex strings, as `save` writes them;
-# any other row on the c14 board is a usage error that names its line, so
-# the file has one encoding.
+# A board row is a JSON object whose kind is a known entry kind, whose
+# payload, prev and digest are lowercase hex strings and that has no other key
+# but seq, as `save` writes it; any other row on the c14 board is a usage
+# error that names its line, so the file has one encoding.
 @pytest.mark.parametrize(
     "edit",
     [
@@ -814,10 +815,11 @@ def test_c14_float_seq_breaks_the_chain(tmp_path, capsys):
         lambda row: row.update(kind={"name": row["kind"]}),
         lambda row: row.update(payload=row["payload"].upper()),
         lambda row: row.update(kind="Gossip"),
+        lambda row: row.update(note=1),
     ],
     ids=[
         "prev as int", "digest not hex", "no payload", "kind as object", "payload in uppercase",
-        "unknown kind",
+        "unknown kind", "extra key",
     ],
 )
 def test_c14_mistyped_row_is_a_usage_error(tmp_path, capsys, edit):

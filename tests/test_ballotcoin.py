@@ -29,9 +29,9 @@ from evote.errors import NoOnlineNodes, SupplyNotConserved
 from evote.registry import sign
 
 
-def _wallet(grp, sk: int, is_candidate: bool = False) -> Wallet:
+def _wallet(grp, sk: int) -> Wallet:
     vk = pow(grp.g, sk, grp.p)
-    return Wallet(address=wallet_address(vk), verify_key=vk, is_candidate=is_candidate)
+    return Wallet(address=wallet_address(vk), verify_key=vk)
 
 
 @pytest.fixture
@@ -42,14 +42,14 @@ def net(grp):
     keygen in the tiny test group would alias wallets and break the
     balance arithmetic these tests pin down.
     """
-    cands = [_wallet(grp, sk, is_candidate=True) for sk in (1, 2, 3)]
+    cands = [_wallet(grp, sk) for sk in (1, 2, 3)]
     keys = [4, 5, 6, 7, 8]
     voters = [_wallet(grp, sk) for sk in keys]
     nodes = [
         NodeState(node_id=f"n{i}", wallet=w, signing_key=sk)
         for i, (w, sk) in enumerate(zip(voters, keys))
     ]
-    chain, alloc = genesis(
+    chain = genesis(
         grp, cands, voters, forger_keys={n.node_id: n.wallet.verify_key for n in nodes}
     )
     names = {w.address: f"cand{i}" for i, w in enumerate(cands)}
@@ -272,69 +272,73 @@ def test_invalid_chains_ignored(net):
 # --- forger lottery ---
 
 def _nodes_with_stake(grp, stakes):
-    nodes = []
+    nodes, balances = [], {}
     for i, stake in enumerate(stakes):
         w = _wallet(grp, i + 1)
-        w.balance = stake
+        balances[w.address] = stake
         nodes.append(NodeState(node_id=f"n{i:03d}", wallet=w, signing_key=i + 1))
-    return nodes
+    return nodes, balances
 
 
 def test_stake_lottery_prefers_stake(grp):
-    nodes = _nodes_with_stake(grp, [1, 99])
+    nodes, balances = _nodes_with_stake(grp, [1, 99])
     wins = sum(
-        1 for r in range(2000) if select_forger(nodes, "stake_weighted", "s", r) == "n001"
+        1
+        for r in range(2000)
+        if select_forger(nodes, balances, "stake_weighted", "s", r) == "n001"
     )
     assert wins > 1800
 
 
 def test_zero_stake_never_selected(grp):
-    nodes = _nodes_with_stake(grp, [0, 5])
+    nodes, balances = _nodes_with_stake(grp, [0, 5])
     for r in range(50):
-        assert select_forger(nodes, "stake_weighted", "z", r) == "n001"
+        assert select_forger(nodes, balances, "stake_weighted", "z", r) == "n001"
 
 
 def test_uniform_lottery_ignores_stake(grp):
-    nodes = _nodes_with_stake(grp, [1, 999])
-    wins = sum(1 for r in range(2000) if select_forger(nodes, "uniform", "u", r) == "n000")
+    nodes, balances = _nodes_with_stake(grp, [1, 999])
+    wins = sum(
+        1 for r in range(2000) if select_forger(nodes, balances, "uniform", "u", r) == "n000"
+    )
     assert 800 < wins < 1200
 
 
 def test_offline_node_redrawn(grp):
-    nodes = _nodes_with_stake(grp, [50, 50])
+    nodes, balances = _nodes_with_stake(grp, [50, 50])
     nodes[0].online = False
     for r in range(50):
-        assert select_forger(nodes, "stake_weighted", "off", r) == "n001"
+        assert select_forger(nodes, balances, "stake_weighted", "off", r) == "n001"
 
 
 def test_all_offline_raises(grp):
-    nodes = _nodes_with_stake(grp, [50, 50])
+    nodes, balances = _nodes_with_stake(grp, [50, 50])
     for n in nodes:
         n.online = False
     with pytest.raises(NoOnlineNodes):
-        select_forger(nodes, "stake_weighted", "dead", 0)
+        select_forger(nodes, balances, "stake_weighted", "dead", 0)
     with pytest.raises(NoOnlineNodes):
-        select_forger(nodes, "uniform", "dead", 0)
+        select_forger(nodes, balances, "uniform", "dead", 0)
 
 
 def test_ineligible_node_excluded(grp):
-    nodes = _nodes_with_stake(grp, [50, 50])
+    nodes, balances = _nodes_with_stake(grp, [50, 50])
     nodes[0].eligible = False
     for r in range(20):
-        assert select_forger(nodes, "uniform", "inel", r) == "n001"
+        assert select_forger(nodes, balances, "uniform", "inel", r) == "n001"
 
 
 def test_lottery_is_deterministic(grp):
-    nodes = _nodes_with_stake(grp, [10, 20, 30])
-    a = [select_forger(nodes, "stake_weighted", 42, r) for r in range(30)]
-    b = [select_forger(nodes, "stake_weighted", 42, r) for r in range(30)]
+    nodes, balances = _nodes_with_stake(grp, [10, 20, 30])
+    a = [select_forger(nodes, balances, "stake_weighted", 42, r) for r in range(30)]
+    b = [select_forger(nodes, balances, "stake_weighted", 42, r) for r in range(30)]
     assert a == b
 
 
 def test_unknown_mode_rejected(grp):
-    nodes = _nodes_with_stake(grp, [10])
+    nodes, balances = _nodes_with_stake(grp, [10])
     with pytest.raises(ValueError):
-        select_forger(nodes, "proof_of_work", "x", 0)
+        select_forger(nodes, balances, "proof_of_work", "x", 0)
 
 
 # --- tallying and storage ---
@@ -380,6 +384,16 @@ def test_simulation_all_online_never_skips():
     assert report.skipped_rounds == 0
     assert report.total_selected == 10
     assert report.chain_height == 10
+
+
+def test_simulation_skips_every_round_with_no_node_online():
+    config = SimConfig(rounds=6, n_voters=10, n_candidates=2, online_prob=0.0)
+    report = simulate(config, seed=1)
+    assert report.skipped_rounds == 6
+    assert report.total_selected == 0
+    assert report.chain_height == 0
+    assert report.malicious_frequency == 0.0
+    assert report.txs_included == 0
 
 
 def test_simulation_votes_land_in_tally():

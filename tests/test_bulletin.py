@@ -80,6 +80,17 @@ def test_save_load_round_trip(tallied, tmp_path):
     assert verify_chain(loaded)
 
 
+def test_blank_line_in_a_saved_board_is_skipped(tallied, tmp_path):
+    election, config = tallied
+    path = tmp_path / "board.jsonl"
+    election.board.save(path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3] + ["  "] + lines[3:]) + "\n")
+    loaded = Board.load(path)
+    assert loaded.entries == election.board.entries
+    assert _verify(election, config, loaded).overall
+
+
 def test_chain_detects_payload_edit(tallied):
     election, _ = tallied
     board = election.board
@@ -482,6 +493,18 @@ def _reverse_mix_stages(board):
             "count_recomputation",
             "entry 0: result before the last decryption entry",
         ),
+        (
+            lambda b: _move(b, b.find(KIND_PARTIAL_DECRYPTION)[:1], 16),
+            "decryption_proofs",
+            "entry 16: decryption entry before the last mix stage",
+        ),
+        (
+            lambda b: rechain(
+                Board(entries=b.entries[:-1] + b.find(KIND_DECRYPTED_BALLOT)[-1:] + b.entries[-1:])
+            ),
+            "decryption_proofs",
+            "entry 59: DecryptedBallot entry past the last item",
+        ),
     ],
     ids=[
         "repeated partial decryption",
@@ -490,6 +513,8 @@ def _reverse_mix_stages(board):
         "transfer at the end",
         "last cast after the result",
         "result first",
+        "decryption before the last mix stage",
+        "decrypted ballot past the last item",
     ],
 )
 def test_entries_out_of_board_order_fail(tallied, mutate, check, failure):
@@ -504,6 +529,18 @@ def test_entries_out_of_board_order_fail(tallied, mutate, check, failure):
     assert report.checks["chain_integrity"]
     assert not report.checks[check]
     assert report.failures[0] == failure
+
+
+def test_decrypted_ballot_with_an_extra_exponent_fails(tallied):
+    election, config = tallied
+    board = election.board
+    entry = board.find(KIND_DECRYPTED_BALLOT)[0]
+    claim = DecryptedBallotPayload.from_bytes(entry.payload)
+    forged = replace(claim, exponents=claim.exponents + (0,))
+    report = _verify(election, config, replace_payload(board, entry.seq, forged.to_bytes(), True))
+    assert report.checks["chain_integrity"]
+    assert not report.checks["decryption_proofs"]
+    assert report.failures[0] == f"entry {entry.seq}: item {claim.item_index}: wrong slot count"
 
 
 def test_walk_that_stops_early_leaves_nothing_to_recount(tallied):

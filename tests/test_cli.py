@@ -10,6 +10,7 @@ import pytest
 from evote import tally
 from evote.ballotcoin import SimConfig
 from evote.cli import Published, Scenario, Tamper, Vote, VoterRange, main
+from evote.errors import MixRejected
 from evote.groups import TEST_GROUP
 from evote.tally import ElectionConfig
 
@@ -548,6 +549,81 @@ def test_bad_sim_flag_override_is_usage_error(workdir, capsys):
     rc = main(["coin-sim", "--scenario", str(workdir / "sim.json"), "--rounds", "-1"])
     assert rc == 4
     assert "rounds" in capsys.readouterr().err
+
+
+def test_negative_estimate_is_usage_error(capsys):
+    assert main(["estimate", "5", "-100"]) == 4
+    assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("setup", "--config"),
+        ("run", "--config"),
+        ("run", "--scenario"),
+        ("coin-sim", "--scenario"),
+        ("verify", "--params"),
+        ("verify", "--board"),
+    ],
+)
+def test_directory_as_input_file_is_usage_error(workdir, capsys, command, flag):
+    out = workdir / "out"
+    if command == "verify":
+        assert _run(workdir) == 0
+    files = {
+        "setup": {"--config": workdir / "config.json", "--out-dir": out},
+        "run": {
+            "--config": workdir / "config.json",
+            "--scenario": workdir / "scenario.json",
+            "--out-dir": out,
+        },
+        "coin-sim": {"--scenario": workdir / "sim.json"},
+        "verify": {"--board": out / "board.jsonl", "--params": out / "params.json"},
+    }[command]
+    files[flag] = workdir
+    capsys.readouterr()  # discard run output
+    assert main([command, *(str(arg) for pair in files.items() for arg in pair)]) == 4
+    assert f"usage error: is a directory: {workdir}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["setup", "run", "coin-sim"])
+def test_out_dir_that_is_a_file_is_usage_error(workdir, capsys, command):
+    taken = workdir / "taken"
+    taken.write_text("")
+    scenario = "sim.json" if command == "coin-sim" else "scenario.json"
+    args = [command, "--scenario", str(workdir / scenario), "--out-dir", str(taken)]
+    if command != "coin-sim":
+        args += ["--config", str(workdir / "config.json")]
+    assert main(args) == 4
+    assert f"cannot make the output directory {taken}" in capsys.readouterr().err
+
+
+def test_voter_range_scenario_runs_and_verifies(workdir, capsys):
+    scenario = {
+        "voters": {"count": 2, "prefix": "v"},
+        "votes": [
+            {"voter": "v0000", "candidate": 2, "time": 1},
+            {"voter": "v0001", "candidate": 0, "time": 2},
+        ],
+    }
+    (workdir / "range.json").write_text(json.dumps(scenario))
+    assert _run(workdir, scenario="range.json") == 0
+    out = workdir / "out"
+    result = json.loads((out / "result.json").read_text())
+    assert result["counts"] == {"alice": 1, "bob": 0, "carol": 1}
+    assert main(
+        ["verify", "--board", str(out / "board.jsonl"), "--params", str(out / "params.json")]
+    ) == 0
+
+
+def test_pipeline_error_exits_2(workdir, capsys, monkeypatch):
+    def rejected(*args):
+        raise MixRejected("mix stage 0 proof rejected")
+
+    monkeypatch.setattr(tally, "run_tally", rejected)
+    assert _run(workdir) == 2
+    assert "pipeline error: mix stage 0 proof rejected" in capsys.readouterr().err
 
 
 README = Path(__file__).parents[1] / "README.md"

@@ -1,14 +1,18 @@
 import hashlib
 from collections import Counter
+from dataclasses import replace
+from itertools import count
 
 import pytest
 
 from evote.canonical import derive_rng
 from evote.groups import Ciphertext, TEST_GROUP, decrypt, encrypt, keygen, rand_scalar
 from evote.mixnet import (
+    SIDE_IN,
     MixBatch,
     MixStage,
     ShuffleProof,
+    _challenge_sides,
     build_proof,
     mix_once,
     mix_with_state,
@@ -119,6 +123,47 @@ def _tampered_run(grp, keys, trial):
 def test_single_tamper_detectivity_sample(grp, keys):
     # 50 quick trials here; the acceptance suite runs the full 1000.
     assert all(_tampered_run(grp, keys, t) for t in range(50))
+
+
+def test_ground_mid_commit_rejected(grp, keys):
+    """A cheater tampers one output item and grinds the commitment it
+    publishes for the honest mid layer until that item's mid link is
+    challenged on the input side; every opened link then holds, and only
+    the commitment check rejects the proof."""
+    batch = _batch(grp, keys.pk, [(0, 1), (1, 0), (1, 1)], seed="grind")
+    mid, out, links = mix_with_state(grp, keys.pk, batch, derive_rng("mix", "grind"))
+    victim = 0
+    [j] = [j for j, link in enumerate(links[1]) if link.index == victim]
+    row = list(out.items[victim])
+    row[0] = Ciphertext(row[0].c1, row[0].c2 * grp.g % grp.p)
+    tampered = MixBatch(items=(tuple(row),) + out.items[1:])
+    n = len(batch.items)
+    for counter in count():
+        commit = counter.to_bytes(32, "big")
+        sides = _challenge_sides(batch.digest(), commit, tampered.digest(), 0, n)
+        if sides[j] == SIDE_IN:
+            break
+    opened = tuple(links[side][k] for k, side in enumerate(sides))
+    proof = ShuffleProof(mid=mid, mid_commit=commit, rounds=(opened,))
+    assert not verify_mix(grp, keys.pk, batch, tampered, proof)
+
+
+def test_round_with_a_link_missing_rejected(grp, keys):
+    batch = _batch(grp, keys.pk, [(0, 1), (1, 0), (1, 1)])
+    out, proof = mix_once(grp, keys.pk, batch, derive_rng("mix", "short-round"), rounds=2)
+    short = replace(proof, rounds=(proof.rounds[0][:-1],) + proof.rounds[1:])
+    assert not verify_mix(grp, keys.pk, batch, out, short, min_rounds=2)
+
+
+def test_link_with_a_scalar_missing_rejected(grp, keys):
+    """Without the length check, zip would stop at the shorter scalar list
+    and check only the first slot."""
+    batch = _batch(grp, keys.pk, [(0, 1), (1, 0), (1, 1)])
+    out, proof = mix_once(grp, keys.pk, batch, derive_rng("mix", "short-link"), rounds=2)
+    first, *rest = proof.rounds[0]
+    cut = replace(first, scalars=first.scalars[:-1])
+    short = replace(proof, rounds=((cut, *rest),) + proof.rounds[1:])
+    assert not verify_mix(grp, keys.pk, batch, out, short, min_rounds=2)
 
 
 def test_strip_signatures_preserves_order(grp, keys):

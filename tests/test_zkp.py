@@ -88,7 +88,7 @@ def _prove_with_true_bits(grp, pk, slots, rs, bits):
     )
     prod_a, prod_b, _ = zkp._sum_statement(grp, pk, slots)
     total_r = sum(rs) % grp.q
-    w = zkp._nonce(grp, "sum-w", total_r, sd)
+    w = zkp.nonce(grp, "sum-w", total_r, sd)
     cg, ch = pow(grp.g, w, grp.p), pow(pk, w, grp.p)
     e = zkp._challenge(grp, zkp.DOMAIN_SUM, pk, prod_a, prod_b, cg, ch, sd)
     z = (w + e * total_r) % grp.q
