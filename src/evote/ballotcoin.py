@@ -454,34 +454,34 @@ def simulate(config: SimConfig, seed, observer=None) -> SimReport:
             forger_id = select_forger(nodes, balances, config.mode, seed, r)
         except NoOnlineNodes:
             skipped += 1
-            continue
-        forger = next(n for n in nodes if n.node_id == forger_id)
-        total_selected += 1
-        if forger.malicious:
-            malicious_selected += 1
-
-        # A malicious forger builds on the tip's parent, manufacturing a
-        # same-height fork; honest forgers extend the canonical tip.
-        if forger.malicious and parent is not None:
-            base = parent
-            fork_count += 1
         else:
-            base = canonical
-        block = forge_block(forger, pool, base)
-        new_chain = base.extend(block)
+            forger = next(n for n in nodes if n.node_id == forger_id)
+            total_selected += 1
+            if forger.malicious:
+                malicious_selected += 1
 
-        # Every other chain forged so far is shorter than the canonical one,
-        # or as long with a larger tip digest, so only these two can win.
-        if fork_choice([canonical, new_chain]) is new_chain:
-            canonical, parent = new_chain, base
-        balances, included = canonical._valid_ledger()
-        supply = sum(balances.values())
-        if supply != config.n_voters:
-            raise SupplyNotConserved(f"round {r}: {supply} coins, not {config.n_voters}")
+            # A malicious forger builds on the tip's parent, manufacturing a
+            # same-height fork; honest forgers extend the canonical tip.
+            if forger.malicious and parent is not None:
+                base = parent
+                fork_count += 1
+            else:
+                base = canonical
+            block = forge_block(forger, pool, base)
+            new_chain = base.extend(block)
 
-        # Rebuild the pool from every broadcast transaction not yet in the
-        # canonical chain, so re-orgs return orphaned votes to the mempool.
-        pool = [tx for tx_digest, tx in broadcast if tx_digest not in included]
+            # Every other chain forged so far is shorter than the canonical one,
+            # or as long with a larger tip digest, so only these two can win.
+            if fork_choice([canonical, new_chain]) is new_chain:
+                canonical, parent = new_chain, base
+            balances, included = canonical._valid_ledger()
+            supply = sum(balances.values())
+            if supply != config.n_voters:
+                raise SupplyNotConserved(f"round {r}: {supply} coins, not {config.n_voters}")
+
+            # Rebuild the pool from every broadcast transaction not yet in the
+            # canonical chain, so re-orgs return orphaned votes to the mempool.
+            pool = [tx for tx_digest, tx in broadcast if tx_digest not in included]
 
         if observer is not None:
             observer(SimState(round_no=r, canonical=canonical, pool=pool))

@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from evote.canonical import derive_rng
 from evote.groups import TEST_GROUP
+
+# CI runs the codec properties once more under this profile
+# (`--hypothesis-profile=ci`); tier-1 keeps Hypothesis's default.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 class StubRng:

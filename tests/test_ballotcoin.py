@@ -396,6 +396,13 @@ def test_simulation_skips_every_round_with_no_node_online():
     assert report.txs_included == 0
 
 
+def test_simulation_observer_runs_after_a_skipped_round_too():
+    config = SimConfig(rounds=6, n_voters=10, n_candidates=2, online_prob=0.0)
+    rounds = []
+    simulate(config, seed=1, observer=lambda state: rounds.append(state.round_no))
+    assert rounds == list(range(6))
+
+
 def test_simulation_votes_land_in_tally():
     config = SimConfig(rounds=30, n_voters=20, n_candidates=3, vote_prob=0.5)
     report = simulate(config, seed=2)

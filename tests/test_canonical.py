@@ -1,4 +1,6 @@
 import dataclasses
+import enum
+import hashlib
 from typing import Annotated, Literal
 
 import pytest
@@ -12,10 +14,13 @@ from evote.canonical import (
     between,
     derive_rng,
     digest,
+    enc_bytes,
+    enc_int,
     encode,
     from_json,
     hexdigest,
 )
+from evote.groups import Ciphertext
 
 
 def _record(*types):
@@ -116,6 +121,79 @@ def test_flag_other_than_canonical_0_or_1_rejected(data):
 def test_int_with_leading_zero_byte_rejected(data):
     with pytest.raises(ValueError, match="leading zero"):
         _decode(INT, data)
+
+
+# --- The encoder against its specification ---
+
+def _spec(value) -> bytes:
+    """The module docstring's rules, item by item, on enc_int/enc_bytes."""
+    if type(value) in (int, bool):
+        return enc_int(int(value))
+    if type(value) is bytes:
+        return enc_bytes(value)
+    if type(value) is str:
+        return enc_bytes(value.encode("utf-8"))
+    if value is None:
+        return enc_bytes(b"")
+    if isinstance(value, Record):
+        fields = (getattr(value, f.name) for f in dataclasses.fields(value))
+        return enc_bytes(b"".join(map(_spec, fields)))
+    if isinstance(value, (list, tuple)):
+        return enc_int(len(value)) + b"".join(map(_spec, value))
+    raise AssertionError(f"no rule for {value!r}")
+
+
+_ints = st.one_of(
+    st.integers(min_value=0, max_value=2**64),
+    st.integers(min_value=0, max_value=2**3100),
+)
+_leaves = st.one_of(
+    _ints,
+    st.booleans(),
+    st.binary(max_size=40),
+    st.text(max_size=12),
+    st.none(),
+    st.builds(Ciphertext, _ints, _ints),
+)
+_values = st.recursive(
+    _leaves, lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner)),
+    max_leaves=12,
+)
+
+
+class _Flag(enum.IntEnum):
+    ON = 1
+
+
+def _holding(bad):
+    """Values with `bad` somewhere inside, between well-formed ones."""
+    return st.recursive(
+        st.just(bad), lambda inner: st.tuples(_leaves, inner, _leaves).map(list), max_leaves=4
+    )
+
+
+@given(_ints)
+def test_an_int_is_a_length_and_its_minimal_big_endian_magnitude(n):
+    body = n.to_bytes((n.bit_length() + 7) // 8, "big")
+    assert enc_int(n) == len(body).to_bytes(4, "big") + body
+
+
+@given(st.lists(_values, max_size=4))
+def test_encode_follows_the_specification(fields):
+    assert encode(*fields) == b"".join(map(_spec, fields))
+    assert digest(*fields) == hashlib.sha256(encode(*fields)).digest()
+
+
+@given(st.integers(max_value=-1).flatmap(_holding))
+def test_a_negative_int_anywhere_has_no_encoding(value):
+    with pytest.raises(ValueError):
+        encode(value)
+
+
+@given(st.sampled_from([0.5, _Flag.ON, {"k": 1}]).flatmap(_holding))
+def test_a_float_an_int_enum_or_a_dict_anywhere_is_refused(value):
+    with pytest.raises(TypeError):
+        encode(value)
 
 
 # --- JSON input ---

@@ -2,9 +2,11 @@ import pytest
 
 from evote.canonical import derive_rng
 from evote.errors import DuplicateVoter
+from evote.groups import PROD_GROUP_3072, TEST_GROUP
 from evote.registry import (
     Registry,
     Signature,
+    _sig_challenge,
     enroll_voter,
     is_eligible,
     revoke_eligibility,
@@ -82,3 +84,22 @@ def test_registry_save_load_round_trip(grp, registry, tmp_path):
     assert verify_key_of(loaded, "alice") == verify_key_of(registry, "alice")
     assert is_eligible(loaded, "alice")
     assert not is_eligible(loaded, "bob")
+
+
+# Fixed (verify key, commitment, message) inputs of the signature challenge
+# and its outputs on both groups; on prod3072 each is the full sha256.
+_SIG_INPUTS = [(1, 2, b""), (3**2000, 2**255, b"ballot bytes"), (0, 0, b"\x00" * 40)]
+_PINNED_SIG = {
+    "test": (TEST_GROUP, [9, 4, 8]),
+    "prod3072": (PROD_GROUP_3072, [
+        22357837512271898139394702712259101542349761715439365924765474089563588749692,
+        34801967149183648546261666296719967213042996726369449698864842632969755064822,
+        36019753961579590493396469263593759136159534504111034585905938079089873968970,
+    ]),
+}
+
+
+@pytest.mark.parametrize("group", sorted(_PINNED_SIG))
+def test_signature_challenge_outputs_are_pinned(group):
+    params, expected = _PINNED_SIG[group]
+    assert [_sig_challenge(params, *inputs) for inputs in _SIG_INPUTS] == expected

@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evote.canonical import derive_rng, digest
-from evote.groups import TEST_GROUP, encrypt, keygen, rand_scalar
+from evote import zkp
+from evote.groups import PROD_GROUP_3072, TEST_GROUP, encrypt, keygen, rand_scalar
 from evote.mixnet import MixBatch, mix_once, verify_mix
 from evote.registry import sign, verify_sig
 from evote.zkp import (
@@ -252,3 +253,53 @@ def _mix_scalar(shift):
 def test_scalar_plus_q_is_rejected(case):
     assert case(0)
     assert not case(TEST_GROUP.q)
+
+
+# Fixed inputs of the Fiat-Shamir hashes and their outputs, pinned on both
+# groups.  On prod3072 every output is the full sha256 (it lies below q), so
+# a drift in the encoding of one statement names the hash that moved.
+_BIG = 3**2000
+_CHALLENGES = [
+    (zkp.DOMAIN_CP, (5, b"\x01\x02", 0, 7, 9)),
+    (zkp.DOMAIN_SLOT, (3, b"", 1, b"\xff" * 32, 4, 2, 8, 1)),
+    (zkp.DOMAIN_SUM, (_BIG, 2**256, 1, 6, b"sd")),
+    (zkp.DOMAIN_SUM, ()),
+]
+_NONCES = [
+    (("fake-e", 3, 1, b"stmt"), {}),
+    ((_BIG, b"", 0), {}),
+    ((7, b"msg"), {"domain": "evote/registry/schnorr-nonce"}),
+    (("real-w", "\u00fc", [1, (2, b"x")], None), {}),
+]
+_PINNED = {
+    "test": {"challenge": [2, 10, 2, 2], "nonce": [0, 1, 10, 6]},
+    "prod3072": {
+        "challenge": [
+            73793088724640771486340501434534250552357237176240717351098648469559960972956,
+            9874190224597621502870724674352832552632418228143632329126836247178561631857,
+            100358780077647471572296827081266939512113327704870164448584242497742740797363,
+            25082543857213761949591145232426966844482352962429328576017799206271759129799,
+        ],
+        "nonce": [
+            113529358053597620616052001517098072213451636593062771342351753633104789546449,
+            5247868639192868051677591992917952031130634480106004731190281055869130395869,
+            39686947028024577655776267570845761508923485409748050777360075024270463568448,
+            91560180056368455604867456092214095684878515782965741640465213418827627261417,
+        ],
+    },
+}
+_GROUPS = {"test": TEST_GROUP, "prod3072": PROD_GROUP_3072}
+
+
+@pytest.mark.parametrize("group", sorted(_GROUPS))
+def test_challenge_outputs_are_pinned(group):
+    params = _GROUPS[group]
+    values = [zkp._challenge(params, domain, *fields) for domain, fields in _CHALLENGES]
+    assert values == _PINNED[group]["challenge"]
+
+
+@pytest.mark.parametrize("group", sorted(_GROUPS))
+def test_nonce_outputs_are_pinned(group):
+    params = _GROUPS[group]
+    values = [zkp.nonce(params, *fields, **kw) for fields, kw in _NONCES]
+    assert values == _PINNED[group]["nonce"]
