@@ -12,17 +12,22 @@ cache; the c1 of the ciphertext being decrypted has a full-length table in a
 one-entry cache of its own.  Every other power is one builtin `pow` call,
 but when p = 2q + 1 a subgroup member raised to an exponent within 2^256
 below q, as a wrapped slot challenge is, is raised to that exponent minus q:
-an inverse and a power of at most 256 bits.
+an inverse and a power of at most 256 bits.  `multi_exp` makes a product of
+powers from one chain of squarings.  When p = 2q + 1 and q has over 128 bits,
+`reencryptions_hold` batches a mix stage's re-encryptions x*b^r = y, each
+only if x and y lie in [1, p), x*y is a quadratic residue and b is a member,
+so that y / (x*b^r) is a member, as the batch's soundness needs.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 import typing
 from dataclasses import dataclass
 
-from .canonical import Record
+from .canonical import Record, digest
 from .errors import (
     DecodeRangeError,
     DuplicateShareError,
@@ -70,6 +75,11 @@ _COMB_MIN_P = 1 << 63
 # Tables kept at once: g and the election key in both widths, with room to
 # spare.
 _COMB_TABLES = 8
+
+# Bits read at a time from each exponent of a Straus multi-exponentiation.
+_STRAUS_WINDOW = 4
+# Bytes of each weight of the batched re-encryption check.
+_WEIGHT_BYTES = 16
 
 # `GroupParams.exp`'s `fixed` for the c1 of the ciphertext being decrypted.
 # Its partial decryptions and their proof checks follow one another, so one
@@ -212,6 +222,29 @@ class GroupParams(Record):
             elif exponent in self._wrapped_exponents and self.is_element(base):
                 return pow(base, exponent - self.q, self.p)
         return pow(base, exponent, self.p)
+
+    def multi_exp(self, pairs) -> int:
+        """The product of base^exponent mod p over (base, exponent) pairs,
+        exponents non-negative.  The powers share one chain of squarings
+        (Straus; Möller, "Algorithms for multi-exponentiation", SAC 2001),
+        each exponent read WINDOW bits at a time against a table of its
+        base's first 2^WINDOW powers."""
+        p = self.p
+        tables = []
+        for base, exponent in pairs:
+            table = [1]
+            for _ in range((1 << _STRAUS_WINDOW) - 1):
+                table.append(table[-1] * base % p)
+            tables.append((table, exponent))
+        top = max((exponent.bit_length() for _, exponent in tables), default=0)
+        mask = (1 << _STRAUS_WINDOW) - 1
+        acc = 1
+        for shift in reversed(range(0, top, _STRAUS_WINDOW)):
+            for _ in range(_STRAUS_WINDOW):
+                acc = acc * acc % p
+            for table, exponent in tables:
+                acc = acc * table[(exponent >> shift) & mask] % p
+        return acc
 
     @functools.cached_property
     def _comb_widths(self) -> tuple[tuple[int, range], tuple[int, range]]:
@@ -358,6 +391,41 @@ def reencrypts_to(
         ct.c1 * params.exp(params.g, r, fixed=True) % p == target.c1
         and ct.c2 * params.exp(pk, r, fixed=True) % p == target.c2
     )
+
+
+def reencryptions_hold(params: GroupParams, pk: int, links) -> bool:
+    """`reencrypts_to` holds for each (ct, r, target) of every
+    (sources, scalars, targets) in `links`.
+
+    When p = 2q + 1 and q is longer than the weights, each distinct equation
+    x*b^r = y (ct.c1*g^r = target.c1, ct.c2*pk^r = target.c2) with r in
+    [0, q) whose y / (x*b^r) is shown a subgroup member, as the module
+    docstring says, enters one small-exponent batch (Bellare, Garay and
+    Rabin, EUROCRYPT 1998): with a 128-bit weight w each, hashed from p, g,
+    pk and every batched value, prod y^w = prod x^w * prod b^(sum w*r).  A
+    false one passes with probability at most 2^-128 per hash trial.  Any
+    other equation is checked exactly, and on other groups each link in turn.
+    """
+    p, q, g = params.p, params.q, params.g
+    checks = itertools.chain.from_iterable(itertools.starmap(zip, links))
+    if p != 2 * q + 1 or q.bit_length() <= 8 * _WEIGHT_BYTES:
+        return all(itertools.starmap(functools.partial(reencrypts_to, params, pk), checks))
+    members = {g, pk} if params.is_element(pk) else {g}
+    batch = []
+    for base, x, r, y in dict.fromkeys(
+        e for ct, r, t in checks for e in ((g, ct.c1, r, t.c1), (pk, ct.c2, r, t.c2))
+    ):
+        if base in members and 0 < x < p and 0 < y < p and 0 <= r < q and _jacobi(x * y, p) == 1:
+            batch.append((base, x, r, y))
+        elif x * params.exp(base, r, fixed=True) % p != y:
+            return False
+    seed = digest("evote/groups/reencryption-weights", p, g, pk, batch)
+    weights = [int.from_bytes(digest(seed, k)[:_WEIGHT_BYTES], "big") for k in range(len(batch))]
+    rhs = params.multi_exp((x, w) for (_, x, _, _), w in zip(batch, weights))
+    for base in {g, pk}:
+        total = sum(w * r for (b, _, r, _), w in zip(batch, weights) if b == base)
+        rhs = rhs * params.exp(base, total % q, fixed=True) % p
+    return params.multi_exp((y, w) for (*_, y), w in zip(batch, weights)) == rhs
 
 
 def combine(a: Ciphertext, b: Ciphertext, params: GroupParams) -> Ciphertext:

@@ -4,8 +4,10 @@ from hypothesis import settings
 from evote.canonical import derive_rng
 from evote.groups import TEST_GROUP
 
-# CI runs the codec properties once more under this profile
-# (`--hypothesis-profile=ci`); tier-1 keeps Hypothesis's default.
+# CI runs the codec, record and multi-exponentiation properties once more
+# under this profile (`--hypothesis-profile=ci`); tier-1 keeps Hypothesis's
+# default.  A property that pins a smaller count scales it from the loaded
+# profile's `settings().max_examples`.
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
 

@@ -8,6 +8,7 @@ around each size threshold of that rule and both table caches.  On
 prod3072 an unmarked subgroup member raised to an exponent within 2^256
 below q, such as a wrapped slot challenge, takes a power of at most 256
 bits; the tests check that route against members and non-members.
+`multi_exp`, a product of powers, is checked against builtin pow too.
 """
 
 import functools
@@ -91,6 +92,30 @@ def test_exp_matches_pow(name, data):
     n = data.draw(st.sampled_from(_boundary_lengths(params)))
     e = _with_length(n, data.draw(st.integers(min_value=0, max_value=(1 << n) - 1)))
     assert params.exp(base, e, fixed) == pow(base, e, params.p)
+
+
+# A prod3072 example costs about 0.2 s: 5 examples in tier-1, and a
+# twentieth of the loaded profile's count where that is more (50 under ci).
+@pytest.mark.parametrize("name", PROFILES)
+@settings(max_examples=max(5, settings().max_examples // 20), deadline=None)
+@given(data=st.data())
+def test_multi_exp_matches_a_product_of_pows(name, data):
+    """Prefixes of 0, 1 and many pairs, drawn from a few bases so that some
+    repeat, with the edge exponents 0, 1 and q - 1 and ones over 2^128."""
+    params = PROFILES[name]
+    p, q = params.p, params.q
+    bases = data.draw(
+        st.lists(st.integers(min_value=0, max_value=p - 1), min_size=1, max_size=3)
+    )
+    exponents = st.one_of(
+        st.sampled_from([0, 1, q - 1]), st.integers(min_value=(1 << 128) + 1, max_value=1 << 300)
+    )
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(bases), exponents), max_size=5))
+    expected = [1]
+    for base, exponent in pairs:
+        expected.append(expected[-1] * pow(base, exponent, p) % p)
+    for size in {0, min(1, len(pairs)), len(pairs)}:
+        assert params.multi_exp(pairs[:size]) == expected[size]
 
 
 def _count_pow_calls(monkeypatch):

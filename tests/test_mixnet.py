@@ -1,14 +1,30 @@
+import functools
 import hashlib
 from collections import Counter
 from dataclasses import replace
 from itertools import count
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evote import mixnet
 from evote.canonical import derive_rng
-from evote.groups import Ciphertext, TEST_GROUP, decrypt, encrypt, keygen, rand_scalar
+from evote.groups import (
+    PROD_GROUP_3072,
+    TEST_GROUP,
+    Ciphertext,
+    decrypt,
+    encrypt,
+    keygen,
+    rand_scalar,
+    reencrypt,
+    reencrypts_to,
+    reencryptions_hold,
+)
 from evote.mixnet import (
     SIDE_IN,
+    SIDE_OUT,
     MixBatch,
     MixStage,
     ShuffleProof,
@@ -236,3 +252,205 @@ def test_shuffle_proof_bytes_are_pinned(grp, keys, n, rounds, expected):
     batch = _batch(grp, keys.pk, [(i % 2, (i + 1) % 2) for i in range(n)], seed=f"pin{n}")
     out, proof = mix_once(grp, keys.pk, batch, derive_rng("mix", "pin", n), rounds=rounds)
     assert hashlib.sha256(proof.to_bytes() + out.to_bytes()).hexdigest() == expected
+
+
+# On prod3072 `verify_mix` checks the opened re-encryptions of a stage as one
+# batch; its verdict must be the one the per-slot check gives.
+PROFILES = {"test": TEST_GROUP, "prod3072": PROD_GROUP_3072}
+
+
+def _per_slot(params, pk, links):
+    """The reference for `reencryptions_hold`: each opened slot in turn."""
+    return all(
+        reencrypts_to(params, pk, ct, r, target)
+        for sources, scalars, targets in links
+        for ct, r, target in zip(sources, scalars, targets)
+    )
+
+
+def _verdicts(monkeypatch, params, pk, batch, out, proof):
+    """(verify_mix's verdict, its verdict with the per-slot check)."""
+    verdict = verify_mix(params, pk, batch, out, proof, min_rounds=len(proof.rounds))
+    with monkeypatch.context() as patch:
+        patch.setattr(mixnet, "reencryptions_hold", _per_slot)
+        exact = verify_mix(params, pk, batch, out, proof, min_rounds=len(proof.rounds))
+    return verdict, exact
+
+
+@functools.cache
+def _prod_key(member=True):
+    pk = keygen(PROD_GROUP_3072, derive_rng("mix", "prod-key")).pk
+    return pk if member else PROD_GROUP_3072.p - pk
+
+
+@functools.cache
+def _prod_state(member=True):
+    """A prod3072 batch of n = 2 and one server's mid, output and links."""
+    params, pk = PROD_GROUP_3072, _prod_key(member)
+    batch = _batch(params, pk, [(0, 1), (1, 0)], seed="prod")
+    return (batch, *mix_with_state(params, pk, batch, derive_rng("mix", "prod")))
+
+
+def _cheat(params, pk, state, tamper):
+    """A server that tampers the first output item whose out link its proof
+    rebuilt over the tampered output opens, with `tamper(row)` giving the
+    new slots, and that proof."""
+    batch, mid, out, links = state
+    for victim in range(len(out.items)):
+        items = list(out.items)
+        items[victim] = tamper(list(out.items[victim]))
+        tampered = MixBatch(items=tuple(items))
+        proof = build_proof(links, batch, mid, tampered, rounds=2)
+        opened = [link for links_k in proof.rounds for link in links_k]
+        if any(link.side == SIDE_OUT and link.index == victim for link in opened):
+            return tampered, proof
+    raise AssertionError("no output link opened")
+
+
+def _set_component(slot, component, f):
+    """`tamper` that applies f to one component of one slot."""
+
+    def tamper(row):
+        c1, c2 = row[slot].c1, row[slot].c2
+        row[slot] = Ciphertext(f(c1), c2) if component == "c1" else Ciphertext(c1, f(c2))
+        return tuple(row)
+
+    return tamper
+
+
+P, G = PROD_GROUP_3072.p, PROD_GROUP_3072.g
+
+
+def _cancelling(row):
+    """c1 times g and c2 times g^-1: under one weight w for both equations
+    the targets' product of powers would not change."""
+    row[0] = Ciphertext(row[0].c1 * G % P, row[0].c2 * pow(G, -1, P) % P)
+    return tuple(row)
+
+
+def _rogue(row):
+    """The server's own encryptions of 1 in place of the item."""
+    rng = derive_rng("mix", "prod-rogue")
+    return tuple(
+        encrypt(PROD_GROUP_3072, _prod_key(), 1, rand_scalar(PROD_GROUP_3072, rng)) for _ in row
+    )
+
+
+def test_prod_honest_mix_verdict_matches_the_per_slot_check(monkeypatch):
+    params, pk = PROD_GROUP_3072, _prod_key()
+    batch, mid, out, links = _prod_state()
+    proof = build_proof(links, batch, mid, out, rounds=2)
+    assert _verdicts(monkeypatch, params, pk, batch, out, proof) == (True, True)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _set_component(1, "c2", lambda x: P - x),  # a non-member
+        _set_component(1, "c1", lambda x: x * G % P),
+        _set_component(1, "c2", lambda x: 0),
+        _set_component(1, "c1", lambda x: P),
+        _set_component(1, "c2", lambda x: P + x),  # the right residue, out of range
+        _cancelling,
+        _rogue,
+    ],
+    ids=["p-x", "x*g", "0", "p", "p+x", "cancelling", "rogue"],
+)
+def test_prod_tampered_output_verdict_matches_the_per_slot_check(monkeypatch, tamper):
+    """A server that tampers an output item and rebuilds its proof."""
+    params, pk, state = PROD_GROUP_3072, _prod_key(), _prod_state()
+    tampered, proof = _cheat(params, pk, state, tamper)
+    assert _verdicts(monkeypatch, params, pk, state[0], tampered, proof) == (False, False)
+
+
+def test_prod_verdicts_under_a_non_member_key_match_the_per_slot_check(monkeypatch):
+    """Under p - pk every c2 equation is checked exactly."""
+    params, pk = PROD_GROUP_3072, _prod_key(member=False)
+    state = _prod_state(member=False)
+    batch, mid, out, links = state
+    honest = build_proof(links, batch, mid, out, rounds=2)
+    assert _verdicts(monkeypatch, params, pk, batch, out, honest) == (True, True)
+    times_four = _set_component(0, "c2", lambda x: x * 4 % params.p)
+    tampered, proof = _cheat(params, pk, state, times_four)
+    assert _verdicts(monkeypatch, params, pk, batch, tampered, proof) == (False, False)
+
+
+def test_prod_a_negated_target_is_rejected_whatever_its_weight():
+    """y = p - x with r = 0: y / x = -1 lies outside the subgroup, where a
+    batch would let it pass whenever its weight is even.  Sixteen such
+    links, each with its own weights, are all rejected."""
+    params, pk = PROD_GROUP_3072, _prod_key()
+    for k in range(1, 17):
+        x = params.exp(params.g, k)
+        link = ((Ciphertext(x, x),), (0,), (Ciphertext(params.p - x, x),))
+        assert not reencryptions_hold(params, pk, [link])
+
+
+def test_prod_honest_links_under_a_non_member_key_hold_whatever_the_weights():
+    """Under a key of order 2q, pk^(sum w*r mod q) differs from the product
+    of the pk^(w*r) by -1 about half the time, so its equations stay exact:
+    eight honest links, each with its own weights, all hold."""
+    params, pk = PROD_GROUP_3072, _prod_key(member=False)
+    shift = reencrypt(params, pk, Ciphertext(1, 1), params.q - 1)
+    for k in range(1, 9):
+        x = params.exp(params.g, k)
+        target = Ciphertext(x * shift.c1 % params.p, x * shift.c2 % params.p)
+        assert reencryptions_hold(params, pk, [((Ciphertext(x, x),), (params.q - 1,), (target,))])
+
+
+@pytest.mark.parametrize("name", PROFILES)
+def test_two_links_opened_for_one_side_of_a_mid_item_are_both_checked(name):
+    """A proof that opens two different links for the same (side, j) in two
+    rounds: corrupting the scalars of either copy must fail, so checking
+    each distinct equation once may not merge them."""
+    params = PROFILES[name]
+    pk = _prod_key() if name == "prod3072" else keygen(params, derive_rng("mix", "key")).pk
+    batch = _batch(params, pk, [(0, 1), (1, 0)], seed="two-links")
+    out, proof = mix_once(params, pk, batch, derive_rng("mix", "two-links"), rounds=3)
+    assert verify_mix(params, pk, batch, out, proof, min_rounds=3)
+    # Three rounds and two sides: some mid item has the same side twice.
+    j, k1, k2 = next(
+        (j, k1, k2)
+        for j in range(2)
+        for k1 in range(3)
+        for k2 in range(k1 + 1, 3)
+        if proof.rounds[k1][j].side == proof.rounds[k2][j].side
+    )
+    for k in (k1, k2):
+        link = proof.rounds[k][j]
+        bad = replace(link, scalars=((link.scalars[0] + 1) % params.q, *link.scalars[1:]))
+        opened = list(proof.rounds[k])
+        opened[j] = bad
+        rounds = proof.rounds[:k] + (tuple(opened),) + proof.rounds[k + 1 :]
+        assert not verify_mix(params, pk, batch, out, replace(proof, rounds=rounds))
+
+
+@pytest.mark.parametrize("name", PROFILES)
+@settings(max_examples=max(5, settings().max_examples // 20), deadline=None)
+@given(data=st.data())
+def test_reencryptions_hold_matches_the_per_slot_check(name, data):
+    """Links of random ciphertexts, some components outside the subgroup or
+    outside [1, p), with targets re-encrypted honestly or tampered, under a
+    member key and a non-member one; a link may be opened twice."""
+    params = PROFILES[name]
+    p, q, g = params.p, params.q, params.g
+    key = _prod_key() if name == "prod3072" else keygen(params, derive_rng("mix", "key")).pk
+    pk = data.draw(st.sampled_from([key, p - key]))
+    values = st.one_of(st.sampled_from([0, 1, p - 1, p]), st.integers(1, p - 1))
+    scalars = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1))
+    changes = st.sampled_from(
+        [lambda y: y, lambda y: y * g % p, lambda y: p - y, lambda y: 0, lambda y: p]
+    )
+    links = []
+    for _ in range(data.draw(st.integers(0, 2))):
+        width = data.draw(st.integers(1, 2))
+        sources = tuple(Ciphertext(data.draw(values), data.draw(values)) for _ in range(width))
+        rs = tuple(data.draw(scalars) for _ in range(width))
+        targets = tuple(
+            Ciphertext(data.draw(changes)(t.c1), data.draw(changes)(t.c2))
+            for t in (reencrypt(params, pk, ct, r) for ct, r in zip(sources, rs))
+        )
+        links.append((sources, rs, targets))
+        if data.draw(st.booleans()):
+            links.append(links[-1])
+    assert reencryptions_hold(params, pk, links) == _per_slot(params, pk, links)

@@ -39,6 +39,9 @@ def _subclasses(cls):
 
 
 RECORDS = sorted(set(_subclasses(Record)), key=lambda c: (c.__module__, c.__qualname__))
+# Examples per record class and property: 25 in tier-1, and a quarter of
+# the loaded profile's count where that is more (250 under the ci profile).
+_EXAMPLES = max(25, settings().max_examples // 4)
 
 
 def _optional_inner(tp):
@@ -134,7 +137,7 @@ def test_every_record_class_is_collected():
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=_EXAMPLES, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_record_round_trip_and_strict_decoding(cls, data):
     x = data.draw(_strategy(cls))
@@ -190,7 +193,7 @@ def test_the_immutability_check_sees_a_mutable_field():
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=_EXAMPLES, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_record_bytes_are_kept_once_and_replace_starts_afresh(cls, data):
     x = data.draw(_strategy(cls))
