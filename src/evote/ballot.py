@@ -180,14 +180,15 @@ class CoercionVerdict:
 def coercion_evidence(revoked_count: int, kept_count: int, threshold: float) -> CoercionVerdict:
     """Flag when revoked/(revoked+kept) strictly exceeds the threshold.
 
-    Exact rational comparison; a fraction equal to the threshold does not
-    flag.  Zero total ballots count as fraction 0.
+    Exact rational comparison with the threshold as written (`str`, as
+    `params.json` publishes it), so a fraction equal to it does not flag.
+    Zero total ballots count as fraction 0.
     """
     if revoked_count < 0 or kept_count < 0:
         raise ValueError("counts must be non-negative")
     total = revoked_count + kept_count
     fraction = Fraction(revoked_count, total) if total else Fraction(0)
-    flagged = fraction > Fraction(threshold)
+    flagged = fraction > Fraction(str(threshold))
     return CoercionVerdict(
         revoked_fraction=float(fraction), threshold=threshold, flagged=flagged
     )

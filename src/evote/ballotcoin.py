@@ -378,12 +378,11 @@ class SimReport:
 
 @dataclass
 class SimState:
-    """Mid-run view handed to observers; used to demonstrate that partial
-    results are readable while voting is still under way."""
+    """The round number and canonical chain handed to observers mid-run, to
+    show that partial results are readable while voting is under way."""
 
     round_no: int
     canonical: Chain
-    pool: list[CoinTransaction]
 
 
 def simulate(config: SimConfig, seed, observer=None) -> SimReport:
@@ -484,7 +483,7 @@ def simulate(config: SimConfig, seed, observer=None) -> SimReport:
             pool = [tx for tx_digest, tx in broadcast if tx_digest not in included]
 
         if observer is not None:
-            observer(SimState(round_no=r, canonical=canonical, pool=pool))
+            observer(SimState(round_no=r, canonical=canonical))
 
     return SimReport(
         final_tally=tally_chain(canonical),

@@ -1,8 +1,8 @@
 """Command-line driver: reproducible end-to-end election runs.
 
-Subcommands: setup, run, verify, coin-sim, estimate.  Every artifact byte
-is a function of (config, scenario, seed).  Exit codes: 0 ok, 2
-verification failure or pipeline error, 3 coercion flagged, 4 usage error.
+Subcommands: setup, run, verify, coin-sim, estimate.  Input files hold every
+setting; each artifact byte is a function of them and the seed.  Exit codes:
+0 ok, 2 verify failure or pipeline error, 3 coercion flagged, 4 usage error.
 """
 
 from __future__ import annotations
@@ -260,13 +260,6 @@ def cmd_verify(args) -> int:
 
 def cmd_coin_sim(args) -> int:
     config, _ = _read(SimConfig, args.scenario, "scenario")
-    if args.mode is not None:
-        config = replace(config, mode={"stake": "stake_weighted", "uniform": "uniform"}[args.mode])
-    if args.rounds is not None:
-        try:
-            config = replace(config, rounds=args.rounds)
-        except ValueError as exc:
-            raise UsageError(f"bad scenario: {exc}") from exc
     report = simulate(config, args.seed)
     out = json.dumps(report.to_dict(), sort_keys=True, indent=2)
     if args.out_dir:
@@ -311,8 +304,6 @@ def build_parser() -> _Parser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir")
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--mode", choices=["stake", "uniform"])
     p.set_defaults(func=cmd_coin_sim)
 
     p = sub.add_parser("estimate", help="chain storage estimate")

@@ -319,10 +319,9 @@ class TrusteeKeyShare:
 
 @dataclass(frozen=True)
 class ElectionKey:
-    """Joint public key h = prod(h_i); requires all n trustees to decrypt."""
+    """Joint public key h = prod(h_i); decrypting needs every trustee's share."""
 
     h: int
-    n: int
 
 
 @dataclass(frozen=True)
@@ -371,7 +370,10 @@ def decode_exponent(params: GroupParams, target: int, decode_bound: int) -> int:
 
 
 def decrypt(params: GroupParams, sk: int, ct: Ciphertext, decode_bound: int) -> int:
-    target = (ct.c2 * params.exp(params.exp(ct.c1, sk), -1)) % params.p
+    blind = params.exp(ct.c1, sk)
+    if blind == 0:
+        raise DecodeRangeError("c1 is 0 mod p, so no plaintext decodes")
+    target = (ct.c2 * params.exp(blind, -1)) % params.p
     return decode_exponent(params, target, decode_bound)
 
 
@@ -449,7 +451,7 @@ def threshold_keygen(
         h_i = params.exp(params.g, x, fixed=True)
         shares.append(TrusteeKeyShare(index=i, x=x, h=h_i))
         h = (h * h_i) % params.p
-    return ElectionKey(h=h, n=n), shares
+    return ElectionKey(h=h), shares
 
 
 def partial_decrypt(
@@ -492,5 +494,7 @@ def threshold_decrypt(
         if not verify_correct_decryption(params, commitments[index], ct, pd.d, pd.proof):
             raise InvalidPartialProof(f"trustee {index} proof rejected")
         prod_d = (prod_d * pd.d) % params.p
+    if prod_d == 0:
+        raise DecodeRangeError("c1 is 0 mod p, so no plaintext decodes")
     target = (ct.c2 * params.exp(prod_d, -1)) % params.p
     return decode_exponent(params, target, decode_bound)

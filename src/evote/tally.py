@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import asdict, dataclass, field
-from typing import Annotated, Literal
+from typing import Annotated
 
 from . import bulletin
 from .ballot import (
@@ -60,8 +60,6 @@ class ElectionConfig(Config):
     trustee_count: Annotated[int, at_least(1)] = 3
     mix_server_count: Annotated[int, at_least(1)] = 3
     proof_rounds: Annotated[int, at_least(1)] = 20
-    # A voter's latest ballot is the one that counts; there is no other mode.
-    revote_allowed: Literal[True] = True
     coercion_threshold: Annotated[float, between(0, 1)] = 0.05
     receipt_ttl: Annotated[int, at_least(0)] = DEFAULT_RECEIPT_TTL
     group: GroupName = "test"

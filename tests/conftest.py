@@ -4,10 +4,12 @@ from hypothesis import settings
 from evote.canonical import derive_rng
 from evote.groups import TEST_GROUP
 
-# CI runs the codec, record and multi-exponentiation properties once more
-# under this profile (`--hypothesis-profile=ci`); tier-1 keeps Hypothesis's
-# default.  A property that pins a smaller count scales it from the loaded
-# profile's `settings().max_examples`.
+# CI runs the codec, record and multi-exponentiation properties, the batch
+# re-encryption check's agreement with the per-slot one and the verifier's
+# totality under one-byte edits once more under this profile
+# (`--hypothesis-profile=ci`); tier-1 keeps Hypothesis's default.  A
+# property that pins a smaller count scales it from the loaded profile's
+# `settings().max_examples`.
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
 

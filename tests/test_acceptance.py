@@ -673,7 +673,6 @@ C14_CONFIG = {
     "trustee_count": 3,
     "mix_server_count": 3,
     "proof_rounds": 6,
-    "revote_allowed": True,
     "coercion_threshold": 0.9,
     "receipt_ttl": 30,
     "group": "test",

@@ -416,7 +416,7 @@ def test_failures_about_one_entry_name_it(tallied):
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=max(25, settings().max_examples // 4), deadline=None)
 @given(data=st.data())
 def test_every_one_byte_edit_is_reported_not_raised(tallied, kind, data):
     """A one-byte edit of any entry kind, rechained, never makes the verifier

@@ -1,5 +1,6 @@
 import json
 import re
+import shlex
 import shutil
 import subprocess
 from dataclasses import fields
@@ -19,7 +20,6 @@ CONFIG = {
     "trustee_count": 3,
     "mix_server_count": 3,
     "proof_rounds": 20,
-    "revote_allowed": True,
     "coercion_threshold": 0.05,
     "receipt_ttl": 30,
     "group": "test",
@@ -95,6 +95,23 @@ def test_run_coercion_flag_exits_3(workdir, capsys):
     # artifacts are still published for audit
     result = json.loads((workdir / "out" / "result.json").read_text())
     assert result["revoked_count"] == 1
+
+
+def test_revoked_share_equal_to_the_threshold_is_not_flagged(workdir, capsys):
+    # 3 re-votes among 10 ballots is exactly the written 0.3; run and verify
+    # agree that it does not flag.
+    (workdir / "config.json").write_text(json.dumps({**CONFIG, "coercion_threshold": 0.3}))
+    voters = [f"v{i}" for i in range(7)]
+    votes = [{"voter": v, "candidate": 0, "time": t} for t, v in enumerate(voters + voters[:3])]
+    (workdir / "ties.json").write_text(json.dumps({"voters": voters, "votes": votes}))
+    assert _run(workdir, scenario="ties.json") == 0
+    out = workdir / "out"
+    result = json.loads((out / "result.json").read_text())
+    assert result["revoked_count"] == 3
+    assert result["coercion"]["flagged"] is False
+    assert main(
+        ["verify", "--board", str(out / "board.jsonl"), "--params", str(out / "params.json")]
+    ) == 0
 
 
 def test_verify_accepts_clean_run(workdir, capsys):
@@ -217,16 +234,10 @@ def test_coin_sim_report_and_determinism(workdir, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_coin_sim_flag_overrides(workdir, capsys):
-    rc = main(
-        [
-            "coin-sim",
-            "--scenario", str(workdir / "sim.json"),
-            "--seed", "5",
-            "--rounds", "6",
-            "--mode", "uniform",
-        ]
-    )
+def test_coin_sim_rounds_and_mode_come_from_the_scenario(workdir, capsys):
+    sim = {**SIM_SCENARIO, "rounds": 6, "mode": "uniform"}
+    (workdir / "sim.json").write_text(json.dumps(sim))
+    rc = main(["coin-sim", "--scenario", str(workdir / "sim.json"), "--seed", "5"])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert report["rounds"] == 6
@@ -548,7 +559,7 @@ def test_bad_sim_scenario_is_usage_error(workdir, capsys, scenario):
 def test_bad_sim_flag_override_is_usage_error(workdir, capsys):
     rc = main(["coin-sim", "--scenario", str(workdir / "sim.json"), "--rounds", "-1"])
     assert rc == 4
-    assert "rounds" in capsys.readouterr().err
+    assert "unrecognized arguments: --rounds -1" in capsys.readouterr().err
 
 
 def test_negative_estimate_is_usage_error(capsys):
@@ -649,6 +660,16 @@ def test_readme_examples_run_and_verify(tmp_path, capsys):
     assert main(
         ["verify", "--board", str(out / "board.jsonl"), "--params", str(out / "params.json")]
     ) == 0
+
+
+def test_readme_coin_sim_example_runs(tmp_path, capsys, monkeypatch):
+    text = README.read_text()
+    (tmp_path / "sim.json").write_text(text.split("// sim.json\n", 1)[1].split("```", 1)[0])
+    command = next(line for line in text.splitlines() if line.startswith("evote coin-sim "))
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(command, comments=True)[1:]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["rounds"], report["mode"]) == (50, "stake_weighted")
 
 
 def _names(cls, prefix=""):

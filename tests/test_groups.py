@@ -220,6 +220,19 @@ def test_forged_partial_rejected(grp):
         threshold_decrypt(grp, ct, [bad, partials[1]], commitments, 2)
 
 
+def test_zero_c1_is_a_decode_error(grp):
+    # c1 = 0 makes every partial 0, each with a proof that verifies, and
+    # leaves no product of partials to divide c2 by.
+    ek, shares = threshold_keygen(grp, 3, derive_rng("zero c1"))
+    commitments = {s.index: s.h for s in shares}
+    ct = Ciphertext(0, 5)
+    partials = [partial_decrypt(grp, s, ct) for s in shares]
+    with pytest.raises(DecodeRangeError):
+        threshold_decrypt(grp, ct, partials, commitments, 5)
+    with pytest.raises(DecodeRangeError):
+        decrypt(grp, 3, ct, 5)
+
+
 def test_threshold_decrypt_respects_decode_bound(grp):
     ek, shares = threshold_keygen(grp, 3, derive_rng("bound"))
     commitments = {s.index: s.h for s in shares}

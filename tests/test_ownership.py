@@ -17,6 +17,8 @@
 - `canonical.from_json` owns the types of JSON input: `cli.py`, a function
   that calls `json.loads` and a config class (one based on `Config` or with
   a `from_dict`) apply no `isinstance` and compare no `type(...)`.
+- Every setting has a reader: each field of a class based on `Config` is
+  read as an attribute (`.name`) somewhere in `src/`.
 """
 
 import ast
@@ -27,6 +29,7 @@ import pytest
 
 import evote
 from evote.bulletin import KINDS
+from evote.canonical import Config
 from evote.groups import Ciphertext
 
 SRC = Path(evote.__file__).parent
@@ -249,6 +252,45 @@ def test_only_from_json_tests_the_types_of_json_input(path):
         assert _json_type_tests(tree) == {}
 
 
+def _config_fields(trees: list[ast.Module]) -> dict[str, list[str]]:
+    """The fields declared in each class based on `Config`, by class name."""
+    return {
+        cls.name: [
+            stmt.target.id
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        ]
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and any(getattr(base, "id", None) == "Config" for base in cls.bases)
+    }
+
+
+def _unread_config_fields(trees: list[ast.Module]) -> list[str]:
+    """`Class.field` for each field of a class based on `Config` that no
+    tree reads as an attribute."""
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{cls}.{name}"
+        for cls, names in _config_fields(trees).items()
+        for name in names
+        if name not in read
+    ]
+
+
+def test_every_config_field_is_read():
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    configs = {cls.__name__ for cls in Config.__subclasses__() if cls.__module__.startswith("evote.")}
+    assert set(_config_fields(trees)) == configs == {"ElectionConfig", "SimConfig"}
+    assert _unread_config_fields(trees) == []
+
+
 def test_the_guards_see_a_violation():
     bad = ast.parse(
         "def verify(params, y, t, e, z):\n"
@@ -274,6 +316,8 @@ def test_the_guards_see_a_violation():
         "    row = json.loads(line)\n"
         "    return isinstance(row, dict) and type(row['seq']) is int\n"
         "class Limits(Config):\n"
+        "    low: float = 0\n"
+        "    high: float = 1\n"
         "    def __post_init__(self):\n"
         "        assert type(self.low) in (int, float)\n"
         "class Sim:\n"
@@ -294,3 +338,4 @@ def test_the_guards_see_a_violation():
     assert sorted(_membership_decisions(bad)) == ["_jacobi", "exp(x, q)", "pow(x, q)", "x ** q"]
     assert _json_type_tests(bad) == {"load": 2, "Limits": 1, "Sim": 1}
     assert _type_tests(bad) == 5
+    assert _unread_config_fields([bad]) == ["Limits.high"]

@@ -85,6 +85,17 @@ def test_coercion_boundary_is_exact_not_float():
     assert coercion_evidence(4, 56, 0.05).flagged
 
 
+@pytest.mark.parametrize("threshold", [0.05, 0.1, 0.2, 0.3, 0.7])
+def test_coercion_threshold_is_compared_as_written(threshold):
+    # The doubles nearest 0.3 and 0.7 lie just below 3/10 and 7/10; the
+    # written value is the one compared, so a revoked share equal to it
+    # never flags and one more re-vote always does.
+    written = Fraction(str(threshold))
+    revoked, kept = written.numerator, written.denominator - written.numerator
+    assert not coercion_evidence(revoked, kept, threshold).flagged
+    assert coercion_evidence(revoked + 1, kept, threshold).flagged
+
+
 # --- state machine ---
 
 def test_happy_path_counts():
