@@ -6,10 +6,12 @@ liveness comparisons against the cryptographic pipeline.
 
 from .ballot import (
     ChoiceVector,
+    CoercionVerdict,
     EncryptedBallot,
     Receipt,
     ReceiptStatus,
     SignedBallot,
+    coercion_evidence,
     compose_ballot,
     encode_choice,
     filter_latest,
@@ -47,13 +49,11 @@ from .groups import (
 from .mixnet import MixBatch, mix_once, run_mixnet, verify_mix
 from .registry import Registry, VoterCredential
 from .tally import (
-    CoercionVerdict,
     Election,
     ElectionConfig,
     ElectionResult,
     ElectionState,
     aggregate_check,
-    coercion_evidence,
     run_tally,
 )
 from .zkp import WellformedProof, prove_wellformed, verify_wellformed

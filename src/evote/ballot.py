@@ -210,10 +210,11 @@ def count_result(
     cast_count: int,
     kept_count: int,
     threshold: float,
-) -> ResultPayload:
+) -> tuple[ResultPayload, CoercionVerdict]:
     """The published result: per-candidate sums over the valid decrypted
     ballots, the number of invalid ones, and the re-vote bookkeeping with its
-    coercion flag.  Raises ValueError when more ballots are kept than cast."""
+    coercion flag; and the coercion verdict that the flag comes from.  Raises
+    ValueError when more ballots are kept than cast."""
     counts = [0] * n_candidates
     invalid_count = 0
     for exponents in exponent_vectors:
@@ -224,6 +225,7 @@ def count_result(
             invalid_count += 1
     revoked_count = cast_count - kept_count
     verdict = coercion_evidence(revoked_count, kept_count, threshold)
-    return ResultPayload(
+    payload = ResultPayload(
         tuple(counts), invalid_count, revoked_count, kept_count, cast_count, verdict.flagged
     )
+    return payload, verdict

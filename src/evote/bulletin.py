@@ -29,7 +29,7 @@ from .ballot import count_result, validate_decrypted
 from .canonical import Record, digest
 from .groups import GroupParams
 from .mixnet import MixBatch, MixStage, stage_failures
-from .zkp import DecryptionProof, verify_correct_decryption, verify_wellformed
+from .zkp import DecryptionProof, verify_correct_decryptions, verify_wellformed
 
 GENESIS_TAG = "evote/bulletin/genesis"
 
@@ -386,13 +386,23 @@ def _check_decryption(
     its decrypted ballot.  Checks every decryption proof and each claimed
     plaintext and validity flag; the first entry out of place ends the walk
     with one failure naming it.  Hands on the claims in item order, or None
-    when the walk ends early."""
+    when the walk ends early.  The proofs of the partial decryptions it
+    takes are checked when it ends, in one call that builds no c1 table, and
+    each rejection is named where the walk took that entry."""
     p, g = params.p, params.g
     if entries and entries[0][0] < end:
         return [f"entry {entries[0][0]}: decryption entry before the last mix stage"], None
     if final_batch is None:
         return ["no mix output to check the decryptions against"], None
     walk, failures, claims = iter(entries), [], []
+    checked = []  # (failures so far, seq, trustee, proof claim) of each partial taken
+
+    def finish(claims):
+        verdicts = verify_correct_decryptions(params, (claim for *_, claim in checked))
+        for (at, seq, trustee, _), ok in reversed(list(zip(checked, verdicts))):
+            if not ok:
+                failures.insert(at, f"entry {seq}: decryption proof rejected (trustee {trustee})")
+        return failures, claims
 
     def take(kind: str, *place: int):
         """(seq, record) for the next entry if it is the `kind` entry whose
@@ -412,14 +422,13 @@ def _check_decryption(
         for slot_i, trustee_i in product(range(len(item)), sorted(commitments)):
             seq, pd = take(KIND_PARTIAL_DECRYPTION, item_i, slot_i, trustee_i)
             if pd is None:
-                return failures, None
-            commitment = commitments[trustee_i]
-            if not verify_correct_decryption(params, commitment, item[slot_i], pd.d, pd.proof):
-                failures.append(f"entry {seq}: decryption proof rejected (trustee {trustee_i})")
+                return finish(None)
+            proof_claim = (commitments[trustee_i], item[slot_i], pd.d, pd.proof)
+            checked.append((len(failures), seq, trustee_i, proof_claim))
             products[slot_i] = (products[slot_i] * pd.d) % p
         seq, claim = take(KIND_DECRYPTED_BALLOT, item_i)
         if claim is None:
-            return failures, None
+            return finish(None)
         claims.append(claim)
         if len(claim.exponents) != len(item):
             failures.append(f"entry {seq}: item {item_i}: wrong slot count")
@@ -440,7 +449,7 @@ def _check_decryption(
             failures.append(f"entry {seq}: item {item_i}: validity flag incorrect")
     if (extra := next(walk, None)) is not None:
         failures.append(f"entry {extra[0]}: {extra[1]} entry past the last item")
-    return failures, claims
+    return finish(claims)
 
 
 def _check_counts(config, entries, claims: list | None, cast_count: int, end: int) -> list[str]:
@@ -461,7 +470,7 @@ def _check_counts(config, entries, claims: list | None, cast_count: int, end: in
     if kept_count > cast_count:
         return [f"{kept_count} ballots mixed but only {cast_count} cast"]
     exponents = [claim.exponents for claim in claims]
-    recount = count_result(
+    recount, _ = count_result(
         exponents, len(config.candidates), cast_count, kept_count, config.coercion_threshold
     )
     if recount != published:

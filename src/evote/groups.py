@@ -9,20 +9,22 @@ On large groups, powers of a recurring base use Lim-Lee comb tables sized to
 the exponent.  g and each election key have a full-length table and a
 256-bit one, the size of every Fiat-Shamir nonce and challenge, in one small
 cache; the c1 of the ciphertext being decrypted has a full-length table in a
-one-entry cache of its own.  Every other power is one builtin `pow` call,
-but when p = 2q + 1 a subgroup member raised to an exponent within 2^256
-below q, as a wrapped slot challenge is, is raised to that exponent minus q:
-an inverse and a power of at most 256 bits.  `multi_exp` makes a product of
-powers from one chain of squarings.  When p = 2q + 1 and q has over 128 bits,
-`reencryptions_hold` batches a mix stage's re-encryptions x*b^r = y, each
-only if x and y lie in [1, p), x*y is a quadratic residue and b is a member,
-so that y / (x*b^r) is a member, as the batch's soundness needs.
+one-entry cache of its own, for `partial_decrypt`.  Every other power is one
+builtin `pow` call, but when p = 2q + 1 a subgroup member raised to an
+exponent within 2^256 below q, as a wrapped slot challenge is, is raised to
+that exponent minus q: an inverse and a power of at most 256 bits.
+`multi_exp` makes a product of powers from one chain of squarings.  When
+p = 2q + 1 and q has over 128 bits (`GroupParams.batches`), `batch_verdicts`
+checks equations in one small-exponent batch, each only if its two sides
+differ by a member, as the batch's soundness needs: a mix stage's
+re-encryptions x*b^r = y, and decryption proofs' b^z = t*y^e with no c1 table.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 import typing
 from dataclasses import dataclass
@@ -78,12 +80,12 @@ _COMB_TABLES = 8
 
 # Bits read at a time from each exponent of a Straus multi-exponentiation.
 _STRAUS_WINDOW = 4
-# Bytes of each weight of the batched re-encryption check.
+# Bytes of each weight of a small-exponent batch.
 _WEIGHT_BYTES = 16
 
 # `GroupParams.exp`'s `fixed` for the c1 of the ciphertext being decrypted.
-# Its partial decryptions and their proof checks follow one another, so one
-# table serves them all, and it never recurs once the next ciphertext starts.
+# Its partial decryptions follow one another, so one table serves them all,
+# and it never recurs once the next ciphertext starts; proof checks take none.
 DECRYPTING = "decrypting"
 
 
@@ -257,6 +259,13 @@ class GroupParams(Record):
             for cols in (_comb_cols(self.p), _SHORT_COLS)
         )
 
+    @property
+    def batches(self) -> bool:
+        """p = 2q + 1, and q is longer than a batch's weights.  Not cached:
+        a cached_property writes the instance's __dict__, which slows every
+        later attribute read of the group by about a third (CPython 3.11)."""
+        return self.p == 2 * self.q + 1 and self.q.bit_length() > 8 * _WEIGHT_BYTES
+
     @functools.cached_property
     def _wrapped_exponents(self) -> range:
         """Exponents longer than 256 bits but within 2^256 below q, such as
@@ -399,35 +408,63 @@ def reencryptions_hold(params: GroupParams, pk: int, links) -> bool:
     """`reencrypts_to` holds for each (ct, r, target) of every
     (sources, scalars, targets) in `links`.
 
-    When p = 2q + 1 and q is longer than the weights, each distinct equation
-    x*b^r = y (ct.c1*g^r = target.c1, ct.c2*pk^r = target.c2) with r in
-    [0, q) whose y / (x*b^r) is shown a subgroup member, as the module
-    docstring says, enters one small-exponent batch (Bellare, Garay and
-    Rabin, EUROCRYPT 1998): with a 128-bit weight w each, hashed from p, g,
-    pk and every batched value, prod y^w = prod x^w * prod b^(sum w*r).  A
-    false one passes with probability at most 2^-128 per hash trial.  Any
-    other equation is checked exactly, and on other groups each link in turn.
+    On a group that batches, each distinct equation x*b^r = y
+    (ct.c1*g^r = target.c1, ct.c2*pk^r = target.c2) that `batch_verdicts`
+    does not prove is checked exactly; on other groups each link in turn.
     """
-    p, q, g = params.p, params.q, params.g
+    p, g = params.p, params.g
     checks = itertools.chain.from_iterable(itertools.starmap(zip, links))
-    if p != 2 * q + 1 or q.bit_length() <= 8 * _WEIGHT_BYTES:
+    if not params.batches:
         return all(itertools.starmap(functools.partial(reencrypts_to, params, pk), checks))
-    members = {g, pk} if params.is_element(pk) else {g}
-    batch = []
-    for base, x, r, y in dict.fromkeys(
+    equations = list(dict.fromkeys(
         e for ct, r, t in checks for e in ((g, ct.c1, r, t.c1), (pk, ct.c2, r, t.c2))
-    ):
-        if base in members and 0 < x < p and 0 < y < p and 0 <= r < q and _jacobi(x * y, p) == 1:
-            batch.append((base, x, r, y))
-        elif x * params.exp(base, r, fixed=True) % p != y:
-            return False
-    seed = digest("evote/groups/reencryption-weights", p, g, pk, batch)
-    weights = [int.from_bytes(digest(seed, k)[:_WEIGHT_BYTES], "big") for k in range(len(batch))]
-    rhs = params.multi_exp((x, w) for (_, x, _, _), w in zip(batch, weights))
-    for base in {g, pk}:
-        total = sum(w * r for (b, _, r, _), w in zip(batch, weights) if b == base)
-        rhs = rhs * params.exp(base, total % q, fixed=True) % p
-    return params.multi_exp((y, w) for (*_, y), w in zip(batch, weights)) == rhs
+    ))
+    systems = [((((x, 1), (b, r)), ((y, 1),)),) if r >= 0 else None for b, x, r, y in equations]
+    return all(
+        ok or x * params.exp(b, r, fixed=True) % p == y
+        for ok, (b, x, r, y) in zip(batch_verdicts(params, systems, {g, pk}), equations)
+    )
+
+
+def batch_verdicts(params: GroupParams, systems, fixed) -> list[bool]:
+    """For each system (a tuple of equations prod(lhs) = prod(rhs), each side
+    (base, exponent) pairs with exponents >= 0) or None, whether one
+    small-exponent batch (Bellare, Garay and Rabin, EUROCRYPT 1998) proves it.
+
+    On a group that batches, a system joins the batch when its bases lie in
+    [1, p) and each equation's lhs / rhs is a member, as soundness needs: its
+    bases with odd exponents multiply to a quadratic residue.  With 128-bit
+    weights w hashed from p, g and every equation, prod lhs^w = prod rhs^w
+    holds for a false equation with probability at most 2^-128 per hash
+    trial.  A side adds up the exponents of each base; a base in `fixed`
+    that is a member takes its left sum mod q through its comb.  Unproved is
+    False.
+    """
+    if not params.batches:
+        return [False] * len(systems)
+    p, q = params.p, params.q
+    fixed = set(filter(params.is_element, fixed))
+
+    def admitted(lhs, rhs) -> bool:
+        pairs = lhs + rhs
+        odd = math.prod(b for b, e in pairs if e & 1)
+        return all(0 < b < p for b, _ in pairs) and _jacobi(odd, p) == 1
+
+    batched = [s is not None and all(itertools.starmap(admitted, s)) for s in systems]
+    equations = list(dict.fromkeys(e for s, ok in zip(systems, batched) if ok for e in s))
+    seed = digest("evote/groups/batch-weights", p, params.g, equations)
+    lhs, rhs = {}, {}
+    for k, equation in enumerate(equations):
+        w = int.from_bytes(digest(seed, k)[:_WEIGHT_BYTES], "big")
+        for side, pairs in zip((lhs, rhs), equation):
+            for base, exponent in pairs:
+                side[base] = side.get(base, 0) + w * exponent
+    acc = params.multi_exp((b, e) for b, e in lhs.items() if b not in fixed)
+    for b in fixed & lhs.keys():
+        acc = acc * params.exp(b, lhs[b] % q, fixed=True) % p
+    if acc != params.multi_exp(rhs.items()):
+        return [False] * len(systems)
+    return batched
 
 
 def combine(a: Ciphertext, b: Ciphertext, params: GroupParams) -> Ciphertext:
@@ -467,34 +504,43 @@ def partial_decrypt(
 
 def threshold_decrypt(
     params: GroupParams,
-    ct: Ciphertext,
-    partials: list[PartialDecryption],
+    batch: list[tuple[Ciphertext, list[PartialDecryption]]],
     commitments: dict[int, int],
     decode_bound: int,
-) -> int:
-    """Combine all n partials: m with g^m = c2 / prod(d_i).
+) -> list[int]:
+    """Combine all n partials of each (ct, partials) in `batch`: m with
+    g^m = c2 / prod(d_i) for each ct, in order.
 
     commitments maps trustee index -> h_i; every index in 1..n must supply
-    exactly one partial whose proof verifies, or the plaintext is lost.
+    exactly one partial whose proof verifies, or the plaintext is lost.  All
+    proofs are checked by one `zkp.verify_correct_decryptions` call.
     """
-    from .zkp import verify_correct_decryption
+    from .zkp import verify_correct_decryptions
 
-    n = len(commitments)
-    seen: dict[int, PartialDecryption] = {}
-    for pd in partials:
-        if pd.trustee_index in seen:
-            raise DuplicateShareError(f"trustee {pd.trustee_index} supplied twice")
-        seen[pd.trustee_index] = pd
-    for index in range(1, n + 1):
-        if index not in seen:
-            raise MissingShareError(f"trustee {index} missing; secret unrecoverable")
-    prod_d = 1
-    for index in range(1, n + 1):
-        pd = seen[index]
-        if not verify_correct_decryption(params, commitments[index], ct, pd.d, pd.proof):
-            raise InvalidPartialProof(f"trustee {index} proof rejected")
-        prod_d = (prod_d * pd.d) % params.p
-    if prod_d == 0:
-        raise DecodeRangeError("c1 is 0 mod p, so no plaintext decodes")
-    target = (ct.c2 * params.exp(prod_d, -1)) % params.p
-    return decode_exponent(params, target, decode_bound)
+    n, p = len(commitments), params.p
+    ordered = []
+    for ct, partials in batch:
+        seen: dict[int, PartialDecryption] = {}
+        for pd in partials:
+            if pd.trustee_index in seen:
+                raise DuplicateShareError(f"trustee {pd.trustee_index} supplied twice")
+            seen[pd.trustee_index] = pd
+        for index in range(1, n + 1):
+            if index not in seen:
+                raise MissingShareError(f"trustee {index} missing; secret unrecoverable")
+        ordered.append((ct, [seen[index] for index in range(1, n + 1)]))
+    verdicts = iter(verify_correct_decryptions(params, (
+        (commitments[pd.trustee_index], ct, pd.d, pd.proof) for ct, pds in ordered for pd in pds
+    )))
+    plaintexts = []
+    for ct, pds in ordered:
+        prod_d = 1
+        for pd in pds:
+            if not next(verdicts):
+                raise InvalidPartialProof(f"trustee {pd.trustee_index} proof rejected")
+            prod_d = (prod_d * pd.d) % p
+        if prod_d == 0:
+            raise DecodeRangeError("c1 is 0 mod p, so no plaintext decodes")
+        target = (ct.c2 * params.exp(prod_d, -1)) % p
+        plaintexts.append(decode_exponent(params, target, decode_bound))
+    return plaintexts

@@ -20,7 +20,6 @@ from .ballot import (
     CoercionVerdict,
     Receipt,
     SignedBallot,
-    coercion_evidence,
     count_result,
     filter_latest,
     issue_receipt,
@@ -94,24 +93,6 @@ class ElectionState(enum.Enum):
     TALLIED = "Tallied"
 
 
-def _decrypt_slot(
-    params: GroupParams,
-    ct: Ciphertext,
-    trustees: list[TrusteeKeyShare],
-    commitments: dict[int, int],
-    batch_size: int,
-) -> tuple[int, list]:
-    """Per-slot threshold decryption with a wide decode bound, so a
-    malformed slot still yields a diagnosable exponent.  The scan stops at
-    the first match, so a 0 or 1 costs no more than with a bound of 1.
-
-    The scan is capped: anything past it could never have carried a valid
-    well-formedness proof, so the error is allowed to surface."""
-    partials = [partial_decrypt(params, share, ct) for share in trustees]
-    bound = min(params.q - 1, max(batch_size, 1024))
-    return threshold_decrypt(params, ct, partials, commitments, bound), partials
-
-
 def run_tally(
     params: GroupParams,
     config: ElectionConfig,
@@ -145,12 +126,22 @@ def run_tally(
     for idx, stage in enumerate(stages):
         publish(bulletin.KIND_MIX_STAGE, bulletin.MixStagePayload(idx, stage))
 
+    # A wide decode bound, so that a malformed slot still yields a diagnosable
+    # exponent; a 0 or 1 is found first, and nothing past it could carry a
+    # valid well-formedness proof.
+    bound = min(params.q - 1, max(len(final.items), 1024))
+    decryptions = [
+        (ct, [partial_decrypt(params, share, ct) for share in trustees])
+        for item in final.items
+        for ct in item
+    ]
+    decrypted = iter(zip(threshold_decrypt(params, decryptions, commitments, bound), decryptions))
     n_candidates = len(config.candidates)
     exponent_vectors = []
     for item_i, item in enumerate(final.items):
         exponents = []
-        for slot_i, ct in enumerate(item):
-            m, partials = _decrypt_slot(params, ct, trustees, commitments, len(final.items))
+        for slot_i in range(len(item)):
+            m, (_, partials) = next(decrypted)
             exponents.append(m)
             for pd in partials:
                 publish(
@@ -165,7 +156,7 @@ def run_tally(
         claim = bulletin.DecryptedBallotPayload(item_i, exponents, valid)
         publish(bulletin.KIND_DECRYPTED_BALLOT, claim)
 
-    result = count_result(
+    result, coercion = count_result(
         exponent_vectors, n_candidates, len(collected), len(kept), config.coercion_threshold
     )
     publish(bulletin.KIND_RESULT, result)
@@ -173,9 +164,7 @@ def run_tally(
         counts=list(result.counts),
         invalid_count=result.invalid_count,
         revoked_count=result.revoked_count,
-        coercion=coercion_evidence(
-            result.revoked_count, result.kept_count, config.coercion_threshold
-        ),
+        coercion=coercion,
         proof_bundle=proof_seqs,
         mixed_batch=final,
     )
@@ -192,18 +181,13 @@ def aggregate_check(
     if not mixed.items:
         return [0] * n_candidates
     commitments = {share.index: share.h for share in trustees}
-    totals = []
+    sums = []
     for slot_i in range(n_candidates):
         acc = Ciphertext(1, 1)
         for item in mixed.items:
             acc = combine(acc, item[slot_i], params)
-        partials = [partial_decrypt(params, share, acc) for share in trustees]
-        totals.append(
-            threshold_decrypt(
-                params, acc, partials, commitments, decode_bound=len(mixed.items)
-            )
-        )
-    return totals
+        sums.append((acc, [partial_decrypt(params, share, acc) for share in trustees]))
+    return threshold_decrypt(params, sums, commitments, decode_bound=len(mixed.items))
 
 
 @dataclass(eq=False)

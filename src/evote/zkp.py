@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canonical import Record, digest, enc_int, encode
-from .groups import DECRYPTING, Ciphertext, GroupParams
+from .groups import DECRYPTING, Ciphertext, GroupParams, batch_verdicts
 
 DOMAIN_CP = "evote/zkp/chaum-pedersen"
 DOMAIN_SLOT = "evote/zkp/slot01"
@@ -45,14 +45,32 @@ def commit(params: GroupParams, bases, w: int) -> list[int]:
     return [params.exp(b, w, fixed) for b, fixed in bases]
 
 
-def holds(params: GroupParams, bases, values, commits, e: int, z: int) -> bool:
+def holds(params: GroupParams, bases, values=None, commits=None, e=None, z=None) -> bool | list:
     """True iff e and z lie in [0, q) and b^z = t * y^e for each base b with
     public value y and commitment t.
+
+    Given only a list whose items are statements (bases, values, commits,
+    e, z) or None, returns each item's verdict, a None's False:
+    `groups.batch_verdicts` proves the statements in range together where it
+    can, with the bases marked True as fixed (so a c1 takes no table), and
+    any other is checked alone.
 
     Without the range check z + q (or e + q) would pass too, since every
     base has order q, and two encodings would prove the same statement.
     """
     q = params.q
+    if values is None:
+
+        def equations(bases, values, commits, e, z):
+            if 0 <= e < q and 0 <= z < q:
+                return tuple(
+                    (((b, z),), ((t, 1), (y, e))) for (b, _), y, t in zip(bases, values, commits)
+                )
+
+        statements = bases
+        fixed = {b for s in statements if s for b, mark in s[0] if mark is True}
+        proved = batch_verdicts(params, [s and equations(*s) for s in statements], fixed)
+        return [ok or (s is not None and holds(params, *s)) for ok, s in zip(proved, statements)]
     if not (0 <= e < q and 0 <= z < q):
         return False
     p, exp = params.p, params.exp
@@ -85,20 +103,30 @@ def prove_correct_decryption(
     return DecryptionProof(*commits, e, z)
 
 
-def verify_correct_decryption(
-    params: GroupParams,
-    pk_component: int,
-    ct: Ciphertext,
-    d: int,
-    proof: DecryptionProof,
-) -> bool:
-    """True iff the challenge recomputes and both verification equations hold."""
+def _decryption_statement(params: GroupParams, pk_component: int, ct: Ciphertext, d: int, proof):
+    """What `holds` checks of a decryption proof, or None if its challenge
+    does not recompute."""
     commits = (proof.commit_g, proof.commit_c1)
     e = _challenge(params, DOMAIN_CP, pk_component, ct.to_bytes(), d, *commits)
     bases = ((params.g, True), (ct.c1, DECRYPTING))
-    return e == proof.challenge and holds(
-        params, bases, (pk_component, d), commits, e, proof.response
-    )
+    return (bases, (pk_component, d), commits, e, proof.response) if e == proof.challenge else None
+
+
+def verify_correct_decryption(
+    params: GroupParams, pk_component: int, ct: Ciphertext, d: int, proof: DecryptionProof
+) -> bool:
+    """True iff the challenge recomputes and both verification equations hold."""
+    statement = _decryption_statement(params, pk_component, ct, d, proof)
+    return statement is not None and holds(params, *statement)
+
+
+def verify_correct_decryptions(params: GroupParams, claims) -> list[bool]:
+    """`verify_correct_decryption` of each (pk_component, ct, d, proof).  On a
+    group that batches, the statements go to `holds` as one list, so their
+    equations are checked in one batch and no c1 table is built."""
+    if not params.batches:
+        return [verify_correct_decryption(params, *claim) for claim in claims]
+    return holds(params, [_decryption_statement(params, *claim) for claim in claims])
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ from evote.canonical import derive_rng
 from evote.groups import TEST_GROUP
 
 # CI runs the codec, record and multi-exponentiation properties, the batch
-# re-encryption check's agreement with the per-slot one and the verifier's
+# re-encryption check's agreement with the per-slot one, the batch
+# decryption check's agreement with the per-proof one and the verifier's
 # totality under one-byte edits once more under this profile
 # (`--hypothesis-profile=ci`); tier-1 keeps Hypothesis's default.  A
 # property that pins a smaller count scales it from the loaded profile's

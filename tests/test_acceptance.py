@@ -18,6 +18,7 @@ from evote.ballot import (
     BallotCastPayload,
     Receipt,
     ReceiptStatus,
+    coercion_evidence,
     compose_ballot,
     encode_choice,
     filter_latest,
@@ -74,7 +75,7 @@ from evote.groups import (
 from evote.mixnet import MixBatch, MixStage, build_proof, mix_with_state, run_mixnet, verify_mix
 from evote import tally
 from evote.registry import DOMAIN_SIG, Registry, enroll_voter
-from evote.tally import Election, ElectionConfig, coercion_evidence
+from evote.tally import Election, ElectionConfig
 
 from board_utils import clone_board, drop_entry, flip_byte, rechain, replace_payload
 
@@ -419,14 +420,14 @@ def test_c05_threshold_n_of_n_exhaustive():
         ct = encrypt(GRP, key.h, m, rand_scalar(GRP, rng))
 
         partials = [partial_decrypt(GRP, s, ct) for s in shares]
-        assert threshold_decrypt(GRP, ct, partials, commitments, decode_bound=10) == m
+        assert threshold_decrypt(GRP, [(ct, partials)], commitments, decode_bound=10) == [m]
         sk_equivalent = sum(s.x for s in shares) % GRP.q
         assert decrypt(GRP, sk_equivalent, ct, decode_bound=10) == m  # oracle route
 
         for omit in range(n):  # every (n-1)-subset
             subset = partials[:omit] + partials[omit + 1 :]
             with pytest.raises(MissingShareError):
-                threshold_decrypt(GRP, ct, subset, commitments, decode_bound=10)
+                threshold_decrypt(GRP, [(ct, subset)], commitments, decode_bound=10)
 
 
 # criterion 6: re-vote filtering matches a sort-and-deduplicate oracle,

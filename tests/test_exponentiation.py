@@ -172,12 +172,14 @@ def test_prod_takes_a_comb_only_for_full_length_or_256_bit_powers_of_a_fixed_bas
 
 def _decrypt_slot(params, m, r):
     """Encrypt m under the 2-trustee key, then decrypt it jointly: both
-    partial decryptions, then their proof checks in `threshold_decrypt`."""
+    partial decryptions, then their batched proof checks in
+    `threshold_decrypt`."""
     key, shares = _trustees("prod3072")
     ct = encrypt(params, key.h, m, r)
     partials = [partial_decrypt(params, share, ct) for share in shares]
     commitments = {share.index: share.h for share in shares}
-    return threshold_decrypt(params, ct, partials, commitments, decode_bound=1)
+    [plaintext] = threshold_decrypt(params, [(ct, partials)], commitments, decode_bound=1)
+    return plaintext
 
 
 def test_prod_decryption_takes_no_full_length_builtin_pow(monkeypatch):
@@ -194,7 +196,7 @@ def test_prod_decryption_takes_no_full_length_builtin_pow(monkeypatch):
     assert _decrypt_slot(params, 1, params.q - 2) == 1
     full = params._comb_widths[0][1]
     assert calls and [e for _, e, _ in calls if e in full] == []
-    # One c1 table serves both partial decryptions and both proof checks.
+    # One c1 table serves both partial decryptions; the batched proof checks build none.
     assert len(built) == 1 and list(groups._decryption_combs) == [(params.p, built[0])]
 
 

@@ -181,7 +181,7 @@ def test_full_share_set_matches_single_key_oracle(grp, n):
     for m in range(3):
         ct = encrypt(grp, ek.h, m, 4)
         partials = [partial_decrypt(grp, s, ct) for s in shares]
-        assert threshold_decrypt(grp, ct, partials, commitments, 3) == m
+        assert threshold_decrypt(grp, [(ct, partials)], commitments, 3) == [m]
         assert decrypt(grp, sk_equivalent, ct, 3) == m
 
 
@@ -194,7 +194,7 @@ def test_every_proper_subset_fails(grp, n):
     for drop in range(n):
         subset = partials[:drop] + partials[drop + 1 :]
         with pytest.raises(MissingShareError):
-            threshold_decrypt(grp, ct, subset, commitments, 2)
+            threshold_decrypt(grp, [(ct, subset)], commitments, 2)
 
 
 def test_duplicate_share_rejected(grp):
@@ -203,7 +203,7 @@ def test_duplicate_share_rejected(grp):
     ct = encrypt(grp, ek.h, 1, 5)
     partials = [partial_decrypt(grp, s, ct) for s in shares]
     with pytest.raises(DuplicateShareError):
-        threshold_decrypt(grp, ct, partials + [partials[0]], commitments, 2)
+        threshold_decrypt(grp, [(ct, partials + [partials[0]])], commitments, 2)
 
 
 def test_forged_partial_rejected(grp):
@@ -217,7 +217,7 @@ def test_forged_partial_rejected(grp):
         proof=partials[0].proof,
     )
     with pytest.raises(InvalidPartialProof):
-        threshold_decrypt(grp, ct, [bad, partials[1]], commitments, 2)
+        threshold_decrypt(grp, [(ct, [bad, partials[1]])], commitments, 2)
 
 
 def test_zero_c1_is_a_decode_error(grp):
@@ -228,7 +228,7 @@ def test_zero_c1_is_a_decode_error(grp):
     ct = Ciphertext(0, 5)
     partials = [partial_decrypt(grp, s, ct) for s in shares]
     with pytest.raises(DecodeRangeError):
-        threshold_decrypt(grp, ct, partials, commitments, 5)
+        threshold_decrypt(grp, [(ct, partials)], commitments, 5)
     with pytest.raises(DecodeRangeError):
         decrypt(grp, 3, ct, 5)
 
@@ -239,4 +239,4 @@ def test_threshold_decrypt_respects_decode_bound(grp):
     ct = encrypt(grp, ek.h, 4, 5)
     partials = [partial_decrypt(grp, s, ct) for s in shares]
     with pytest.raises(DecodeRangeError):
-        threshold_decrypt(grp, ct, partials, commitments, 3)
+        threshold_decrypt(grp, [(ct, partials)], commitments, 3)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from evote.ballot import compose_ballot, encode_choice
+from evote.ballot import coercion_evidence, compose_ballot, encode_choice
 from evote import tally
 from evote.bulletin import (
     KIND_MIX_STAGE,
@@ -21,7 +21,6 @@ from evote.tally import (
     Election,
     ElectionConfig,
     ElectionState,
-    coercion_evidence,
 )
 
 
