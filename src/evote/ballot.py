@@ -36,7 +36,7 @@ class ChoiceVector:
     bits: tuple[int, ...]
 
     def is_unit_vector(self) -> bool:
-        return all(b in (0, 1) for b in self.bits) and sum(self.bits) == 1
+        return validate_decrypted(self.bits, len(self.bits))
 
 
 def encode_choice(candidate_index: int, n_candidates: int) -> ChoiceVector:

@@ -27,7 +27,7 @@ from pathlib import Path
 from .ballot import BallotCastPayload, Receipt, ReceiptStatus, ResultPayload
 from .ballot import count_result, validate_decrypted
 from .canonical import Record, digest
-from .groups import GroupParams
+from .groups import GroupParams, unblind
 from .mixnet import MixBatch, MixStage, stage_failures
 from .zkp import DecryptionProof, verify_correct_decryptions, verify_wellformed
 
@@ -381,15 +381,14 @@ def _check_decryption(
     params: GroupParams, commitments: dict[int, int], config, entries, final_batch, end: int
 ) -> tuple[list[str], list[DecryptedBallotPayload] | None]:
     """Walk the decryption entries in board order, after the last mix stage
-    at `end`, expecting what run_tally writes: for each item of the
-    final mix batch, each slot's partial decryptions by trustee index, then
-    its decrypted ballot.  Checks every decryption proof and each claimed
-    plaintext and validity flag; the first entry out of place ends the walk
+    at `end`, expecting what run_tally writes: for each item of the final
+    mix batch, each slot's partial decryptions by trustee index, then its
+    decrypted ballot.  Checks every decryption proof, each claimed plaintext
+    against `groups.unblind` of its slot's partials, as the tally decodes
+    it, and each validity flag; the first entry out of place ends the walk
     with one failure naming it.  Hands on the claims in item order, or None
-    when the walk ends early.  The proofs of the partial decryptions it
-    takes are checked when it ends, in one call that builds no c1 table, and
-    each rejection is named where the walk took that entry."""
-    p, g = params.p, params.g
+    when the walk ends early.  The proofs are checked when it ends, in one
+    call that builds no c1 table, each rejection named where it was taken."""
     if entries and entries[0][0] < end:
         return [f"entry {entries[0][0]}: decryption entry before the last mix stage"], None
     if final_batch is None:
@@ -418,14 +417,14 @@ def _check_decryption(
         return seq, None
 
     for item_i, item in enumerate(final_batch.items):
-        products = [1] * len(item)
+        partials = [[] for _ in item]
         for slot_i, trustee_i in product(range(len(item)), sorted(commitments)):
             seq, pd = take(KIND_PARTIAL_DECRYPTION, item_i, slot_i, trustee_i)
             if pd is None:
                 return finish(None)
             proof_claim = (commitments[trustee_i], item[slot_i], pd.d, pd.proof)
             checked.append((len(failures), seq, trustee_i, proof_claim))
-            products[slot_i] = (products[slot_i] * pd.d) % p
+            partials[slot_i].append(pd.d)
         seq, claim = take(KIND_DECRYPTED_BALLOT, item_i)
         if claim is None:
             return finish(None)
@@ -433,15 +432,14 @@ def _check_decryption(
         if len(claim.exponents) != len(item):
             failures.append(f"entry {seq}: item {item_i}: wrong slot count")
             continue
-        for slot_i, (ct, prod_d, m) in enumerate(zip(item, products, claim.exponents)):
+        for slot_i, (ct, ds, m) in enumerate(zip(item, partials, claim.exponents)):
             # g has order q, so m + q would match wherever m does.
             if not params.is_scalar(m):
                 failures.append(
                     f"entry {seq}: item {item_i} slot {slot_i}: claimed plaintext out of range"
                 )
                 continue
-            lhs = params.exp(g, m, fixed=True)
-            if prod_d == 0 or lhs != (ct.c2 * params.exp(prod_d, -1)) % p:
+            if params.exp(params.g, m, fixed=True) != unblind(params, ct, ds):
                 failures.append(
                     f"entry {seq}: item {item_i} slot {slot_i}: claimed plaintext mismatch"
                 )

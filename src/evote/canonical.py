@@ -76,10 +76,6 @@ def enc_bytes(b: bytes) -> bytes:
     return len(b).to_bytes(_LEN_BYTES, "big") + b
 
 
-def enc_str(s: str) -> bytes:
-    return enc_bytes(s.encode("utf-8"))
-
-
 def encode(*fields) -> bytes:
     """Concatenate the canonical encodings of ints (bools included), bytes,
     records, (possibly nested) sequences, strings and None."""

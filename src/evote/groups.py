@@ -1,8 +1,9 @@
 """Cyclic-group arithmetic and exponential ElGamal.
 
 Messages live in the exponent (g^m), so multiplying ciphertexts adds
-plaintexts; decoding scans 0..decode_bound.  Includes re-encryption and
-an additive n-of-n threshold split of the election secret.
+plaintexts.  Every decryption, and the verifier's check of one, divides c2
+by the ciphertext's blinds in `unblind`; decoding scans 0..decode_bound.
+Includes re-encryption and an additive n-of-n split of the election secret.
 
 Every modular exponentiation in the package goes through GroupParams.exp.
 On large groups, powers of a recurring base use Lim-Lee comb tables sized to
@@ -368,8 +369,10 @@ def encrypt(params: GroupParams, pk: int, m: int, r: int) -> Ciphertext:
     return Ciphertext(c1, c2)
 
 
-def decode_exponent(params: GroupParams, target: int, decode_bound: int) -> int:
-    """Find m <= decode_bound with g^m = target by linear scan."""
+def decode_exponent(params: GroupParams, target: int | None, decode_bound: int) -> int:
+    """The m <= decode_bound with g^m = target, by linear scan; a None target has none."""
+    if target is None:
+        raise DecodeRangeError("c1 is 0 mod p, so no plaintext decodes")
     acc = 1
     for m in range(decode_bound + 1):
         if acc == target:
@@ -378,12 +381,15 @@ def decode_exponent(params: GroupParams, target: int, decode_bound: int) -> int:
     raise DecodeRangeError(f"no exponent <= {decode_bound} matches")
 
 
+def unblind(params: GroupParams, ct: Ciphertext, blinds) -> int | None:
+    """g^m = c2 / prod(blinds) mod p, for blinds c1^sk or the partials c1^x_i;
+    None when the product is 0 mod p, as when c1 is: it has no inverse."""
+    product = math.prod(blinds) % params.p
+    return None if product == 0 else ct.c2 * params.exp(product, -1) % params.p
+
+
 def decrypt(params: GroupParams, sk: int, ct: Ciphertext, decode_bound: int) -> int:
-    blind = params.exp(ct.c1, sk)
-    if blind == 0:
-        raise DecodeRangeError("c1 is 0 mod p, so no plaintext decodes")
-    target = (ct.c2 * params.exp(blind, -1)) % params.p
-    return decode_exponent(params, target, decode_bound)
+    return decode_exponent(params, unblind(params, ct, [params.exp(ct.c1, sk)]), decode_bound)
 
 
 def reencrypt(params: GroupParams, pk: int, ct: Ciphertext, r_prime: int) -> Ciphertext:
@@ -508,16 +514,15 @@ def threshold_decrypt(
     commitments: dict[int, int],
     decode_bound: int,
 ) -> list[int]:
-    """Combine all n partials of each (ct, partials) in `batch`: m with
-    g^m = c2 / prod(d_i) for each ct, in order.
+    """m decoded from `unblind` of each (ct, partials) in `batch`, in order.
 
-    commitments maps trustee index -> h_i; every index in 1..n must supply
-    exactly one partial whose proof verifies, or the plaintext is lost.  All
-    proofs are checked by one `zkp.verify_correct_decryptions` call.
+    commitments maps trustee index -> h_i, and its keys are the trustees, as
+    for the verifier: each supplies one partial whose proof verifies, or the
+    plaintext is lost, and a partial from any other index is refused.  One
+    `zkp.verify_correct_decryptions` call checks every proof.
     """
     from .zkp import verify_correct_decryptions
 
-    n, p = len(commitments), params.p
     ordered = []
     for ct, partials in batch:
         seen: dict[int, PartialDecryption] = {}
@@ -525,22 +530,19 @@ def threshold_decrypt(
             if pd.trustee_index in seen:
                 raise DuplicateShareError(f"trustee {pd.trustee_index} supplied twice")
             seen[pd.trustee_index] = pd
-        for index in range(1, n + 1):
-            if index not in seen:
-                raise MissingShareError(f"trustee {index} missing; secret unrecoverable")
-        ordered.append((ct, [seen[index] for index in range(1, n + 1)]))
+        if stray := seen.keys() - commitments.keys():
+            raise InvalidPartialProof(f"trustee {min(stray)} has no commitment")
+        if missing := commitments.keys() - seen.keys():
+            raise MissingShareError(f"trustee {min(missing)} missing; secret unrecoverable")
+        ordered.append((ct, [seen[index] for index in sorted(seen)]))
     verdicts = iter(verify_correct_decryptions(params, (
         (commitments[pd.trustee_index], ct, pd.d, pd.proof) for ct, pds in ordered for pd in pds
     )))
     plaintexts = []
     for ct, pds in ordered:
-        prod_d = 1
-        for pd in pds:
-            if not next(verdicts):
+        for pd, ok in zip(pds, verdicts):
+            if not ok:
                 raise InvalidPartialProof(f"trustee {pd.trustee_index} proof rejected")
-            prod_d = (prod_d * pd.d) % p
-        if prod_d == 0:
-            raise DecodeRangeError("c1 is 0 mod p, so no plaintext decodes")
-        target = (ct.c2 * params.exp(prod_d, -1)) % p
+        target = unblind(params, ct, [pd.d for pd in pds])
         plaintexts.append(decode_exponent(params, target, decode_bound))
     return plaintexts

@@ -11,6 +11,7 @@ recount cross-checks the per-ballot count.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import asdict, dataclass, field
 from typing import Annotated
 
@@ -106,7 +107,6 @@ def run_tally(
 
     Every mix stage is checked before any is published; the first fault
     raises MixRejected."""
-    commitments = {share.index: share.h for share in trustees}
     kept, _ = filter_latest(collected)
     batch = strip_signatures(kept)
     batch_digest = batch.digest()
@@ -135,22 +135,20 @@ def run_tally(
         for item in final.items
         for ct in item
     ]
-    decrypted = iter(zip(threshold_decrypt(params, decryptions, commitments, bound), decryptions))
+    plaintexts = iter(threshold_decrypt(params, decryptions, _commitments(trustees), bound))
+    partials = (pds for _, pds in decryptions)
     n_candidates = len(config.candidates)
     exponent_vectors = []
     for item_i, item in enumerate(final.items):
-        exponents = []
-        for slot_i in range(len(item)):
-            m, (_, partials) = next(decrypted)
-            exponents.append(m)
-            for pd in partials:
+        for slot_i, pds in zip(range(len(item)), partials):
+            for pd in pds:
                 publish(
                     bulletin.KIND_PARTIAL_DECRYPTION,
                     bulletin.PartialDecryptionPayload(
                         item_i, slot_i, pd.trustee_index, pd.d, pd.proof
                     ),
                 )
-        exponents = tuple(exponents)
+        exponents = tuple(itertools.islice(plaintexts, len(item)))
         exponent_vectors.append(exponents)
         valid = validate_decrypted(exponents, n_candidates)
         claim = bulletin.DecryptedBallotPayload(item_i, exponents, valid)
@@ -180,14 +178,18 @@ def aggregate_check(
     with decode bound equal to the batch size."""
     if not mixed.items:
         return [0] * n_candidates
-    commitments = {share.index: share.h for share in trustees}
     sums = []
     for slot_i in range(n_candidates):
         acc = Ciphertext(1, 1)
         for item in mixed.items:
             acc = combine(acc, item[slot_i], params)
         sums.append((acc, [partial_decrypt(params, share, acc) for share in trustees]))
-    return threshold_decrypt(params, sums, commitments, decode_bound=len(mixed.items))
+    return threshold_decrypt(params, sums, _commitments(trustees), decode_bound=len(mixed.items))
+
+
+def _commitments(trustees: list[TrusteeKeyShare]) -> dict[int, int]:
+    """Each trustee's h_i by index, as `threshold_decrypt` and the verifier take them."""
+    return {share.index: share.h for share in trustees}
 
 
 @dataclass(eq=False)
@@ -234,7 +236,7 @@ class Election:
 
     @property
     def commitments(self) -> dict[int, int]:
-        return {share.index: share.h for share in self.trustees}
+        return _commitments(self.trustees)
 
     def cast(self, sb: SignedBallot, now: int) -> Receipt | None:
         """Verify and store a ballot; rejected ballots are not stored at all."""

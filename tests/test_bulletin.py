@@ -272,6 +272,21 @@ def test_decryption_response_plus_q_fails(tallied):
     assert rejected in report.failures
 
 
+def test_zero_partial_fails_by_name_and_does_not_raise(tallied):
+    """A product of partials that is 0 mod p has no inverse: the slot's
+    plaintext is reported as a mismatch, not an exception."""
+    election, config = tallied
+    board = election.board
+    entry = board.find(KIND_PARTIAL_DECRYPTION)[0]
+    pd = PartialDecryptionPayload.from_bytes(entry.payload)
+    mutated = replace_payload(board, entry.seq, replace(pd, d=0).to_bytes(), fix_chain=True)
+    report = _verify(election, config, mutated)
+    assert report.failures == [
+        "entry 19: decryption proof rejected (trustee 1)",
+        "entry 28: item 0 slot 0: claimed plaintext mismatch",
+    ]
+
+
 def test_altered_result_counts_fail(tallied):
     election, config = tallied
     board = election.board

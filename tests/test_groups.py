@@ -220,6 +220,27 @@ def test_forged_partial_rejected(grp):
         threshold_decrypt(grp, [(ct, [bad, partials[1]])], commitments, 2)
 
 
+def test_partial_without_a_commitment_rejected(grp):
+    # Its proof could never be checked, so it is refused, not dropped.
+    ek, shares = threshold_keygen(grp, 3, derive_rng("stray"))
+    commitments = {s.index: s.h for s in shares}
+    ct = encrypt(grp, ek.h, 1, 5)
+    partials = [partial_decrypt(grp, s, ct) for s in shares + [replace(shares[0], index=4)]]
+    with pytest.raises(InvalidPartialProof, match="trustee 4"):
+        threshold_decrypt(grp, [(ct, partials)], commitments, 2)
+
+
+def test_trustees_are_the_commitment_keys(grp):
+    ek, shares = threshold_keygen(grp, 3, derive_rng("keys"))
+    shares = [replace(s, index=i) for s, i in zip(shares, (1, 2, 5))]
+    commitments = {s.index: s.h for s in shares}
+    ct = encrypt(grp, ek.h, 1, 5)
+    partials = [partial_decrypt(grp, s, ct) for s in shares]
+    assert threshold_decrypt(grp, [(ct, partials)], commitments, 2) == [1]
+    with pytest.raises(MissingShareError, match="trustee 5"):
+        threshold_decrypt(grp, [(ct, partials[:2])], commitments, 2)
+
+
 def test_zero_c1_is_a_decode_error(grp):
     # c1 = 0 makes every partial 0, each with a proof that verifies, and
     # leaves no product of partials to divide c2 by.

@@ -5,6 +5,9 @@
   and its constants).
 - `groups.py` decides subgroup membership (`GroupParams.is_element`): no
   other module names `_jacobi` or raises a value to `q`.
+- `groups.unblind` owns unblinding a decryption (c2 / the product of its
+  blinds): `bulletin.py` and `tally.py` make no inverse, neither
+  `exp(x, -1)` nor `pow(x, -1, ...)`.
 - `zkp.holds` owns every verification equation: in `zkp.py` and
   `registry.py`, the result of an `exp(...)` call is compared only there.
   A name bound to such a result counts as the result.
@@ -101,6 +104,11 @@ def test_only_groups_names_the_comb(path):
         assert _comb_names(ast.parse(path.read_text())) == []
 
 
+def _callee(node: ast.Call) -> str | None:
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def _is_q(node: ast.AST) -> bool:
     return (isinstance(node, ast.Name) and node.id == "q") or (
         isinstance(node, ast.Attribute) and node.attr == "q"
@@ -113,9 +121,7 @@ def _membership_decisions(tree: ast.Module) -> list[str]:
     found = [name for name in _names(tree) if name == "_jacobi"]
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and len(node.args) >= 2 and _is_q(node.args[1]):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in ("exp", "pow"):
+            if (name := _callee(node)) in ("exp", "pow"):
                 found.append(f"{name}(x, q)")
         elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and _is_q(node.right):
             found.append("x ** q")
@@ -126,6 +132,30 @@ def _membership_decisions(tree: ast.Module) -> list[str]:
 def test_only_groups_decides_membership(path):
     if path.name != "groups.py":
         assert _membership_decisions(ast.parse(path.read_text())) == []
+
+
+def _is_minus_one(node: ast.AST) -> bool:
+    try:
+        return ast.literal_eval(node) == -1
+    except ValueError:
+        return False
+
+
+def _inverses(tree: ast.Module) -> list[str]:
+    """Each `exp(x, -1)` or `pow(x, -1, ...)`."""
+    return [
+        f"{_callee(node)}(x, -1)"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and _callee(node) in ("exp", "pow")
+        and len(node.args) >= 2
+        and _is_minus_one(node.args[1])
+    ]
+
+
+@pytest.mark.parametrize("name", ["bulletin.py", "tally.py"])
+def test_only_groups_unblinds(name):
+    assert _inverses(ast.parse((SRC / name).read_text())) == []
 
 
 @pytest.mark.parametrize(
@@ -312,6 +342,7 @@ def test_the_guards_see_a_violation():
         "from .groups import _jacobi\n"
         "member = params.exp(y, params.q) == 1 or pow(y, q, p) == 1 or y ** q == 1\n"
         "fine = params.exp(y, q - 1), params.q * 2\n"
+        "target = c2 * params.exp(blind, -1) % p, pow(blind, -1, p), exp(y, 1)\n"
         "def load(line):\n"
         "    row = json.loads(line)\n"
         "    return isinstance(row, dict) and type(row['seq']) is int\n"
@@ -336,6 +367,7 @@ def test_the_guards_see_a_violation():
     ]
     assert sorted(_kept_bytes_uses(bad)) == ["__dict__", KEPT_BYTES, KEPT_BYTES, "vars"]
     assert sorted(_membership_decisions(bad)) == ["_jacobi", "exp(x, q)", "pow(x, q)", "x ** q"]
+    assert sorted(_inverses(bad)) == ["exp(x, -1)", "pow(x, -1)"]
     assert _json_type_tests(bad) == {"load": 2, "Limits": 1, "Sim": 1}
     assert _type_tests(bad) == 5
     assert _unread_config_fields([bad]) == ["Limits.high"]
