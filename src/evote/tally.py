@@ -131,9 +131,7 @@ def run_tally(
     # valid well-formedness proof.
     bound = min(params.q - 1, max(len(final.items), 1024))
     decryptions = [
-        (ct, [partial_decrypt(params, share, ct) for share in trustees])
-        for item in final.items
-        for ct in item
+        (ct, partial_decrypt(params, trustees, ct)) for item in final.items for ct in item
     ]
     plaintexts = iter(threshold_decrypt(params, decryptions, _commitments(trustees), bound))
     partials = (pds for _, pds in decryptions)
@@ -183,7 +181,7 @@ def aggregate_check(
         acc = Ciphertext(1, 1)
         for item in mixed.items:
             acc = combine(acc, item[slot_i], params)
-        sums.append((acc, [partial_decrypt(params, share, acc) for share in trustees]))
+        sums.append((acc, partial_decrypt(params, trustees, acc)))
     return threshold_decrypt(params, sums, _commitments(trustees), decode_bound=len(mixed.items))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canonical import Record, digest, enc_int, encode
-from .groups import DECRYPTING, Ciphertext, GroupParams, batch_verdicts
+from .groups import Ciphertext, GroupParams, batch_verdicts
 
 DOMAIN_CP = "evote/zkp/chaum-pedersen"
 DOMAIN_SLOT = "evote/zkp/slot01"
@@ -52,8 +52,8 @@ def holds(params: GroupParams, bases, values=None, commits=None, e=None, z=None)
     Given only a list whose items are statements (bases, values, commits,
     e, z) or None, returns each item's verdict, a None's False:
     `groups.batch_verdicts` proves the statements in range together where it
-    can, with the bases marked True as fixed (so a c1 takes no table), and
-    any other is checked alone.
+    can, with the marked bases as fixed, and any other is checked alone.
+    On a group that does not batch, it builds no equation.
 
     Without the range check z + q (or e + q) would pass too, since every
     base has order q, and two encodings would prove the same statement.
@@ -68,8 +68,8 @@ def holds(params: GroupParams, bases, values=None, commits=None, e=None, z=None)
                 )
 
         statements = bases
-        fixed = {b for s in statements if s for b, mark in s[0] if mark is True}
-        proved = batch_verdicts(params, [s and equations(*s) for s in statements], fixed)
+        fixed = (b for s in statements if s for b, mark in s[0] if mark)
+        proved = batch_verdicts(params, (s and equations(*s) for s in statements), fixed)
         return [ok or (s is not None and holds(params, *s)) for ok, s in zip(proved, statements)]
     if not (0 <= e < q and 0 <= z < q):
         return False
@@ -97,7 +97,7 @@ def prove_correct_decryption(
     """Prove d = c1^x for the committed share g^x, without revealing x."""
     pk_component = params.exp(params.g, x, fixed=True)
     w = nonce(params, x, ct.to_bytes(), d)
-    commits = commit(params, ((params.g, True), (ct.c1, DECRYPTING)), w)
+    commits = commit(params, ((params.g, True), (ct.c1, False)), w)
     e = _challenge(params, DOMAIN_CP, pk_component, ct.to_bytes(), d, *commits)
     z = (w + e * x) % params.q
     return DecryptionProof(*commits, e, z)
@@ -108,7 +108,7 @@ def _decryption_statement(params: GroupParams, pk_component: int, ct: Ciphertext
     does not recompute."""
     commits = (proof.commit_g, proof.commit_c1)
     e = _challenge(params, DOMAIN_CP, pk_component, ct.to_bytes(), d, *commits)
-    bases = ((params.g, True), (ct.c1, DECRYPTING))
+    bases = ((params.g, True), (ct.c1, False))
     return (bases, (pk_component, d), commits, e, proof.response) if e == proof.challenge else None
 
 
@@ -121,11 +121,9 @@ def verify_correct_decryption(
 
 
 def verify_correct_decryptions(params: GroupParams, claims) -> list[bool]:
-    """`verify_correct_decryption` of each (pk_component, ct, d, proof).  On a
-    group that batches, the statements go to `holds` as one list, so their
-    equations are checked in one batch and no c1 table is built."""
-    if not params.batches:
-        return [verify_correct_decryption(params, *claim) for claim in claims]
+    """`verify_correct_decryption` of each (pk_component, ct, d, proof): the
+    statements go to `holds` as one list, so on a group that batches their
+    equations are checked in one batch."""
     return holds(params, [_decryption_statement(params, *claim) for claim in claims])
 
 

@@ -4,8 +4,8 @@ from hypothesis import settings
 from evote.canonical import derive_rng
 from evote.groups import TEST_GROUP
 
-# CI runs the codec, record and multi-exponentiation properties, the batch
-# re-encryption check's agreement with the per-slot one, the batch
+# CI runs the codec, record, multi-exponentiation and `powers` properties,
+# the batch re-encryption check's agreement with the per-slot one, the batch
 # decryption check's agreement with the per-proof one and the verifier's
 # totality under one-byte edits once more under this profile
 # (`--hypothesis-profile=ci`); tier-1 keeps Hypothesis's default.  A

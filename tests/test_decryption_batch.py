@@ -75,7 +75,9 @@ def _pool(name):
     key, shares = threshold_keygen(params, 2, derive_rng("decryption-batch", name))
     cts = [encrypt(params, key.h, m, 3 + m) for m in (0, 1)]
     return shares, [
-        (share, ct, partial_decrypt(params, share, ct)) for ct in cts for share in shares
+        (share, ct, pd)
+        for ct in cts
+        for share, pd in zip(shares, partial_decrypt(params, shares, ct))
     ]
 
 
@@ -244,7 +246,7 @@ def test_prod_negated_ds_with_odd_challenges_are_all_rejected(prod_election):
     params = prod_election.params
     share = prod_election.trustees[0]
     ct = prod_election.result.mixed_batch.items[0][0]
-    d = params.p - partial_decrypt(params, share, ct).d
+    d = params.p - partial_decrypt(params, [share], ct)[0].d
     claims = [
         (share.h, ct, d, _reground(params, share.x, share.h, ct, d, parity=1, salt=k))
         for k in range(16)
@@ -277,13 +279,15 @@ def test_prod_tally_names_the_trustee_of_a_bad_partial(prod_election, monkeypatc
     honest = partial_decrypt
     calls = itertools.count()
 
-    def one_bad(params, share, ct):
-        pd = honest(params, share, ct)
-        if next(calls) == 5:
-            assert share.index == 2
+    def one_bad(params, shares, ct):
+        pds = honest(params, shares, ct)
+        # The third ciphertext's partial of trustee 2.
+        if next(calls) == 2:
+            pd = pds[1]
+            assert pd.trustee_index == 2
             proof = replace(pd.proof, response=(pd.proof.response + 1) % params.q)
-            return replace(pd, proof=proof)
-        return pd
+            pds[1] = replace(pd, proof=proof)
+        return pds
 
     monkeypatch.setattr(tally, "partial_decrypt", one_bad)
     with pytest.raises(InvalidPartialProof, match="trustee 2 proof rejected"):

@@ -1,17 +1,19 @@
 """GroupParams.exp, the one exponentiation of the package, against builtin pow.
 
 On the test group every call is exactly one builtin `pow`.  On groups of
-64 bits and more, full-length powers of a fixed base, and of the c1 being
-decrypted, come from a full-length comb table, and 32- to 256-bit powers of
-a fixed base from a 256-bit one; the tests cover the exponent lengths
-around each size threshold of that rule and both table caches.  On
-prod3072 an unmarked subgroup member raised to an exponent within 2^256
-below q, such as a wrapped slot challenge, takes a power of at most 256
-bits; the tests check that route against members and non-members.
-`multi_exp`, a product of powers, is checked against builtin pow too.
+64 bits and more, full-length powers of a fixed base come from a
+full-length comb table, and 32- to 256-bit powers from a 256-bit one; the
+tests cover the exponent lengths around each size threshold of that rule
+and the table cache.  On prod3072 an unmarked subgroup member raised to an
+exponent within 2^256 below q, such as a wrapped slot challenge, takes a
+power of at most 256 bits; the tests check that route against members and
+non-members.  `powers`, one base to several exponents from a table of its
+own call, and `multi_exp`, a product of powers, are checked against
+builtin pow too.
 """
 
 import functools
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,6 @@ from evote import groups
 from evote.ballot import compose_ballot, encode_choice, verify_ballot
 from evote.canonical import derive_rng
 from evote.groups import (
-    DECRYPTING,
     PROD_GROUP_3072,
     TEST_GROUP,
     GroupParams,
@@ -45,12 +46,10 @@ def _election_key(name):
 
 
 def _bases(name):
-    """(base, fixed): g, an election key, a ciphertext's c1 and a base that
-    has no table."""
+    """(base, fixed): g, an election key and a base that has no table."""
     params = PROFILES[name]
-    c1 = params.exp(params.g, 424242)
     other = params.exp(params.g, 12345) * 7 % params.p
-    return [(params.g, True), (_election_key(name), True), (c1, DECRYPTING), (other, False)]
+    return [(params.g, True), (_election_key(name), True), (other, False)]
 
 
 @functools.cache
@@ -148,7 +147,6 @@ def test_prod_takes_a_comb_only_for_full_length_or_256_bit_powers_of_a_fixed_bas
     params = PROD_GROUP_3072
     (_, full), (_, short) = params._comb_widths
     g, h = params.g, _election_key("prod3072")
-    c1 = params.exp(g, 999)
     calls = _count_pow_calls(monkeypatch)
     for base in (g, h):
         for e in (full.start, params.q - 1, full.stop - 1, short.start, short.stop - 1):
@@ -161,13 +159,7 @@ def test_prod_takes_a_comb_only_for_full_length_or_256_bit_powers_of_a_fixed_bas
     for e in (short.start - 1, short.stop, full.start - 1, full.stop):
         assert params.exp(g, e, fixed=True) == pow(g, e, params.p)
     assert params.exp(g, params.q - 1) == pow(g, params.q - 1, params.p)
-    # A short power of a c1 builds no table, not even a 256-bit one.
-    held, misses = dict(groups._decryption_combs), groups._comb.cache_info().misses
-    for e in (full.start - 1, short.stop - 1):
-        assert params.exp(c1, e, DECRYPTING) == pow(c1, e, params.p)
-    assert groups._decryption_combs == held
-    assert groups._comb.cache_info().misses == misses
-    assert len(calls) == 7
+    assert len(calls) == 5
 
 
 def _decrypt_slot(params, m, r):
@@ -176,28 +168,49 @@ def _decrypt_slot(params, m, r):
     `threshold_decrypt`."""
     key, shares = _trustees("prod3072")
     ct = encrypt(params, key.h, m, r)
-    partials = [partial_decrypt(params, share, ct) for share in shares]
+    partials = partial_decrypt(params, shares, ct)
     commitments = {share.index: share.h for share in shares}
     [plaintext] = threshold_decrypt(params, [(ct, partials)], commitments, decode_bound=1)
     return plaintext
 
 
-def test_prod_decryption_takes_no_full_length_builtin_pow(monkeypatch):
-    params = PROD_GROUP_3072
-    _decrypt_slot(params, 0, params.q - 1)  # builds the g and election-key tables
+def _record_tables(monkeypatch):
+    """A weak reference to each comb table built from now on."""
     built = []
     build = groups._Comb.__init__
     monkeypatch.setattr(
         groups._Comb,
         "__init__",
-        lambda comb, p, base, cols: built.append(base) or build(comb, p, base, cols),
+        lambda comb, p, base, cols: built.append(weakref.ref(comb)) or build(comb, p, base, cols),
     )
+    return built
+
+
+def test_prod_decryption_takes_no_full_length_builtin_pow(monkeypatch):
+    params = PROD_GROUP_3072
+    _decrypt_slot(params, 0, params.q - 1)  # builds the g and election-key tables
+    built = _record_tables(monkeypatch)
     calls = _count_pow_calls(monkeypatch)
     assert _decrypt_slot(params, 1, params.q - 2) == 1
     full = params._comb_widths[0][1]
     assert calls and [e for _, e, _ in calls if e in full] == []
     # One c1 table serves both partial decryptions; the batched proof checks build none.
-    assert len(built) == 1 and list(groups._decryption_combs) == [(params.p, built[0])]
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("trustees, tables", [(2, 1), (1, 0)])
+def test_prod_partial_decrypt_owns_its_c1_table(monkeypatch, trustees, tables):
+    """Two shares share one c1 table, which is gone once the call returns;
+    one share takes builtin `pow` and builds none."""
+    params = PROD_GROUP_3072
+    key, shares = _trustees("prod3072")
+    ct = encrypt(params, key.h, 1, params.q - 7)
+    partial_decrypt(params, shares, ct)  # builds the g tables of the proofs
+    built = _record_tables(monkeypatch)
+    partials = partial_decrypt(params, shares[:trustees], ct)
+    assert [pd.d for pd in partials] == [pow(ct.c1, s.x, params.p) for s in shares[:trustees]]
+    assert len(built) == tables
+    assert [ref() for ref in built] == [None] * tables
 
 
 @functools.cache
@@ -302,7 +315,6 @@ def test_decrypting_slots_keeps_the_g_and_election_key_tables():
     # The next ballot finds g and the key in both widths.
     _cast_ballot(params, 1)
     assert groups._comb.cache_info().misses == misses
-    assert len(groups._decryption_combs) == 1
 
 
 # Primes around the 64-bit modulus threshold: 2^63 - 25 has 63 bits, 2^63 + 29
@@ -317,6 +329,34 @@ def test_modulus_threshold(monkeypatch, p, comb):
     for e in (params.q - 1, 2**62 + 12345, 0, 1):
         assert params.exp(3, e, fixed=True) == pow(3, e, p)
     assert len(calls) == (2 if comb else 4)
+
+
+# A prod3072 example costs up to about 0.5 s: 4 examples in tier-1, and a
+# fiftieth of the loaded profile's count where that is more (20 under ci).
+@pytest.mark.parametrize(
+    "params",
+    [TEST_GROUP, PROD_GROUP_3072, GroupParams(p=2**63 + 29, q=2**63 + 28, g=3)],
+    ids=["test", "prod3072", "p64"],
+)
+@settings(max_examples=max(4, settings().max_examples // 50), deadline=None)
+@given(data=st.data())
+def test_powers_match_pow(params, data):
+    """Up to 5 exponents in any order: up to 2 as long as q, so that the
+    list takes a table or not, and up to 3 more, each as long as q, 256 bits
+    long, within 2^256 below q, 0 or 1; of a subgroup member or any base."""
+    p, q = params.p, params.q
+    full = st.integers(min_value=1 << (q.bit_length() - 1), max_value=q - 1)
+    exponent = st.one_of(
+        full,
+        st.integers(min_value=1 << 255, max_value=SHORT - 1),
+        st.integers(min_value=max(q - SHORT, 0), max_value=q - 1),
+        st.sampled_from([0, 1]),
+    )
+    member = params.exp(params.g, 12345)
+    base = data.draw(st.one_of(st.sampled_from([params.g, member]), st.integers(1, p - 1)))
+    drawn = data.draw(st.lists(full, max_size=2)) + data.draw(st.lists(exponent, max_size=3))
+    exponents = data.draw(st.permutations(drawn))
+    assert params.powers(base, exponents) == [pow(base, e, p) for e in exponents]
 
 
 @pytest.mark.parametrize("name", ["prod3072", "mersenne127"])

@@ -39,7 +39,7 @@ def artifacts():
     out, proof = mix_once(params, key.h, batch, derive_rng("golden", "mix"), rounds=1)
     stage = MixStage(batch_in=batch, batch_out=out, proof=proof)
     ct = out.items[0][0]
-    pd = partial_decrypt(params, shares[0], ct)
+    [pd] = partial_decrypt(params, shares[:1], ct)
     payloads = {
         "ballot": sb.published().to_bytes(),
         "mix_stage": bulletin.MixStagePayload(0, stage).to_bytes(),

@@ -180,7 +180,7 @@ def test_full_share_set_matches_single_key_oracle(grp, n):
     commitments = {s.index: s.h for s in shares}
     for m in range(3):
         ct = encrypt(grp, ek.h, m, 4)
-        partials = [partial_decrypt(grp, s, ct) for s in shares]
+        partials = partial_decrypt(grp, shares, ct)
         assert threshold_decrypt(grp, [(ct, partials)], commitments, 3) == [m]
         assert decrypt(grp, sk_equivalent, ct, 3) == m
 
@@ -190,7 +190,7 @@ def test_every_proper_subset_fails(grp, n):
     ek, shares = threshold_keygen(grp, n, derive_rng("subset", n))
     commitments = {s.index: s.h for s in shares}
     ct = encrypt(grp, ek.h, 1, 5)
-    partials = [partial_decrypt(grp, s, ct) for s in shares]
+    partials = partial_decrypt(grp, shares, ct)
     for drop in range(n):
         subset = partials[:drop] + partials[drop + 1 :]
         with pytest.raises(MissingShareError):
@@ -201,7 +201,7 @@ def test_duplicate_share_rejected(grp):
     ek, shares = threshold_keygen(grp, 2, derive_rng("dup"))
     commitments = {s.index: s.h for s in shares}
     ct = encrypt(grp, ek.h, 1, 5)
-    partials = [partial_decrypt(grp, s, ct) for s in shares]
+    partials = partial_decrypt(grp, shares, ct)
     with pytest.raises(DuplicateShareError):
         threshold_decrypt(grp, [(ct, partials + [partials[0]])], commitments, 2)
 
@@ -210,7 +210,7 @@ def test_forged_partial_rejected(grp):
     ek, shares = threshold_keygen(grp, 2, derive_rng("forge"))
     commitments = {s.index: s.h for s in shares}
     ct = encrypt(grp, ek.h, 1, 5)
-    partials = [partial_decrypt(grp, s, ct) for s in shares]
+    partials = partial_decrypt(grp, shares, ct)
     bad = type(partials[0])(
         trustee_index=partials[0].trustee_index,
         d=(partials[0].d * grp.g) % grp.p,
@@ -225,7 +225,7 @@ def test_partial_without_a_commitment_rejected(grp):
     ek, shares = threshold_keygen(grp, 3, derive_rng("stray"))
     commitments = {s.index: s.h for s in shares}
     ct = encrypt(grp, ek.h, 1, 5)
-    partials = [partial_decrypt(grp, s, ct) for s in shares + [replace(shares[0], index=4)]]
+    partials = partial_decrypt(grp, shares + [replace(shares[0], index=4)], ct)
     with pytest.raises(InvalidPartialProof, match="trustee 4"):
         threshold_decrypt(grp, [(ct, partials)], commitments, 2)
 
@@ -235,7 +235,7 @@ def test_trustees_are_the_commitment_keys(grp):
     shares = [replace(s, index=i) for s, i in zip(shares, (1, 2, 5))]
     commitments = {s.index: s.h for s in shares}
     ct = encrypt(grp, ek.h, 1, 5)
-    partials = [partial_decrypt(grp, s, ct) for s in shares]
+    partials = partial_decrypt(grp, shares, ct)
     assert threshold_decrypt(grp, [(ct, partials)], commitments, 2) == [1]
     with pytest.raises(MissingShareError, match="trustee 5"):
         threshold_decrypt(grp, [(ct, partials[:2])], commitments, 2)
@@ -247,7 +247,7 @@ def test_zero_c1_is_a_decode_error(grp):
     ek, shares = threshold_keygen(grp, 3, derive_rng("zero c1"))
     commitments = {s.index: s.h for s in shares}
     ct = Ciphertext(0, 5)
-    partials = [partial_decrypt(grp, s, ct) for s in shares]
+    partials = partial_decrypt(grp, shares, ct)
     with pytest.raises(DecodeRangeError):
         threshold_decrypt(grp, [(ct, partials)], commitments, 5)
     with pytest.raises(DecodeRangeError):
@@ -258,6 +258,6 @@ def test_threshold_decrypt_respects_decode_bound(grp):
     ek, shares = threshold_keygen(grp, 3, derive_rng("bound"))
     commitments = {s.index: s.h for s in shares}
     ct = encrypt(grp, ek.h, 4, 5)
-    partials = [partial_decrypt(grp, s, ct) for s in shares]
+    partials = partial_decrypt(grp, shares, ct)
     with pytest.raises(DecodeRangeError):
         threshold_decrypt(grp, [(ct, partials)], commitments, 3)

@@ -22,6 +22,10 @@
   a `from_dict`) apply no `isinstance` and compare no `type(...)`.
 - Every setting has a reader: each field of a class based on `Config` is
   read as an attribute (`.name`) somewhere in `src/`.
+- Module state is constant: no function declares `global` or changes a
+  name bound at module level in place (an item or attribute assignment or
+  deletion, or a call such as `.append()` or `.clear()`).  The process-wide
+  caches are `functools` decorators.
 """
 
 import ast
@@ -321,6 +325,65 @@ def test_every_config_field_is_read():
     assert _unread_config_fields(trees) == []
 
 
+# Methods that change a list, dict or set in place.
+MUTATORS = frozenset((
+    "append", "extend", "insert", "remove", "pop", "popitem", "clear", "update",
+    "setdefault", "add", "discard", "sort", "reverse",
+))
+
+
+def _stored(node: ast.AST) -> set[str]:
+    """Each name that `node` assigns."""
+    return {
+        n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+    }
+
+
+def _module_names(tree: ast.Module) -> set[str]:
+    """The names the module binds at its top level."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in stmt.names}
+        else:
+            names |= _stored(stmt)
+    return names
+
+
+def _module_state_writes(tree: ast.Module) -> list[str]:
+    """`function: what` for each `global` and each in-place change, inside a
+    function, of a module-level name that the function does not rebind."""
+    shared = _module_names(tree)
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        local = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)} | _stored(fn)
+
+        def module_level(node) -> bool:
+            return isinstance(node, ast.Name) and node.id in shared - local
+
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Global):
+                found.append(f"{fn.name}: global {', '.join(node.names)}")
+            elif isinstance(node, (ast.Subscript, ast.Attribute)) and not isinstance(
+                node.ctx, ast.Load
+            ):
+                if module_level(node.value):
+                    found.append(f"{fn.name}: {ast.unparse(node)} changed")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in MUTATORS and module_level(node.func.value):
+                    found.append(f"{fn.name}: {ast.unparse(node.func)}()")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_state_is_constant(path):
+    assert _module_state_writes(ast.parse(path.read_text())) == []
+
+
 def test_the_guards_see_a_violation():
     bad = ast.parse(
         "def verify(params, y, t, e, z):\n"
@@ -335,7 +398,7 @@ def test_the_guards_see_a_violation():
         "rng = random.Random(time.time())\n"
         "pick = random.choice([urandom(4), os.urandom(4)])\n"
         "from .groups import _Comb, combine\n"
-        "table = groups._decryption_comb(p, c1)\n"
+        "table = groups._comb(p, c1, cols)\n"
         f"raw = ballot.{KEPT_BYTES}\n"
         f"object.__setattr__(ballot, '{KEPT_BYTES}', raw)\n"
         "vars(ballot)['digest'] = ballot.__dict__.get('digest')\n"
@@ -357,10 +420,19 @@ def test_the_guards_see_a_violation():
         "        return cls(**d) if type(d) is dict else None\n"
         "def check(x):\n"
         "    return isinstance(x, int)\n"
+        "CACHE = {}\n"
+        "def remember(key, value, seen):\n"
+        "    global HITS\n"
+        "    CACHE[key] = value\n"
+        "    CACHE.clear()\n"
+        "    seen.append(key)\n"
+        "    table.size = 2\n"
+        "def shadowed(CACHE):\n"
+        "    CACHE[1] = 2\n"
     )
     assert _exp_comparisons(bad) == [("verify", 3)]
     assert _called(bad, "pow")
-    assert sorted(_comb_names(bad)) == ["_Comb", "_decryption_comb"]
+    assert sorted(_comb_names(bad)) == ["_Comb", "_comb"]
     assert _kind_literals(bad) == ["BallotCast"]
     assert sorted(_unseeded_sources(bad)) == [
         "os", "os.urandom", "random.Random", "random.choice", "time"
@@ -371,3 +443,7 @@ def test_the_guards_see_a_violation():
     assert _json_type_tests(bad) == {"load": 2, "Limits": 1, "Sim": 1}
     assert _type_tests(bad) == 5
     assert _unread_config_fields([bad]) == ["Limits.high"]
+    assert sorted(_module_state_writes(bad)) == [
+        "remember: CACHE.clear()", "remember: CACHE[key] changed", "remember: global HITS",
+        "remember: table.size changed",
+    ]

@@ -284,7 +284,8 @@ def test_dishonest_slot_vector_counted_invalid(grp, monkeypatch):
     Built by bypassing compose_ballot and casting directly into the
     collected pile (its signature and proof both verify as composed, so we
     inject at the filtered stage instead).  Each slot is decrypted once, so
-    each partial proof is verified once, the slot holding 2 included."""
+    each partial proof is handed to `verify_correct_decryptions` once, the
+    slot holding 2 included."""
     from evote.ballot import SignedBallot
     from evote.groups import encrypt, rand_scalar
     from evote.tally import run_tally
@@ -313,13 +314,14 @@ def test_dishonest_slot_vector_counted_invalid(grp, monkeypatch):
     forged_encrypted = replace(honest.encrypted, slots=slots)
     forged = replace(honest, encrypted=forged_encrypted)
     verified = []
-    verify = zkp.verify_correct_decryption
+    verify = zkp.verify_correct_decryptions
 
-    def counting_verify(*args):
-        verified.append(args)
-        return verify(*args)
+    def counting_verify(params, claims):
+        claims = list(claims)
+        verified.extend(claims)
+        return verify(params, claims)
 
-    monkeypatch.setattr(zkp, "verify_correct_decryption", counting_verify)
+    monkeypatch.setattr(zkp, "verify_correct_decryptions", counting_verify)
     result = run_tally(
         election.params,
         election.config,
