@@ -265,9 +265,9 @@ def from_json(cls, obj, path: str = ""):
     no int) and `float` an int or a float; `Annotated[T, Check(...)]` a `T`
     that passes the check; `Literal[...]` one of the choices, of its type;
     `list[T]`, `tuple[T, ...]` and `dict[str, T]` a list or an object of
-    `T`s; `A | B` the alternative of the value's JSON type (else `A`); and a
-    dataclass an object read by this function.  Anything else raises
-    ValueError naming the value's path in `obj`, such as `votes[4].time`."""
+    `T`s; and a dataclass an object read by this function.  Any other value
+    raises ValueError naming its path in `obj`, such as `votes[4].time`, and
+    any other annotation, a union among them, raises TypeError."""
     if type(obj) is not dict:
         raise _refused(path, obj, "an object")
     fields = _json_fields(cls)
@@ -319,15 +319,7 @@ def _refused(path: str, value, what: str) -> ValueError:
 
 # The types of the JSON values that each scalar annotation takes, and its name.
 _SCALARS = {int: ((int,), "an int"), float: ((int, float), "a number"), str: ((str,), "a string"),
-            bool: ((bool,), "a bool"), type(None): ((type(None),), "null")}
-
-
-def _json_kind(tp) -> type:
-    """The type of the JSON values that `tp` reads: list, dict or a scalar's."""
-    base = typing.get_origin(tp) or tp
-    if base is typing.Annotated:
-        return _json_kind(typing.get_args(tp)[0])
-    return list if base is tuple else dict if dataclasses.is_dataclass(base) else base
+            bool: ((bool,), "a bool")}
 
 
 def _from_json(tp, value, path: str):
@@ -340,8 +332,6 @@ def _from_json(tp, value, path: str):
     elif origin is typing.Literal:
         if not any(type(value) is type(choice) and value == choice for choice in args):
             raise _refused(path, value, f"one of {list(args)}")
-    elif origin in (typing.Union, types.UnionType):
-        value = _from_json({_json_kind(a): a for a in args}.get(type(value), args[0]), value, path)
     elif dataclasses.is_dataclass(tp):
         value = from_json(tp, value, path)
     elif tp in _SCALARS:

@@ -11,15 +11,16 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, make_dataclass, replace
+from dataclasses import dataclass, field, make_dataclass
 from pathlib import Path
-from typing import Annotated, Literal, get_type_hints
+from typing import Annotated, get_type_hints
 
 from .ballot import compose_ballot, encode_choice
 from .ballotcoin import SimConfig, estimate_storage, simulate
-from .bulletin import KIND_RESULT, Board, ResultPayload, universal_verify
+from .bulletin import Board, universal_verify
 from .canonical import Check, at_least, derive_rng, from_json, hexdigest
 from .errors import EvoteError
+from .groups import GROUP_PROFILES
 from .tally import Election, ElectionConfig
 
 EXIT_OK = 0
@@ -76,30 +77,10 @@ def _dump_json(path: Path, data: dict) -> None:
 
 
 @dataclass(frozen=True)
-class VoterRange:
-    """Generated voter ids: `prefix` followed by 0000, 0001, ..."""
-
-    count: Annotated[int, at_least(0)]
-    prefix: str = "voter"
-
-    def __iter__(self):
-        return (f"{self.prefix}{i:04d}" for i in range(self.count))
-
-
-@dataclass(frozen=True)
 class Vote:
     voter: str
     candidate: Annotated[int, at_least(0)]
     time: Annotated[int, at_least(0)]
-
-
-@dataclass(frozen=True)
-class Tamper:
-    """One mutation of the board after the run, for exercising the verifier;
-    see `_apply_tamper`."""
-
-    type: Literal["flip_payload_byte", "drop_entry", "alter_result_counts"]
-    seq: Annotated[int, at_least(0)] = 0
 
 
 _VoterIds = Annotated[list[str], Check(lambda ids: len(ids) == len(set(ids)), "distinct ids")]
@@ -107,29 +88,27 @@ _VoterIds = Annotated[list[str], Check(lambda ids: len(ids) == len(set(ids)), "d
 
 @dataclass(frozen=True)
 class Scenario:
-    voters: _VoterIds | VoterRange = field(default_factory=list)
+    voters: _VoterIds = field(default_factory=list)
     votes: list[Vote] = field(default_factory=list)
-    tamper: Tamper | None = None
 
 
-def _load_scenario(path: str, n: int) -> tuple[Scenario, dict, list[str]]:
-    """The scenario in the JSON file at `path`, the file's data and the voter
-    ids.  A vote that names no voter of the scenario or a candidate index of
-    `n` or more is a usage error, as is any value that `Scenario` refuses."""
+def _load_scenario(path: str, n: int) -> tuple[Scenario, dict]:
+    """The scenario in the JSON file at `path` and the file's data.  A vote
+    that names no voter of the scenario or a candidate index of `n` or more
+    is a usage error, as is any value that `Scenario` refuses."""
     scenario, data = _read(Scenario, path, "scenario")
-    voters = list(scenario.voters)
-    known = set(voters)
+    known = set(scenario.voters)
     for i, vote in enumerate(scenario.votes):
         where = f"bad scenario {path}: votes[{i}]"
         if vote.voter not in known:
             raise UsageError(f"{where}.voter: {vote.voter!r} is not a voter of the scenario")
         if vote.candidate >= n:
             raise UsageError(f"{where}.candidate: {vote.candidate} is not below {n}")
-    return scenario, data, voters
+    return scenario, data
 
 
-# params.json: the config fields that `verify` rebuilds its config from,
-# typed as in ElectionConfig, the election key and the trustee commitments.
+# params.json: the config fields that `verify` reads, typed as in
+# ElectionConfig, the election key and the trustee commitments.
 PUBLISHED_CONFIG = (
     "group", "candidates", "mix_server_count", "proof_rounds", "coercion_threshold"
 )
@@ -155,35 +134,13 @@ def _params_dict(config: ElectionConfig, election) -> dict:
     }
 
 
-def _apply_tamper(board: Board, tamper: Tamper) -> None:
-    """Scenario-driven single mutations, for exercising the verifier.  The
-    clause is checked on load; a seq it uses must also index an entry."""
-    entries = board.entries
-    if tamper.type == "alter_result_counts":
-        # Re-chain after the mutation so only the count check trips.
-        for i, e in enumerate(entries):
-            if e.kind == KIND_RESULT:
-                result = ResultPayload.from_bytes(e.payload)
-                counts = (result.counts[0] + 1,) + result.counts[1:]
-                entries[i] = replace(e, payload=replace(result, counts=counts).to_bytes())
-                break
-        board.rechain()
-        return
-    seq = tamper.seq
-    if seq >= len(entries):
-        raise UsageError(f"tamper.seq: {seq} is not below the board's {len(entries)} entries")
-    if tamper.type == "flip_payload_byte":
-        e = entries[seq]
-        entries[seq] = replace(e, payload=bytes([e.payload[0] ^ 0x01]) + e.payload[1:])
-    else:
-        del entries[seq]
-
-
 def cmd_setup(args) -> int:
     config, _ = _read(ElectionConfig, args.config, "parameters in")
-    voters = _load_scenario(args.scenario, len(config.candidates))[2] if args.scenario else []
+    scenario = Scenario()
+    if args.scenario:
+        scenario, _ = _load_scenario(args.scenario, len(config.candidates))
     out_dir = _out_dir(args.out_dir)
-    election, _credentials = Election.setup(config, voters, args.seed)
+    election, _credentials = Election.setup(config, scenario.voters, args.seed)
     election.registry.save(out_dir / "registry.jsonl")
     _dump_json(out_dir / "params.json", _params_dict(config, election))
     print(f"wrote {out_dir / 'params.json'} and {out_dir / 'registry.jsonl'}")
@@ -193,10 +150,10 @@ def cmd_setup(args) -> int:
 def cmd_run(args) -> int:
     config, _ = _read(ElectionConfig, args.config, "parameters in")
     n_candidates = len(config.candidates)
-    scenario, data, voters = _load_scenario(args.scenario, n_candidates)
+    scenario, data = _load_scenario(args.scenario, n_candidates)
     out_dir = _out_dir(args.out_dir)
 
-    election, credentials = Election.setup(config, voters, args.seed)
+    election, credentials = Election.setup(config, scenario.voters, args.seed)
     votes = enumerate(scenario.votes)
     for idx, vote in sorted(votes, key=lambda iv: (iv[1].time, iv[0])):
         sb = compose_ballot(
@@ -211,9 +168,6 @@ def cmd_run(args) -> int:
 
     election.close_election()
     result = election.run_tally()
-
-    if scenario.tamper is not None:
-        _apply_tamper(election.board, scenario.tamper)
 
     board_path = out_dir / "board.jsonl"
     election.board.save(board_path)
@@ -246,14 +200,14 @@ def cmd_verify(args) -> int:
     with _reading(args.board, "board"):
         board = Board.load(args.board)
     published, _ = _read(Published, args.params, "parameters in")
-    config = ElectionConfig(**{name: getattr(published, name) for name in PUBLISHED_CONFIG})
+    params = GROUP_PROFILES[published.group]
     commitments = {int(i): h for i, h in published.trustee_commitments.items()}
     keys = {f"trustee_commitments[{i}]": h for i, h in commitments.items()}
     for name, value in {"election_pk": published.election_pk, **keys}.items():
-        if not config.params.is_element(value):
+        if not params.is_element(value):
             where = f"bad parameters in {args.params}"
             raise UsageError(f"{where}: {name} is not in the order-q subgroup")
-    report = universal_verify(config.params, board, config, published.election_pk, commitments)
+    report = universal_verify(params, board, published, published.election_pk, commitments)
     print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
     return EXIT_OK if report.overall else EXIT_VERIFY_FAILED
 

@@ -107,6 +107,7 @@ def run_tally(
 
     Every mix stage is checked before any is published; the first fault
     raises MixRejected."""
+    trustees = sorted(trustees, key=lambda share: share.index)  # as the verifier reads partials
     kept, _ = filter_latest(collected)
     batch = strip_signatures(kept)
     batch_digest = batch.digest()

@@ -211,7 +211,7 @@ class _Shape:
     kind: Literal["open", "closed"] = "open"
     tags: tuple[str, ...] = ()
     weights: dict[str, Annotated[int, at_least(0)]] = dataclasses.field(default_factory=dict)
-    extra: _Point | list[int] | None = None
+    extra: _Point = _Point(0)
 
 
 def test_from_json_reads_nested_dataclasses_by_annotation():
@@ -223,12 +223,11 @@ def test_from_json_reads_nested_dataclasses_by_annotation():
             "kind": "closed",
             "tags": ["a"],
             "weights": {"w": 3},
-            "extra": [4],
+            "extra": {"x": 4},
         },
     )
-    assert shape == _Shape([_Point(1), _Point(2, "q")], 1, "closed", ("a",), {"w": 3}, [4])
-    assert from_json(_Shape, {"points": [], "extra": {"x": 0}}).extra == _Point(0)
-    assert from_json(_Shape, {"points": [], "extra": None}).extra is None
+    assert shape == _Shape([_Point(1), _Point(2, "q")], 1, "closed", ("a",), {"w": 3}, _Point(4))
+    assert from_json(_Shape, {"points": []}).extra == _Point(0)
 
 
 @pytest.mark.parametrize(
@@ -248,7 +247,7 @@ def test_from_json_reads_nested_dataclasses_by_annotation():
         ({"points": [], "tags": "ab"}, "tags: 'ab' is not a list"),
         ({"points": [], "weights": {"w": -1}}, "weights[w]: -1 is not at least 0"),
         ({"points": [], "extra": {"y": 0}}, "extra: 'y' is not a field of _Point"),
-        ({"points": [], "extra": [1, "2"]}, "extra[1]: '2' is not an int"),
+        ({"points": [], "extra": [1]}, "extra: [1] is not an object"),
         ({"points": [], "extra": "x"}, "extra: 'x' is not an object"),
     ],
 )
@@ -256,6 +255,15 @@ def test_from_json_names_the_path_of_a_refused_value(obj, message):
     with pytest.raises(ValueError) as info:
         from_json(_Shape, obj)
     assert str(info.value) == message
+
+
+def test_from_json_refuses_a_union_annotation():
+    @dataclasses.dataclass(frozen=True)
+    class Either:
+        value: int | str = 0
+
+    with pytest.raises(TypeError, match="no JSON decoding"):
+        from_json(Either, {"value": 1})
 
 
 def test_a_config_checks_every_construction_like_json():

@@ -8,9 +8,11 @@ from evote.ballot import coercion_evidence, compose_ballot, encode_choice
 from evote import tally
 from evote.bulletin import (
     KIND_MIX_STAGE,
+    KIND_PARTIAL_DECRYPTION,
     KIND_RESULT,
     KIND_TRANSFER,
     Board,
+    PartialDecryptionPayload,
     ResultPayload,
     universal_verify,
 )
@@ -148,6 +150,30 @@ def test_published_result_carries_the_coercion_flag():
     report = verify(unflagged)
     assert report.checks["chain_integrity"]
     assert not report.checks["count_recomputation"]
+
+
+def test_trustees_in_any_order_publish_a_board_that_verifies():
+    config = ElectionConfig(candidates=["a", "b"], mix_server_count=1, proof_rounds=2)
+    election, creds = Election.setup(config, ["v1", "v2"], seed=1)
+    _vote(election, creds, "v1", 0, 1)
+    _vote(election, creds, "v2", 1, 2)
+    election.close_election()
+    trustees = list(reversed(election.trustees))
+    result = tally.run_tally(
+        election.params, election.config, election.collected, trustees,
+        election.election_key, election.board, election.seed,
+    )
+    assert result.counts == [1, 1]
+    report = universal_verify(
+        election.params, election.board, election.config, election.election_key.h,
+        election.commitments,
+    )
+    assert report.overall, report.failures
+    partials = [
+        PartialDecryptionPayload.from_bytes(e.payload).trustee_index
+        for e in election.board.find(KIND_PARTIAL_DECRYPTION)
+    ]
+    assert partials == [1, 2, 3] * 4  # 2 items x 2 slots, in trustee-index order
 
 
 def test_cheating_mix_stage_is_rejected_before_any_stage_is_published(monkeypatch):
