@@ -22,11 +22,11 @@ from .registry import (
     Signature,
     VoterCredential,
     is_eligible,
+    sig_statement,
     sign,
     verify_key_of,
-    verify_sig,
 )
-from .zkp import WellformedProof, prove_wellformed, verify_wellformed
+from .zkp import WellformedProof, holds, prove_wellformed, wellformed_statements
 
 DEFAULT_RECEIPT_TTL = 30  # logical minutes
 
@@ -112,15 +112,17 @@ def compose_ballot(
 def verify_ballot(
     params: GroupParams, sb: SignedBallot, registry: Registry, election_pk: int
 ) -> bool:
-    """Eligibility, outer signature, inner well-formedness; false rejects."""
+    """Eligibility, outer signature, inner well-formedness; false rejects.
+    The signature's statement and the proof's go to `holds` as one list, so
+    on a group that batches a cast is checked in one batch."""
     if not is_eligible(registry, sb.voter_id):
         return False
     vk = verify_key_of(registry, sb.voter_id)
-    if not verify_sig(params, vk, sb.signed_message(), sb.signature):
-        return False
-    return verify_wellformed(
-        params, election_pk, list(sb.encrypted.slots), sb.encrypted.wellformed
+    signature = sig_statement(params, vk, sb.signed_message(), sb.signature)
+    statements = wellformed_statements(
+        params, election_pk, sb.encrypted.slots, sb.encrypted.wellformed
     )
+    return statements is not None and all(holds(params, [signature, *statements]))
 
 
 def filter_latest(ballots: list[SignedBallot]) -> tuple[list[SignedBallot], int]:

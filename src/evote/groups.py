@@ -19,7 +19,9 @@ minus q: an inverse and a power of at most 256 bits.
 p = 2q + 1 and q has over 128 bits (`GroupParams.batches`), `batch_verdicts`
 checks equations in one small-exponent batch, each only if its two sides
 differ by a member, as the batch's soundness needs: a mix stage's
-re-encryptions x*b^r = y, and decryption proofs' b^z = t*y^e.
+re-encryptions x*b^r = y, and b^z = t*y^e of decryption proofs and of each
+ballot's slot, sum and signature proofs.  A member raised there to a
+wrapped exponent crosses to the other side as q minus it, as in `exp`.
 """
 
 from __future__ import annotations
@@ -257,8 +259,9 @@ class GroupParams(Record):
     def _wrapped_exponents(self) -> range:
         """Exponents longer than 256 bits but within 2^256 below q, such as
         a slot challenge e - e_fake that wrapped mod q: a subgroup member
-        takes them as e - q.  Empty unless p = 2q + 1, where `is_element`
-        is a Jacobi symbol rather than a full-length power."""
+        takes them as e - q, in `exp` and in `batch_verdicts`.  Empty unless
+        p = 2q + 1, where `is_element` is a Jacobi symbol rather than a
+        full-length power."""
         if self.p != 2 * self.q + 1:
             return range(0)
         short = 1 << (_SHORT_COLS * _COMB_ROWS)
@@ -432,14 +435,18 @@ def batch_verdicts(params: GroupParams, systems, fixed) -> typing.Iterable[bool]
     weights w hashed from p, g and every equation, prod lhs^w = prod rhs^w
     holds for a false equation with probability at most 2^-128 per hash
     trial.  A side adds up the exponents of each base; a base in `fixed`
-    that is a member takes its left sum mod q through its comb.  Unproved is
-    False; on a group that does not batch, every verdict is, and neither
-    iterable is read.
+    that is a member takes its left sum mod q through its comb.  A member
+    base whose exponent e is in `_wrapped_exponents`, as a wrapped slot
+    challenge is, moves to the other side as q - e, which keeps the batch's
+    chain of squarings short, as `GroupParams.exp` does for one power; a
+    non-member keeps e.  Unproved is False; on a group that does not batch,
+    every verdict is, and neither iterable is read.
     """
     if not params.batches:
         return itertools.repeat(False)
     p, q, systems = params.p, params.q, list(systems)
-    fixed = set(filter(params.is_element, fixed))
+    member, wrapped = functools.cache(params.is_element), params._wrapped_exponents
+    fixed = set(filter(member, fixed))
 
     def admitted(lhs, rhs) -> bool:
         pairs = lhs + rhs
@@ -452,9 +459,12 @@ def batch_verdicts(params: GroupParams, systems, fixed) -> typing.Iterable[bool]
     lhs, rhs = {}, {}
     for k, equation in enumerate(equations):
         w = int.from_bytes(digest(seed, k)[:_WEIGHT_BYTES], "big")
-        for side, pairs in zip((lhs, rhs), equation):
+        for side, other, pairs in ((lhs, rhs, equation[0]), (rhs, lhs, equation[1])):
             for base, exponent in pairs:
-                side[base] = side.get(base, 0) + w * exponent
+                if exponent in wrapped and member(base):
+                    other[base] = other.get(base, 0) + w * (q - exponent)
+                else:
+                    side[base] = side.get(base, 0) + w * exponent
     acc = params.multi_exp((b, e) for b, e in lhs.items() if b not in fixed)
     for b in fixed & lhs.keys():
         acc = acc * params.exp(b, lhs[b] % q, fixed=True) % p

@@ -102,9 +102,14 @@ def sign(params: GroupParams, signing_key: int, message: bytes) -> Signature:
     return Signature(commit=t, response=z)
 
 
-def verify_sig(params: GroupParams, verify_key: int, message: bytes, sig: Signature) -> bool:
+def sig_statement(params: GroupParams, verify_key: int, message: bytes, sig: Signature):
+    """What `zkp.holds` checks of a signature: g^z = t * vk^e."""
     e = _sig_challenge(params, verify_key, sig.commit, message)
-    return holds(params, ((params.g, True),), (verify_key,), (sig.commit,), e, sig.response)
+    return ((params.g, True),), (verify_key,), (sig.commit,), e, sig.response
+
+
+def verify_sig(params: GroupParams, verify_key: int, message: bytes, sig: Signature) -> bool:
+    return holds(params, *sig_statement(params, verify_key, message, sig))
 
 
 def _sig_challenge(params: GroupParams, vk: int, t: int, message: bytes) -> int:

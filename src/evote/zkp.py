@@ -53,13 +53,19 @@ def holds(params: GroupParams, bases, values=None, commits=None, e=None, z=None)
     e, z) or None, returns each item's verdict, a None's False:
     `groups.batch_verdicts` proves the statements in range together where it
     can, with the marked bases as fixed, and any other is checked alone.
-    On a group that does not batch, it builds no equation.
+    On a group that does not batch, each is checked alone.  Each caller
+    hands over a whole check at once: every decryption proof of a tally or
+    a board, a cast ballot's signature with its well-formedness proof, or
+    every cast ballot on a board.
 
     Without the range check z + q (or e + q) would pass too, since every
     base has order q, and two encodings would prove the same statement.
     """
     q = params.q
     if values is None:
+        statements = bases
+        if not params.batches:
+            return [s is not None and holds(params, *s) for s in statements]
 
         def equations(bases, values, commits, e, z):
             if 0 <= e < q and 0 <= z < q:
@@ -67,7 +73,6 @@ def holds(params: GroupParams, bases, values=None, commits=None, e=None, z=None)
                     (((b, z),), ((t, 1), (y, e))) for (b, _), y, t in zip(bases, values, commits)
                 )
 
-        statements = bases
         fixed = (b for s in statements if s for b, mark in s[0] if mark)
         proved = batch_verdicts(params, (s and equations(*s) for s in statements), fixed)
         return [ok or (s is not None and holds(params, *s)) for ok, s in zip(proved, statements)]
@@ -195,24 +200,6 @@ def _prove_slot(
     return SlotProof(*transcript, es[0], es[1], zs[0], zs[1])
 
 
-def _verify_slot(
-    params: GroupParams,
-    pk: int,
-    ct: Ciphertext,
-    index: int,
-    slots_digest: bytes,
-    sp: SlotProof,
-) -> bool:
-    commits = (sp.commit_g0, sp.commit_h0, sp.commit_g1, sp.commit_h1)
-    e = _challenge(params, DOMAIN_SLOT, pk, ct.to_bytes(), index, slots_digest, *commits)
-    if (sp.e0 + sp.e1) % params.q != e:
-        return False
-    bases = ((params.g, True), (pk, True))
-    return holds(
-        params, bases, _slot_values(params, ct, 0), commits[:2], sp.e0, sp.z0
-    ) and holds(params, bases, _slot_values(params, ct, 1), commits[2:], sp.e1, sp.z1)
-
-
 def _sum_statement(params: GroupParams, pk: int, slots: list[Ciphertext]):
     p = params.p
     prod_a = 1
@@ -257,20 +244,36 @@ def prove_wellformed(
     return WellformedProof(slots=tuple(slot_proofs), sum_proof=sum_proof)
 
 
-def verify_wellformed(
+def wellformed_statements(
     params: GroupParams, pk: int, slots: list[Ciphertext], proof: WellformedProof
-) -> bool:
+) -> list | None:
+    """What `holds` checks of a well-formedness proof: each slot's branch
+    for 0 and for 1, then the sum proof; None when the slot count is wrong
+    or a challenge does not recompute."""
     if len(proof.slots) != len(slots) or not slots:
-        return False
+        return None
     sd = digest(slots)
+    bases = ((params.g, True), (pk, True))
+    statements = []
     for i, (ct, sp) in enumerate(zip(slots, proof.slots)):
-        if not _verify_slot(params, pk, ct, i, sd, sp):
-            return False
-
+        commits = (sp.commit_g0, sp.commit_h0, sp.commit_g1, sp.commit_h1)
+        e = _challenge(params, DOMAIN_SLOT, pk, ct.to_bytes(), i, sd, *commits)
+        if (sp.e0 + sp.e1) % params.q != e:
+            return None
+        statements.append((bases, _slot_values(params, ct, 0), commits[:2], sp.e0, sp.z0))
+        statements.append((bases, _slot_values(params, ct, 1), commits[2:], sp.e1, sp.z1))
     prod_a, prod_b, y = _sum_statement(params, pk, slots)
     sp = proof.sum_proof
     commits = (sp.commit_g, sp.commit_c1)
     e = _challenge(params, DOMAIN_SUM, pk, prod_a, prod_b, *commits, sd)
-    return e == sp.challenge and holds(
-        params, ((params.g, True), (pk, True)), (prod_a, y), commits, e, sp.response
-    )
+    sum_statement = (bases, (prod_a, y), commits, e, sp.response)
+    return statements + [sum_statement] if e == sp.challenge else None
+
+
+def verify_wellformed(
+    params: GroupParams, pk: int, slots: list[Ciphertext], proof: WellformedProof
+) -> bool:
+    """True iff every slot encrypts 0 or 1 and the slots sum to 1: the
+    statements of `wellformed_statements` go to `holds` as one list."""
+    statements = wellformed_statements(params, pk, slots, proof)
+    return statements is not None and all(holds(params, statements))

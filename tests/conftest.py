@@ -1,13 +1,16 @@
 import pytest
 from hypothesis import settings
 
+from evote.ballot import compose_ballot, encode_choice
 from evote.canonical import derive_rng
 from evote.groups import TEST_GROUP
+from evote.tally import Election, ElectionConfig
 
 # CI runs the codec, record, multi-exponentiation and `powers` properties,
 # the batch re-encryption check's agreement with the per-slot one, the batch
-# decryption check's agreement with the per-proof one and the verifier's
-# totality under one-byte edits once more under this profile
+# decryption check's agreement with the per-proof one, the batch ballot
+# check's agreement with the per-statement one and the verifier's totality
+# under one-byte edits once more under this profile
 # (`--hypothesis-profile=ci`); tier-1 keeps Hypothesis's default.  A
 # property that pins a smaller count scales it from the loaded profile's
 # `settings().max_examples`.
@@ -32,3 +35,23 @@ def grp():
 @pytest.fixture
 def rng():
     return derive_rng("tests", "default")
+
+
+@pytest.fixture(scope="session")
+def prod_election():
+    """A prod3072 election of 2 voters (v1 votes a, v2 votes b), 2 candidates
+    and 2 trustees, tallied.  Its tests only read it."""
+    config = ElectionConfig(
+        candidates=["a", "b"], trustee_count=2, mix_server_count=1, proof_rounds=1,
+        group="prod3072",
+    )
+    election, creds = Election.setup(config, ["v1", "v2"], seed="decryption-batch")
+    for t, (vid, choice) in enumerate([("v1", 0), ("v2", 1)]):
+        sb = compose_ballot(
+            election.params, creds[vid], election.election_key.h, encode_choice(choice, 2),
+            timestamp=t, rng=derive_rng("decryption-batch", vid),
+        )
+        assert election.cast(sb, now=t) is not None
+    election.close_election()
+    election.run_tally()
+    return election

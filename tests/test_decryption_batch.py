@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from board_utils import replace_payload
 from evote import bulletin, groups, tally, zkp
-from evote.ballot import compose_ballot, encode_choice
 from evote.bulletin import KIND_PARTIAL_DECRYPTION, PartialDecryptionPayload, universal_verify
 from evote.canonical import derive_rng
 from evote.errors import InvalidPartialProof
@@ -32,14 +31,12 @@ from evote.groups import (
     threshold_keygen,
 )
 from evote.mixnet import stage_failures
-from evote.tally import Election, ElectionConfig
 from evote.zkp import (
     DOMAIN_CP,
     DecryptionProof,
     nonce,
     verify_correct_decryption,
     verify_correct_decryptions,
-    verify_wellformed,
 )
 
 PROFILES = {"test": TEST_GROUP, "prod3072": PROD_GROUP_3072}
@@ -81,28 +78,9 @@ def _pool(name):
     ]
 
 
-@pytest.fixture(scope="module")
-def prod_election():
-    """A prod3072 election of 2 voters, 2 candidates and 2 trustees, tallied."""
-    config = ElectionConfig(
-        candidates=["a", "b"], trustee_count=2, mix_server_count=1, proof_rounds=1,
-        group="prod3072",
-    )
-    election, creds = Election.setup(config, ["v1", "v2"], seed="decryption-batch")
-    for t, (vid, choice) in enumerate([("v1", 0), ("v2", 1)]):
-        sb = compose_ballot(
-            election.params, creds[vid], election.election_key.h, encode_choice(choice, 2),
-            timestamp=t, rng=derive_rng("decryption-batch", vid),
-        )
-        assert election.cast(sb, now=t) is not None
-    election.close_election()
-    election.run_tally()
-    return election
-
-
 @functools.cache
-def _wellformed(params, pk, slots, proof):
-    return verify_wellformed(params, pk, list(slots), proof)
+def _holds(params, statements):
+    return zkp.holds(params, list(statements))
 
 
 @functools.cache
@@ -121,9 +99,7 @@ def _reports(monkeypatch, election, board, commitments=None):
         return universal_verify(election.params, board, config, key, commitments).to_dict()
 
     with monkeypatch.context() as patch:
-        patch.setattr(
-            bulletin, "verify_wellformed", lambda p, k, s, w: _wellformed(p, k, tuple(s), w)
-        )
+        patch.setattr(bulletin, "holds", lambda p, statements: _holds(p, tuple(statements)))
         patch.setattr(
             bulletin, "stage_failures", lambda p, k, d, s, r: _stage_failures(p, k, d, tuple(s), r)
         )

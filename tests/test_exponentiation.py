@@ -304,6 +304,27 @@ def test_prod_ballot_with_a_wrapped_challenge_takes_no_long_builtin_pow(monkeypa
     assert calls and [e for _, e, _ in calls if e >= SHORT] == []
 
 
+def test_prod_wrapped_challenge_keeps_the_cast_batch_short(monkeypatch):
+    """The wrapped ballot's cast check is one batch whose multi-exponentiations
+    take no exponent over 400 bits: 128-bit weights times 256-bit
+    challenges, plus their sums.  A wrapped challenge e crosses its equation
+    as q - e; kept, it would take a chain of over 3,000 squarings."""
+    params = PROD_GROUP_3072
+    sb = _cast_ballot(params, 0)
+    assert max(e for sp in sb.encrypted.wellformed.slots for e in (sp.e0, sp.e1)) >= SHORT
+    exponents = []
+    multi_exp = GroupParams.multi_exp
+
+    def spy(self, pairs):
+        pairs = list(pairs)
+        exponents.extend(e for _, e in pairs)
+        return multi_exp(self, pairs)
+
+    monkeypatch.setattr(GroupParams, "multi_exp", spy)
+    assert verify_ballot(params, sb, _prod_voter()[0], _election_key("prod3072"))
+    assert exponents and max(e.bit_length() for e in exponents) <= 400
+
+
 def test_decrypting_slots_keeps_the_g_and_election_key_tables():
     params = PROD_GROUP_3072
     _decrypt_slot(params, 0, 5)

@@ -93,9 +93,7 @@ def _prove_with_true_bits(grp, pk, slots, rs, bits):
     cg, ch = pow(grp.g, w, grp.p), pow(pk, w, grp.p)
     e = zkp._challenge(grp, zkp.DOMAIN_SUM, pk, prod_a, prod_b, cg, ch, sd)
     z = (w + e * total_r) % grp.q
-    return WellformedProof(
-        slots=slot_proofs, sum_proof=DecryptionProof(cg, ch, e, z)
-    ), sd
+    return WellformedProof(slots=slot_proofs, sum_proof=DecryptionProof(cg, ch, e, z))
 
 
 def test_wellformed_sum_check_rejects_two_ones():
@@ -104,9 +102,10 @@ def test_wellformed_sum_check_rejects_two_ones():
     from evote import zkp
 
     grp, kp, slots, rs = _ballot_setup((1, 1, 0))
-    forged, sd = _prove_with_true_bits(grp, kp.pk, slots, rs, (1, 1, 0))
-    for i, (ct, sp) in enumerate(zip(slots, forged.slots)):
-        assert zkp._verify_slot(grp, kp.pk, ct, i, sd, sp)
+    forged = _prove_with_true_bits(grp, kp.pk, slots, rs, (1, 1, 0))
+    # Both branches of every slot hold; only the sum statement, last, fails.
+    statements = zkp.wellformed_statements(grp, kp.pk, slots, forged)
+    assert zkp.holds(grp, statements) == [True] * 6 + [False]
     assert not verify_wellformed(grp, kp.pk, slots, forged)
 
 
@@ -114,9 +113,10 @@ def test_wellformed_sum_check_rejects_all_zeros():
     from evote import zkp
 
     grp, kp, slots, rs = _ballot_setup((0, 0, 0))
-    forged, sd = _prove_with_true_bits(grp, kp.pk, slots, rs, (0, 0, 0))
-    for i, (ct, sp) in enumerate(zip(slots, forged.slots)):
-        assert zkp._verify_slot(grp, kp.pk, ct, i, sd, sp)
+    forged = _prove_with_true_bits(grp, kp.pk, slots, rs, (0, 0, 0))
+    # Both branches of every slot hold; only the sum statement, last, fails.
+    statements = zkp.wellformed_statements(grp, kp.pk, slots, forged)
+    assert zkp.holds(grp, statements) == [True] * 6 + [False]
     assert not verify_wellformed(grp, kp.pk, slots, forged)
 
 
