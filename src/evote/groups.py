@@ -15,7 +15,8 @@ table that lives only for that call.  Every other power is one builtin `pow`
 call, but when p = 2q + 1 a subgroup member raised to an exponent within
 2^256 below q, as a wrapped slot challenge is, is raised to that exponent
 minus q: an inverse and a power of at most 256 bits.
-`multi_exp` makes a product of powers from one chain of squarings.  When
+`multi_exp` makes a product of powers by sliding windows on one chain of
+squarings, each window's width chosen from its exponent's length.  When
 p = 2q + 1 and q has over 128 bits (`GroupParams.batches`), `batch_verdicts`
 checks equations in one small-exponent batch, each only if its two sides
 differ by a member, as the batch's soundness needs: a mix stage's
@@ -82,10 +83,18 @@ _COMB_MIN_P = 1 << 63
 # spare.
 _COMB_TABLES = 8
 
-# Bits read at a time from each exponent of a Straus multi-exponentiation.
-_STRAUS_WINDOW = 4
 # Bytes of each weight of a small-exponent batch.
 _WEIGHT_BYTES = 16
+
+
+def _window_width(bits: int) -> int:
+    """The sliding-window width w for an exponent of `bits` bits: the one
+    that minimizes the multiplications, about bits / (w + 1) for the
+    windows plus 2^(w - 1) for the table of odd powers; a tie takes the
+    narrower."""
+    widths = range(1, max(bits, 1).bit_length() + 1)
+    return min(widths, key=lambda w: bits / (w + 1) + (1 << (w - 1)))
+
 
 def _comb_cols(p: int) -> int:
     """Columns of the full-length comb modulo p: ROWS rows of them cover
@@ -216,25 +225,36 @@ class GroupParams(Record):
 
     def multi_exp(self, pairs) -> int:
         """The product of base^exponent mod p over (base, exponent) pairs,
-        exponents non-negative.  The powers share one chain of squarings
-        (Straus; Möller, "Algorithms for multi-exponentiation", SAC 2001),
-        each exponent read WINDOW bits at a time against a table of its
-        base's first 2^WINDOW powers."""
+        exponents non-negative, by interleaved sliding windows (Möller,
+        "Algorithms for multi-exponentiation", SAC 2001).  Each exponent is
+        cut into odd windows of at most `_window_width` of its length bits,
+        each read from a table of its base's odd powers, and every window's
+        multiplication lands on one chain of squarings that all the powers
+        share."""
         p = self.p
-        tables = []
+        # steps[k]: the odd powers multiplied in k squarings before the end,
+        # so that each is raised to 2^k.
+        steps: dict[int, list[int]] = {}
         for base, exponent in pairs:
-            table = [1]
-            for _ in range((1 << _STRAUS_WINDOW) - 1):
-                table.append(table[-1] * base % p)
-            tables.append((table, exponent))
-        top = max((exponent.bit_length() for _, exponent in tables), default=0)
-        mask = (1 << _STRAUS_WINDOW) - 1
+            width = _window_width(exponent.bit_length())
+            odd = [base % p]
+            if width > 1:
+                square = odd[0] * odd[0] % p
+                for _ in range((1 << (width - 1)) - 1):
+                    odd.append(odd[-1] * square % p)
+            shift = 0
+            while exponent:
+                zeros = (exponent & -exponent).bit_length() - 1
+                exponent >>= zeros
+                shift += zeros
+                steps.setdefault(shift, []).append(odd[(exponent & ((1 << width) - 1)) >> 1])
+                exponent >>= width
+                shift += width
         acc = 1
-        for shift in reversed(range(0, top, _STRAUS_WINDOW)):
-            for _ in range(_STRAUS_WINDOW):
-                acc = acc * acc % p
-            for table, exponent in tables:
-                acc = acc * table[(exponent >> shift) & mask] % p
+        for k in reversed(range(max(steps, default=-1) + 1)):
+            acc = acc * acc % p
+            for factor in steps.get(k, ()):
+                acc = acc * factor % p
         return acc
 
     @functools.cached_property

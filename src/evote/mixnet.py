@@ -10,6 +10,7 @@ escapes detection with probability 2^-rounds.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -127,6 +128,51 @@ def mix_once(
     return out, build_proof(links, batch, mid, out, rounds)
 
 
+def _opened_links(
+    params: GroupParams,
+    batch_in: MixBatch,
+    batch_out: MixBatch,
+    proof: ShuffleProof,
+    min_rounds: int,
+) -> list | None:
+    """The (sources, scalars, targets) of every link `proof` opens, in round
+    order, or None when the proof breaks its structural half-opening: per
+    round, one link per mid item, of the derived side, with distinct sources
+    and targets, and at least `min_rounds` rounds.  Every opened scalar lies
+    in [0, q): r + q re-encrypts to the same ciphertext, so it would be a
+    second encoding of the proof."""
+    q = params.q
+    n = len(batch_in.items)
+    if len(batch_out.items) != n or len(proof.mid.items) != n:
+        return None
+    if proof.mid.digest() != proof.mid_commit:
+        return None
+    if n > 0 and len(proof.rounds) < min_rounds:
+        return None
+    in_digest = batch_in.digest()
+    out_digest = batch_out.digest()
+    ins, mids, outs = batch_in.items, proof.mid.items, batch_out.items
+    opened = []
+    for k, links in enumerate(proof.rounds):
+        if len(links) != n:
+            return None
+        sides = _challenge_sides(in_digest, proof.mid_commit, out_digest, k, n)
+        seen = (set(), set())
+        for j, link in enumerate(links):
+            side, i = link.side, link.index
+            if side != sides[j] or not 0 <= i < n or i in seen[side]:
+                return None
+            seen[side].add(i)
+            source, target = ((ins[i], mids[j]), (mids[j], outs[i]))[side]
+            if len(link.scalars) != len(source):
+                return None
+            for r in link.scalars:
+                if not 0 <= r < q:
+                    return None
+            opened.append((source, link.scalars, target))
+    return opened
+
+
 def verify_mix(
     params: GroupParams,
     pk: int,
@@ -137,44 +183,14 @@ def verify_mix(
 ) -> bool:
     """Recompute challenges and check every opened link re-encrypts correctly.
 
-    Uses public data only.  Also enforces the structural half-opening: per
-    round, one link per mid item, of the derived side, with distinct sources
-    and targets.  Every opened scalar lies in [0, q): r + q re-encrypts to
-    the same ciphertext, so it would be a second encoding of the proof.
-    The opened links are checked together by `reencryptions_hold`; where it
-    batches them, its weights add at most 2^-128 per hash trial to the
-    2^-rounds chance that a tampered item escapes.
+    Uses public data only.  The proof must keep the structural half-opening
+    that `_opened_links` reads, and its opened links are checked together
+    by `reencryptions_hold`; where it batches them, its weights add at most
+    2^-128 per hash trial to the 2^-rounds chance that a tampered item
+    escapes.
     """
-    q = params.q
-    n = len(batch_in.items)
-    if len(batch_out.items) != n or len(proof.mid.items) != n:
-        return False
-    if proof.mid.digest() != proof.mid_commit:
-        return False
-    if n > 0 and len(proof.rounds) < min_rounds:
-        return False
-    in_digest = batch_in.digest()
-    out_digest = batch_out.digest()
-    ins, mids, outs = batch_in.items, proof.mid.items, batch_out.items
-    opened = []
-    for k, links in enumerate(proof.rounds):
-        if len(links) != n:
-            return False
-        sides = _challenge_sides(in_digest, proof.mid_commit, out_digest, k, n)
-        seen = (set(), set())
-        for j, link in enumerate(links):
-            side, i = link.side, link.index
-            if side != sides[j] or not 0 <= i < n or i in seen[side]:
-                return False
-            seen[side].add(i)
-            source, target = ((ins[i], mids[j]), (mids[j], outs[i]))[side]
-            if len(link.scalars) != len(source):
-                return False
-            for r in link.scalars:
-                if not 0 <= r < q:
-                    return False
-            opened.append((source, link.scalars, target))
-    return reencryptions_hold(params, pk, opened)
+    opened = _opened_links(params, batch_in, batch_out, proof, min_rounds)
+    return opened is not None and reencryptions_hold(params, pk, opened)
 
 
 @dataclass(frozen=True)
@@ -193,21 +209,39 @@ def stage_failures(
     stages: list[MixStage],
     min_rounds: int,
 ) -> list[tuple[int, str]]:
-    """(stage index, reason) for each fault in a chain of mix stages.
+    """(stage index, reason) for each fault in a chain of mix stages, in
+    stage order: per stage, its input or continuity, then its proof.
 
     The first input must be the batch with `batch_digest` (not compared
     when None), each later input the previous output, and every shuffle
-    proof must verify with at least `min_rounds` rounds.
+    proof must verify with at least `min_rounds` rounds.  On a group that
+    batches, the opened links of every stage go to one `reencryptions_hold`
+    call, and only when that fails is each stage's checked alone, so the
+    same stages are named either way.  On any other group each stage's
+    proof goes to `verify_mix` in turn, and no two stages' links are held
+    at once.
     """
     failures = []
     if stages and batch_digest is not None and stages[0].batch_in.digest() != batch_digest:
         failures.append((0, "input does not match the transferred batch"))
-    for idx, stage in enumerate(stages):
+    if params.batches:
+        opened = [
+            _opened_links(params, s.batch_in, s.batch_out, s.proof, min_rounds) for s in stages
+        ]
+        joint = reencryptions_hold(params, pk, itertools.chain.from_iterable(filter(None, opened)))
+        proved = [
+            links is not None and (joint or reencryptions_hold(params, pk, links))
+            for links in opened
+        ]
+    else:
+        proved = (
+            verify_mix(params, pk, s.batch_in, s.batch_out, s.proof, min_rounds=min_rounds)
+            for s in stages
+        )
+    for idx, (stage, ok) in enumerate(zip(stages, proved)):
         if idx > 0 and stage.batch_in != stages[idx - 1].batch_out:
             failures.append((idx, "input breaks continuity"))
-        if not verify_mix(
-            params, pk, stage.batch_in, stage.batch_out, stage.proof, min_rounds=min_rounds
-        ):
+        if not ok:
             failures.append((idx, "proof rejected"))
     return failures
 

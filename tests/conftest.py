@@ -9,11 +9,11 @@ from evote.tally import Election, ElectionConfig
 # CI runs the codec, record, multi-exponentiation and `powers` properties,
 # the batch re-encryption check's agreement with the per-slot one, the batch
 # decryption check's agreement with the per-proof one, the batch ballot
-# check's agreement with the per-statement one and the verifier's totality
-# under one-byte edits once more under this profile
+# check's agreement with the per-statement one, the verifier's totality
+# under one-byte edits and the verdict corpus once more under this profile
 # (`--hypothesis-profile=ci`); tier-1 keeps Hypothesis's default.  A
 # property that pins a smaller count scales it from the loaded profile's
-# `settings().max_examples`.
+# `settings().max_examples`; the verdict corpus runs whole under it.
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
@@ -55,3 +55,25 @@ def prod_election():
     election.close_election()
     election.run_tally()
     return election
+
+
+@pytest.fixture(scope="module")
+def tallied():
+    """Small honest election on the test group (4 voters, one re-vote, 3
+    candidates), tallied, with a verifiable board."""
+    config = ElectionConfig(candidates=["a", "b", "c"], proof_rounds=6)
+    election, creds = Election.setup(config, ["v1", "v2", "v3", "v4"], seed=99)
+    votes = [("v1", 1), ("v2", 2), ("v3", 1), ("v4", 0), ("v1", 0)]
+    for i, (vid, cand) in enumerate(votes):
+        sb = compose_ballot(
+            election.params,
+            creds[vid],
+            election.election_key.h,
+            encode_choice(cand, 3),
+            timestamp=i,
+            rng=derive_rng(99, "ballot", vid, i),
+        )
+        assert election.cast(sb, now=i) is not None
+    election.close_election()
+    election.run_tally()
+    return election, config

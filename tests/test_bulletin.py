@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from board_utils import clone_board, drop_entry, flip_byte, rechain, replace_payload
-from evote.ballot import compose_ballot, encode_choice
 from evote.bulletin import (
     Board,
     KIND_BALLOT_CAST,
@@ -32,28 +31,6 @@ from evote.bulletin import (
     verify_chain,
 )
 from evote.canonical import derive_rng, digest, encode
-from evote.tally import Election, ElectionConfig
-
-
-@pytest.fixture(scope="module")
-def tallied():
-    """Small honest election, tallied, with a verifiable board."""
-    config = ElectionConfig(candidates=["a", "b", "c"], proof_rounds=6)
-    election, creds = Election.setup(config, ["v1", "v2", "v3", "v4"], seed=99)
-    votes = [("v1", 1), ("v2", 2), ("v3", 1), ("v4", 0), ("v1", 0)]
-    for i, (vid, cand) in enumerate(votes):
-        sb = compose_ballot(
-            election.params,
-            creds[vid],
-            election.election_key.h,
-            encode_choice(cand, 3),
-            timestamp=i,
-            rng=derive_rng(99, "ballot", vid, i),
-        )
-        assert election.cast(sb, now=i) is not None
-    election.close_election()
-    election.run_tally()
-    return election, config
 
 
 def test_board_appends_chain(grp):

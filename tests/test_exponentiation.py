@@ -8,11 +8,13 @@ and the table cache.  On prod3072 an unmarked subgroup member raised to an
 exponent within 2^256 below q, such as a wrapped slot challenge, takes a
 power of at most 256 bits; the tests check that route against members and
 non-members.  `powers`, one base to several exponents from a table of its
-own call, and `multi_exp`, a product of powers, are checked against
-builtin pow too.
+own call, and `multi_exp`, a product of powers by sliding windows, are
+checked against builtin pow too, `multi_exp` at every exponent length
+where its window width changes.
 """
 
 import functools
+import math
 import weakref
 
 import pytest
@@ -93,21 +95,24 @@ def test_exp_matches_pow(name, data):
     assert params.exp(base, e, fixed) == pow(base, e, params.p)
 
 
-# A prod3072 example costs about 0.2 s: 5 examples in tier-1, and a
+# A prod3072 example costs up to about 0.6 s: 5 examples in tier-1, and a
 # twentieth of the loaded profile's count where that is more (50 under ci).
 @pytest.mark.parametrize("name", PROFILES)
 @settings(max_examples=max(5, settings().max_examples // 20), deadline=None)
 @given(data=st.data())
 def test_multi_exp_matches_a_product_of_pows(name, data):
     """Prefixes of 0, 1 and many pairs, drawn from a few bases so that some
-    repeat, with the edge exponents 0, 1 and q - 1 and ones over 2^128."""
+    repeat, with the edge exponents 0, 1 and q - 1, ones from 2 to 2^128 and
+    ones over 2^128 of up to 3,300 bits."""
     params = PROFILES[name]
     p, q = params.p, params.q
     bases = data.draw(
         st.lists(st.integers(min_value=0, max_value=p - 1), min_size=1, max_size=3)
     )
     exponents = st.one_of(
-        st.sampled_from([0, 1, q - 1]), st.integers(min_value=(1 << 128) + 1, max_value=1 << 300)
+        st.sampled_from([0, 1, q - 1]),
+        st.integers(min_value=2, max_value=1 << 128),
+        st.integers(min_value=(1 << 128) + 1, max_value=(1 << 3300) - 1),
     )
     pairs = data.draw(st.lists(st.tuples(st.sampled_from(bases), exponents), max_size=5))
     expected = [1]
@@ -115,6 +120,54 @@ def test_multi_exp_matches_a_product_of_pows(name, data):
         expected.append(expected[-1] * pow(base, exponent, p) % p)
     for size in {0, min(1, len(pairs)), len(pairs)}:
         assert params.multi_exp(pairs[:size]) == expected[size]
+
+
+def _width_changes():
+    """The exponent lengths up to 3,300 bits whose window width differs
+    from that of one bit less."""
+    return [n for n in range(2, 3301) if groups._window_width(n) != groups._window_width(n - 1)]
+
+
+def test_window_width_minimizes_the_multiplications():
+    """w minimizes n / (w + 1) + 2^(w - 1), the narrower on a tie: at 6
+    bits widths 1 and 2 both cost 4, at 7 bits width 2 costs less."""
+    assert _width_changes() == [7, 25, 81, 241, 673, 1793]
+    assert [groups._window_width(n) for n in (0, 1, 6, 7, 24, 25, 3300)] == [1, 1, 1, 2, 2, 3, 7]
+
+
+@pytest.mark.parametrize("name", PROFILES)
+def test_multi_exp_matches_pow_across_every_window_width(name):
+    """Exponents of 1 to 3,300 bits, at, just below and just above each
+    length where the window width changes, all ones or drawn at random,
+    alone and all in one product."""
+    params = PROFILES[name]
+    base = params.exp(params.g, 12345) * 7 % params.p
+    lengths = sorted({1, 2, 3300} | {n + d for n in _width_changes() for d in (-1, 0, 1)})
+    pairs = []
+    for n in lengths:
+        drawn = derive_rng("exp-tests", "multi-exp", n).getrandbits(n) | 1 << (n - 1)
+        for e in ((1 << n) - 1, drawn):
+            assert params.multi_exp([(base, e)]) == pow(base, e, params.p), (n, e)
+            pairs.append((base * len(pairs) % params.p, e))
+    assert params.multi_exp(pairs) == math.prod(pow(b, e, params.p) for b, e in pairs) % params.p
+
+
+@pytest.mark.parametrize("name", PROFILES)
+def test_multi_exp_of_edge_bases_and_exponents_matches_pow(name):
+    """The bases 0, 1 and p - 1, exponent 0, a base repeated with other
+    exponents, and the empty product."""
+    params = PROFILES[name]
+    p, q = params.p, params.q
+    base = params.exp(params.g, 12345)
+    pairs = [
+        (0, 0), (0, 5), (1, q - 1), (p - 1, 3), (p - 1, q - 1), (base, 0),
+        (base, 1), (base, q - 1), (base, 1 << 300), (p - 1, 0),
+    ]
+    powers = [pow(b, e, p) for b, e in pairs]
+    assert params.multi_exp([]) == 1
+    for k, (pair, power) in enumerate(zip(pairs, powers)):
+        assert params.multi_exp([pair]) == power, pair
+        assert params.multi_exp(pairs[k:]) == math.prod(powers[k:]) % p, pair
 
 
 def _count_pow_calls(monkeypatch):

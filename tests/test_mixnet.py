@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evote import mixnet
+from evote import groups, mixnet
 from evote.canonical import derive_rng
 from evote.groups import (
     PROD_GROUP_3072,
@@ -33,6 +33,7 @@ from evote.mixnet import (
     mix_once,
     mix_with_state,
     run_mixnet,
+    stage_failures,
     strip_signatures,
     verify_mix,
 )
@@ -283,6 +284,10 @@ def _prod_key(member=True):
     return pk if member else PROD_GROUP_3072.p - pk
 
 
+def _key(name):
+    return _prod_key() if name == "prod3072" else keygen(TEST_GROUP, derive_rng("mix", "key")).pk
+
+
 @functools.cache
 def _prod_state(member=True):
     """A prod3072 batch of n = 2 and one server's mid, output and links."""
@@ -404,7 +409,7 @@ def test_two_links_opened_for_one_side_of_a_mid_item_are_both_checked(name):
     rounds: corrupting the scalars of either copy must fail, so checking
     each distinct equation once may not merge them."""
     params = PROFILES[name]
-    pk = _prod_key() if name == "prod3072" else keygen(params, derive_rng("mix", "key")).pk
+    pk = _key(name)
     batch = _batch(params, pk, [(0, 1), (1, 0)], seed="two-links")
     out, proof = mix_once(params, pk, batch, derive_rng("mix", "two-links"), rounds=3)
     assert verify_mix(params, pk, batch, out, proof, min_rounds=3)
@@ -434,7 +439,7 @@ def test_reencryptions_hold_matches_the_per_slot_check(name, data):
     member key and a non-member one; a link may be opened twice."""
     params = PROFILES[name]
     p, q, g = params.p, params.q, params.g
-    key = _prod_key() if name == "prod3072" else keygen(params, derive_rng("mix", "key")).pk
+    key = _key(name)
     pk = data.draw(st.sampled_from([key, p - key]))
     values = st.one_of(st.sampled_from([0, 1, p - 1, p]), st.integers(1, p - 1))
     scalars = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1))
@@ -454,3 +459,90 @@ def test_reencryptions_hold_matches_the_per_slot_check(name, data):
         if data.draw(st.booleans()):
             links.append(links[-1])
     assert reencryptions_hold(params, pk, links) == _per_slot(params, pk, links)
+
+
+# `stage_failures` checks a chain of stages: on prod3072 every stage's opened
+# links in one batch, falling back to each stage alone when that fails.
+@functools.cache
+def _chain(name):
+    """A two-stage chain over a batch of n = 2: (batch, stages, each stage's
+    (input, mid, output, links))."""
+    params, pk = PROFILES[name], _key(name)
+    batch = _batch(params, pk, [(0, 1), (1, 0)], seed="chain")
+    stages, states, current = [], [], batch
+    for i in range(2):
+        state = (current, *mix_with_state(params, pk, current, derive_rng("mix", "chain", i)))
+        _, mid, out, links = state
+        stages.append(MixStage(current, out, build_proof(links, current, mid, out, rounds=2)))
+        states.append(state)
+        current = out
+    return batch, stages, states
+
+
+def _failures(monkeypatch, params, pk, batch, stages):
+    """(stage_failures, stage_failures with the per-slot check)."""
+    failures = stage_failures(params, pk, batch.digest(), stages, 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(mixnet, "reencryptions_hold", _per_slot)
+        exact = stage_failures(params, pk, batch.digest(), stages, 2)
+    return failures, exact
+
+
+def test_prod_honest_chain_is_one_batch_with_one_comb_power_per_fixed_base(monkeypatch):
+    params, pk = PROD_GROUP_3072, _prod_key()
+    batch, stages, _ = _chain("prod3072")
+    full = params._comb_widths[0][1]
+    batches, full_powers = [], []
+    batch_verdicts, power = groups.batch_verdicts, groups._Comb.power
+
+    def verdicts_spy(*args):
+        batches.append(args)
+        return batch_verdicts(*args)
+
+    def power_spy(comb, e):
+        if e in full:
+            full_powers.append(e)
+        return power(comb, e)
+
+    monkeypatch.setattr(groups, "batch_verdicts", verdicts_spy)
+    monkeypatch.setattr(groups._Comb, "power", power_spy)
+    assert stage_failures(params, pk, batch.digest(), stages, 2) == []
+    assert len(batches) == 1
+    assert len(full_powers) == 2
+
+
+@pytest.mark.parametrize("tampered", [0, 1])
+def test_prod_tampered_stage_is_the_only_one_named(monkeypatch, tampered):
+    """A server that tampers an output item of its stage and rebuilds its
+    proof; a later server mixes the tampered output honestly."""
+    params, pk = PROD_GROUP_3072, _prod_key()
+    batch, stages, states = _chain("prod3072")
+    out, proof = _cheat(params, pk, states[tampered], _set_component(1, "c1", lambda x: x * G % P))
+    cheated = MixStage(stages[tampered].batch_in, out, proof)
+    if tampered == 0:
+        later, later_proof = mix_once(params, pk, out, derive_rng("mix", "chain-later"), rounds=2)
+        chain = [cheated, MixStage(out, later, later_proof)]
+    else:
+        chain = [stages[0], cheated]
+    failures, exact = _failures(monkeypatch, params, pk, batch, chain)
+    assert failures == exact == [(tampered, "proof rejected")]
+
+
+@pytest.mark.parametrize("name", PROFILES)
+def test_chain_failures_keep_their_order(monkeypatch, name):
+    """A bad link in stage 0, a stage 1 that mixes another input and, with
+    a transferred batch that is neither, stage 0's input: per stage, input
+    or continuity first, then the proof."""
+    params, pk = PROFILES[name], _key(name)
+    batch, stages, _ = _chain(name)
+    first = stages[0].proof
+    link = first.rounds[0][0]
+    bad = replace(link, scalars=((link.scalars[0] + 1) % params.q, *link.scalars[1:]))
+    rounds = ((bad, *first.rounds[0][1:]), *first.rounds[1:])
+    broken = replace(stages[0], proof=replace(first, rounds=rounds))
+    chain = [broken, replace(stages[1], batch_in=batch)]
+    expected = [(0, "proof rejected"), (1, "input breaks continuity"), (1, "proof rejected")]
+    assert _failures(monkeypatch, params, pk, batch, chain) == (expected, expected)
+    other = _batch(params, pk, [(1, 1), (0, 0)], seed="chain-other")
+    mismatch = [(0, "input does not match the transferred batch")] + expected
+    assert stage_failures(params, pk, other.digest(), chain, 2) == mismatch
