@@ -28,7 +28,7 @@ from .ballot import BallotCastPayload, Receipt, ReceiptStatus, ResultPayload
 from .ballot import count_result, validate_decrypted
 from .canonical import Record, digest
 from .groups import GroupParams, unblind
-from .mixnet import MixBatch, MixStage, stage_failures
+from .mixnet import MixBatch, MixStage, verify_mix
 from .zkp import DecryptionProof, holds, verify_correct_decryptions, wellformed_statements
 
 GENESIS_TAG = "evote/bulletin/genesis"
@@ -383,7 +383,7 @@ def _check_mix(
         if casts_end > at or staged[0][0] < at:
             failures.append(f"entry {at}: transfer not between the casts and the mix stages")
     stages = [s.stage for _, s in staged]
-    faults = stage_failures(params, election_pk, batch_digest, stages, config.proof_rounds)
+    faults = verify_mix(params, election_pk, batch_digest, stages, config.proof_rounds)
     failures += [f"entry {staged[idx][0]}: mix stage {idx} {reason}" for idx, reason in faults]
     return failures, stages[-1].batch_out if stages else None
 

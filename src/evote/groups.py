@@ -421,14 +421,16 @@ def reencrypts_to(
 
 def reencryptions_hold(params: GroupParams, pk: int, links) -> bool:
     """`reencrypts_to` holds for each (ct, r, target) of every
-    (sources, scalars, targets) in `links`.
+    (sources, scalars, targets) in `links`, the opened links of every stage
+    of a mix chain, as `mixnet.verify_mix` hands them over.
 
     On a group that batches, each distinct equation x*b^r = y
     (ct.c1*g^r = target.c1, ct.c2*pk^r = target.c2) that `batch_verdicts`
-    does not prove is checked exactly; on other groups each link in turn,
-    which keeps the test group's pinned modexp counts: through
-    `batch_verdicts` each distinct equation is checked once (the Baseline's
-    mix verify in the tally would fall 36,000 -> 390).
+    does not prove is checked exactly; on other groups each opened slot in
+    turn, up to the first that fails, which keeps the test group's pinned
+    modexp counts: through `batch_verdicts` each distinct equation is
+    checked once (the Baseline's mix verify in the tally would fall
+    36,000 -> 390).
     """
     p, g = params.p, params.g
     checks = itertools.chain.from_iterable(itertools.starmap(zip, links))

@@ -6,6 +6,10 @@ input (`SIDE_IN`) and toward the output (`SIDE_OUT`), with that link's
 re-encryption scalars.  Its proof publishes the mid layer and, per challenge
 round and per mid item, one of the two links.  A single tampered item
 escapes detection with probability 2^-rounds.
+
+`verify_mix` is the one check of a published chain of stages, on every
+group: each stage's input, continuity and structure, then every stage's
+opened links in one `reencryptions_hold` call.
 """
 
 from __future__ import annotations
@@ -128,30 +132,35 @@ def mix_once(
     return out, build_proof(links, batch, mid, out, rounds)
 
 
-def _opened_links(
-    params: GroupParams,
-    batch_in: MixBatch,
-    batch_out: MixBatch,
-    proof: ShuffleProof,
-    min_rounds: int,
-) -> list | None:
-    """The (sources, scalars, targets) of every link `proof` opens, in round
-    order, or None when the proof breaks its structural half-opening: per
-    round, one link per mid item, of the derived side, with distinct sources
-    and targets, and at least `min_rounds` rounds.  Every opened scalar lies
-    in [0, q): r + q re-encrypts to the same ciphertext, so it would be a
-    second encoding of the proof."""
+@dataclass(frozen=True)
+class MixStage(Record):
+    """Published record of one server's pass: batches plus proof."""
+
+    batch_in: MixBatch
+    batch_out: MixBatch
+    proof: ShuffleProof
+
+
+def _opened_links(params: GroupParams, stage: MixStage, min_rounds: int) -> list | None:
+    """The (sources, scalars, targets) of every link the stage's proof opens,
+    in round order, or None when the stage breaks its structural
+    half-opening: input, mid and output of one item count and one slot
+    count, per round one link per mid item, of the derived side, with
+    distinct sources and targets, and at least `min_rounds` rounds.  Every
+    opened scalar lies in [0, q): r + q re-encrypts to the same ciphertext,
+    so it would be a second encoding of the proof."""
     q = params.q
-    n = len(batch_in.items)
-    if len(batch_out.items) != n or len(proof.mid.items) != n:
+    proof = stage.proof
+    ins, mids, outs = stage.batch_in.items, proof.mid.items, stage.batch_out.items
+    n = len(ins)
+    if len(mids) != n or len(outs) != n or len({len(item) for item in ins + mids + outs}) > 1:
         return None
     if proof.mid.digest() != proof.mid_commit:
         return None
     if n > 0 and len(proof.rounds) < min_rounds:
         return None
-    in_digest = batch_in.digest()
-    out_digest = batch_out.digest()
-    ins, mids, outs = batch_in.items, proof.mid.items, batch_out.items
+    in_digest = stage.batch_in.digest()
+    out_digest = stage.batch_out.digest()
     opened = []
     for k, links in enumerate(proof.rounds):
         if len(links) != n:
@@ -176,35 +185,6 @@ def _opened_links(
 def verify_mix(
     params: GroupParams,
     pk: int,
-    batch_in: MixBatch,
-    batch_out: MixBatch,
-    proof: ShuffleProof,
-    min_rounds: int = 1,
-) -> bool:
-    """Recompute challenges and check every opened link re-encrypts correctly.
-
-    Uses public data only.  The proof must keep the structural half-opening
-    that `_opened_links` reads, and its opened links are checked together
-    by `reencryptions_hold`; where it batches them, its weights add at most
-    2^-128 per hash trial to the 2^-rounds chance that a tampered item
-    escapes.
-    """
-    opened = _opened_links(params, batch_in, batch_out, proof, min_rounds)
-    return opened is not None and reencryptions_hold(params, pk, opened)
-
-
-@dataclass(frozen=True)
-class MixStage(Record):
-    """Published record of one server's pass: batches plus proof."""
-
-    batch_in: MixBatch
-    batch_out: MixBatch
-    proof: ShuffleProof
-
-
-def stage_failures(
-    params: GroupParams,
-    pk: int,
     batch_digest: bytes | None,
     stages: list[MixStage],
     min_rounds: int,
@@ -212,36 +192,24 @@ def stage_failures(
     """(stage index, reason) for each fault in a chain of mix stages, in
     stage order: per stage, its input or continuity, then its proof.
 
-    The first input must be the batch with `batch_digest` (not compared
-    when None), each later input the previous output, and every shuffle
-    proof must verify with at least `min_rounds` rounds.  On a group that
-    batches, the opened links of every stage go to one `reencryptions_hold`
-    call, and only when that fails is each stage's checked alone, so the
-    same stages are named either way.  On any other group each stage's
-    proof goes to `verify_mix` in turn, and no two stages' links are held
-    at once.
+    Uses public data only.  The first input must be the batch with
+    `batch_digest` (not compared when None), each later input the previous
+    output, and every stage's proof must keep the structural half-opening
+    that `_opened_links` reads.  The opened links of every stage go to one
+    `reencryptions_hold` call, and only when that fails is each stage's
+    checked alone, so the same stages are named either way.  Where
+    `reencryptions_hold` batches, its weights add at most 2^-128 per hash
+    trial to the 2^-rounds chance that a tampered item escapes.
     """
     failures = []
     if stages and batch_digest is not None and stages[0].batch_in.digest() != batch_digest:
         failures.append((0, "input does not match the transferred batch"))
-    if params.batches:
-        opened = [
-            _opened_links(params, s.batch_in, s.batch_out, s.proof, min_rounds) for s in stages
-        ]
-        joint = reencryptions_hold(params, pk, itertools.chain.from_iterable(filter(None, opened)))
-        proved = [
-            links is not None and (joint or reencryptions_hold(params, pk, links))
-            for links in opened
-        ]
-    else:
-        proved = (
-            verify_mix(params, pk, s.batch_in, s.batch_out, s.proof, min_rounds=min_rounds)
-            for s in stages
-        )
-    for idx, (stage, ok) in enumerate(zip(stages, proved)):
+    opened = [_opened_links(params, stage, min_rounds) for stage in stages]
+    joint = reencryptions_hold(params, pk, itertools.chain.from_iterable(filter(None, opened)))
+    for idx, (stage, links) in enumerate(zip(stages, opened)):
         if idx > 0 and stage.batch_in != stages[idx - 1].batch_out:
             failures.append((idx, "input breaks continuity"))
-        if not ok:
+        if links is None or not (joint or reencryptions_hold(params, pk, links)):
             failures.append((idx, "proof rejected"))
     return failures
 

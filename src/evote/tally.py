@@ -42,7 +42,7 @@ from .groups import (
     threshold_decrypt,
     threshold_keygen,
 )
-from .mixnet import MixBatch, run_mixnet, stage_failures, strip_signatures
+from .mixnet import MixBatch, run_mixnet, strip_signatures, verify_mix
 from .registry import Registry, VoterCredential, enroll_voter
 
 
@@ -120,7 +120,7 @@ def run_tally(
     publish(bulletin.KIND_TRANSFER, transfer)
     server_rngs = [derive_rng(seed, "mix-server", i) for i in range(config.mix_server_count)]
     final, stages = run_mixnet(params, election_key.h, batch, server_rngs, config.proof_rounds)
-    for idx, reason in stage_failures(
+    for idx, reason in verify_mix(
         params, election_key.h, batch_digest, stages, config.proof_rounds
     ):
         raise MixRejected(f"mix stage {idx} {reason}")

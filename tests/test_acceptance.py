@@ -370,7 +370,7 @@ def test_c03_universal_verification_and_mutation_corpus(audited):
         items[victim][slot] = Ciphertext(ct.c1, (ct.c2 * GRP.g) % GRP.p)
         tampered = MixBatch(items=tuple(tuple(i) for i in items))
         proof = build_proof(links, batch, mid, tampered, rounds=20)
-        if verify_mix(GRP, kp.pk, batch, tampered, proof, min_rounds=20):
+        if verify_mix(GRP, kp.pk, None, [MixStage(batch, tampered, proof)], 20) == []:
             misses += 1
     assert misses == 0
 

@@ -33,7 +33,7 @@ from evote.groups import (
     rand_scalar,
     threshold_keygen,
 )
-from evote.mixnet import stage_failures
+from evote.mixnet import verify_mix
 from evote.registry import Registry, enroll_voter, sig_statement, sign
 from evote.tally import Election
 from evote.zkp import prove_wellformed, verify_correct_decryptions, wellformed_statements
@@ -148,8 +148,8 @@ def test_prod_batch_proves_a_non_member_raised_to_a_wrapped_exponent():
 
 
 @functools.cache
-def _stage_failures(params, pk, batch_digest, stages, min_rounds):
-    return stage_failures(params, pk, batch_digest, list(stages), min_rounds)
+def _verify_mix(params, pk, batch_digest, stages, min_rounds):
+    return verify_mix(params, pk, batch_digest, list(stages), min_rounds)
 
 
 @functools.cache
@@ -170,7 +170,7 @@ def _reports(monkeypatch, election, board):
 
     with monkeypatch.context() as patch:
         patch.setattr(
-            bulletin, "stage_failures", lambda p, k, d, s, r: _stage_failures(p, k, d, tuple(s), r)
+            bulletin, "verify_mix", lambda p, k, d, s, r: _verify_mix(p, k, d, tuple(s), r)
         )
         patch.setattr(
             bulletin, "verify_correct_decryptions", lambda p, c: _decryptions(p, tuple(c))

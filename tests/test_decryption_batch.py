@@ -30,7 +30,7 @@ from evote.groups import (
     threshold_decrypt,
     threshold_keygen,
 )
-from evote.mixnet import stage_failures
+from evote.mixnet import verify_mix
 from evote.zkp import (
     DOMAIN_CP,
     DecryptionProof,
@@ -84,8 +84,8 @@ def _holds(params, statements):
 
 
 @functools.cache
-def _stage_failures(params, pk, batch_digest, stages, min_rounds):
-    return stage_failures(params, pk, batch_digest, list(stages), min_rounds)
+def _verify_mix(params, pk, batch_digest, stages, min_rounds):
+    return verify_mix(params, pk, batch_digest, list(stages), min_rounds)
 
 
 def _reports(monkeypatch, election, board, commitments=None):
@@ -101,7 +101,7 @@ def _reports(monkeypatch, election, board, commitments=None):
     with monkeypatch.context() as patch:
         patch.setattr(bulletin, "holds", lambda p, statements: _holds(p, tuple(statements)))
         patch.setattr(
-            bulletin, "stage_failures", lambda p, k, d, s, r: _stage_failures(p, k, d, tuple(s), r)
+            bulletin, "verify_mix", lambda p, k, d, s, r: _verify_mix(p, k, d, tuple(s), r)
         )
         batched = verify()
         patch.setattr(bulletin, "verify_correct_decryptions", _per_proof_all)

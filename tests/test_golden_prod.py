@@ -58,5 +58,5 @@ def test_prod_payload_digests_are_pinned(artifacts):
 def test_prod_verifiers_accept_the_pinned_artifacts(artifacts):
     params, key, shares, sb, stage, ct, pd, _ = artifacts
     assert verify_wellformed(params, key.h, list(sb.encrypted.slots), sb.encrypted.wellformed)
-    assert verify_mix(params, key.h, stage.batch_in, stage.batch_out, stage.proof)
+    assert verify_mix(params, key.h, None, [stage], 1) == []
     assert verify_correct_decryption(params, shares[0].h, ct, pd.d, pd.proof)

@@ -33,7 +33,6 @@ from evote.mixnet import (
     mix_once,
     mix_with_state,
     run_mixnet,
-    stage_failures,
     strip_signatures,
     verify_mix,
 )
@@ -52,6 +51,11 @@ def _decrypt_multiset(grp, sk, batch, bound=5):
     return Counter(
         tuple(decrypt(grp, sk, ct, bound) for ct in row) for row in batch.items
     )
+
+
+def _verifies(params, pk, batch, out, proof, min_rounds=1):
+    """Whether `verify_mix` accepts the one stage from `batch` to `out`."""
+    return verify_mix(params, pk, None, [MixStage(batch, out, proof)], min_rounds) == []
 
 
 @pytest.fixture
@@ -75,34 +79,34 @@ def test_mix_rerandomizes_every_item(grp, keys):
 def test_honest_mix_verifies(grp, keys):
     batch = _batch(grp, keys.pk, [(0, 1), (1, 0), (1, 1), (0, 0)])
     out, proof = mix_once(grp, keys.pk, batch, derive_rng("mix", "server3"), rounds=20)
-    assert verify_mix(grp, keys.pk, batch, out, proof, min_rounds=20)
+    assert _verifies(grp, keys.pk, batch, out, proof, min_rounds=20)
 
 
 def test_empty_batch_mixes_and_verifies(grp, keys):
     batch = MixBatch(items=())
     out, proof = mix_once(grp, keys.pk, batch, derive_rng("mix", "empty"), rounds=3)
     assert out.items == ()
-    assert verify_mix(grp, keys.pk, batch, out, proof, min_rounds=3)
+    assert _verifies(grp, keys.pk, batch, out, proof, min_rounds=3)
 
 
 def test_single_item_batch(grp, keys):
     batch = _batch(grp, keys.pk, [(1, 0)])
     out, proof = mix_once(grp, keys.pk, batch, derive_rng("mix", "one"), rounds=5)
-    assert verify_mix(grp, keys.pk, batch, out, proof, min_rounds=5)
+    assert _verifies(grp, keys.pk, batch, out, proof, min_rounds=5)
     assert _decrypt_multiset(grp, keys.sk, out) == _decrypt_multiset(grp, keys.sk, batch)
 
 
 def test_rounds_below_minimum_rejected(grp, keys):
     batch = _batch(grp, keys.pk, [(0, 1), (1, 0)])
     out, proof = mix_once(grp, keys.pk, batch, derive_rng("mix", "few"), rounds=3)
-    assert not verify_mix(grp, keys.pk, batch, out, proof, min_rounds=4)
+    assert not _verifies(grp, keys.pk, batch, out, proof, min_rounds=4)
 
 
 def test_wrong_size_output_rejected(grp, keys):
     batch = _batch(grp, keys.pk, [(0, 1), (1, 0), (1, 1)])
     out, proof = mix_once(grp, keys.pk, batch, derive_rng("mix", "size"), rounds=4)
     truncated = MixBatch(items=out.items[:2])
-    assert not verify_mix(grp, keys.pk, batch, truncated, proof, min_rounds=4)
+    assert not _verifies(grp, keys.pk, batch, truncated, proof, min_rounds=4)
 
 
 def test_dropped_then_replaced_item_rejected(grp, keys):
@@ -116,7 +120,7 @@ def test_dropped_then_replaced_item_rejected(grp, keys):
     forged_items = (rogue,) + out.items[1:]
     forged = MixBatch(items=forged_items)
     proof = build_proof(links, batch, mid, forged, rounds=20)
-    assert not verify_mix(grp, keys.pk, batch, forged, proof, min_rounds=20)
+    assert not _verifies(grp, keys.pk, batch, forged, proof, min_rounds=20)
 
 
 def _tampered_run(grp, keys, trial):
@@ -134,7 +138,7 @@ def _tampered_run(grp, keys, trial):
     items[victim] = tuple(row)
     tampered = MixBatch(items=tuple(items))
     proof = build_proof(links, batch, mid, tampered, rounds=20)
-    return not verify_mix(grp, keys.pk, batch, tampered, proof, min_rounds=20)
+    return not _verifies(grp, keys.pk, batch, tampered, proof, min_rounds=20)
 
 
 def test_single_tamper_detectivity_sample(grp, keys):
@@ -162,14 +166,14 @@ def test_ground_mid_commit_rejected(grp, keys):
             break
     opened = tuple(links[side][k] for k, side in enumerate(sides))
     proof = ShuffleProof(mid=mid, mid_commit=commit, rounds=(opened,))
-    assert not verify_mix(grp, keys.pk, batch, tampered, proof)
+    assert not _verifies(grp, keys.pk, batch, tampered, proof)
 
 
 def test_round_with_a_link_missing_rejected(grp, keys):
     batch = _batch(grp, keys.pk, [(0, 1), (1, 0), (1, 1)])
     out, proof = mix_once(grp, keys.pk, batch, derive_rng("mix", "short-round"), rounds=2)
     short = replace(proof, rounds=(proof.rounds[0][:-1],) + proof.rounds[1:])
-    assert not verify_mix(grp, keys.pk, batch, out, short, min_rounds=2)
+    assert not _verifies(grp, keys.pk, batch, out, short, min_rounds=2)
 
 
 def test_link_with_a_scalar_missing_rejected(grp, keys):
@@ -180,7 +184,7 @@ def test_link_with_a_scalar_missing_rejected(grp, keys):
     first, *rest = proof.rounds[0]
     cut = replace(first, scalars=first.scalars[:-1])
     short = replace(proof, rounds=((cut, *rest),) + proof.rounds[1:])
-    assert not verify_mix(grp, keys.pk, batch, out, short, min_rounds=2)
+    assert not _verifies(grp, keys.pk, batch, out, short, min_rounds=2)
 
 
 def test_strip_signatures_preserves_order(grp, keys):
@@ -205,13 +209,7 @@ def test_run_mixnet_chains_stages(grp, keys):
     rngs = [derive_rng("mix", "srv", i) for i in range(3)]
     final, stages = run_mixnet(grp, keys.pk, batch, rngs, rounds=6)
     assert len(stages) == 3
-    assert stages[0].batch_in == batch
-    for i, stage in enumerate(stages):
-        if i:
-            assert stage.batch_in == stages[i - 1].batch_out
-        assert verify_mix(
-            grp, keys.pk, stage.batch_in, stage.batch_out, stage.proof, min_rounds=6
-        )
+    assert verify_mix(grp, keys.pk, batch.digest(), stages, 6) == []
     assert stages[-1].batch_out == final
     assert _decrypt_multiset(grp, keys.sk, final) == _decrypt_multiset(grp, keys.sk, batch)
 
@@ -227,9 +225,7 @@ def test_stage_serialization_round_trip(grp, keys):
     stage = MixStage(batch_in=batch, batch_out=out, proof=proof)
     restored = MixStage.from_bytes(stage.to_bytes())
     assert restored == stage
-    assert verify_mix(
-        grp, keys.pk, restored.batch_in, restored.batch_out, restored.proof, min_rounds=4
-    )
+    assert verify_mix(grp, keys.pk, None, [restored], 4) == []
 
 
 def test_proof_serialization_round_trip(grp, keys):
@@ -255,8 +251,8 @@ def test_shuffle_proof_bytes_are_pinned(grp, keys, n, rounds, expected):
     assert hashlib.sha256(proof.to_bytes() + out.to_bytes()).hexdigest() == expected
 
 
-# On prod3072 `verify_mix` checks the opened re-encryptions of a stage as one
-# batch; its verdict must be the one the per-slot check gives.
+# On prod3072 `reencryptions_hold` checks the opened re-encryptions of a stage
+# as one batch; its verdict must be the one the per-slot check gives.
 PROFILES = {"test": TEST_GROUP, "prod3072": PROD_GROUP_3072}
 
 
@@ -270,11 +266,11 @@ def _per_slot(params, pk, links):
 
 
 def _verdicts(monkeypatch, params, pk, batch, out, proof):
-    """(verify_mix's verdict, its verdict with the per-slot check)."""
-    verdict = verify_mix(params, pk, batch, out, proof, min_rounds=len(proof.rounds))
+    """(the stage's verdict, its verdict with the per-slot check)."""
+    verdict = _verifies(params, pk, batch, out, proof, min_rounds=len(proof.rounds))
     with monkeypatch.context() as patch:
         patch.setattr(mixnet, "reencryptions_hold", _per_slot)
-        exact = verify_mix(params, pk, batch, out, proof, min_rounds=len(proof.rounds))
+        exact = _verifies(params, pk, batch, out, proof, min_rounds=len(proof.rounds))
     return verdict, exact
 
 
@@ -412,7 +408,7 @@ def test_two_links_opened_for_one_side_of_a_mid_item_are_both_checked(name):
     pk = _key(name)
     batch = _batch(params, pk, [(0, 1), (1, 0)], seed="two-links")
     out, proof = mix_once(params, pk, batch, derive_rng("mix", "two-links"), rounds=3)
-    assert verify_mix(params, pk, batch, out, proof, min_rounds=3)
+    assert _verifies(params, pk, batch, out, proof, min_rounds=3)
     # Three rounds and two sides: some mid item has the same side twice.
     j, k1, k2 = next(
         (j, k1, k2)
@@ -427,7 +423,7 @@ def test_two_links_opened_for_one_side_of_a_mid_item_are_both_checked(name):
         opened = list(proof.rounds[k])
         opened[j] = bad
         rounds = proof.rounds[:k] + (tuple(opened),) + proof.rounds[k + 1 :]
-        assert not verify_mix(params, pk, batch, out, replace(proof, rounds=rounds))
+        assert not _verifies(params, pk, batch, out, replace(proof, rounds=rounds))
 
 
 @pytest.mark.parametrize("name", PROFILES)
@@ -461,8 +457,8 @@ def test_reencryptions_hold_matches_the_per_slot_check(name, data):
     assert reencryptions_hold(params, pk, links) == _per_slot(params, pk, links)
 
 
-# `stage_failures` checks a chain of stages: on prod3072 every stage's opened
-# links in one batch, falling back to each stage alone when that fails.
+# `verify_mix` checks a chain of stages: every stage's opened links in one
+# `reencryptions_hold` call, falling back to each stage alone when that fails.
 @functools.cache
 def _chain(name):
     """A two-stage chain over a batch of n = 2: (batch, stages, each stage's
@@ -480,11 +476,11 @@ def _chain(name):
 
 
 def _failures(monkeypatch, params, pk, batch, stages):
-    """(stage_failures, stage_failures with the per-slot check)."""
-    failures = stage_failures(params, pk, batch.digest(), stages, 2)
+    """(verify_mix's faults, its faults with the per-slot check)."""
+    failures = verify_mix(params, pk, batch.digest(), stages, 2)
     with monkeypatch.context() as patch:
         patch.setattr(mixnet, "reencryptions_hold", _per_slot)
-        exact = stage_failures(params, pk, batch.digest(), stages, 2)
+        exact = verify_mix(params, pk, batch.digest(), stages, 2)
     return failures, exact
 
 
@@ -506,18 +502,20 @@ def test_prod_honest_chain_is_one_batch_with_one_comb_power_per_fixed_base(monke
 
     monkeypatch.setattr(groups, "batch_verdicts", verdicts_spy)
     monkeypatch.setattr(groups._Comb, "power", power_spy)
-    assert stage_failures(params, pk, batch.digest(), stages, 2) == []
+    assert verify_mix(params, pk, batch.digest(), stages, 2) == []
     assert len(batches) == 1
     assert len(full_powers) == 2
 
 
 @pytest.mark.parametrize("tampered", [0, 1])
-def test_prod_tampered_stage_is_the_only_one_named(monkeypatch, tampered):
+@pytest.mark.parametrize("name", PROFILES)
+def test_tampered_stage_is_the_only_one_named(monkeypatch, name, tampered):
     """A server that tampers an output item of its stage and rebuilds its
     proof; a later server mixes the tampered output honestly."""
-    params, pk = PROD_GROUP_3072, _prod_key()
-    batch, stages, states = _chain("prod3072")
-    out, proof = _cheat(params, pk, states[tampered], _set_component(1, "c1", lambda x: x * G % P))
+    params, pk = PROFILES[name], _key(name)
+    batch, stages, states = _chain(name)
+    times_g = _set_component(1, "c1", lambda x: x * params.g % params.p)
+    out, proof = _cheat(params, pk, states[tampered], times_g)
     cheated = MixStage(stages[tampered].batch_in, out, proof)
     if tampered == 0:
         later, later_proof = mix_once(params, pk, out, derive_rng("mix", "chain-later"), rounds=2)
@@ -526,6 +524,44 @@ def test_prod_tampered_stage_is_the_only_one_named(monkeypatch, tampered):
         chain = [stages[0], cheated]
     failures, exact = _failures(monkeypatch, params, pk, batch, chain)
     assert failures == exact == [(tampered, "proof rejected")]
+
+
+def _reshaped_stage(params, pk, widen):
+    """A 4-item stage whose mid and output gain a third slot encrypting 1
+    (`widen`) or drop the input's third slot, its links and proof rebuilt
+    to match, so that every opened re-encryption holds."""
+    width = 2 if widen else 3
+    batch = _batch(params, pk, [(i % 2,) * width for i in range(4)], seed="reshape")
+    rng = derive_rng("mix", "reshape")
+    mid, out, (links_in, links_out) = mix_with_state(params, pk, batch, rng)
+    out_items = list(out.items)
+    if widen:
+        extra = [encrypt(params, pk, 1, rand_scalar(params, rng)) for _ in mid.items]
+        rs = [rand_scalar(params, rng) for _ in mid.items]
+        mid = MixBatch(tuple(item + (ct,) for item, ct in zip(mid.items, extra)))
+        for link, ct, r in zip(links_out, extra, rs):
+            out_items[link.index] += (reencrypt(params, pk, ct, r),)
+        links_out = tuple(
+            replace(link, scalars=link.scalars + (r,)) for link, r in zip(links_out, rs)
+        )
+    else:
+        mid = MixBatch(tuple(item[:-1] for item in mid.items))
+        out_items = [item[:-1] for item in out_items]
+        links_out = tuple(replace(link, scalars=link.scalars[:-1]) for link in links_out)
+    out = MixBatch(tuple(out_items))
+    return MixStage(batch, out, build_proof((links_in, links_out), batch, mid, out, rounds=20))
+
+
+@pytest.mark.parametrize("widen", [True, False], ids=["widen", "narrow"])
+@pytest.mark.parametrize("name", PROFILES)
+def test_a_stage_that_changes_the_slot_count_is_rejected(name, widen):
+    """Without one slot count for a stage's input, mid and output, zip would
+    check each opened link up to its shorter side, and every ballot after
+    the stage would decrypt to the wrong slot count."""
+    params, pk = PROFILES[name], _key(name)
+    stage = _reshaped_stage(params, pk, widen)
+    assert len(stage.batch_out.items[0]) - len(stage.batch_in.items[0]) == (1 if widen else -1)
+    assert verify_mix(params, pk, None, [stage], 20) == [(0, "proof rejected")]
 
 
 @pytest.mark.parametrize("name", PROFILES)
@@ -545,4 +581,4 @@ def test_chain_failures_keep_their_order(monkeypatch, name):
     assert _failures(monkeypatch, params, pk, batch, chain) == (expected, expected)
     other = _batch(params, pk, [(1, 1), (0, 0)], seed="chain-other")
     mismatch = [(0, "input does not match the transferred batch")] + expected
-    assert stage_failures(params, pk, other.digest(), chain, 2) == mismatch
+    assert verify_mix(params, pk, other.digest(), chain, 2) == mismatch

@@ -11,6 +11,9 @@
 - `zkp.holds` owns every verification equation: in `zkp.py` and
   `registry.py`, the result of an `exp(...)` call is compared only there.
   A name bound to such a result counts as the result.
+- `mixnet.verify_mix` is the one mix check: no other function calls
+  `groups.reencryptions_hold`, and `mixnet.py` reads no `.batches`, so a
+  chain of stages takes one path on every group.
 - `bulletin.py` owns the entry kinds: no other module spells one out.
 - `canonical.py` owns every source of randomness, so that everything is
   seeded: no other module calls `random.Random(...)` or a module-level
@@ -168,6 +171,33 @@ def test_only_groups_unblinds(name):
 def test_exp_results_are_compared_only_in_holds(name, owners):
     found = _exp_comparisons(ast.parse((SRC / name).read_text()))
     assert {fn for fn, _ in found} == owners, found
+
+
+def _callers(tree: ast.Module, name: str) -> list[str]:
+    """The function around each call to `name` or `<obj>.name`, in source
+    order, or "<module>" for a call outside every function."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and _callee(child) == name:
+                found.append(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_verify_mix_checks_reencryptions(path):
+    tree = ast.parse(path.read_text())
+    owners = ["verify_mix"] if path.name == "mixnet.py" else []
+    assert sorted(set(_callers(tree, "reencryptions_hold"))) == owners
+    if path.name == "mixnet.py":
+        assert "batches" not in _names(tree)
 
 
 def _kind_literals(tree: ast.Module) -> list[str]:
@@ -429,11 +459,16 @@ def test_the_guards_see_a_violation():
         "    table.size = 2\n"
         "def shadowed(CACHE):\n"
         "    CACHE[1] = 2\n"
+        "def stage_ok(params, pk, links):\n"
+        "    return params.batches or groups.reencryptions_hold(params, pk, links)\n"
+        "held = reencryptions_hold(params, pk, [])\n"
     )
     assert _exp_comparisons(bad) == [("verify", 3)]
     assert _called(bad, "pow")
     assert sorted(_comb_names(bad)) == ["_Comb", "_comb"]
     assert _kind_literals(bad) == ["BallotCast"]
+    assert _callers(bad, "reencryptions_hold") == ["stage_ok", "<module>"]
+    assert "batches" in _names(bad)
     assert sorted(_unseeded_sources(bad)) == [
         "os", "os.urandom", "random.Random", "random.choice", "time"
     ]

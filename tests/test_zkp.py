@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from evote.canonical import derive_rng, digest
 from evote import zkp
 from evote.groups import PROD_GROUP_3072, TEST_GROUP, encrypt, keygen, rand_scalar
-from evote.mixnet import MixBatch, mix_once, verify_mix
+from evote.mixnet import MixBatch, MixStage, mix_once, verify_mix
 from evote.registry import sign, verify_sig
 from evote.zkp import (
     DecryptionProof,
@@ -232,7 +232,8 @@ def _mix_scalar(shift):
     link = first_round[0]
     link = dataclasses.replace(link, scalars=(link.scalars[0] + shift, *link.scalars[1:]))
     rounds = ((link, *first_round[1:]), *proof.rounds[1:])
-    return verify_mix(grp, kp.pk, batch, out, dataclasses.replace(proof, rounds=rounds))
+    stage = MixStage(batch, out, dataclasses.replace(proof, rounds=rounds))
+    return verify_mix(grp, kp.pk, None, [stage], 1) == []
 
 
 @pytest.mark.parametrize(
