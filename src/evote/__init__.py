@@ -56,7 +56,7 @@ from .tally import (
     aggregate_check,
     run_tally,
 )
-from .zkp import WellformedProof, prove_wellformed, verify_wellformed
+from .zkp import WellformedProof, prove_wellformed
 
 __version__ = "0.1.0"
 
@@ -118,5 +118,4 @@ __all__ = [
     "verify_ballot",
     "verify_chain",
     "verify_mix",
-    "verify_wellformed",
 ]

@@ -113,8 +113,9 @@ def verify_ballot(
     params: GroupParams, sb: SignedBallot, registry: Registry, election_pk: int
 ) -> bool:
     """Eligibility, outer signature, inner well-formedness; false rejects.
-    The signature's statement and the proof's go to `holds` as one list, so
-    on a group that batches a cast is checked in one batch."""
+    The signature's statement and the proof's `wellformed_statements` go to
+    `holds` as one list, so on a group that batches a cast is checked in
+    one batch; this is the one check of a ballot proof at cast time."""
     if not is_eligible(registry, sb.voter_id):
         return False
     vk = verify_key_of(registry, sb.voter_id)
@@ -122,7 +123,7 @@ def verify_ballot(
     statements = wellformed_statements(
         params, election_pk, sb.encrypted.slots, sb.encrypted.wellformed
     )
-    return statements is not None and all(holds(params, [signature, *statements]))
+    return all(holds(params, [signature, *statements]))
 
 
 def filter_latest(ballots: list[SignedBallot]) -> tuple[list[SignedBallot], int]:

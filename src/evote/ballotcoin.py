@@ -4,9 +4,10 @@ Implements wallets, single-coin transactions restricted to candidate
 addresses, proof-of-stake forging (stake-weighted or uniform over eligible
 online nodes), longest-chain fork choice with a deterministic tie-break,
 double-spend rejection, a storage estimator, and a seeded round-based
-network simulator.  The design intentionally keeps transactions public,
-so mid-election partial results and voter-to-candidate links exist; the
-simulator is there to demonstrate exactly that.
+network simulator.  `Chain` replays the ledger: a block is checked by
+`Chain.extend(block).is_valid()`, and `forge_block` admits a pool's valid
+transactions.  Transactions are public by design, so mid-election partial
+results and voter-to-candidate links exist; the simulator demonstrates that.
 """
 
 from __future__ import annotations
@@ -223,15 +224,6 @@ def genesis(
     )
 
 
-def validate_tx(chain: Chain, pool: list[CoinTransaction], tx: CoinTransaction) -> bool:
-    """Valid against the chain plus every earlier pool transaction that is
-    itself valid, the rule `forge_block` applies."""
-    balances, included = chain.balances(), chain.included_tx_digests()
-    for earlier in pool:
-        _admit(chain, balances, included, earlier)
-    return _admit(chain, balances, included, tx)
-
-
 @dataclass
 class NodeState:
     node_id: str
@@ -290,11 +282,6 @@ def forge_block(
     )
     signature = sign(chain.params, node.signing_key, block.signed_message())
     return replace(block, forger_signature=signature)
-
-
-def validate_block(chain: Chain, block: Block) -> bool:
-    """Would extending this chain with the block keep it valid?"""
-    return chain.extend(block).is_valid()
 
 
 def fork_choice(chains: list[Chain]) -> Chain:

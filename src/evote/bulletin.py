@@ -337,7 +337,7 @@ def _check_wellformed(params: GroupParams, election_pk: int, config, entries) ->
                 statements = wellformed_statements(
                     params, election_pk, record.slots, record.wellformed
                 )
-                checked.append((len(failures), seq, statements or [None]))
+                checked.append((len(failures), seq, statements))
         elif kind == KIND_RECEIPT and seq - 1 in casts:
             if record.ballot_digest != casts[seq - 1].ballot_digest:
                 failures.append(f"entry {seq}: receipt does not repeat the ballot digest")

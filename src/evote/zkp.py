@@ -117,18 +117,11 @@ def _decryption_statement(params: GroupParams, pk_component: int, ct: Ciphertext
     return (bases, (pk_component, d), commits, e, proof.response) if e == proof.challenge else None
 
 
-def verify_correct_decryption(
-    params: GroupParams, pk_component: int, ct: Ciphertext, d: int, proof: DecryptionProof
-) -> bool:
-    """True iff the challenge recomputes and both verification equations hold."""
-    statement = _decryption_statement(params, pk_component, ct, d, proof)
-    return statement is not None and holds(params, *statement)
-
-
 def verify_correct_decryptions(params: GroupParams, claims) -> list[bool]:
-    """`verify_correct_decryption` of each (pk_component, ct, d, proof): the
-    statements go to `holds` as one list, so on a group that batches their
-    equations are checked in one batch."""
+    """For each (pk_component, ct, d, proof): True iff its challenge
+    recomputes and both verification equations hold.  The statements go to
+    `holds` as one list, so on a group that batches their equations are
+    checked in one batch."""
     return holds(params, [_decryption_statement(params, *claim) for claim in claims])
 
 
@@ -246,12 +239,13 @@ def prove_wellformed(
 
 def wellformed_statements(
     params: GroupParams, pk: int, slots: list[Ciphertext], proof: WellformedProof
-) -> list | None:
-    """What `holds` checks of a well-formedness proof: each slot's branch
-    for 0 and for 1, then the sum proof; None when the slot count is wrong
-    or a challenge does not recompute."""
+) -> list:
+    """What `holds` checks of the claim that every slot encrypts 0 or 1 and
+    the slots sum to 1: each slot's branch for 0 and for 1, then the sum
+    proof; `[None]`, which `holds` rejects, when the slot count is wrong or
+    a challenge does not recompute."""
     if len(proof.slots) != len(slots) or not slots:
-        return None
+        return [None]
     sd = digest(slots)
     bases = ((params.g, True), (pk, True))
     statements = []
@@ -259,7 +253,7 @@ def wellformed_statements(
         commits = (sp.commit_g0, sp.commit_h0, sp.commit_g1, sp.commit_h1)
         e = _challenge(params, DOMAIN_SLOT, pk, ct.to_bytes(), i, sd, *commits)
         if (sp.e0 + sp.e1) % params.q != e:
-            return None
+            return [None]
         statements.append((bases, _slot_values(params, ct, 0), commits[:2], sp.e0, sp.z0))
         statements.append((bases, _slot_values(params, ct, 1), commits[2:], sp.e1, sp.z1))
     prod_a, prod_b, y = _sum_statement(params, pk, slots)
@@ -267,13 +261,5 @@ def wellformed_statements(
     commits = (sp.commit_g, sp.commit_c1)
     e = _challenge(params, DOMAIN_SUM, pk, prod_a, prod_b, *commits, sd)
     sum_statement = (bases, (prod_a, y), commits, e, sp.response)
-    return statements + [sum_statement] if e == sp.challenge else None
+    return statements + [sum_statement] if e == sp.challenge else [None]
 
-
-def verify_wellformed(
-    params: GroupParams, pk: int, slots: list[Ciphertext], proof: WellformedProof
-) -> bool:
-    """True iff every slot encrypts 0 or 1 and the slots sum to 1: the
-    statements of `wellformed_statements` go to `holds` as one list."""
-    statements = wellformed_statements(params, pk, slots, proof)
-    return statements is not None and all(holds(params, statements))

@@ -16,8 +16,10 @@ import pytest
 
 from evote.ballot import (
     BallotCastPayload,
+    EncryptedBallot,
     Receipt,
     ReceiptStatus,
+    SignedBallot,
     coercion_evidence,
     compose_ballot,
     encode_choice,
@@ -56,9 +58,9 @@ from evote.bulletin import (
     check_receipt,
     universal_verify,
 )
-from evote.canonical import derive_rng, digest
+from evote.canonical import derive_rng, digest, encode
 from evote.cli import main as cli_main
-from evote.errors import AlreadyClosed, FairnessViolation, MissingShareError
+from evote.errors import AlreadyClosed, DecodeRangeError, FairnessViolation, MissingShareError
 from evote.groups import (
     PROD_GROUP_3072,
     TEST_GROUP,
@@ -74,8 +76,9 @@ from evote.groups import (
 )
 from evote.mixnet import MixBatch, MixStage, build_proof, mix_with_state, run_mixnet, verify_mix
 from evote import tally
-from evote.registry import DOMAIN_SIG, Registry, enroll_voter
+from evote.registry import DOMAIN_SIG, Registry, enroll_voter, sign
 from evote.tally import Election, ElectionConfig
+from evote.zkp import prove_wellformed
 
 from board_utils import clone_board, drop_entry, flip_byte, rechain, replace_payload
 
@@ -896,6 +899,42 @@ def test_verifier_and_tally_agree_on_short_ballot_validity():
     assert result.counts == [0, 0, 0] and result.invalid_count == 1
     r = _verify(election, board)
     assert r.checks[CHECK_DECRYPTION] is True, r.failures
+
+
+def _negated_c2_ballot(election, credential):
+    """A ballot for candidate 0 of 2 with both `c2` times p - 1, and a proof
+    made for those slots from their randomness.  The randomness is redrawn
+    until both real-branch challenges are even, so that (p - 1)^e = 1 and
+    every equation holds; the slot product, and so the sum proof, is
+    unchanged."""
+    params, pk = election.params, election.election_key.h
+    for k in itertools.count():
+        rng = derive_rng("f3", k)
+        rs = [rand_scalar(params, rng) for _ in range(2)]
+        slots = [encrypt(params, pk, bit, r) for bit, r in zip((1, 0), rs)]
+        slots = [Ciphertext(ct.c1, ct.c2 * (params.p - 1) % params.p) for ct in slots]
+        proof = prove_wellformed(params, pk, slots, rs, 0)
+        if proof.slots[0].e1 % 2 == 0 and proof.slots[1].e0 % 2 == 0:
+            break
+    encrypted = EncryptedBallot(slots=tuple(slots), wellformed=proof)
+    signature = sign(params, credential.signing_key, encode(encrypted, 1))
+    return SignedBallot(credential.voter_id, encrypted, 1, signature)
+
+
+# F3: no single voter can stop the tally, even with slots outside the
+# subgroup.  Today the cast check and the verifier accept the ballot above,
+# and decrypting it to g^m * (p - 1) makes the tally raise.
+@pytest.mark.xfail(
+    strict=True, raises=DecodeRangeError, reason="F3: slots are not checked for membership"
+)
+def test_a_ballot_outside_the_subgroup_cannot_stop_the_tally():
+    config = ElectionConfig(candidates=["a", "b"], trustee_count=2, mix_server_count=2)
+    election, credentials = Election.setup(config, ["v0", "v1", "v2"], 1)
+    election.cast(_negated_c2_ballot(election, credentials["v0"]), now=1)
+    _cast_votes(election, credentials, [("v1", 0, 2), ("v2", 1, 3)], "acceptance-f3")
+    election.close_election()
+    assert election.run_tally().counts == [1, 1]
+    assert _verify(election, election.board).overall
 
 
 # Short Fiat-Shamir nonces.  Every prover nonce is sha256 reduced mod q, so

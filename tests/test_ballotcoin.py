@@ -20,8 +20,6 @@ from evote.ballotcoin import (
     select_forger,
     simulate,
     tally_chain,
-    validate_block,
-    validate_tx,
     wallet_address,
 )
 from evote.canonical import derive_rng, digest
@@ -81,16 +79,15 @@ def test_genesis_chain_is_valid(net):
 def test_vote_transaction_accepted(grp, net):
     chain, cands, voters, keys, nodes = net
     tx = make_transaction(grp, keys[0], voters[0], cands[1].address, 1)
-    assert validate_tx(chain, [], tx)
     block = forge_block(nodes[0], [tx], chain)
-    assert tx in block.txs
-    assert validate_block(chain, block)
+    assert block.txs == (tx,)
+    assert chain.extend(block).is_valid()
 
 
 def test_transfer_to_non_candidate_rejected(grp, net):
     chain, cands, voters, keys, nodes = net
     tx = make_transaction(grp, keys[0], voters[0], voters[1].address, 1)
-    assert not validate_tx(chain, [], tx)
+    assert forge_block(nodes[0], [tx], chain).txs == ()
 
 
 def test_double_spend_rejected_against_chain(grp, net):
@@ -100,39 +97,37 @@ def test_double_spend_rejected_against_chain(grp, net):
     extended = chain.extend(block)
     assert extended.is_valid()
     again = make_transaction(grp, keys[0], voters[0], cands[1].address, 2)
-    assert not validate_tx(extended, [], again)
-    # an honest forger drops it too
-    assert again not in forge_block(nodes[1], [again], extended).txs
+    assert forge_block(nodes[1], [again], extended).txs == ()
 
 
 def test_double_spend_rejected_against_pool(grp, net):
     chain, cands, voters, keys, nodes = net
     first = make_transaction(grp, keys[0], voters[0], cands[0].address, 1)
     second = make_transaction(grp, keys[0], voters[0], cands[1].address, 1)
-    assert validate_tx(chain, [], first)
-    assert not validate_tx(chain, [first], second)
+    assert forge_block(nodes[0], [first], chain).txs == (first,)
+    assert forge_block(nodes[0], [first, second], chain).txs == (first,)
 
 
 def test_replayed_transaction_rejected(grp, net):
     chain, cands, voters, keys, nodes = net
     tx = make_transaction(grp, keys[0], voters[0], cands[0].address, 1)
     extended = chain.extend(forge_block(nodes[0], [tx], chain))
-    assert not validate_tx(extended, [], tx)
-    assert not validate_tx(chain, [tx], tx)
+    assert forge_block(nodes[1], [tx], extended).txs == ()
+    assert forge_block(nodes[0], [tx, tx], chain).txs == (tx,)
 
 
 def test_wrong_amount_rejected(grp, net):
     chain, cands, voters, keys, nodes = net
     tx = make_transaction(grp, keys[0], voters[0], cands[0].address, 1)
     doubled = replace(tx, amount=2)
-    assert not validate_tx(chain, [], doubled)
+    assert forge_block(nodes[0], [doubled], chain).txs == ()
 
 
 def test_mismatched_sender_key_rejected(grp, net):
     chain, cands, voters, keys, nodes = net
     tx = make_transaction(grp, keys[0], voters[0], cands[0].address, 1)
     masked = replace(tx, sender=voters[1].address)
-    assert not validate_tx(chain, [], masked)
+    assert forge_block(nodes[0], [masked], chain).txs == ()
 
 
 def test_forged_signature_rejected(grp, net):
@@ -140,7 +135,7 @@ def test_forged_signature_rejected(grp, net):
     stolen = make_transaction(grp, keys[1], voters[0], cands[0].address, 1)
     # address and vk are consistent, but the signature came from another key
     assert wallet_address(stolen.sender_vk) == stolen.sender
-    assert not validate_tx(chain, [], stolen)
+    assert forge_block(nodes[0], [stolen], chain).txs == ()
 
 
 def test_chain_rejects_broken_prev_link(grp, net):
@@ -170,7 +165,7 @@ def test_chain_rejects_resigned_content_change(grp, net):
     assert not chain.extend(stripped).is_valid()
 
 
-def test_validate_tx_skips_invalid_pool_entries_like_forge_block(grp, net):
+def test_forge_block_skips_invalid_pool_entries(grp, net):
     chain, cands, voters, keys, nodes = net
     # voter 0's coin, first claimed under a signature from another key
     forged = make_transaction(grp, keys[1], voters[0], cands[0].address, 1)
@@ -178,8 +173,9 @@ def test_validate_tx_skips_invalid_pool_entries_like_forge_block(grp, net):
     pool = [forged, good]
     block = forge_block(nodes[2], pool, chain)
     assert block.txs == (good,)
+    # Each prefix of the pool admits what the whole pool admits of it.
     for i, tx in enumerate(pool):
-        assert validate_tx(chain, pool[:i], tx) == (tx in block.txs)
+        assert (tx in forge_block(nodes[2], pool[: i + 1], chain).txs) == (tx in block.txs)
 
 
 def test_chain_built_from_a_block_tuple_is_replayed(grp, net):
@@ -228,7 +224,7 @@ def test_invalid_chain_has_no_balances(grp, net):
         forger_signature=None,
     )
     signature = sign(grp, nodes[1].signing_key, unsigned.signed_message())
-    assert not validate_block(bad, replace(unsigned, forger_signature=signature))
+    assert not bad.extend(replace(unsigned, forger_signature=signature)).is_valid()
 
 
 # --- fork choice ---

@@ -35,7 +35,6 @@ from evote.zkp import (
     DOMAIN_CP,
     DecryptionProof,
     nonce,
-    verify_correct_decryption,
     verify_correct_decryptions,
 )
 
@@ -57,7 +56,8 @@ def _reground(params, x, h, ct, d, parity=None, tweak=lambda t: t, salt=0):
 
 @functools.cache
 def _per_proof(params, h, ct, d, proof):
-    return verify_correct_decryption(params, h, ct, d, proof)
+    statement = zkp._decryption_statement(params, h, ct, d, proof)
+    return statement is not None and zkp.holds(params, *statement)
 
 
 def _per_proof_all(params, claims):

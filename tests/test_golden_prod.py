@@ -17,7 +17,7 @@ from evote.canonical import derive_rng
 from evote.groups import PROD_GROUP_3072, partial_decrypt, threshold_keygen
 from evote.mixnet import MixStage, mix_once, strip_signatures, verify_mix
 from evote.registry import Registry, enroll_voter
-from evote.zkp import verify_correct_decryption, verify_wellformed
+from evote.zkp import holds, verify_correct_decryptions, wellformed_statements
 
 GOLDEN = {
     "ballot": "13c320bc81ffe2346e4100c8a85636f5e070220f121fe7d9dd76df2875f9387a",
@@ -57,6 +57,7 @@ def test_prod_payload_digests_are_pinned(artifacts):
 
 def test_prod_verifiers_accept_the_pinned_artifacts(artifacts):
     params, key, shares, sb, stage, ct, pd, _ = artifacts
-    assert verify_wellformed(params, key.h, list(sb.encrypted.slots), sb.encrypted.wellformed)
+    slots, proof = list(sb.encrypted.slots), sb.encrypted.wellformed
+    assert all(holds(params, wellformed_statements(params, key.h, slots, proof)))
     assert verify_mix(params, key.h, None, [stage], 1) == []
-    assert verify_correct_decryption(params, shares[0].h, ct, pd.d, pd.proof)
+    assert verify_correct_decryptions(params, [(shares[0].h, ct, pd.d, pd.proof)]) == [True]

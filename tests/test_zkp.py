@@ -14,8 +14,8 @@ from evote.zkp import (
     WellformedProof,
     prove_correct_decryption,
     prove_wellformed,
-    verify_correct_decryption,
-    verify_wellformed,
+    verify_correct_decryptions,
+    wellformed_statements,
 )
 
 
@@ -30,24 +30,26 @@ def _decryption_setup(seed="cp"):
 
 def test_decryption_proof_accepts_honest_prover():
     grp, kp, ct, d, proof = _decryption_setup()
-    assert verify_correct_decryption(grp, kp.pk, ct, d, proof)
+    assert verify_correct_decryptions(grp, [(kp.pk, ct, d, proof)]) == [True]
 
 
 def test_decryption_proof_rejects_wrong_share_value():
     grp, kp, ct, d, proof = _decryption_setup()
-    assert not verify_correct_decryption(grp, kp.pk, ct, (d * grp.g) % grp.p, proof)
+    claim = (kp.pk, ct, (d * grp.g) % grp.p, proof)
+    assert verify_correct_decryptions(grp, [claim]) == [False]
 
 
 def test_decryption_proof_rejects_wrong_key_commitment():
     grp, kp, ct, d, proof = _decryption_setup()
-    assert not verify_correct_decryption(grp, (kp.pk * grp.g) % grp.p, ct, d, proof)
+    claim = ((kp.pk * grp.g) % grp.p, ct, d, proof)
+    assert verify_correct_decryptions(grp, [claim]) == [False]
 
 
 @pytest.mark.parametrize("field", ["commit_g", "commit_c1", "challenge", "response"])
 def test_decryption_proof_rejects_any_tampered_field(field):
     grp, kp, ct, d, proof = _decryption_setup()
     bad = dataclasses.replace(proof, **{field: (getattr(proof, field) + 1) % grp.p})
-    assert not verify_correct_decryption(grp, kp.pk, ct, d, bad)
+    assert verify_correct_decryptions(grp, [(kp.pk, ct, d, bad)]) == [False]
 
 
 def test_decryption_proof_is_deterministic():
@@ -70,11 +72,16 @@ def _ballot_setup(bits, seed="wf"):
     return grp, kp, slots, rs
 
 
+def _wellformed_holds(grp, pk, slots, proof):
+    """The ballot-proof check the cast check and the verifier make."""
+    return all(zkp.holds(grp, wellformed_statements(grp, pk, slots, proof)))
+
+
 @pytest.mark.parametrize("bits", [(1,), (1, 0), (0, 1, 0), (0, 0, 0, 1)])
 def test_wellformed_accepts_unit_vectors(bits):
     grp, kp, slots, rs = _ballot_setup(bits)
     proof = prove_wellformed(grp, kp.pk, slots, rs, bits.index(1))
-    assert verify_wellformed(grp, kp.pk, slots, proof)
+    assert _wellformed_holds(grp, kp.pk, slots, proof)
 
 
 def _prove_with_true_bits(grp, pk, slots, rs, bits):
@@ -106,7 +113,7 @@ def test_wellformed_sum_check_rejects_two_ones():
     # Both branches of every slot hold; only the sum statement, last, fails.
     statements = zkp.wellformed_statements(grp, kp.pk, slots, forged)
     assert zkp.holds(grp, statements) == [True] * 6 + [False]
-    assert not verify_wellformed(grp, kp.pk, slots, forged)
+    assert not _wellformed_holds(grp, kp.pk, slots, forged)
 
 
 def test_wellformed_sum_check_rejects_all_zeros():
@@ -117,7 +124,7 @@ def test_wellformed_sum_check_rejects_all_zeros():
     # Both branches of every slot hold; only the sum statement, last, fails.
     statements = zkp.wellformed_statements(grp, kp.pk, slots, forged)
     assert zkp.holds(grp, statements) == [True] * 6 + [False]
-    assert not verify_wellformed(grp, kp.pk, slots, forged)
+    assert not _wellformed_holds(grp, kp.pk, slots, forged)
 
 
 def test_wellformed_slot_check_rejects_value_two():
@@ -128,7 +135,7 @@ def test_wellformed_slot_check_rejects_value_two():
     rs = [rand_scalar(grp, rng) for _ in bits]
     slots = [encrypt(grp, kp.pk, b, r) for b, r in zip(bits, rs)]
     forged = prove_wellformed(grp, kp.pk, slots, rs, 0)
-    assert not verify_wellformed(grp, kp.pk, slots, forged)
+    assert not _wellformed_holds(grp, kp.pk, slots, forged)
 
 
 def test_wellformed_rejects_swapped_slot_proofs():
@@ -138,21 +145,26 @@ def test_wellformed_rejects_swapped_slot_proofs():
         slots=(proof.slots[1], proof.slots[0], proof.slots[2]),
         sum_proof=proof.sum_proof,
     )
-    assert not verify_wellformed(grp, kp.pk, slots, swapped)
+    # Slot 0's challenge no longer recomputes.
+    assert wellformed_statements(grp, kp.pk, slots, swapped) == [None]
+    assert not _wellformed_holds(grp, kp.pk, slots, swapped)
 
 
 def test_wellformed_rejects_proof_for_other_ballot():
     grp, kp, slots, rs = _ballot_setup((0, 1, 0), seed="a")
     _, _, other_slots, other_rs = _ballot_setup((0, 1, 0), seed="b")
     proof = prove_wellformed(grp, kp.pk, other_slots, other_rs, 1)
-    assert not verify_wellformed(grp, kp.pk, slots, proof)
+    assert not _wellformed_holds(grp, kp.pk, slots, proof)
 
 
 def test_wellformed_rejects_wrong_slot_count():
     grp, kp, slots, rs = _ballot_setup((0, 1, 0))
     proof = prove_wellformed(grp, kp.pk, slots, rs, 1)
-    assert not verify_wellformed(grp, kp.pk, slots[:2], proof)
-    assert not verify_wellformed(grp, kp.pk, [], WellformedProof(slots=(), sum_proof=proof.sum_proof))
+    empty = WellformedProof(slots=(), sum_proof=proof.sum_proof)
+    assert wellformed_statements(grp, kp.pk, slots[:2], proof) == [None]
+    assert wellformed_statements(grp, kp.pk, [], empty) == [None]
+    assert not _wellformed_holds(grp, kp.pk, slots[:2], proof)
+    assert not _wellformed_holds(grp, kp.pk, [], empty)
 
 
 def test_wellformed_serialization_round_trip():
@@ -160,7 +172,7 @@ def test_wellformed_serialization_round_trip():
     proof = prove_wellformed(grp, kp.pk, slots, rs, 2)
     restored = WellformedProof.from_bytes(proof.to_bytes())
     assert restored == proof
-    assert verify_wellformed(grp, kp.pk, slots, restored)
+    assert _wellformed_holds(grp, kp.pk, slots, restored)
 
 
 @given(st.integers(0, 4), st.integers(1, 1000))
@@ -169,7 +181,7 @@ def test_wellformed_accepts_any_choice_position(idx, seed):
     bits = tuple(1 if i == idx else 0 for i in range(n))
     grp, kp, slots, rs = _ballot_setup(bits, seed=f"pos{seed}")
     proof = prove_wellformed(grp, kp.pk, slots, rs, idx)
-    assert verify_wellformed(grp, kp.pk, slots, proof)
+    assert _wellformed_holds(grp, kp.pk, slots, proof)
 
 
 # --- every scalar of every proof lies in [0, q) ---
@@ -189,16 +201,15 @@ def _signature_response(shift):
 
 def _decryption_response(shift):
     grp, kp, ct, d, proof = _decryption_setup("range")
-    return verify_correct_decryption(
-        grp, kp.pk, ct, d, dataclasses.replace(proof, response=proof.response + shift)
-    )
+    claim = (kp.pk, ct, d, dataclasses.replace(proof, response=proof.response + shift))
+    return verify_correct_decryptions(grp, [claim]) == [True]
 
 
 def _wellformed(edit):
     def case(shift):
         grp, kp, slots, rs = _ballot_setup((0, 1, 0), seed="range")
         proof = prove_wellformed(grp, kp.pk, slots, rs, 1)
-        return verify_wellformed(grp, kp.pk, slots, edit(proof, shift))
+        return _wellformed_holds(grp, kp.pk, slots, edit(proof, shift))
 
     return case
 
