@@ -6,8 +6,10 @@ online nodes), longest-chain fork choice with a deterministic tie-break,
 double-spend rejection, a storage estimator, and a seeded round-based
 network simulator.  `Chain` replays the ledger: a block is checked by
 `Chain.extend(block).is_valid()`, and `forge_block` admits a pool's valid
-transactions.  Transactions are public by design, so mid-election partial
-results and voter-to-candidate links exist; the simulator demonstrates that.
+transactions; each hands its signatures to `zkp.holds` as one list, one
+batch on a group that batches.  Transactions are public by design, so
+mid-election partial results and voter-to-candidate links exist; the
+simulator demonstrates that.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from typing import Annotated, Literal
 from .canonical import Config, Record, at_least, between, derive_rng, digest, encode
 from .errors import NoOnlineNodes, SupplyNotConserved
 from .groups import GROUP_PROFILES, GroupName, GroupParams, keygen
-from .registry import Signature, sign, verify_sig
+from .registry import Signature, sig_statement, sign
+from .zkp import holds
 
 GENESIS_TAG = "evote/ballotcoin/genesis"
 _DOMAIN_LOTTERY = "evote/ballotcoin/lottery"
@@ -62,6 +65,10 @@ class CoinTransaction(Record):
 
     def message(self) -> bytes:
         return encode(self.sender, self.recipient, self.amount, self.timestamp)
+
+    def signature_statement(self, params: GroupParams):
+        """What `zkp.holds` checks of the signature."""
+        return sig_statement(params, self.sender_vk, self.message(), self.signature)
 
 
 def make_transaction(
@@ -132,15 +139,19 @@ class Chain:
 
     def _apply(self, ledger: _Ledger, prev: Block, block: Block) -> bool:
         """Check `block` as the successor of `prev` and apply its
-        transactions to `ledger` in place; False when the block is invalid."""
-        vk = self.forger_keys.get(block.forger)
+        transactions to `ledger` in place, then its signatures in one list;
+        False when the block is invalid."""
+        params, vk = self.params, self.forger_keys.get(block.forger)
         return (
             block.height == prev.height + 1
             and block.prev_digest == prev.digest()
             and vk is not None
             and block.forger_signature is not None
-            and verify_sig(self.params, vk, block.signed_message(), block.forger_signature)
             and all(_admit(self, *ledger, tx) for tx in block.txs)
+            and all(holds(params, [
+                sig_statement(params, vk, block.signed_message(), block.forger_signature),
+                *(tx.signature_statement(params) for tx in block.txs),
+            ]))
         )
 
     def _valid_ledger(self) -> _Ledger:
@@ -174,7 +185,8 @@ def _admit(
     included: set[bytes],
     tx: CoinTransaction,
 ) -> bool:
-    """Check one transaction against a ledger and, when valid, apply it.
+    """Check one transaction against a ledger and, when valid, apply it;
+    its signature is the caller's to check.
 
     Spending is balance-gated; replaying an identical transaction is
     rejected by digest.  This stays coherent even when the toy group makes
@@ -186,7 +198,6 @@ def _admit(
         or wallet_address(tx.sender_vk) != tx.sender
         or tx_digest in included
         or balances.get(tx.sender, 0) < tx.amount
-        or not verify_sig(chain.params, tx.sender_vk, tx.message(), tx.signature)
     ):
         return False
     balances[tx.sender] -= tx.amount
@@ -271,13 +282,17 @@ def forge_block(
     """Collect the pool's valid transactions, in pool order, into a block.
 
     Invalid transactions (double spends included) are excluded, not fatal.
+    The pool's signatures go to `holds` as one list, and a transaction whose
+    signature fails is excluded before the ledger checks.
     """
     balances, included = chain.balances(), chain.included_tx_digests()
+    signed = holds(chain.params, [tx.signature_statement(chain.params) for tx in pool])
+    txs = tuple(tx for tx, ok in zip(pool, signed) if ok and _admit(chain, balances, included, tx))
     block = Block(
         height=chain.height + 1,
         prev_digest=chain.tip_digest,
         forger=node.node_id,
-        txs=tuple(tx for tx in pool if _admit(chain, balances, included, tx)),
+        txs=txs,
         forger_signature=None,
     )
     signature = sign(chain.params, node.signing_key, block.signed_message())
@@ -410,8 +425,9 @@ def simulate(config: SimConfig, seed, observer=None) -> SimReport:
     # is never rebuilt by replaying its blocks.
     canonical, parent = chain, None
     balances, included = chain._valid_ledger()
-    broadcast: list[tuple[bytes, CoinTransaction]] = []  # (digest, tx) in order
-    pool: list[CoinTransaction] = []
+    # Each broadcast digest once, in order: a repeated digest is a
+    # byte-identical transaction, which `_admit` would refuse as a replay.
+    broadcast: dict[bytes, CoinTransaction] = {}
     voted: set[str] = set()
     fork_count = 0
     total_selected = 0
@@ -432,8 +448,7 @@ def simulate(config: SimConfig, seed, observer=None) -> SimReport:
             if rng.random() < config.vote_prob:
                 cand = candidate_addrs[rng.randrange(len(candidate_addrs))]
                 tx = make_transaction(params, n.signing_key, n.wallet, cand, r)
-                broadcast.append((tx.digest(), tx))
-                pool.append(tx)
+                broadcast.setdefault(tx.digest(), tx)
                 voted.add(n.node_id)
 
         try:
@@ -453,6 +468,9 @@ def simulate(config: SimConfig, seed, observer=None) -> SimReport:
                 fork_count += 1
             else:
                 base = canonical
+            # The pool is every broadcast transaction not yet in the canonical
+            # chain, so re-orgs return orphaned votes to the mempool.
+            pool = [tx for tx_digest, tx in broadcast.items() if tx_digest not in included]
             block = forge_block(forger, pool, base)
             new_chain = base.extend(block)
 
@@ -464,10 +482,6 @@ def simulate(config: SimConfig, seed, observer=None) -> SimReport:
             supply = sum(balances.values())
             if supply != config.n_voters:
                 raise SupplyNotConserved(f"round {r}: {supply} coins, not {config.n_voters}")
-
-            # Rebuild the pool from every broadcast transaction not yet in the
-            # canonical chain, so re-orgs return orphaned votes to the mempool.
-            pool = [tx for tx_digest, tx in broadcast if tx_digest not in included]
 
         if observer is not None:
             observer(SimState(round_no=r, canonical=canonical))

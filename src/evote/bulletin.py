@@ -322,10 +322,17 @@ def _check_wellformed(params: GroupParams, election_pk: int, config, entries) ->
     """Every cast ballot's well-formedness proof.  Each cast entry stands right
     after a Login entry and right before a Receipt entry that repeats its
     digest; no other Login or Receipt entry is on the board.  The proofs'
-    statements go to `holds` as one list, and each rejection is named where
-    its entry was taken."""
-    n, failures, casts = len(config.candidates), [], {}
-    checked = []  # (failures so far, seq, statements) of each cast with n slots
+    statements go to `holds` as one list, before the entries are walked."""
+    n = len(config.candidates)
+    statements = {
+        seq: wellformed_statements(params, election_pk, record.slots, record.wellformed)
+        for seq, kind, record in entries
+        if kind == KIND_BALLOT_CAST and record is not None and len(record.slots) == n
+    }
+    verdicts = iter(holds(params, [s for ss in statements.values() for s in ss]))
+    # A list, not a generator, so that every cast takes all of its verdicts.
+    proved = {seq: all([next(verdicts) for _ in ss]) for seq, ss in statements.items()}
+    failures, casts = [], {}
     for seq, kind, record in entries:
         if record is None:
             continue
@@ -333,19 +340,11 @@ def _check_wellformed(params: GroupParams, election_pk: int, config, entries) ->
             casts[seq] = record
             if len(record.slots) != n:
                 failures.append(f"entry {seq}: {len(record.slots)} slots for {n} candidates")
-            else:
-                statements = wellformed_statements(
-                    params, election_pk, record.slots, record.wellformed
-                )
-                checked.append((len(failures), seq, statements))
+            elif not proved[seq]:
+                failures.append(f"entry {seq}: well-formedness proof rejected")
         elif kind == KIND_RECEIPT and seq - 1 in casts:
             if record.ballot_digest != casts[seq - 1].ballot_digest:
                 failures.append(f"entry {seq}: receipt does not repeat the ballot digest")
-    verdicts = iter(holds(params, [s for *_, statements in checked for s in statements]))
-    # A list, not a generator, so that every entry takes all of its verdicts.
-    rejected = [(at, seq) for at, seq, ss in checked if not all([next(verdicts) for _ in ss])]
-    for at, seq in reversed(rejected):
-        failures.insert(at, f"entry {seq}: well-formedness proof rejected")
     kind_at = {seq: kind for seq, kind, _ in entries}
     for kind, offset in ((KIND_LOGIN, -1), (KIND_RECEIPT, 1)):
         for seq, at in kind_at.items():

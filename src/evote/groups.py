@@ -12,17 +12,15 @@ the exponent.  g and each election key have a full-length table and a
 cache.  `GroupParams.powers` raises one base to several exponents, as
 `partial_decrypt` raises a c1 to every trustee's share, from a full-length
 table that lives only for that call.  Every other power is one builtin `pow`
-call, but when p = 2q + 1 a subgroup member raised to an exponent within
-2^256 below q, as a wrapped slot challenge is, is raised to that exponent
-minus q: an inverse and a power of at most 256 bits.
-`multi_exp` makes a product of powers by sliding windows on one chain of
-squarings, each window's width chosen from its exponent's length.  When
-p = 2q + 1 and q has over 128 bits (`GroupParams.batches`), `batch_verdicts`
-checks equations in one small-exponent batch, each only if its two sides
-differ by a member, as the batch's soundness needs: a mix stage's
-re-encryptions x*b^r = y, and b^z = t*y^e of decryption proofs and of each
-ballot's slot, sum and signature proofs.  A member raised there to a
-wrapped exponent crosses to the other side as q minus it, as in `exp`.
+call.  `multi_exp` makes a product of powers by sliding windows on one
+chain of squarings, each window's width chosen from its exponent's length.
+When p = 2q + 1 and q has over 128 bits (`GroupParams.batches`),
+`batch_verdicts` checks equations in one small-exponent batch, each only if
+its two sides differ by a member, as the batch's soundness needs: a mix
+stage's re-encryptions x*b^r = y, and b^z = t*y^e of decryption proofs, of
+each ballot's slot, sum and signature proofs and of a BallotCoin block's
+signatures.  A member raised there to a wrapped exponent crosses to the
+other side as q minus it.
 """
 
 from __future__ import annotations
@@ -191,22 +189,11 @@ class GroupParams(Record):
         256 bits its 256-bit table; each table is built on first use, in one
         small cache.  Any other power never builds one: exponents between
         the two widths, negative ones and every power of an unmarked base.
-
-        On such a group with p = 2q + 1, an unmarked base raised to an
-        exponent longer than 256 bits but within 2^256 below q is tested
-        for membership (a Jacobi symbol, about 1 ms at 3072 bits); a member
-        is raised to exponent - q, since base^q = 1, so builtin `pow`
-        inverts it and makes a power of at most 256 bits instead of a
-        full-length one.  A non-member keeps its exponent.  The result is
-        the same either way.
         """
-        if self.p > _COMB_MIN_P:
-            if fixed:
-                for cols, exponents in self._comb_widths:
-                    if exponent in exponents:
-                        return _comb(self.p, base, cols).power(exponent)
-            elif exponent in self._wrapped_exponents and self.is_element(base):
-                return pow(base, exponent - self.q, self.p)
+        if self.p > _COMB_MIN_P and fixed:
+            for cols, exponents in self._comb_widths:
+                if exponent in exponents:
+                    return _comb(self.p, base, cols).power(exponent)
         return pow(base, exponent, self.p)
 
     def powers(self, base: int, exponents: list[int]) -> list[int]:
@@ -279,7 +266,7 @@ class GroupParams(Record):
     def _wrapped_exponents(self) -> range:
         """Exponents longer than 256 bits but within 2^256 below q, such as
         a slot challenge e - e_fake that wrapped mod q: a subgroup member
-        takes them as e - q, in `exp` and in `batch_verdicts`.  Empty unless
+        takes them as e - q in `batch_verdicts`.  Empty unless
         p = 2q + 1, where `is_element` is a Jacobi symbol rather than a
         full-length power."""
         if self.p != 2 * self.q + 1:
@@ -460,9 +447,9 @@ def batch_verdicts(params: GroupParams, systems, fixed) -> typing.Iterable[bool]
     that is a member takes its left sum mod q through its comb.  A member
     base whose exponent e is in `_wrapped_exponents`, as a wrapped slot
     challenge is, moves to the other side as q - e, which keeps the batch's
-    chain of squarings short, as `GroupParams.exp` does for one power; a
-    non-member keeps e.  Unproved is False; on a group that does not batch,
-    every verdict is, and neither iterable is read.
+    chain of squarings short; a non-member keeps e.  Unproved is False; on
+    a group that does not batch, every verdict is, and neither iterable is
+    read.
     """
     if not params.batches:
         return itertools.repeat(False)

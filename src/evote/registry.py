@@ -2,7 +2,8 @@
 
 Enrollment issues a credential (the stand-in for an eID card) holding the
 signing key; the registry itself keeps only public records and answers
-eligibility with a bare boolean.
+eligibility with a bare boolean.  A signature is checked by handing its
+`sig_statement` to `zkp.holds` in one list with the rest of a check.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 from .canonical import Record, digest, from_json
 from .errors import DuplicateVoter
 from .groups import GroupParams, keygen
-from .zkp import commit, holds, nonce
+from .zkp import commit, nonce
 
 DOMAIN_SIG = "evote/registry/schnorr"
 _DOMAIN_SIG_NONCE = "evote/registry/schnorr-nonce"
@@ -106,10 +107,6 @@ def sig_statement(params: GroupParams, verify_key: int, message: bytes, sig: Sig
     """What `zkp.holds` checks of a signature: g^z = t * vk^e."""
     e = _sig_challenge(params, verify_key, sig.commit, message)
     return ((params.g, True),), (verify_key,), (sig.commit,), e, sig.response
-
-
-def verify_sig(params: GroupParams, verify_key: int, message: bytes, sig: Signature) -> bool:
-    return holds(params, *sig_statement(params, verify_key, message, sig))
 
 
 def _sig_challenge(params: GroupParams, vk: int, t: int, message: bytes) -> int:

@@ -2,11 +2,12 @@
 
 Every proof here, and every registry signature, is one sigma protocol over
 some bases: `commit` makes the prover's commitments t = b^w, and `holds`
-checks the one verification equation b^z = t * y^e with e and z in [0, q).
-On it are built equal-discrete-log proofs for correct decryption and for
-the ballot sum argument, and disjunctive 0-or-1 proofs for each encrypted
-ballot slot.  All challenges are sha256 over the canonical encoding of the
-statement, reduced mod q; verification never touches a secret key.
+checks a list of statements, each the equation b^z = t * y^e with e and z
+in [0, q).  On it are built equal-discrete-log proofs for correct
+decryption and for the ballot sum argument, and disjunctive 0-or-1 proofs
+for each encrypted ballot slot.  All challenges are sha256 over the
+canonical encoding of the statement, reduced mod q; verification never
+touches a secret key.
 """
 
 from __future__ import annotations
@@ -45,37 +46,37 @@ def commit(params: GroupParams, bases, w: int) -> list[int]:
     return [params.exp(b, w, fixed) for b, fixed in bases]
 
 
-def holds(params: GroupParams, bases, values=None, commits=None, e=None, z=None) -> bool | list:
-    """True iff e and z lie in [0, q) and b^z = t * y^e for each base b with
-    public value y and commitment t.
+def holds(params: GroupParams, statements) -> list[bool]:
+    """For each item of a list of statements (bases, values, commits, e, z)
+    or None: True iff e and z lie in [0, q) and b^z = t * y^e for each base
+    b with public value y and commitment t; a None's False.
 
-    Given only a list whose items are statements (bases, values, commits,
-    e, z) or None, returns each item's verdict, a None's False:
-    `groups.batch_verdicts` proves the statements in range together where it
-    can, with the marked bases as fixed, and any other is checked alone.
-    On a group that does not batch, each is checked alone.  Each caller
+    `groups.batch_verdicts` proves the statements in range together where
+    it can, with the marked bases as fixed, and `_holds` checks any other
+    alone; on a group that does not batch, it checks each.  Each caller
     hands over a whole check at once: every decryption proof of a tally or
-    a board, a cast ballot's signature with its well-formedness proof, or
-    every cast ballot on a board.
+    a board, a cast ballot's signature with its well-formedness proof,
+    every cast ballot on a board, or a block's signatures.
 
     Without the range check z + q (or e + q) would pass too, since every
     base has order q, and two encodings would prove the same statement.
     """
     q = params.q
-    if values is None:
-        statements = bases
-        if not params.batches:
-            return [s is not None and holds(params, *s) for s in statements]
 
-        def equations(bases, values, commits, e, z):
-            if 0 <= e < q and 0 <= z < q:
-                return tuple(
-                    (((b, z),), ((t, 1), (y, e))) for (b, _), y, t in zip(bases, values, commits)
-                )
+    def equations(bases, values, commits, e, z):
+        if 0 <= e < q and 0 <= z < q:
+            return tuple(
+                (((b, z),), ((t, 1), (y, e))) for (b, _), y, t in zip(bases, values, commits)
+            )
 
-        fixed = (b for s in statements if s for b, mark in s[0] if mark)
-        proved = batch_verdicts(params, (s and equations(*s) for s in statements), fixed)
-        return [ok or (s is not None and holds(params, *s)) for ok, s in zip(proved, statements)]
+    fixed = (b for s in statements if s for b, mark in s[0] if mark)
+    proved = batch_verdicts(params, (s and equations(*s) for s in statements), fixed)
+    return [ok or (s is not None and _holds(params, *s)) for ok, s in zip(proved, statements)]
+
+
+def _holds(params: GroupParams, bases, values, commits, e, z) -> bool:
+    """One statement of `holds`, checked alone, power by power."""
+    q = params.q
     if not (0 <= e < q and 0 <= z < q):
         return False
     p, exp = params.p, params.exp

@@ -9,8 +9,9 @@ from evote.tally import Election, ElectionConfig
 # CI runs the codec, record, multi-exponentiation and `powers` properties,
 # the batch re-encryption check's agreement with the per-slot one, the batch
 # decryption check's agreement with the per-proof one, the batch ballot
-# check's agreement with the per-statement one, the verifier's totality
-# under one-byte edits and the verdict corpus once more under this profile
+# check's agreement with the per-statement one, the batch block check's
+# agreement with the per-signature one, the verifier's totality under
+# one-byte edits and the verdict corpus once more under this profile
 # (`--hypothesis-profile=ci`); tier-1 keeps Hypothesis's default.  A
 # property that pins a smaller count scales it from the loaded profile's
 # `settings().max_examples`; the verdict corpus runs whole under it.

@@ -43,7 +43,7 @@ PROFILES = {"test": TEST_GROUP, "prod3072": PROD_GROUP_3072}
 
 @functools.cache
 def _holds_alone(params, statement):
-    return statement is not None and zkp.holds(params, *statement)
+    return statement is not None and zkp._holds(params, *statement)
 
 
 def _alone(params, statements):

@@ -1,10 +1,13 @@
+import functools
 import hashlib
 import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evote import ballotcoin
+from evote import ballotcoin, zkp
 from evote.ballotcoin import (
     Block,
     Chain,
@@ -24,7 +27,8 @@ from evote.ballotcoin import (
 )
 from evote.canonical import derive_rng, digest
 from evote.errors import NoOnlineNodes, SupplyNotConserved
-from evote.registry import sign
+from evote.registry import sig_statement, sign
+from test_ballot_batch import PROFILES, TAMPERS, _alone, _tampered
 
 
 def _wallet(grp, sk: int) -> Wallet:
@@ -130,12 +134,84 @@ def test_mismatched_sender_key_rejected(grp, net):
     assert forge_block(nodes[0], [masked], chain).txs == ()
 
 
+def _block_of(node, chain, txs):
+    """A block of `txs` as they are, on top of `chain`, signed by `node`."""
+    block = replace(forge_block(node, [], chain), txs=tuple(txs))
+    signature = sign(chain.params, node.signing_key, block.signed_message())
+    return replace(block, forger_signature=signature)
+
+
 def test_forged_signature_rejected(grp, net):
     chain, cands, voters, keys, nodes = net
     stolen = make_transaction(grp, keys[1], voters[0], cands[0].address, 1)
     # address and vk are consistent, but the signature came from another key
     assert wallet_address(stolen.sender_vk) == stolen.sender
     assert forge_block(nodes[0], [stolen], chain).txs == ()
+    assert not chain.extend(_block_of(nodes[0], chain, [stolen])).is_valid()
+
+
+@functools.cache
+def _voting(name):
+    """On the named group: a chain of 2 candidates and 4 voters, the voters'
+    nodes, and one vote per voter, for candidates 0, 1, 0, 1."""
+    params = PROFILES[name]
+    cands = [make_wallet(params, derive_rng("coin-batch", name, "cand", i))[0] for i in range(2)]
+    nodes = []
+    for i in range(4):
+        w, sk = make_wallet(params, derive_rng("coin-batch", name, "voter", i))
+        nodes.append(NodeState(node_id=f"n{i}", wallet=w, signing_key=sk))
+    chain = genesis(
+        params, cands, [n.wallet for n in nodes],
+        forger_keys={n.node_id: n.wallet.verify_key for n in nodes},
+    )
+    votes = [
+        make_transaction(params, n.signing_key, n.wallet, cands[i % 2].address, 1)
+        for i, n in enumerate(nodes)
+    ]
+    return chain, cands, nodes, votes
+
+
+def test_prod_block_with_one_bad_signature_is_refused():
+    """On prod3072 a block's signatures are one batch.  A block holding one
+    badly signed vote among four is invalid; `forge_block` leaves that vote
+    out, keeps the other three, and lets its sender's coin go to a later,
+    well-signed vote."""
+    chain, cands, nodes, votes = _voting("prod3072")
+    params = chain.params
+    assert params.batches and len({n.wallet.address for n in nodes}) == 4
+    sig = votes[2].signature
+    bad = replace(votes[2], signature=replace(sig, response=(sig.response + 1) % params.q))
+    assert chain.extend(_block_of(nodes[0], chain, votes)).is_valid()
+    assert not chain.extend(_block_of(nodes[0], chain, [*votes[:2], bad, votes[3]])).is_valid()
+
+    block = forge_block(nodes[0], [*votes[:2], bad, votes[3]], chain)
+    assert block.txs == (*votes[:2], votes[3])
+    assert chain.extend(block).is_valid()
+    other = make_transaction(params, nodes[2].signing_key, nodes[2].wallet, cands[1].address, 2)
+    block = forge_block(nodes[0], [*votes[:2], bad, other, votes[3]], chain)
+    assert block.txs == (*votes[:2], other, votes[3])
+
+
+@pytest.mark.parametrize("name", PROFILES)
+@settings(max_examples=max(4, settings().max_examples // 25), deadline=None)
+@given(data=st.data())
+def test_batched_block_check_matches_the_per_signature_check(name, data):
+    """The forger's and each vote's signature statement of a block, each
+    honest or edited as in `test_ballot_batch`, handed to `holds` as one
+    list, as `Chain.extend` does: each verdict is the one that checking the
+    statement alone gives.  A negated value, the verify key, leaves the
+    subgroup and holds when its challenge is even."""
+    chain, _, nodes, votes = _voting(name)
+    params = chain.params
+    block = _block_of(nodes[0], chain, votes)
+    forger = sig_statement(
+        params, nodes[0].wallet.verify_key, block.signed_message(), block.forger_signature
+    )
+    statements = [
+        _tampered(params, s, data.draw(st.sampled_from(TAMPERS)))
+        for s in [forger, *(tx.signature_statement(params) for tx in block.txs)]
+    ]
+    assert zkp.holds(params, statements) == _alone(params, statements)
 
 
 def test_chain_rejects_broken_prev_link(grp, net):
@@ -476,9 +552,16 @@ def test_simulation_checks_each_forged_block_once(monkeypatch):
 
 # Signature checks in the same simulation: 30 forged blocks, each checked
 # once, holding 58 transactions, each checked twice (while forging, then in
-# the block check).
+# the block check).  Each is one statement handed to `holds`.
 def test_simulation_signature_checks_are_pinned(monkeypatch):
-    checked = _counting(monkeypatch, ballotcoin, "verify_sig")
+    checked = []
+    real = ballotcoin.holds
+
+    def counting(params, statements):
+        checked.extend(statements)
+        return real(params, statements)
+
+    monkeypatch.setattr(ballotcoin, "holds", counting)
     simulate(FORKING_CONFIG, seed=7)
     assert len(checked) == 146
 

@@ -57,7 +57,7 @@ def _reground(params, x, h, ct, d, parity=None, tweak=lambda t: t, salt=0):
 @functools.cache
 def _per_proof(params, h, ct, d, proof):
     statement = zkp._decryption_statement(params, h, ct, d, proof)
-    return statement is not None and zkp.holds(params, *statement)
+    return statement is not None and zkp._holds(params, *statement)
 
 
 def _per_proof_all(params, claims):

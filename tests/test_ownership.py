@@ -9,8 +9,11 @@
   blinds): `bulletin.py` and `tally.py` make no inverse, neither
   `exp(x, -1)` nor `pow(x, -1, ...)`.
 - `zkp.holds` owns every verification equation: in `zkp.py` and
-  `registry.py`, the result of an `exp(...)` call is compared only there.
-  A name bound to such a result counts as the result.
+  `registry.py`, the result of an `exp(...)` call is compared only in its
+  one-statement check `zkp._holds`, and only `holds` calls that.  A name
+  bound to such a result counts as the result.  `zkp.py` reads no
+  `.batches`, and no module defines or calls a `verify_sig`, so every
+  proof and signature check takes one call shape on every group.
 - `mixnet.verify_mix` is the one mix check: no other function calls
   `groups.reencryptions_hold`, and `mixnet.py` reads no `.batches`, so a
   chain of stages takes one path on every group.
@@ -166,7 +169,7 @@ def test_only_groups_unblinds(name):
 
 
 @pytest.mark.parametrize(
-    "name, owners", [("zkp.py", {"holds"}), ("registry.py", set())], ids=["zkp", "registry"]
+    "name, owners", [("zkp.py", {"_holds"}), ("registry.py", set())], ids=["zkp", "registry"]
 )
 def test_exp_results_are_compared_only_in_holds(name, owners):
     found = _exp_comparisons(ast.parse((SRC / name).read_text()))
@@ -198,6 +201,33 @@ def test_only_verify_mix_checks_reencryptions(path):
     assert sorted(set(_callers(tree, "reencryptions_hold"))) == owners
     if path.name == "mixnet.py":
         assert "batches" not in _names(tree)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_holds_checks_one_statement(path):
+    tree = ast.parse(path.read_text())
+    owners = ["holds"] if path.name == "zkp.py" else []
+    assert sorted(set(_callers(tree, "_holds"))) == owners
+
+
+def test_holds_takes_one_path_on_every_group():
+    assert "batches" not in _names(ast.parse((SRC / "zkp.py").read_text()))
+
+
+def _uses(tree: ast.Module, name: str) -> list[str]:
+    """"def" for each function named `name`, then the caller of each call
+    to it, as `_callers` names them."""
+    defined = [
+        "def"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name
+    ]
+    return defined + _callers(tree, name)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_checks_a_signature_alone(path):
+    assert _uses(ast.parse(path.read_text()), "verify_sig") == []
 
 
 def _kind_literals(tree: ast.Module) -> list[str]:
@@ -462,6 +492,10 @@ def test_the_guards_see_a_violation():
         "def stage_ok(params, pk, links):\n"
         "    return params.batches or groups.reencryptions_hold(params, pk, links)\n"
         "held = reencryptions_hold(params, pk, [])\n"
+        "def verify_sig(params, vk, message, sig):\n"
+        "    return _holds(params, *sig_statement(params, vk, message, sig))\n"
+        "def check_block(params, vk, block):\n"
+        "    return verify_sig(params, vk, block.signed_message(), block.forger_signature)\n"
     )
     assert _exp_comparisons(bad) == [("verify", 3)]
     assert _called(bad, "pow")
@@ -469,6 +503,8 @@ def test_the_guards_see_a_violation():
     assert _kind_literals(bad) == ["BallotCast"]
     assert _callers(bad, "reencryptions_hold") == ["stage_ok", "<module>"]
     assert "batches" in _names(bad)
+    assert _callers(bad, "_holds") == ["verify_sig"]
+    assert _uses(bad, "verify_sig") == ["def", "check_block"]
     assert sorted(_unseeded_sources(bad)) == [
         "os", "os.urandom", "random.Random", "random.choice", "time"
     ]

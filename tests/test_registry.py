@@ -10,15 +10,20 @@ from evote.registry import (
     enroll_voter,
     is_eligible,
     revoke_eligibility,
+    sig_statement,
     sign,
     verify_key_of,
-    verify_sig,
 )
+from evote.zkp import holds
 
 
 @pytest.fixture
 def registry(grp):
     return Registry(grp)
+
+
+def _verifies(grp, verify_key, message, sig) -> bool:
+    return holds(grp, [sig_statement(grp, verify_key, message, sig)]) == [True]
 
 
 def test_enroll_returns_credential_with_matching_keys(grp, registry):
@@ -45,27 +50,27 @@ def test_eligibility_lifecycle(registry):
 def test_sign_verify_round_trip(grp, registry):
     cred = enroll_voter(registry, "carol", derive_rng("reg", "carol"))
     sig = sign(grp, cred.signing_key, b"message")
-    assert verify_sig(grp, cred.verify_key, b"message", sig)
+    assert _verifies(grp, cred.verify_key, b"message", sig)
 
 
 def test_signature_bound_to_message(grp, registry):
     cred = enroll_voter(registry, "dave", derive_rng("reg", "dave"))
     sig = sign(grp, cred.signing_key, b"message")
-    assert not verify_sig(grp, cred.verify_key, b"other", sig)
+    assert not _verifies(grp, cred.verify_key, b"other", sig)
 
 
 def test_signature_bound_to_key(grp, registry):
     a = enroll_voter(registry, "a", derive_rng("reg", "a"))
     b = enroll_voter(registry, "b", derive_rng("reg", "b"))
     sig = sign(grp, a.signing_key, b"message")
-    assert not verify_sig(grp, b.verify_key, b"message", sig)
+    assert not _verifies(grp, b.verify_key, b"message", sig)
 
 
 def test_tampered_signature_rejected(grp, registry):
     cred = enroll_voter(registry, "eve", derive_rng("reg", "eve"))
     sig = sign(grp, cred.signing_key, b"message")
     bad = Signature(commit=sig.commit, response=(sig.response + 1) % grp.q)
-    assert not verify_sig(grp, cred.verify_key, b"message", bad)
+    assert not _verifies(grp, cred.verify_key, b"message", bad)
 
 
 def test_signing_is_deterministic(grp, registry):

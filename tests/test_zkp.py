@@ -8,7 +8,7 @@ from evote.canonical import derive_rng, digest
 from evote import zkp
 from evote.groups import PROD_GROUP_3072, TEST_GROUP, encrypt, keygen, rand_scalar
 from evote.mixnet import MixBatch, MixStage, mix_once, verify_mix
-from evote.registry import sign, verify_sig
+from evote.registry import sig_statement, sign
 from evote.zkp import (
     DecryptionProof,
     WellformedProof,
@@ -196,7 +196,7 @@ def _signature_response(shift):
     kp = keygen(grp, derive_rng("range", "sig"))
     sig = sign(grp, kp.sk, b"message")
     edited = dataclasses.replace(sig, response=sig.response + shift)
-    return verify_sig(grp, kp.pk, b"message", edited)
+    return zkp.holds(grp, [sig_statement(grp, kp.pk, b"message", edited)]) == [True]
 
 
 def _decryption_response(shift):
