@@ -6,7 +6,8 @@ here as a chained entry.  `RECORDS` names, for each entry kind, the
 canonical `Record` its payload decodes to and the named check that owns
 it.  universal_verify replays the whole election from the board using
 public data only, decoding every payload once and strictly through it, so
-a payload that does not decode is reported, never half-read.
+a payload that does not decode is reported, never half-read; on a group
+that batches, in one small-exponent batch for the whole board.
 
 Bytes that no check covers (the chain still fixes them):
 - the Login voter digest: the payload decodes strictly, but the digest
@@ -19,15 +20,16 @@ Bytes that no check covers (the chain still fixes them):
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, field, fields
-from itertools import product
+from itertools import product, repeat
 from pathlib import Path
 
 from .ballot import BallotCastPayload, Receipt, ReceiptStatus, ResultPayload
 from .ballot import count_result, validate_decrypted
 from .canonical import Record, digest
-from .groups import GroupParams, unblind
+from .groups import GroupParams, batch_verdicts, unblind
 from .mixnet import MixBatch, MixStage, verify_mix
 from .zkp import DecryptionProof, holds, verify_correct_decryptions, wellformed_statements
 
@@ -265,12 +267,37 @@ def universal_verify(
     """Recheck chain, proofs and counts from the published record.
 
     `config` needs `.candidates`, `.mix_server_count`, `.proof_rounds` and
-    `.coercion_threshold`.  Each entry is decoded once through RECORDS, right
-    before the check that owns its kind, and fails that check if it does not
-    decode; an entry of a kind with no row fails the chain check.  Each named
-    check passes when it has no failures; nothing raises.  A failure about
-    one entry names its position on the board, its seq if the chain holds.
+    `.coercion_threshold`.  Each replay decodes each entry once through
+    RECORDS, right before the check that owns its kind, and fails that
+    check if it does not decode; an entry of a kind with no row fails the
+    chain check.  Each named check passes when it has no failures; nothing
+    raises.  A failure about one entry names its position on the board, its
+    seq if the chain holds.
+
+    On a group that batches, the checks run first with each batch they ask
+    for held back and read as proved, and every held system (each cast
+    ballot's statements, every opened mix link and every decryption proof)
+    goes to one `groups.batch_verdicts` call.  Only when that fails do they
+    run again, each with batches of its own, to name the same entries.
     """
+    replay = functools.partial(_replay, params, board, config, election_pk, trustee_commitments)
+    if not params.batches:
+        return replay(None)
+    held, fixed = [], set()
+
+    def hold(_, systems, fixed_bases):
+        held.extend(systems)
+        fixed.update(fixed_bases)
+        return repeat(True)
+
+    report = replay(hold)
+    return report if all(batch_verdicts(params, held, fixed)) else replay(None)
+
+
+def _replay(
+    params: GroupParams, board: Board, config, election_pk: int, trustee_commitments, batch
+) -> VerificationReport:
+    """`universal_verify`'s report, each batch made by `batch` if given."""
     results = {CHECK_CHAIN: [] if verify_chain(board) else ["hash chain does not recompute"]}
     sections = {check: [] for _, _, check in RECORDS.values()}  # the seqs each check owns
     for seq, e in enumerate(board.entries):
@@ -296,15 +323,15 @@ def universal_verify(
         return max(seqs, default=-1)
 
     results[CHECK_WELLFORMED] += _check_wellformed(
-        params, election_pk, config, decoded(CHECK_WELLFORMED)
+        params, election_pk, config, decoded(CHECK_WELLFORMED), batch
     )
     failures, final_batch = _check_mix(
-        params, election_pk, config, decoded(CHECK_MIX), last(CHECK_WELLFORMED)
+        params, election_pk, config, decoded(CHECK_MIX), last(CHECK_WELLFORMED), batch
     )
     results[CHECK_MIX] += failures
     failures, claims = _check_decryption(
         params, trustee_commitments, config, decoded(CHECK_DECRYPTION), final_batch,
-        last(CHECK_MIX, KIND_MIX_STAGE),
+        last(CHECK_MIX, KIND_MIX_STAGE), batch,
     )
     results[CHECK_DECRYPTION] += failures
     casts = [s for s in sections[CHECK_WELLFORMED] if board.entries[s].kind == KIND_BALLOT_CAST]
@@ -318,7 +345,7 @@ def universal_verify(
     )
 
 
-def _check_wellformed(params: GroupParams, election_pk: int, config, entries) -> list[str]:
+def _check_wellformed(params: GroupParams, election_pk: int, config, entries, batch) -> list[str]:
     """Every cast ballot's well-formedness proof.  Each cast entry stands right
     after a Login entry and right before a Receipt entry that repeats its
     digest; no other Login or Receipt entry is on the board.  The proofs'
@@ -329,7 +356,7 @@ def _check_wellformed(params: GroupParams, election_pk: int, config, entries) ->
         for seq, kind, record in entries
         if kind == KIND_BALLOT_CAST and record is not None and len(record.slots) == n
     }
-    verdicts = iter(holds(params, [s for ss in statements.values() for s in ss]))
+    verdicts = iter(holds(params, [s for ss in statements.values() for s in ss], batch))
     # A list, not a generator, so that every cast takes all of its verdicts.
     proved = {seq: all([next(verdicts) for _ in ss]) for seq, ss in statements.items()}
     failures, casts = [], {}
@@ -356,7 +383,7 @@ def _check_wellformed(params: GroupParams, election_pk: int, config, entries) ->
 
 
 def _check_mix(
-    params: GroupParams, election_pk: int, config, entries, casts_end: int
+    params: GroupParams, election_pk: int, config, entries, casts_end: int, batch
 ) -> tuple[list[str], MixBatch | None]:
     """Stage count and order, the transfer hand-off and its place between the
     cast ballots (the last ends at `casts_end`) and the mix stages, continuity
@@ -382,13 +409,13 @@ def _check_mix(
         if casts_end > at or staged[0][0] < at:
             failures.append(f"entry {at}: transfer not between the casts and the mix stages")
     stages = [s.stage for _, s in staged]
-    faults = verify_mix(params, election_pk, batch_digest, stages, config.proof_rounds)
+    faults = verify_mix(params, election_pk, batch_digest, stages, config.proof_rounds, batch)
     failures += [f"entry {staged[idx][0]}: mix stage {idx} {reason}" for idx, reason in faults]
     return failures, stages[-1].batch_out if stages else None
 
 
 def _check_decryption(
-    params: GroupParams, commitments: dict[int, int], config, entries, final_batch, end: int
+    params: GroupParams, commitments: dict[int, int], config, entries, final_batch, end: int, batch
 ) -> tuple[list[str], list[DecryptedBallotPayload] | None]:
     """Walk the decryption entries in board order, after the last mix stage
     at `end`, expecting what run_tally writes: for each item of the final
@@ -407,7 +434,7 @@ def _check_decryption(
     checked = []  # (failures so far, seq, trustee, proof claim) of each partial taken
 
     def finish(claims):
-        verdicts = verify_correct_decryptions(params, (claim for *_, claim in checked))
+        verdicts = verify_correct_decryptions(params, (claim for *_, claim in checked), batch)
         for (at, seq, trustee, _), ok in reversed(list(zip(checked, verdicts))):
             if not ok:
                 failures.insert(at, f"entry {seq}: decryption proof rejected (trustee {trustee})")

@@ -19,8 +19,8 @@ When p = 2q + 1 and q has over 128 bits (`GroupParams.batches`),
 its two sides differ by a member, as the batch's soundness needs: a mix
 stage's re-encryptions x*b^r = y, and b^z = t*y^e of decryption proofs, of
 each ballot's slot, sum and signature proofs and of a BallotCoin block's
-signatures.  A member raised there to a wrapped exponent crosses to the
-other side as q minus it.
+signatures, or all of a board's at once.  It raises each base once, to its
+net exponent; a member raised to a wrapped exponent e takes e - q.
 """
 
 from __future__ import annotations
@@ -406,18 +406,18 @@ def reencrypts_to(
     )
 
 
-def reencryptions_hold(params: GroupParams, pk: int, links) -> bool:
+def reencryptions_hold(params: GroupParams, pk: int, links, batch=None) -> bool:
     """`reencrypts_to` holds for each (ct, r, target) of every
     (sources, scalars, targets) in `links`, the opened links of every stage
     of a mix chain, as `mixnet.verify_mix` hands them over.
 
     On a group that batches, each distinct equation x*b^r = y
-    (ct.c1*g^r = target.c1, ct.c2*pk^r = target.c2) that `batch_verdicts`
-    does not prove is checked exactly; on other groups each opened slot in
-    turn, up to the first that fails, which keeps the test group's pinned
-    modexp counts: through `batch_verdicts` each distinct equation is
-    checked once (the Baseline's mix verify in the tally would fall
-    36,000 -> 390).
+    (ct.c1*g^r = target.c1, ct.c2*pk^r = target.c2) that `batch_verdicts`,
+    or `batch` in its place, does not prove is checked exactly; on other
+    groups each opened slot in turn, up to the first that fails, which keeps
+    the test group's pinned modexp counts: through `batch_verdicts` each
+    distinct equation is checked once (the Baseline's mix verify in the
+    tally would fall 36,000 -> 390).
     """
     p, g = params.p, params.g
     checks = itertools.chain.from_iterable(itertools.starmap(zip, links))
@@ -427,9 +427,10 @@ def reencryptions_hold(params: GroupParams, pk: int, links) -> bool:
         e for ct, r, t in checks for e in ((g, ct.c1, r, t.c1), (pk, ct.c2, r, t.c2))
     ))
     systems = [((((x, 1), (b, r)), ((y, 1),)),) if r >= 0 else None for b, x, r, y in equations]
+    proved = (batch or batch_verdicts)(params, systems, {g, pk})
     return all(
         ok or x * params.exp(b, r, fixed=True) % p == y
-        for ok, (b, x, r, y) in zip(batch_verdicts(params, systems, {g, pk}), equations)
+        for ok, (b, x, r, y) in zip(proved, equations)
     )
 
 
@@ -441,15 +442,17 @@ def batch_verdicts(params: GroupParams, systems, fixed) -> typing.Iterable[bool]
     On a group that batches, a system joins the batch when its bases lie in
     [1, p) and each equation's lhs / rhs is a member, as soundness needs: its
     bases with odd exponents multiply to a quadratic residue.  With 128-bit
-    weights w hashed from p, g and every equation, prod lhs^w = prod rhs^w
+    weights w hashed from p, g and every equation, prod (lhs / rhs)^w = 1
     holds for a false equation with probability at most 2^-128 per hash
-    trial.  A side adds up the exponents of each base; a base in `fixed`
-    that is a member takes its left sum mod q through its comb.  A member
-    base whose exponent e is in `_wrapped_exponents`, as a wrapped slot
-    challenge is, moves to the other side as q - e, which keeps the batch's
-    chain of squarings short; a non-member keeps e.  Unproved is False; on
-    a group that does not batch, every verdict is, and neither iterable is
-    read.
+    trial.  Each base is raised once, to its net exponent: its left sums less
+    its right ones over every equation.  A member base whose exponent e is in
+    `_wrapped_exponents`, as a wrapped slot challenge is, takes e - q, which
+    keeps the batch's chain of squarings short; a non-member keeps e.  A
+    member in `fixed` takes its net exponent mod q through its comb; every
+    other base, whose order divides p - 1, its net exponent's size mod
+    p - 1, in one `multi_exp` for the positive net exponents and one for the
+    negative.  Unproved is False; on a group that does not batch, every
+    verdict is, and neither iterable is read.
     """
     if not params.batches:
         return itertools.repeat(False)
@@ -465,19 +468,21 @@ def batch_verdicts(params: GroupParams, systems, fixed) -> typing.Iterable[bool]
     batched = [s is not None and all(itertools.starmap(admitted, s)) for s in systems]
     equations = list(dict.fromkeys(e for s, ok in zip(systems, batched) if ok for e in s))
     seed = digest("evote/groups/batch-weights", p, params.g, equations)
-    lhs, rhs = {}, {}
-    for k, equation in enumerate(equations):
+    net = {}
+    for k, (lhs, rhs) in enumerate(equations):
         w = int.from_bytes(digest(seed, k)[:_WEIGHT_BYTES], "big")
-        for side, other, pairs in ((lhs, rhs, equation[0]), (rhs, lhs, equation[1])):
+        for weight, pairs in ((w, lhs), (-w, rhs)):
             for base, exponent in pairs:
                 if exponent in wrapped and member(base):
-                    other[base] = other.get(base, 0) + w * (q - exponent)
-                else:
-                    side[base] = side.get(base, 0) + w * exponent
-    acc = params.multi_exp((b, e) for b, e in lhs.items() if b not in fixed)
-    for b in fixed & lhs.keys():
-        acc = acc * params.exp(b, lhs[b] % q, fixed=True) % p
-    if acc != params.multi_exp(rhs.items()):
+                    exponent -= q
+                net[base] = net.get(base, 0) + weight * exponent
+    acc, sides = 1, ([], [])  # the positive net exponents, then the negative ones
+    for base, exponent in net.items():
+        if base in fixed:
+            acc = acc * params.exp(base, exponent % q, fixed=True) % p
+        elif exponent:
+            sides[exponent < 0].append((base, abs(exponent) % (p - 1)))
+    if acc * params.multi_exp(sides[0]) % p != params.multi_exp(sides[1]):
         return [False] * len(batched)
     return batched
 

@@ -188,6 +188,7 @@ def verify_mix(
     batch_digest: bytes | None,
     stages: list[MixStage],
     min_rounds: int,
+    batch=None,
 ) -> list[tuple[int, str]]:
     """(stage index, reason) for each fault in a chain of mix stages, in
     stage order: per stage, its input or continuity, then its proof.
@@ -196,20 +197,21 @@ def verify_mix(
     `batch_digest` (not compared when None), each later input the previous
     output, and every stage's proof must keep the structural half-opening
     that `_opened_links` reads.  The opened links of every stage go to one
-    `reencryptions_hold` call, and only when that fails is each stage's
-    checked alone, so the same stages are named either way.  Where
-    `reencryptions_hold` batches, its weights add at most 2^-128 per hash
-    trial to the 2^-rounds chance that a tampered item escapes.
+    `reencryptions_hold` call, with `batch`, and only when that fails is
+    each stage's checked alone, so the same stages are named either way.
+    Where `reencryptions_hold` batches, its weights add at most 2^-128 per
+    hash trial to the 2^-rounds chance that a tampered item escapes.
     """
     failures = []
     if stages and batch_digest is not None and stages[0].batch_in.digest() != batch_digest:
         failures.append((0, "input does not match the transferred batch"))
     opened = [_opened_links(params, stage, min_rounds) for stage in stages]
-    joint = reencryptions_hold(params, pk, itertools.chain.from_iterable(filter(None, opened)))
+    every_link = itertools.chain.from_iterable(filter(None, opened))
+    joint = reencryptions_hold(params, pk, every_link, batch)
     for idx, (stage, links) in enumerate(zip(stages, opened)):
         if idx > 0 and stage.batch_in != stages[idx - 1].batch_out:
             failures.append((idx, "input breaks continuity"))
-        if links is None or not (joint or reencryptions_hold(params, pk, links)):
+        if links is None or not (joint or reencryptions_hold(params, pk, links, batch)):
             failures.append((idx, "proof rejected"))
     return failures
 

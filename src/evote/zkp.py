@@ -46,17 +46,18 @@ def commit(params: GroupParams, bases, w: int) -> list[int]:
     return [params.exp(b, w, fixed) for b, fixed in bases]
 
 
-def holds(params: GroupParams, statements) -> list[bool]:
+def holds(params: GroupParams, statements, batch=None) -> list[bool]:
     """For each item of a list of statements (bases, values, commits, e, z)
     or None: True iff e and z lie in [0, q) and b^z = t * y^e for each base
     b with public value y and commitment t; a None's False.
 
-    `groups.batch_verdicts` proves the statements in range together where
-    it can, with the marked bases as fixed, and `_holds` checks any other
-    alone; on a group that does not batch, it checks each.  Each caller
-    hands over a whole check at once: every decryption proof of a tally or
-    a board, a cast ballot's signature with its well-formedness proof,
-    every cast ballot on a board, or a block's signatures.
+    `groups.batch_verdicts`, or `batch` in its place, proves the statements
+    in range together where it can, with the marked bases as fixed, and
+    `_holds` checks any other alone; on a group that does not batch, it
+    checks each.  Each caller hands over a whole check at once: every
+    decryption proof of a tally or a board, a cast ballot's signature with
+    its well-formedness proof, every cast ballot on a board, or a block's
+    signatures.
 
     Without the range check z + q (or e + q) would pass too, since every
     base has order q, and two encodings would prove the same statement.
@@ -70,7 +71,7 @@ def holds(params: GroupParams, statements) -> list[bool]:
             )
 
     fixed = (b for s in statements if s for b, mark in s[0] if mark)
-    proved = batch_verdicts(params, (s and equations(*s) for s in statements), fixed)
+    proved = (batch or batch_verdicts)(params, (s and equations(*s) for s in statements), fixed)
     return [ok or (s is not None and _holds(params, *s)) for ok, s in zip(proved, statements)]
 
 
@@ -118,12 +119,12 @@ def _decryption_statement(params: GroupParams, pk_component: int, ct: Ciphertext
     return (bases, (pk_component, d), commits, e, proof.response) if e == proof.challenge else None
 
 
-def verify_correct_decryptions(params: GroupParams, claims) -> list[bool]:
+def verify_correct_decryptions(params: GroupParams, claims, batch=None) -> list[bool]:
     """For each (pk_component, ct, d, proof): True iff its challenge
     recomputes and both verification equations hold.  The statements go to
-    `holds` as one list, so on a group that batches their equations are
-    checked in one batch."""
-    return holds(params, [_decryption_statement(params, *claim) for claim in claims])
+    `holds`, with `batch`, as one list, so on a group that batches their
+    equations are checked in one batch."""
+    return holds(params, [_decryption_statement(params, *claim) for claim in claims], batch)
 
 
 @dataclass(frozen=True)

@@ -6,15 +6,17 @@ from evote.canonical import derive_rng
 from evote.groups import TEST_GROUP
 from evote.tally import Election, ElectionConfig
 
-# CI runs the codec, record, multi-exponentiation and `powers` properties,
-# the batch re-encryption check's agreement with the per-slot one, the batch
-# decryption check's agreement with the per-proof one, the batch ballot
-# check's agreement with the per-statement one, the batch block check's
-# agreement with the per-signature one, the verifier's totality under
-# one-byte edits and the verdict corpus once more under this profile
-# (`--hypothesis-profile=ci`); tier-1 keeps Hypothesis's default.  A
-# property that pins a smaller count scales it from the loaded profile's
-# `settings().max_examples`; the verdict corpus runs whole under it.
+# CI runs the codec, record, multi-exponentiation, netted batch and `powers`
+# properties (`tests/test_exponentiation.py` whole, which holds
+# `test_netted_batch_verdicts_match_pow`), the batch re-encryption check's
+# agreement with the per-slot one, the batch decryption check's agreement
+# with the per-proof one, the batch ballot check's agreement with the
+# per-statement one, the batch block check's agreement with the
+# per-signature one, the verifier's totality under one-byte edits and the
+# verdict corpus once more under this profile (`--hypothesis-profile=ci`);
+# tier-1 keeps Hypothesis's default.  A property that pins a smaller count
+# scales it from the loaded profile's `settings().max_examples`; the
+# verdict corpus runs whole under it.
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
 

@@ -170,13 +170,13 @@ def _reports(monkeypatch, election, board):
 
     with monkeypatch.context() as patch:
         patch.setattr(
-            bulletin, "verify_mix", lambda p, k, d, s, r: _verify_mix(p, k, d, tuple(s), r)
+            bulletin, "verify_mix", lambda p, k, d, s, r, _: _verify_mix(p, k, d, tuple(s), r)
         )
         patch.setattr(
-            bulletin, "verify_correct_decryptions", lambda p, c: _decryptions(p, tuple(c))
+            bulletin, "verify_correct_decryptions", lambda p, c, _: _decryptions(p, tuple(c))
         )
         batched = verify()
-        patch.setattr(bulletin, "holds", _alone)
+        patch.setattr(bulletin, "holds", lambda p, statements, _: _alone(p, statements))
         return batched, verify()
 
 

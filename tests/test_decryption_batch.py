@@ -99,12 +99,12 @@ def _reports(monkeypatch, election, board, commitments=None):
         return universal_verify(election.params, board, config, key, commitments).to_dict()
 
     with monkeypatch.context() as patch:
-        patch.setattr(bulletin, "holds", lambda p, statements: _holds(p, tuple(statements)))
+        patch.setattr(bulletin, "holds", lambda p, statements, _: _holds(p, tuple(statements)))
         patch.setattr(
-            bulletin, "verify_mix", lambda p, k, d, s, r: _verify_mix(p, k, d, tuple(s), r)
+            bulletin, "verify_mix", lambda p, k, d, s, r, _: _verify_mix(p, k, d, tuple(s), r)
         )
         batched = verify()
-        patch.setattr(bulletin, "verify_correct_decryptions", _per_proof_all)
+        patch.setattr(bulletin, "verify_correct_decryptions", lambda p, c, _: _per_proof_all(p, c))
         return batched, verify()
 
 

@@ -436,3 +436,126 @@ def test_evicted_table_is_rebuilt_with_the_same_results(name):
     again = [params.exp(params.g, e, fixed=True) for e in exponents]
     assert groups._comb.cache_info().misses == misses + groups._COMB_TABLES + 1
     assert again == first == [pow(params.g, e, params.p) for e in exponents]
+
+
+# `batch_verdicts` raises each base once, to its net exponent over every
+# equation of the batch: a fixed member's mod q through its comb, every other
+# base's size mod p - 1, the positive and the negative ones in a
+# `multi_exp` each.  Its verdicts must be those of every equation evaluated
+# by builtin pow.
+@functools.cache
+def _batch_bases():
+    """Named prod3072 bases: g and an election key, both fixed members; a
+    member and a non-member without tables; and p minus the key, passed as
+    fixed though it lies outside the subgroup."""
+    params = PROD_GROUP_3072
+    member, non_member = _member_and_non_member()
+    key = _election_key("prod3072")
+    return {
+        "g": params.g, "key": key, "member": member, "non-member": non_member,
+        "negated key": params.p - key,
+    }
+
+
+_Q, _P = PROD_GROUP_3072.q, PROD_GROUP_3072.p
+# Long exponents: full length, wrapped (within 2^256 below q), q, p - 1 and
+# past it.  At 3072 bits each costs builtin pow about 90 ms (2-vCPU Xeon VM),
+# so the cases draw them from this list and `_pow` keeps every power.
+_FULL = (1 << 3070) + 0x5DEECE66D
+_LONG = [_FULL, _Q - 7, _Q - 1, _Q, _P - 1, _P + 4, 2 * _P - 3]
+
+
+@functools.cache
+def _pow(base, exponent):
+    return pow(base, exponent, _P)
+
+
+def _value(pairs):
+    return math.prod(_pow(b, e) for b, e in pairs) % _P
+
+
+def _assert_batch_matches_pow(spec):
+    """spec: systems, each a list of equations (lhs, rhs, off) with sides of
+    (base name, exponent) pairs.  Each equation's rhs gains a last base that
+    makes it hold, or, when off, fail by a factor g, a member, so that the
+    system still joins the batch.  One false equation fails the batch, and
+    every verdict is False; else each is True."""
+    params = PROD_GROUP_3072
+    bases = _batch_bases()
+    systems = []
+    for system in spec:
+        equations = []
+        for lhs, rhs, off in system:
+            lhs = tuple((bases[name], e) for name, e in lhs)
+            rhs = tuple((bases[name], e) for name, e in rhs)
+            last = _value(lhs) * pow(_value(rhs), -1, _P) * params.g**off % _P
+            equations.append((lhs, rhs + ((last, 1),)))
+        systems.append(tuple(equations))
+    exact = [all(_value(lhs) == _value(rhs) for lhs, rhs in s) for s in systems]
+    expected = exact if all(exact) else [False] * len(systems)
+    fixed = {bases[name] for name in ("g", "key", "negated key")}
+    assert list(groups.batch_verdicts(params, systems, fixed)) == expected
+
+
+# A 300-bit exponent, for the cases where length does not matter.
+_MID = (1 << 299) + 0x5DEECE66D
+
+BATCHES = {
+    "bases on both sides and across systems": [
+        [([("member", _MID), ("g", _MID)], [("member", 77), ("non-member", _MID)], 0)],
+        [
+            ([("non-member", 5), ("key", _MID)], [("g", _Q - 1), ("member", _MID)], 0),
+            ([("member", 3), ("g", 9)], [("non-member", 6), ("key", 2)], 0),
+        ],
+    ],
+    "exponents past p - 1": [
+        [([("non-member", 2 * _P - 3), ("member", _P + 4)], [("non-member", _P + 4)], 0)],
+        [([("negated key", _P + 4), ("g", _P - 1)], [("non-member", _MID)], 0)],
+    ],
+    "wrapped exponents on members and non-members": [
+        [([("member", _Q - 7), ("g", _Q - 1)], [("non-member", _Q - 7)], 0)],
+        [([("negated key", _Q - 1)], [("non-member", _MID), ("key", _Q - 7)], 0)],
+    ],
+    "net exponents that cancel": [
+        [([("non-member", _FULL), ("member", 5)], [("non-member", _FULL)], 0)],
+        [([("g", _MID), ("key", 3)], [("g", _MID), ("member", _Q - 7)], 0)],
+    ],
+    "one false equation among true ones": [
+        [([("member", _MID)], [("non-member", _Q - 7)], 0)],
+        [
+            ([("g", 5)], [("member", 7)], 0),
+            ([("non-member", _MID)], [("g", _FULL), ("member", 9)], 1),
+        ],
+        [([("key", _FULL)], [], 0)],
+    ],
+}
+
+
+@pytest.mark.parametrize("case", BATCHES)
+def test_prod_netted_batch_matches_pow(case):
+    _assert_batch_matches_pow(BATCHES[case])
+
+
+# A prod3072 example costs about 0.2 s once its long powers are kept: 5
+# examples in tier-1, and a twentieth of the loaded profile's count where
+# that is more (50 under ci).
+@settings(max_examples=max(5, settings().max_examples // 20), deadline=None)
+@given(data=st.data())
+def test_netted_batch_verdicts_match_pow(data):
+    """Up to 3 systems of up to 2 equations, each side up to 2 pairs drawn
+    from the named bases, so that bases repeat on both sides and across
+    systems, and maybe a pair on both sides, whose net exponent cancels;
+    exponents 0, 1, up to 2^128 or long; about one equation in four false."""
+    exponents = st.one_of(st.integers(min_value=0, max_value=1 << 128), st.sampled_from(_LONG))
+    pairs = st.lists(st.tuples(st.sampled_from(list(_batch_bases())), exponents), max_size=2)
+    spec = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        system = []
+        for _ in range(data.draw(st.integers(1, 2))):
+            lhs, rhs = data.draw(pairs), data.draw(pairs)
+            if data.draw(st.booleans()):
+                both = data.draw(pairs)
+                lhs, rhs = lhs + both, both + rhs
+            system.append((lhs, rhs, int(data.draw(st.integers(0, 3)) == 0)))
+        spec.append(system)
+    _assert_batch_matches_pow(spec)

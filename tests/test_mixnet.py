@@ -256,8 +256,9 @@ def test_shuffle_proof_bytes_are_pinned(grp, keys, n, rounds, expected):
 PROFILES = {"test": TEST_GROUP, "prod3072": PROD_GROUP_3072}
 
 
-def _per_slot(params, pk, links):
-    """The reference for `reencryptions_hold`: each opened slot in turn."""
+def _per_slot(params, pk, links, batch=None):
+    """The reference for `reencryptions_hold`: each opened slot in turn,
+    whatever batch the caller hands over."""
     return all(
         reencrypts_to(params, pk, ct, r, target)
         for sources, scalars, targets in links
