@@ -6,8 +6,8 @@ here as a chained entry.  `RECORDS` names, for each entry kind, the
 canonical `Record` its payload decodes to and the named check that owns
 it.  universal_verify replays the whole election from the board using
 public data only, decoding every payload once and strictly through it, so
-a payload that does not decode is reported, never half-read; on a group
-that batches, in one small-exponent batch for the whole board.
+a payload that does not decode is reported, never half-read, in one pass
+whose proofs, on a group that batches, are settled in one bisected batch.
 
 Bytes that no check covers (the chain still fixes them):
 - the Login voter digest: the payload decodes strictly, but the digest
@@ -20,18 +20,17 @@ Bytes that no check covers (the chain still fixes them):
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import asdict, dataclass, field, fields
-from itertools import product, repeat
+from itertools import product
 from pathlib import Path
 
 from .ballot import BallotCastPayload, Receipt, ReceiptStatus, ResultPayload
 from .ballot import count_result, validate_decrypted
 from .canonical import Record, digest
-from .groups import GroupParams, batch_verdicts, unblind
+from .groups import GroupParams, Pending, settle, unblind
 from .mixnet import MixBatch, MixStage, verify_mix
-from .zkp import DecryptionProof, holds, verify_correct_decryptions, wellformed_statements
+from .zkp import DecryptionProof, decryption_statement, fails_unless_hold, wellformed_statements
 
 GENESIS_TAG = "evote/bulletin/genesis"
 
@@ -267,37 +266,18 @@ def universal_verify(
     """Recheck chain, proofs and counts from the published record.
 
     `config` needs `.candidates`, `.mix_server_count`, `.proof_rounds` and
-    `.coercion_threshold`.  Each replay decodes each entry once through
-    RECORDS, right before the check that owns its kind, and fails that
-    check if it does not decode; an entry of a kind with no row fails the
-    chain check.  Each named check passes when it has no failures; nothing
-    raises.  A failure about one entry names its position on the board, its
-    seq if the chain holds.
+    `.coercion_threshold`.  It decodes each entry once through RECORDS,
+    right before the check that owns its kind, and fails that check if it
+    does not decode; an entry of a kind with no row fails the chain check.
+    Each named check passes when it has no failures; nothing raises.  A
+    failure about one entry names its position on the board, its seq if
+    the chain holds.
 
-    On a group that batches, the checks run first with each batch they ask
-    for held back and read as proved, and every held system (each cast
-    ballot's statements, every opened mix link and every decryption proof)
-    goes to one `groups.batch_verdicts` call.  Only when that fails do they
-    run again, each with batches of its own, to name the same entries.
+    Each check runs once and returns its failures in board order, where the
+    group batches each one that rests on a proof (a cast ballot's, a mix
+    stage's links, a partial decryption's) held back on its claim, and
+    `groups.settle` decides all of the board's in one bisected batch.
     """
-    replay = functools.partial(_replay, params, board, config, election_pk, trustee_commitments)
-    if not params.batches:
-        return replay(None)
-    held, fixed = [], set()
-
-    def hold(_, systems, fixed_bases):
-        held.extend(systems)
-        fixed.update(fixed_bases)
-        return repeat(True)
-
-    report = replay(hold)
-    return report if all(batch_verdicts(params, held, fixed)) else replay(None)
-
-
-def _replay(
-    params: GroupParams, board: Board, config, election_pk: int, trustee_commitments, batch
-) -> VerificationReport:
-    """`universal_verify`'s report, each batch made by `batch` if given."""
     results = {CHECK_CHAIN: [] if verify_chain(board) else ["hash chain does not recompute"]}
     sections = {check: [] for _, _, check in RECORDS.values()}  # the seqs each check owns
     for seq, e in enumerate(board.entries):
@@ -323,21 +303,22 @@ def _replay(
         return max(seqs, default=-1)
 
     results[CHECK_WELLFORMED] += _check_wellformed(
-        params, election_pk, config, decoded(CHECK_WELLFORMED), batch
+        params, election_pk, config, decoded(CHECK_WELLFORMED)
     )
     failures, final_batch = _check_mix(
-        params, election_pk, config, decoded(CHECK_MIX), last(CHECK_WELLFORMED), batch
+        params, election_pk, config, decoded(CHECK_MIX), last(CHECK_WELLFORMED)
     )
     results[CHECK_MIX] += failures
     failures, claims = _check_decryption(
         params, trustee_commitments, config, decoded(CHECK_DECRYPTION), final_batch,
-        last(CHECK_MIX, KIND_MIX_STAGE), batch,
+        last(CHECK_MIX, KIND_MIX_STAGE),
     )
     results[CHECK_DECRYPTION] += failures
     casts = [s for s in sections[CHECK_WELLFORMED] if board.entries[s].kind == KIND_BALLOT_CAST]
     results[CHECK_COUNTS] += _check_counts(
         config, decoded(CHECK_COUNTS), claims, len(casts), last(CHECK_DECRYPTION)
     )
+    results = dict(zip(results, settle(params, *results.values())))
     return VerificationReport(
         checks={name: not failed for name, failed in results.items()},
         signatures_skipped=True,
@@ -345,20 +326,11 @@ def _replay(
     )
 
 
-def _check_wellformed(params: GroupParams, election_pk: int, config, entries, batch) -> list[str]:
+def _check_wellformed(params: GroupParams, election_pk: int, config, entries) -> list:
     """Every cast ballot's well-formedness proof.  Each cast entry stands right
     after a Login entry and right before a Receipt entry that repeats its
-    digest; no other Login or Receipt entry is on the board.  The proofs'
-    statements go to `holds` as one list, before the entries are walked."""
+    digest; no other Login or Receipt entry is on the board."""
     n = len(config.candidates)
-    statements = {
-        seq: wellformed_statements(params, election_pk, record.slots, record.wellformed)
-        for seq, kind, record in entries
-        if kind == KIND_BALLOT_CAST and record is not None and len(record.slots) == n
-    }
-    verdicts = iter(holds(params, [s for ss in statements.values() for s in ss], batch))
-    # A list, not a generator, so that every cast takes all of its verdicts.
-    proved = {seq: all([next(verdicts) for _ in ss]) for seq, ss in statements.items()}
     failures, casts = [], {}
     for seq, kind, record in entries:
         if record is None:
@@ -367,8 +339,10 @@ def _check_wellformed(params: GroupParams, election_pk: int, config, entries, ba
             casts[seq] = record
             if len(record.slots) != n:
                 failures.append(f"entry {seq}: {len(record.slots)} slots for {n} candidates")
-            elif not proved[seq]:
-                failures.append(f"entry {seq}: well-formedness proof rejected")
+            else:
+                proof = wellformed_statements(params, election_pk, record.slots, record.wellformed)
+                failure = f"entry {seq}: well-formedness proof rejected"
+                failures += fails_unless_hold(params, proof, failure)
         elif kind == KIND_RECEIPT and seq - 1 in casts:
             if record.ballot_digest != casts[seq - 1].ballot_digest:
                 failures.append(f"entry {seq}: receipt does not repeat the ballot digest")
@@ -383,8 +357,8 @@ def _check_wellformed(params: GroupParams, election_pk: int, config, entries, ba
 
 
 def _check_mix(
-    params: GroupParams, election_pk: int, config, entries, casts_end: int, batch
-) -> tuple[list[str], MixBatch | None]:
+    params: GroupParams, election_pk: int, config, entries, casts_end: int
+) -> tuple[list, MixBatch | None]:
     """Stage count and order, the transfer hand-off and its place between the
     cast ballots (the last ends at `casts_end`) and the mix stages, continuity
     and every shuffle proof; hands on the final mix batch, or None when the
@@ -409,14 +383,16 @@ def _check_mix(
         if casts_end > at or staged[0][0] < at:
             failures.append(f"entry {at}: transfer not between the casts and the mix stages")
     stages = [s.stage for _, s in staged]
-    faults = verify_mix(params, election_pk, batch_digest, stages, config.proof_rounds, batch)
-    failures += [f"entry {staged[idx][0]}: mix stage {idx} {reason}" for idx, reason in faults]
+    for fault in verify_mix(params, election_pk, batch_digest, stages, config.proof_rounds):
+        idx, reason = fault.failure if type(fault) is Pending else fault
+        line = f"entry {staged[idx][0]}: mix stage {idx} {reason}"
+        failures.append(fault._replace(failure=line) if type(fault) is Pending else line)
     return failures, stages[-1].batch_out if stages else None
 
 
 def _check_decryption(
-    params: GroupParams, commitments: dict[int, int], config, entries, final_batch, end: int, batch
-) -> tuple[list[str], list[DecryptedBallotPayload] | None]:
+    params: GroupParams, commitments: dict[int, int], config, entries, final_batch, end: int
+) -> tuple[list, list[DecryptedBallotPayload] | None]:
     """Walk the decryption entries in board order, after the last mix stage
     at `end`, expecting what run_tally writes: for each item of the final
     mix batch, each slot's partial decryptions by trustee index, then its
@@ -424,21 +400,12 @@ def _check_decryption(
     against `groups.unblind` of its slot's partials, as the tally decodes
     it, and each validity flag; the first entry out of place ends the walk
     with one failure naming it.  Hands on the claims in item order, or None
-    when the walk ends early.  The proofs are checked when it ends, in one
-    call that builds no c1 table, each rejection named where it was taken."""
+    when the walk ends early.  No proof's check builds a c1 table."""
     if entries and entries[0][0] < end:
         return [f"entry {entries[0][0]}: decryption entry before the last mix stage"], None
     if final_batch is None:
         return ["no mix output to check the decryptions against"], None
     walk, failures, claims = iter(entries), [], []
-    checked = []  # (failures so far, seq, trustee, proof claim) of each partial taken
-
-    def finish(claims):
-        verdicts = verify_correct_decryptions(params, (claim for *_, claim in checked), batch)
-        for (at, seq, trustee, _), ok in reversed(list(zip(checked, verdicts))):
-            if not ok:
-                failures.insert(at, f"entry {seq}: decryption proof rejected (trustee {trustee})")
-        return failures, claims
 
     def take(kind: str, *place: int):
         """(seq, record) for the next entry if it is the `kind` entry whose
@@ -458,13 +425,14 @@ def _check_decryption(
         for slot_i, trustee_i in product(range(len(item)), sorted(commitments)):
             seq, pd = take(KIND_PARTIAL_DECRYPTION, item_i, slot_i, trustee_i)
             if pd is None:
-                return finish(None)
-            proof_claim = (commitments[trustee_i], item[slot_i], pd.d, pd.proof)
-            checked.append((len(failures), seq, trustee_i, proof_claim))
+                return failures, None
+            claim = (commitments[trustee_i], item[slot_i], pd.d, pd.proof)
+            failure = f"entry {seq}: decryption proof rejected (trustee {trustee_i})"
+            failures += fails_unless_hold(params, [decryption_statement(params, *claim)], failure)
             partials[slot_i].append(pd.d)
         seq, claim = take(KIND_DECRYPTED_BALLOT, item_i)
         if claim is None:
-            return finish(None)
+            return failures, None
         claims.append(claim)
         if len(claim.exponents) != len(item):
             failures.append(f"entry {seq}: item {item_i}: wrong slot count")
@@ -484,7 +452,7 @@ def _check_decryption(
             failures.append(f"entry {seq}: item {item_i}: validity flag incorrect")
     if (extra := next(walk, None)) is not None:
         failures.append(f"entry {extra[0]}: {extra[1]} entry past the last item")
-    return finish(claims)
+    return failures, claims
 
 
 def _check_counts(config, entries, claims: list | None, cast_count: int, end: int) -> list[str]:

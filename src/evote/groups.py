@@ -15,16 +15,16 @@ table that lives only for that call.  Every other power is one builtin `pow`
 call.  `multi_exp` makes a product of powers by sliding windows on one
 chain of squarings, each window's width chosen from its exponent's length.
 When p = 2q + 1 and q has over 128 bits (`GroupParams.batches`),
-`batch_verdicts` checks equations in one small-exponent batch, each only if
-its two sides differ by a member, as the batch's soundness needs: a mix
-stage's re-encryptions x*b^r = y, and b^z = t*y^e of decryption proofs, of
-each ballot's slot, sum and signature proofs and of a BallotCoin block's
-signatures, or all of a board's at once.  It raises each base once, to its
-net exponent; a member raised to a wrapped exponent e takes e - q.
+`batch_verdicts` decides claims (the equations b^z = t*y^e of a proof or a
+signature, a mix stage's re-encryptions x*b^r = y) in small-exponent
+batches of net exponents, bisecting a failed one.  A check holds a failure
+that rests on a proof back as a `Pending` claim, and `settle` decides a
+check's, or a whole board's, in one call; elsewhere claims decide at once.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -406,85 +406,102 @@ def reencrypts_to(
     )
 
 
-def reencryptions_hold(params: GroupParams, pk: int, links, batch=None) -> bool:
-    """`reencrypts_to` holds for each (ct, r, target) of every
-    (sources, scalars, targets) in `links`, the opened links of every stage
-    of a mix chain, as `mixnet.verify_mix` hands them over.
+def batch_verdicts(params: GroupParams, claims, equations, exact) -> list[bool]:
+    """Whether each claim holds: `exact(params, claim)` is its own check,
+    `equations(params, claim)` its equations prod(lhs) = prod(rhs), sides of
+    (base, exponent >= 0, fixed) triples (`fixed` marks a comb base), or None.
 
-    On a group that batches, each distinct equation x*b^r = y
-    (ct.c1*g^r = target.c1, ct.c2*pk^r = target.c2) that `batch_verdicts`,
-    or `batch` in its place, does not prove is checked exactly; on other
-    groups each opened slot in turn, up to the first that fails, which keeps
-    the test group's pinned modexp counts: through `batch_verdicts` each
-    distinct equation is checked once (the Baseline's mix verify in the
-    tally would fall 36,000 -> 390).
-    """
-    p, g = params.p, params.g
-    checks = itertools.chain.from_iterable(itertools.starmap(zip, links))
-    if not params.batches:
-        return all(itertools.starmap(functools.partial(reencrypts_to, params, pk), checks))
-    equations = list(dict.fromkeys(
-        e for ct, r, t in checks for e in ((g, ct.c1, r, t.c1), (pk, ct.c2, r, t.c2))
-    ))
-    systems = [((((x, 1), (b, r)), ((y, 1),)),) if r >= 0 else None for b, x, r, y in equations]
-    proved = (batch or batch_verdicts)(params, systems, {g, pk})
-    return all(
-        ok or x * params.exp(b, r, fixed=True) % p == y
-        for ok, (b, x, r, y) in zip(proved, equations)
-    )
-
-
-def batch_verdicts(params: GroupParams, systems, fixed) -> typing.Iterable[bool]:
-    """For each system (a tuple of equations prod(lhs) = prod(rhs), each side
-    (base, exponent) pairs with exponents >= 0) or None, whether one
-    small-exponent batch (Bellare, Garay and Rabin, EUROCRYPT 1998) proves it.
-
-    On a group that batches, a system joins the batch when its bases lie in
-    [1, p) and each equation's lhs / rhs is a member, as soundness needs: its
-    bases with odd exponents multiply to a quadratic residue.  With 128-bit
-    weights w hashed from p, g and every equation, prod (lhs / rhs)^w = 1
-    holds for a false equation with probability at most 2^-128 per hash
-    trial.  Each base is raised once, to its net exponent: its left sums less
-    its right ones over every equation.  A member base whose exponent e is in
-    `_wrapped_exponents`, as a wrapped slot challenge is, takes e - q, which
-    keeps the batch's chain of squarings short; a non-member keeps e.  A
-    member in `fixed` takes its net exponent mod q through its comb; every
-    other base, whose order divides p - 1, its net exponent's size mod
-    p - 1, in one `multi_exp` for the positive net exponents and one for the
-    negative.  Unproved is False; on a group that does not batch, every
-    verdict is, and neither iterable is read.
+    On a group that batches, the admitted claims go to one batch; a failed
+    batch of more than one is split in two of about equal equation counts,
+    each batched with fresh weights (Pastuszak, Michalek, Pieprzyk and
+    Seberry, PKC 2000), and a claim that fails alone is false, since a true
+    batch always passes.  Admitted: bases in [1, p), each lhs / rhs a member
+    (odd-exponent bases multiply to a quadratic residue), as soundness
+    needs.  `exact` decides the rest, and all on a group that does not batch.
     """
     if not params.batches:
-        return itertools.repeat(False)
-    p, q, systems = params.p, params.q, list(systems)
-    member, wrapped = functools.cache(params.is_element), params._wrapped_exponents
-    fixed = set(filter(member, fixed))
+        return [exact(params, claim) for claim in claims]
+    p, member = params.p, functools.cache(params.is_element)
 
     def admitted(lhs, rhs) -> bool:
-        pairs = lhs + rhs
-        odd = math.prod(b for b, e in pairs if e & 1)
-        return all(0 < b < p for b, _ in pairs) and _jacobi(odd, p) == 1
+        triples = lhs + rhs
+        odd = math.prod(b for b, e, _ in triples if e & 1)
+        return all(0 < b < p for b, _, _ in triples) and _jacobi(odd, p) == 1
 
-    batched = [s is not None and all(itertools.starmap(admitted, s)) for s in systems]
-    equations = list(dict.fromkeys(e for s, ok in zip(systems, batched) if ok for e in s))
+    def split(systems: list) -> list[bool]:
+        joined = list(dict.fromkeys(itertools.chain(*systems)))
+        if not systems or _batch_holds(params, joined, member):
+            return [True] * len(systems)
+        sizes = list(itertools.accumulate(map(len, systems)))
+        half = min(bisect.bisect_left(sizes, sizes[-1] / 2) + 1, len(systems) - 1)
+        return split(systems[:half]) + split(systems[half:]) if half else [False]
+
+    systems = [equations(params, claim) for claim in claims]
+    batched = [k for k, s in enumerate(systems) if s and all(itertools.starmap(admitted, s))]
+    proved = dict(zip(batched, split([systems[k] for k in batched])))
+    return [proved[k] if k in proved else exact(params, claim) for k, claim in enumerate(claims)]
+
+
+def _batch_holds(params: GroupParams, equations: list, member) -> bool:
+    """One small-exponent batch (Bellare, Garay and Rabin, EUROCRYPT 1998):
+    with 128-bit weights w hashed from p, g and every equation, prod
+    (lhs / rhs)^w = 1 holds for a false equation with probability at most
+    2^-128 per hash trial.  Each base is raised once, to its net exponent,
+    left less right; a member takes a wrapped exponent e as e - q, and a
+    fixed member its net exponent mod q through its comb, every other base
+    its size mod p - 1, by `multi_exp` (positive ones, then negative)."""
+    p, q, wrapped = params.p, params.q, params._wrapped_exponents
     seed = digest("evote/groups/batch-weights", p, params.g, equations)
-    net = {}
+    net, fixed = {}, set()
     for k, (lhs, rhs) in enumerate(equations):
         w = int.from_bytes(digest(seed, k)[:_WEIGHT_BYTES], "big")
-        for weight, pairs in ((w, lhs), (-w, rhs)):
-            for base, exponent in pairs:
+        for weight, triples in ((w, lhs), (-w, rhs)):
+            for base, exponent, mark in triples:
+                if mark:
+                    fixed.add(base)
                 if exponent in wrapped and member(base):
                     exponent -= q
                 net[base] = net.get(base, 0) + weight * exponent
     acc, sides = 1, ([], [])  # the positive net exponents, then the negative ones
     for base, exponent in net.items():
-        if base in fixed:
+        if base in fixed and member(base):
             acc = acc * params.exp(base, exponent % q, fixed=True) % p
         elif exponent:
             sides[exponent < 0].append((base, abs(exponent) % (p - 1)))
-    if acc * params.multi_exp(sides[0]) % p != params.multi_exp(sides[1]):
-        return [False] * len(batched)
-    return batched
+    return acc * params.multi_exp(sides[0]) % p == params.multi_exp(sides[1])
+
+
+class Pending(typing.NamedTuple):
+    """A failure that stands unless its claim holds, for `settle`."""
+
+    equations: tuple | None
+    decide: typing.Callable[[], bool]
+    failure: object
+
+
+def fails_unless(params: GroupParams, failure, equations, exact, items, *args) -> list:
+    """`failure` unless `exact(params, item, *args)` holds for every item:
+    on a group that does not batch, decided at once, [] or [failure]; else
+    [Pending] with the items' distinct `equations(params, item, *args)`."""
+    if not params.batches:  # a loop, not all() over a generator: cheaper per call
+        for item in items:
+            if not exact(params, item, *args):
+                return [failure]
+        return []
+    systems = [equations(params, item, *args) for item in items]
+    joined = None if None in systems else tuple(dict.fromkeys(itertools.chain(*systems)))
+    return [Pending(joined, lambda: all(exact(params, item, *args) for item in items), failure)]
+
+
+def settle(params: GroupParams, *checks: list) -> list[list]:
+    """Each list of failures with its Pending ones decided, all in one
+    `batch_verdicts` call: one stays, as its failure, if its claim is false."""
+    pending = [f for failures in checks for f in failures if type(f) is Pending]
+    proved = iter(
+        batch_verdicts(params, pending, lambda _, f: f.equations, lambda _, f: f.decide())
+    )
+    return [[f.failure if type(f) is Pending else f for f in failures
+             if type(f) is not Pending or not next(proved)] for failures in checks]
 
 
 def combine(a: Ciphertext, b: Ciphertext, params: GroupParams) -> Ciphertext:
@@ -527,21 +544,21 @@ def partial_decrypt(
 
 def threshold_decrypt(
     params: GroupParams,
-    batch: list[tuple[Ciphertext, list[PartialDecryption]]],
+    decryptions: list[tuple[Ciphertext, list[PartialDecryption]]],
     commitments: dict[int, int],
     decode_bound: int,
 ) -> list[int]:
-    """m decoded from `unblind` of each (ct, partials) in `batch`, in order.
+    """m decoded from `unblind` of each (ct, partials), in order.
 
     commitments maps trustee index -> h_i, and its keys are the trustees, as
     for the verifier: each supplies one partial whose proof verifies, or the
     plaintext is lost, and a partial from any other index is refused.  One
-    `zkp.verify_correct_decryptions` call checks every proof.
+    `zkp.holds` call checks every proof.
     """
-    from .zkp import verify_correct_decryptions
+    from .zkp import decryption_statement, holds
 
     ordered = []
-    for ct, partials in batch:
+    for ct, partials in decryptions:
         seen: dict[int, PartialDecryption] = {}
         for pd in partials:
             if pd.trustee_index in seen:
@@ -552,9 +569,10 @@ def threshold_decrypt(
         if missing := commitments.keys() - seen.keys():
             raise MissingShareError(f"trustee {min(missing)} missing; secret unrecoverable")
         ordered.append((ct, [seen[index] for index in sorted(seen)]))
-    verdicts = iter(verify_correct_decryptions(params, (
-        (commitments[pd.trustee_index], ct, pd.d, pd.proof) for ct, pds in ordered for pd in pds
-    )))
+    verdicts = iter(holds(params, [
+        decryption_statement(params, commitments[pd.trustee_index], ct, pd.d, pd.proof)
+        for ct, pds in ordered for pd in pds
+    ]))
     plaintexts = []
     for ct, pds in ordered:
         for pd, ok in zip(pds, verdicts):

@@ -8,18 +8,19 @@ round and per mid item, one of the two links.  A single tampered item
 escapes detection with probability 2^-rounds.
 
 `verify_mix` is the one check of a published chain of stages, on every
-group: each stage's input, continuity and structure, then every stage's
-opened links in one `reencryptions_hold` call.
+group: each stage's input, continuity and structure, then the claim that
+the links it opens re-encrypt, which `groups.settle` decides.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 
 from .canonical import Record, digest
-from .groups import Ciphertext, GroupParams, rand_scalar, reencrypt, reencryptions_hold
+from .groups import Ciphertext, GroupParams, fails_unless, rand_scalar, reencrypt, reencrypts_to
 
 DOMAIN_MIX = "evote/mixnet/challenge"
 
@@ -58,26 +59,26 @@ def strip_signatures(ballots) -> MixBatch:
     return MixBatch(items=tuple(tuple(sb.encrypted.slots) for sb in ballots))
 
 
-def _shuffle_stage(params: GroupParams, pk: int, batch: MixBatch, rng: random.Random):
+def _shuffle_stage(params: GroupParams, pk: int, batch_in: MixBatch, rng: random.Random):
     """The shuffled, re-encrypted batch and each output's (source, scalars)."""
-    sigma = list(range(len(batch.items)))
+    sigma = list(range(len(batch_in.items)))
     rng.shuffle(sigma)
     out = []
     sources = []
     for i in sigma:
-        rs = tuple(rand_scalar(params, rng) for _ in batch.items[i])
-        out.append(tuple(reencrypt(params, pk, ct, r) for ct, r in zip(batch.items[i], rs)))
+        rs = tuple(rand_scalar(params, rng) for _ in batch_in.items[i])
+        out.append(tuple(reencrypt(params, pk, ct, r) for ct, r in zip(batch_in.items[i], rs)))
         sources.append((i, rs))
     return MixBatch(items=tuple(out)), sources
 
 
 def mix_with_state(
-    params: GroupParams, pk: int, batch: MixBatch, rng: random.Random
+    params: GroupParams, pk: int, batch_in: MixBatch, rng: random.Random
 ) -> tuple[MixBatch, MixBatch, tuple[tuple[OpenedLink, ...], ...]]:
     """Both shuffle stages and the server's link table, where `links[side][j]`
     is the link of mid item j on `side`.  Exposed separately so tests can
     model a cheating server that rebuilds a proof over a tampered output."""
-    mid, mid_sources = _shuffle_stage(params, pk, batch, rng)
+    mid, mid_sources = _shuffle_stage(params, pk, batch_in, rng)
     out, out_sources = _shuffle_stage(params, pk, mid, rng)
     links_out = [None] * len(mid.items)
     for t, (j, rs) in enumerate(out_sources):
@@ -121,15 +122,15 @@ def build_proof(
 def mix_once(
     params: GroupParams,
     pk: int,
-    batch: MixBatch,
+    batch_in: MixBatch,
     rng: random.Random,
     rounds: int,
 ) -> tuple[MixBatch, ShuffleProof]:
     """One server's double shuffle-and-re-encrypt plus its opening proof."""
     if rounds < 1:
         raise ValueError("at least one challenge round required")
-    mid, out, links = mix_with_state(params, pk, batch, rng)
-    return out, build_proof(links, batch, mid, out, rounds)
+    mid, out, links = mix_with_state(params, pk, batch_in, rng)
+    return out, build_proof(links, batch_in, mid, out, rounds)
 
 
 @dataclass(frozen=True)
@@ -188,45 +189,59 @@ def verify_mix(
     batch_digest: bytes | None,
     stages: list[MixStage],
     min_rounds: int,
-    batch=None,
-) -> list[tuple[int, str]]:
+) -> list:
     """(stage index, reason) for each fault in a chain of mix stages, in
-    stage order: per stage, its input or continuity, then its proof.
+    stage order: per stage, its input or continuity, then its proof, held
+    back for `groups.settle` where the group batches.
 
     Uses public data only.  The first input must be the batch with
     `batch_digest` (not compared when None), each later input the previous
     output, and every stage's proof must keep the structural half-opening
-    that `_opened_links` reads.  The opened links of every stage go to one
-    `reencryptions_hold` call, with `batch`, and only when that fails is
-    each stage's checked alone, so the same stages are named either way.
-    Where `reencryptions_hold` batches, its weights add at most 2^-128 per
-    hash trial to the 2^-rounds chance that a tampered item escapes.
+    that `_opened_links` reads, and the links it opens must re-encrypt (a
+    batch adds at most 2^-128 per hash trial to the 2^-rounds escape).
     """
     failures = []
     if stages and batch_digest is not None and stages[0].batch_in.digest() != batch_digest:
         failures.append((0, "input does not match the transferred batch"))
-    opened = [_opened_links(params, stage, min_rounds) for stage in stages]
-    every_link = itertools.chain.from_iterable(filter(None, opened))
-    joint = reencryptions_hold(params, pk, every_link, batch)
-    for idx, (stage, links) in enumerate(zip(stages, opened)):
+    for idx, stage in enumerate(stages):
         if idx > 0 and stage.batch_in != stages[idx - 1].batch_out:
             failures.append((idx, "input breaks continuity"))
-        if links is None or not (joint or reencryptions_hold(params, pk, links, batch)):
-            failures.append((idx, "proof rejected"))
+        links, failure = _opened_links(params, stage, min_rounds), (idx, "proof rejected")
+        if links is None:
+            failures.append(failure)
+        else:
+            failures += fails_unless(params, failure, _link_equations, _links_hold, [links], pk)
     return failures
+
+
+def _link_equations(params: GroupParams, links: list, pk: int) -> tuple:
+    """The equations x*b^r = y of a stage's opened links: ct.c1*g^r =
+    target.c1 and ct.c2*pk^r = target.c2 for each slot."""
+    return tuple(
+        (((x, 1, False), (b, r, True)), ((y, 1, False),))
+        for link in links for ct, r, t in zip(*link)
+        for b, x, y in ((params.g, ct.c1, t.c1), (pk, ct.c2, t.c2))
+    )
+
+
+def _links_hold(params: GroupParams, links: list, pk: int) -> bool:
+    """Each opened slot of a stage re-encrypts, checked up to the first that
+    does not."""
+    slots = itertools.chain.from_iterable(itertools.starmap(zip, links))
+    return all(itertools.starmap(functools.partial(reencrypts_to, params, pk), slots))
 
 
 def run_mixnet(
     params: GroupParams,
     pk: int,
-    batch: MixBatch,
+    batch_in: MixBatch,
     server_rngs: list[random.Random],
     rounds: int,
 ) -> tuple[MixBatch, list[MixStage]]:
     """Sequential pass through every server; one honest server suffices for
     anonymity, every stage is recorded for publication."""
     stages = []
-    current = batch
+    current = batch_in
     for rng in server_rngs:
         out, proof = mix_once(params, pk, current, rng, rounds)
         stages.append(MixStage(batch_in=current, batch_out=out, proof=proof))

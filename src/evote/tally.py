@@ -39,6 +39,7 @@ from .groups import (
     TrusteeKeyShare,
     combine,
     partial_decrypt,
+    settle,
     threshold_decrypt,
     threshold_keygen,
 )
@@ -120,9 +121,8 @@ def run_tally(
     publish(bulletin.KIND_TRANSFER, transfer)
     server_rngs = [derive_rng(seed, "mix-server", i) for i in range(config.mix_server_count)]
     final, stages = run_mixnet(params, election_key.h, batch, server_rngs, config.proof_rounds)
-    for idx, reason in verify_mix(
-        params, election_key.h, batch_digest, stages, config.proof_rounds
-    ):
+    faults = verify_mix(params, election_key.h, batch_digest, stages, config.proof_rounds)
+    for idx, reason in settle(params, faults)[0]:
         raise MixRejected(f"mix stage {idx} {reason}")
     for idx, stage in enumerate(stages):
         publish(bulletin.KIND_MIX_STAGE, bulletin.MixStagePayload(idx, stage))

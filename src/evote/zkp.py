@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canonical import Record, digest, enc_int, encode
-from .groups import Ciphertext, GroupParams, batch_verdicts
+from .groups import Ciphertext, GroupParams, batch_verdicts, fails_unless
 
 DOMAIN_CP = "evote/zkp/chaum-pedersen"
 DOMAIN_SLOT = "evote/zkp/slot01"
@@ -46,33 +46,39 @@ def commit(params: GroupParams, bases, w: int) -> list[int]:
     return [params.exp(b, w, fixed) for b, fixed in bases]
 
 
-def holds(params: GroupParams, statements, batch=None) -> list[bool]:
+def holds(params: GroupParams, statements) -> list[bool]:
     """For each item of a list of statements (bases, values, commits, e, z)
     or None: True iff e and z lie in [0, q) and b^z = t * y^e for each base
-    b with public value y and commitment t; a None's False.
-
-    `groups.batch_verdicts`, or `batch` in its place, proves the statements
-    in range together where it can, with the marked bases as fixed, and
-    `_holds` checks any other alone; on a group that does not batch, it
-    checks each.  Each caller hands over a whole check at once: every
-    decryption proof of a tally or a board, a cast ballot's signature with
-    its well-formedness proof, every cast ballot on a board, or a block's
-    signatures.
+    b with public value y and commitment t; a None's False.  They are the
+    claims of one `groups.batch_verdicts` call, and `_exact` checks each one
+    the batch does not admit, or each on a group that does not batch.
 
     Without the range check z + q (or e + q) would pass too, since every
     base has order q, and two encodings would prove the same statement.
     """
-    q = params.q
+    return batch_verdicts(params, statements, _equations, _exact)
 
-    def equations(bases, values, commits, e, z):
-        if 0 <= e < q and 0 <= z < q:
+
+def fails_unless_hold(params: GroupParams, statements, failure) -> list:
+    """`failure` unless every statement holds, held back or decided by
+    `groups.fails_unless`."""
+    return fails_unless(params, failure, _equations, _exact, statements)
+
+
+def _equations(params: GroupParams, statement):
+    """A statement's equations for `batch_verdicts`; None for None or an e
+    or z out of range."""
+    if statement is not None:
+        bases, values, commits, e, z = statement
+        if 0 <= e < params.q and 0 <= z < params.q:
             return tuple(
-                (((b, z),), ((t, 1), (y, e))) for (b, _), y, t in zip(bases, values, commits)
+                (((b, z, fixed),), ((t, 1, False), (y, e, False)))
+                for (b, fixed), y, t in zip(bases, values, commits)
             )
 
-    fixed = (b for s in statements if s for b, mark in s[0] if mark)
-    proved = (batch or batch_verdicts)(params, (s and equations(*s) for s in statements), fixed)
-    return [ok or (s is not None and _holds(params, *s)) for ok, s in zip(proved, statements)]
+
+def _exact(params: GroupParams, statement) -> bool:
+    return statement is not None and _holds(params, *statement)
 
 
 def _holds(params: GroupParams, bases, values, commits, e, z) -> bool:
@@ -110,21 +116,13 @@ def prove_correct_decryption(
     return DecryptionProof(*commits, e, z)
 
 
-def _decryption_statement(params: GroupParams, pk_component: int, ct: Ciphertext, d: int, proof):
-    """What `holds` checks of a decryption proof, or None if its challenge
-    does not recompute."""
+def decryption_statement(params: GroupParams, pk_component: int, ct: Ciphertext, d: int, proof):
+    """What `holds` checks of a proof that d = c1^x for the share committed
+    as `pk_component`, or None if its challenge does not recompute."""
     commits = (proof.commit_g, proof.commit_c1)
     e = _challenge(params, DOMAIN_CP, pk_component, ct.to_bytes(), d, *commits)
     bases = ((params.g, True), (ct.c1, False))
     return (bases, (pk_component, d), commits, e, proof.response) if e == proof.challenge else None
-
-
-def verify_correct_decryptions(params: GroupParams, claims, batch=None) -> list[bool]:
-    """For each (pk_component, ct, d, proof): True iff its challenge
-    recomputes and both verification equations hold.  The statements go to
-    `holds`, with `batch`, as one list, so on a group that batches their
-    equations are checked in one batch."""
-    return holds(params, [_decryption_statement(params, *claim) for claim in claims], batch)
 
 
 @dataclass(frozen=True)

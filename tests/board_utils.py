@@ -2,10 +2,26 @@
 
 `rechain` returns a copy re-linked by `Board.rechain`, so a mutation can
 target a specific verification check instead of tripping the hash chain
-first.
+first.  `exact_only` gives the reference that every batched verdict must
+equal.
 """
 
+import functools
+
+from evote import zkp
 from evote.bulletin import Board, BulletinEntry
+from evote.groups import GroupParams
+
+_exact = functools.cache(zkp._exact)
+
+
+def exact_only(patch) -> None:
+    """Through `patch` (a monkeypatch), make every group one that does not
+    batch, so that every claim is decided by its own exact check: each
+    statement by `zkp._holds`, each mix stage slot by slot.  A statement's
+    verdict is remembered across tests, which check the same ones often."""
+    patch.setattr(GroupParams, "batches", False)
+    patch.setattr(zkp, "_exact", _exact)
 
 
 def clone_board(board: Board) -> Board:

@@ -6,10 +6,10 @@ from evote.canonical import derive_rng
 from evote.groups import TEST_GROUP
 from evote.tally import Election, ElectionConfig
 
-# CI runs the codec, record, multi-exponentiation, netted batch and `powers`
-# properties (`tests/test_exponentiation.py` whole, which holds
-# `test_netted_batch_verdicts_match_pow`), the batch re-encryption check's
-# agreement with the per-slot one, the batch decryption check's agreement
+# CI runs the codec, record, multi-exponentiation, netted and bisected batch
+# and `powers` properties (`tests/test_exponentiation.py` whole, which holds
+# `test_netted_batch_verdicts_match_pow`), the mix link claim's agreement
+# with the per-slot check, the batch decryption check's agreement
 # with the per-proof one, the batch ballot check's agreement with the
 # per-statement one, the batch block check's agreement with the
 # per-signature one, the verifier's totality under one-byte edits and the

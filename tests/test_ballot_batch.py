@@ -2,14 +2,15 @@
 
 `ballot.verify_ballot` hands a cast ballot's signature statement and the
 statements of its well-formedness proof (both branches of each slot, then
-the sum) to `zkp.holds` as one list, and `bulletin._check_wellformed` hands
-it those of every cast ballot on the board.  On prod3072 they are checked in
-one small-exponent batch, where a wrapped real-branch challenge crosses its
-equation as q minus it; every statement the batch does not prove is checked
-alone.  The verdicts, and so the casts accepted and the verifier's failure
-strings, must be the ones that checking each statement alone gives.  A `c1`
-replaced by p - c1 leaves the subgroup; the proof re-ground for it holds
-exactly when that slot's real-branch challenge is even.
+the sum) to `zkp.holds` as one list, and `bulletin._check_wellformed` holds
+back the failure of every cast ballot on the board on the claim that its
+statements hold.  On prod3072 they are checked in one small-exponent batch,
+where a wrapped real-branch challenge crosses its equation as q minus it; a
+failed batch is bisected, and a statement the batch does not admit is
+checked alone.  The verdicts, and so the casts accepted and the verifier's
+failure strings, must be the ones that checking each statement alone gives.
+A `c1` replaced by p - c1 leaves the subgroup; the proof re-ground for it
+holds exactly when that slot's real-branch challenge is even.
 """
 
 import functools
@@ -20,8 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from board_utils import replace_payload
-from evote import ballot, bulletin, groups, zkp
+from board_utils import exact_only, replace_payload
+from evote import groups, zkp
 from evote.ballot import BallotCastPayload, compose_ballot, encode_choice
 from evote.bulletin import KIND_BALLOT_CAST, universal_verify
 from evote.canonical import derive_rng, encode
@@ -33,10 +34,9 @@ from evote.groups import (
     rand_scalar,
     threshold_keygen,
 )
-from evote.mixnet import verify_mix
 from evote.registry import Registry, enroll_voter, sig_statement, sign
 from evote.tally import Election
-from evote.zkp import prove_wellformed, verify_correct_decryptions, wellformed_statements
+from evote.zkp import prove_wellformed, wellformed_statements
 
 PROFILES = {"test": TEST_GROUP, "prod3072": PROD_GROUP_3072}
 
@@ -133,8 +133,8 @@ def test_prod_batch_proves_a_non_member_raised_to_a_wrapped_exponent():
     """g^z = t * y^e with y outside the subgroup and e wrapped and even, so
     that it holds, in eight batches of one equation each: every batch
     proves its equation, y keeping its exponent.  Crossed over as q - e, y
-    would carry y^q = -1 with it, and a batch would fail, to be checked
-    alone, whenever its weight is odd."""
+    would carry y^q = -1 with it, and a batch would fail whenever its
+    weight is odd; the batch must prove it, not the exact check."""
     params = PROD_GROUP_3072
     p, q, g = params.p, params.q, params.g
     y = p - params.exp(g, 12345)
@@ -143,24 +143,17 @@ def test_prod_batch_proves_a_non_member_raised_to_a_wrapped_exponent():
         e, z = q - 1 - 2 * k, 1000 + k
         assert e in params._wrapped_exponents
         t = pow(g, z, p) * pow(y, -e, p) % p
-        system = ((((g, z),), ((t, 1), (y, e))),)
-        assert list(groups.batch_verdicts(params, [system], {g})) == [True]
+        system = ((((g, z, True),), ((t, 1, False), (y, e, False))),)
+        assert groups.batch_verdicts(params, [system], lambda _, s: s, _unreachable) == [True]
 
 
-@functools.cache
-def _verify_mix(params, pk, batch_digest, stages, min_rounds):
-    return verify_mix(params, pk, batch_digest, list(stages), min_rounds)
-
-
-@functools.cache
-def _decryptions(params, claims):
-    return verify_correct_decryptions(params, list(claims))
+def _unreachable(params, claim):
+    raise AssertionError("a claim the batch admits was checked exactly")
 
 
 def _reports(monkeypatch, election, board):
-    """universal_verify's report as dicts: as it is, then with every ballot
-    statement checked alone.  The edits leave the mix stages and the
-    decryptions alone, so their checks are remembered across calls."""
+    """universal_verify's report as dicts: as it is, then with every claim
+    decided by its exact check."""
 
     def verify():
         return universal_verify(
@@ -169,14 +162,8 @@ def _reports(monkeypatch, election, board):
         ).to_dict()
 
     with monkeypatch.context() as patch:
-        patch.setattr(
-            bulletin, "verify_mix", lambda p, k, d, s, r, _: _verify_mix(p, k, d, tuple(s), r)
-        )
-        patch.setattr(
-            bulletin, "verify_correct_decryptions", lambda p, c, _: _decryptions(p, tuple(c))
-        )
         batched = verify()
-        patch.setattr(bulletin, "holds", lambda p, statements, _: _alone(p, statements))
+        exact_only(patch)
         return batched, verify()
 
 
@@ -211,7 +198,7 @@ def _casts(monkeypatch, election, sb):
     statement of its check checked alone."""
     with monkeypatch.context() as patch:
         batched = election.cast(sb, now=sb.timestamp) is not None
-        patch.setattr(ballot, "holds", _alone)
+        exact_only(patch)
         return batched, election.cast(sb, now=sb.timestamp) is not None
 
 

@@ -1,23 +1,21 @@
 """One batch per board in the verifier, and the tally's order.
 
-On prod3072 `universal_verify` runs its checks with each batch they ask for
-held back, then hands every held system (each cast ballot's statements,
-every opened mix link and every decryption proof) to one
-`groups.batch_verdicts` call.  When that batch does not prove them all, the
-checks run again, each with batches of its own, so a failure names the
-same entries with the same text as the per-statement references of
-`test_ballot_batch` (`_alone`), `test_decryption_batch` (`_per_proof_all`)
-and `test_mixnet` (`_per_slot`).  The tally checks its mix before it
-decrypts anything, since decrypting an unchecked mix could open a targeted
-vote.
+On prod3072 `universal_verify` runs each check once.  A failure that rests
+on a proof (each cast ballot's statements, every opened mix link and every
+decryption proof) is held back on its claim, and `groups.settle` decides
+every claim in one `groups.batch_verdicts` call, which bisects the batch
+when it fails.  So a failure names the same entries with the same text as
+when every claim is decided by its exact check (`board_utils.exact_only`).
+The tally checks its mix before it decrypts anything, since decrypting an
+unchecked mix could open a targeted vote.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from board_utils import replace_payload
-from evote import bulletin, groups, mixnet, tally, zkp
+from board_utils import exact_only, replace_payload
+from evote import bulletin, groups, tally, zkp
 from evote.ballot import BallotCastPayload
 from evote.bulletin import (
     KIND_BALLOT_CAST,
@@ -27,16 +25,13 @@ from evote.bulletin import (
     PartialDecryptionPayload,
     universal_verify,
 )
-from test_ballot_batch import _alone
-from test_decryption_batch import _per_proof_all
-from test_mixnet import _per_slot
 
 
 def _spy_batches(monkeypatch, events, tag=lambda module: "batch"):
     """Record `tag(module)` in `events` for each `batch_verdicts` call, by
     whichever module's name it is made."""
     verdicts = groups.batch_verdicts
-    for module in (groups, zkp, bulletin):
+    for module in (groups, zkp):
 
         def spy(*args, module=module):
             events.append(tag(module))
@@ -144,17 +139,14 @@ def test_prod_edits_in_two_checks_are_named_as_each_alone_names_them(
 ):
     """A cast ballot's slot response, or a mix link's scalar, off by one, and
     a partial decryption's response off by one: the joint batch fails, and
-    the report is the one the per-statement references give, naming both
-    entries."""
+    the report is the one that exact checks give, naming both entries."""
     election = prod_election
     q = election.params.q
     board, seq = _edited(election.board, kind, 0, edit(q))
     board, pd_seq = _edited(board, KIND_PARTIAL_DECRYPTION, 1, _response_plus_one(q))
     batched = _verify(election, board).to_dict()
     with monkeypatch.context() as patch:
-        patch.setattr(bulletin, "holds", lambda p, statements, _: _alone(p, statements))
-        patch.setattr(bulletin, "verify_correct_decryptions", lambda p, c, _: _per_proof_all(p, c))
-        patch.setattr(mixnet, "reencryptions_hold", _per_slot)
+        exact_only(patch)
         alone = _verify(election, board).to_dict()
     assert batched == alone
     trustee = PartialDecryptionPayload.from_bytes(board.entries[pd_seq].payload).trustee_index
@@ -162,3 +154,36 @@ def test_prod_edits_in_two_checks_are_named_as_each_alone_names_them(
         f"entry {seq}: {failure}",
         f"entry {pd_seq}: decryption proof rejected (trustee {trustee})",
     ]
+
+
+def _spy_checks(monkeypatch):
+    """The name of each `bulletin._check_*` call, in order."""
+    calls = []
+    for name in ("_check_wellformed", "_check_mix", "_check_decryption", "_check_counts"):
+        check = getattr(bulletin, name)
+
+        def spy(*args, name=name, check=check):
+            calls.append(name)
+            return check(*args)
+
+        monkeypatch.setattr(bulletin, name, spy)
+    return calls
+
+
+def test_prod_verify_runs_each_check_once_on_an_honest_and_a_failing_board(
+    prod_election, monkeypatch
+):
+    """One pass: a failing board is not replayed, and its one batch call
+    bisects to the bad partial decryption."""
+    election = prod_election
+    board, seq = _edited(
+        election.board, KIND_PARTIAL_DECRYPTION, 1, _response_plus_one(election.params.q)
+    )
+    checks = ["_check_wellformed", "_check_mix", "_check_decryption", "_check_counts"]
+    for edited, overall in ((election.board, True), (board, False)):
+        calls, batches = _spy_checks(monkeypatch), []
+        _spy_batches(monkeypatch, batches)
+        report = _verify(election, edited)
+        assert (report.overall, calls, batches) == (overall, checks, ["batch"])
+        monkeypatch.undo()
+    assert [f for f in report.failures if f.startswith(f"entry {seq}:")] == report.failures

@@ -1,10 +1,11 @@
 """One decryption check for the tally and the verifier.
 
-On prod3072 `zkp.verify_correct_decryptions` hands the equations of every
-proof whose challenge recomputes to `groups.batch_verdicts` as one batch;
-each proof that the batch does not prove is checked alone.  Its verdicts,
-and so the tally's errors and the verifier's failure strings, must be the
-ones the per-proof check gives.  A proof re-ground from the trustee's
+On prod3072 `zkp.holds` hands the `decryption_statement` of every proof to
+`groups.batch_verdicts`, which checks those whose challenge recomputes in
+one batch, bisects it when it fails and checks any other alone; the
+verifier holds back each proof's failure on the same statement.  The
+verdicts, and so the tally's errors and the verifier's failure strings,
+must be the ones the per-proof check gives.  A proof re-ground from the trustee's
 secret makes the edits the challenge would otherwise catch: a negated d or
 commitment, or a negated key share, with a challenge of either parity.
 """
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from board_utils import replace_payload
+from board_utils import exact_only, replace_payload
 from evote import bulletin, groups, tally, zkp
 from evote.bulletin import KIND_PARTIAL_DECRYPTION, PartialDecryptionPayload, universal_verify
 from evote.canonical import derive_rng
@@ -30,13 +31,7 @@ from evote.groups import (
     threshold_decrypt,
     threshold_keygen,
 )
-from evote.mixnet import verify_mix
-from evote.zkp import (
-    DOMAIN_CP,
-    DecryptionProof,
-    nonce,
-    verify_correct_decryptions,
-)
+from evote.zkp import DOMAIN_CP, DecryptionProof, decryption_statement, holds, nonce
 
 PROFILES = {"test": TEST_GROUP, "prod3072": PROD_GROUP_3072}
 
@@ -54,14 +49,19 @@ def _reground(params, x, h, ct, d, parity=None, tweak=lambda t: t, salt=0):
             return DecryptionProof(t_g, t_c, e, (w + e * x) % params.q)
 
 
+def _verdicts(params, claims):
+    """`holds` of the statement of each claim (h, ct, d, proof)."""
+    return holds(params, [decryption_statement(params, *claim) for claim in claims])
+
+
 @functools.cache
 def _per_proof(params, h, ct, d, proof):
-    statement = zkp._decryption_statement(params, h, ct, d, proof)
+    statement = decryption_statement(params, h, ct, d, proof)
     return statement is not None and zkp._holds(params, *statement)
 
 
 def _per_proof_all(params, claims):
-    """The reference for `verify_correct_decryptions`: each proof alone."""
+    """The reference for `_verdicts`: each proof alone."""
     return [_per_proof(params, *claim) for claim in claims]
 
 
@@ -78,20 +78,9 @@ def _pool(name):
     ]
 
 
-@functools.cache
-def _holds(params, statements):
-    return zkp.holds(params, list(statements))
-
-
-@functools.cache
-def _verify_mix(params, pk, batch_digest, stages, min_rounds):
-    return verify_mix(params, pk, batch_digest, list(stages), min_rounds)
-
-
 def _reports(monkeypatch, election, board, commitments=None):
-    """universal_verify's report as dicts: as it is, then with each
-    decryption proof checked alone.  The edits leave the ballots and the mix
-    stages alone, so their checks are remembered across calls."""
+    """universal_verify's report as dicts: as it is, then with every claim
+    decided by its exact check."""
     commitments = commitments or election.commitments
     key, config = election.election_key.h, election.config
 
@@ -99,12 +88,8 @@ def _reports(monkeypatch, election, board, commitments=None):
         return universal_verify(election.params, board, config, key, commitments).to_dict()
 
     with monkeypatch.context() as patch:
-        patch.setattr(bulletin, "holds", lambda p, statements, _: _holds(p, tuple(statements)))
-        patch.setattr(
-            bulletin, "verify_mix", lambda p, k, d, s, r, _: _verify_mix(p, k, d, tuple(s), r)
-        )
         batched = verify()
-        patch.setattr(bulletin, "verify_correct_decryptions", lambda p, c, _: _per_proof_all(p, c))
+        exact_only(patch)
         return batched, verify()
 
 
@@ -217,8 +202,7 @@ def test_prod_negated_ds_with_odd_challenges_are_all_rejected(prod_election):
     """d replaced by p - d, each proof re-ground with an odd challenge: the
     equation's two sides then differ by -1, outside the subgroup, where a
     batch would pass it whenever its weight is even.  Sixteen such proofs,
-    each with its own weights, are all rejected.  Each is checked alone,
-    since a failed batch is re-checked proof by proof."""
+    each with its own weights, are all rejected."""
     params = prod_election.params
     share = prod_election.trustees[0]
     ct = prod_election.result.mixed_batch.items[0][0]
@@ -228,7 +212,7 @@ def test_prod_negated_ds_with_odd_challenges_are_all_rejected(prod_election):
         for k in range(16)
     ]
     assert len({claim[3] for claim in claims}) == 16
-    assert [verify_correct_decryptions(params, [claim]) for claim in claims] == [[False]] * 16
+    assert [_verdicts(params, [claim]) for claim in claims] == [[False]] * 16
 
 
 def test_prod_two_errors_that_cancel_under_equal_weights_are_both_rejected():
@@ -244,13 +228,13 @@ def test_prod_two_errors_that_cancel_under_equal_weights_are_both_rejected():
             pool[:2], (lambda t: t * params.g % params.p, lambda t: t * g_inv % params.p)
         )
     ]
-    assert verify_correct_decryptions(params, claims) == [False, False]
+    assert _verdicts(params, claims) == [False, False]
 
 
 def test_prod_tally_names_the_trustee_of_a_bad_partial(prod_election, monkeypatch):
     """One partial of trustee 2 with its response off by one: its challenge
     still recomputes and every element is a member, so it enters the batch,
-    which fails; the per-proof re-check then names trustee 2."""
+    which fails; bisecting it then names trustee 2."""
     election = prod_election
     honest = partial_decrypt
     calls = itertools.count()
@@ -314,7 +298,7 @@ def test_batched_decryption_check_matches_the_per_proof_check(name, data):
         )
         for _ in range(data.draw(st.integers(0, 4)))
     ]
-    assert verify_correct_decryptions(params, claims) == _per_proof_all(params, claims)
+    assert _verdicts(params, claims) == _per_proof_all(params, claims)
 
 
 @pytest.mark.parametrize("name", PROFILES)

@@ -441,8 +441,8 @@ def test_evicted_table_is_rebuilt_with_the_same_results(name):
 # `batch_verdicts` raises each base once, to its net exponent over every
 # equation of the batch: a fixed member's mod q through its comb, every other
 # base's size mod p - 1, the positive and the negative ones in a
-# `multi_exp` each.  Its verdicts must be those of every equation evaluated
-# by builtin pow.
+# `multi_exp` each.  A failed batch is bisected.  Its verdicts must be those
+# of every equation evaluated by builtin pow.
 @functools.cache
 def _batch_bases():
     """Named prod3072 bases: g and an election key, both fixed members; a
@@ -474,27 +474,33 @@ def _value(pairs):
     return math.prod(_pow(b, e) for b, e in pairs) % _P
 
 
+def _unreachable(params, claim):
+    raise AssertionError("a claim the batch admits was checked exactly")
+
+
 def _assert_batch_matches_pow(spec):
     """spec: systems, each a list of equations (lhs, rhs, off) with sides of
     (base name, exponent) pairs.  Each equation's rhs gains a last base that
     makes it hold, or, when off, fail by a factor g, a member, so that the
-    system still joins the batch.  One false equation fails the batch, and
-    every verdict is False; else each is True."""
+    system still joins the batch.  Each verdict is its own system's, and no
+    system is checked exactly."""
     params = PROD_GROUP_3072
     bases = _batch_bases()
-    systems = []
+    fixed = {bases[name] for name in ("g", "key", "negated key")}
+    systems, expected = [], []
     for system in spec:
-        equations = []
+        equations, holds = [], True
         for lhs, rhs, off in system:
             lhs = tuple((bases[name], e) for name, e in lhs)
             rhs = tuple((bases[name], e) for name, e in rhs)
             last = _value(lhs) * pow(_value(rhs), -1, _P) * params.g**off % _P
-            equations.append((lhs, rhs + ((last, 1),)))
+            rhs += ((last, 1),)
+            holds &= _value(lhs) == _value(rhs)
+            marked = (tuple((b, e, b in fixed) for b, e in side) for side in (lhs, rhs))
+            equations.append(tuple(marked))
         systems.append(tuple(equations))
-    exact = [all(_value(lhs) == _value(rhs) for lhs, rhs in s) for s in systems]
-    expected = exact if all(exact) else [False] * len(systems)
-    fixed = {bases[name] for name in ("g", "key", "negated key")}
-    assert list(groups.batch_verdicts(params, systems, fixed)) == expected
+        expected.append(holds)
+    assert groups.batch_verdicts(params, systems, lambda _, s: s, _unreachable) == expected
 
 
 # A 300-bit exponent, for the cases where length does not matter.
@@ -528,6 +534,20 @@ BATCHES = {
         ],
         [([("key", _FULL)], [], 0)],
     ],
+    "two false equations": [
+        [([("member", _MID)], [("non-member", _Q - 7)], 1)],
+        [([("g", 5)], [("member", 7)], 0)],
+        [
+            ([("key", 3)], [("g", _FULL)], 0),
+            ([("non-member", _MID)], [("member", 9)], 1),
+        ],
+        [([("negated key", _P + 4)], [("g", _MID)], 0)],
+    ],
+    "every equation false": [
+        [([("member", _MID)], [("non-member", _Q - 7)], 1)],
+        [([("g", 5), ("key", _FULL)], [("member", 7)], 1)],
+        [([("non-member", 2 * _P - 3)], [], 1)],
+    ],
 }
 
 
@@ -545,7 +565,9 @@ def test_netted_batch_verdicts_match_pow(data):
     """Up to 3 systems of up to 2 equations, each side up to 2 pairs drawn
     from the named bases, so that bases repeat on both sides and across
     systems, and maybe a pair on both sides, whose net exponent cancels;
-    exponents 0, 1, up to 2^128 or long; about one equation in four false."""
+    exponents 0, 1, up to 2^128 or long; about one equation in four false,
+    so that some batches have one false system, some several and some
+    only false ones."""
     exponents = st.one_of(st.integers(min_value=0, max_value=1 << 128), st.sampled_from(_LONG))
     pairs = st.lists(st.tuples(st.sampled_from(list(_batch_bases())), exponents), max_size=2)
     spec = []
@@ -559,3 +581,58 @@ def test_netted_batch_verdicts_match_pow(data):
             system.append((lhs, rhs, int(data.draw(st.integers(0, 3)) == 0)))
         spec.append(system)
     _assert_batch_matches_pow(spec)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_one_false_claim_among_n_costs_at_most_2_log_n_plus_1_batches(monkeypatch, n):
+    """n claims of one equation each, on members without tables, the k-th
+    false for each k in turn: the batch and its bisection take at most
+    2 * ceil(log2 n) + 1 batches and name exactly the k-th, and no admitted
+    claim is checked exactly.  A claim without equations takes its own
+    check."""
+    params = PROD_GROUP_3072
+    bases = [params.exp(params.g, 1000 + i) for i in range(n)]
+    sizes, check = [], groups._batch_holds
+
+    def spy(params, equations, member):
+        sizes.append(len(equations))
+        return check(params, equations, member)
+
+    monkeypatch.setattr(groups, "_batch_holds", spy)
+    for bad in range(n):
+        claims = [
+            ((((b, i + 1, False),), ((b, i + 1 + (i == bad), False),)),)
+            for i, b in enumerate(bases)
+        ]
+        sizes.clear()
+        verdicts = groups.batch_verdicts(params, claims, lambda _, c: c, _unreachable)
+        assert verdicts == [i != bad for i in range(n)]
+        assert sizes[0] == n and len(sizes) <= 2 * math.ceil(math.log2(n)) + 1
+    assert groups.batch_verdicts(params, [True, False], lambda *_: None, lambda _, c: c) == [
+        True, False
+    ]
+
+
+def test_a_failed_batch_splits_by_equation_count(monkeypatch):
+    """A true claim of 16 equations, then 16 claims of one, the k-th false
+    for each k: each split halves the equations, so the batches on the
+    false claim's path check at most 3 times the first batch's equations,
+    wherever it stands."""
+    params = PROD_GROUP_3072
+    bases = [params.exp(params.g, 2000 + i) for i in range(32)]
+    heavy = tuple((((b, 3, False),), ((b, 3, False),)) for b in bases[16:])
+    sizes, check = [], groups._batch_holds
+
+    def spy(params, equations, member):
+        sizes.append(len(equations))
+        return check(params, equations, member)
+
+    monkeypatch.setattr(groups, "_batch_holds", spy)
+    for bad in range(16):
+        light = [
+            ((((b, 1, False),), ((b, 1 + (i == bad), False),)),) for i, b in enumerate(bases[:16])
+        ]
+        sizes.clear()
+        verdicts = groups.batch_verdicts(params, [heavy, *light], lambda _, c: c, _unreachable)
+        assert verdicts == [True] + [i != bad for i in range(16)]
+        assert sizes[0] == 32 and sum(sizes) <= 3 * 32

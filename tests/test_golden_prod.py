@@ -14,10 +14,10 @@ import pytest
 from evote import bulletin
 from evote.ballot import compose_ballot, encode_choice
 from evote.canonical import derive_rng
-from evote.groups import PROD_GROUP_3072, partial_decrypt, threshold_keygen
+from evote.groups import PROD_GROUP_3072, partial_decrypt, settle, threshold_keygen
 from evote.mixnet import MixStage, mix_once, strip_signatures, verify_mix
 from evote.registry import Registry, enroll_voter
-from evote.zkp import holds, verify_correct_decryptions, wellformed_statements
+from evote.zkp import decryption_statement, holds, wellformed_statements
 
 GOLDEN = {
     "ballot": "13c320bc81ffe2346e4100c8a85636f5e070220f121fe7d9dd76df2875f9387a",
@@ -59,5 +59,5 @@ def test_prod_verifiers_accept_the_pinned_artifacts(artifacts):
     params, key, shares, sb, stage, ct, pd, _ = artifacts
     slots, proof = list(sb.encrypted.slots), sb.encrypted.wellformed
     assert all(holds(params, wellformed_statements(params, key.h, slots, proof)))
-    assert verify_mix(params, key.h, None, [stage], 1) == []
-    assert verify_correct_decryptions(params, [(shares[0].h, ct, pd.d, pd.proof)]) == [True]
+    assert settle(params, verify_mix(params, key.h, None, [stage], 1)) == [[]]
+    assert holds(params, [decryption_statement(params, shares[0].h, ct, pd.d, pd.proof)]) == [True]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from board_utils import exact_only
 from evote import groups, mixnet
 from evote.canonical import derive_rng
 from evote.groups import (
@@ -20,7 +21,7 @@ from evote.groups import (
     rand_scalar,
     reencrypt,
     reencrypts_to,
-    reencryptions_hold,
+    settle,
 )
 from evote.mixnet import (
     SIDE_IN,
@@ -53,9 +54,15 @@ def _decrypt_multiset(grp, sk, batch, bound=5):
     )
 
 
+def _faults(params, pk, batch_digest, stages, min_rounds):
+    """`verify_mix`'s faults, its held-back ones settled."""
+    [faults] = settle(params, verify_mix(params, pk, batch_digest, stages, min_rounds))
+    return faults
+
+
 def _verifies(params, pk, batch, out, proof, min_rounds=1):
     """Whether `verify_mix` accepts the one stage from `batch` to `out`."""
-    return verify_mix(params, pk, None, [MixStage(batch, out, proof)], min_rounds) == []
+    return _faults(params, pk, None, [MixStage(batch, out, proof)], min_rounds) == []
 
 
 @pytest.fixture
@@ -251,14 +258,13 @@ def test_shuffle_proof_bytes_are_pinned(grp, keys, n, rounds, expected):
     assert hashlib.sha256(proof.to_bytes() + out.to_bytes()).hexdigest() == expected
 
 
-# On prod3072 `reencryptions_hold` checks the opened re-encryptions of a stage
-# as one batch; its verdict must be the one the per-slot check gives.
+# On prod3072 the claim that a stage's opened links re-encrypt is checked in
+# a batch; its verdict must be the one the per-slot check gives.
 PROFILES = {"test": TEST_GROUP, "prod3072": PROD_GROUP_3072}
 
 
-def _per_slot(params, pk, links, batch=None):
-    """The reference for `reencryptions_hold`: each opened slot in turn,
-    whatever batch the caller hands over."""
+def _per_slot(params, pk, links):
+    """The reference for `_links_hold`: each opened slot in turn."""
     return all(
         reencrypts_to(params, pk, ct, r, target)
         for sources, scalars, targets in links
@@ -266,11 +272,20 @@ def _per_slot(params, pk, links, batch=None):
     )
 
 
+def _links_hold(params, pk, links):
+    """Whether the claim that each (sources, scalars, targets) of `links`
+    re-encrypts holds, as `verify_mix` builds and `settle` decides it."""
+    failure = groups.fails_unless(
+        params, "rejected", mixnet._link_equations, mixnet._links_hold, [links], pk
+    )
+    return settle(params, failure) == [[]]
+
+
 def _verdicts(monkeypatch, params, pk, batch, out, proof):
     """(the stage's verdict, its verdict with the per-slot check)."""
     verdict = _verifies(params, pk, batch, out, proof, min_rounds=len(proof.rounds))
     with monkeypatch.context() as patch:
-        patch.setattr(mixnet, "reencryptions_hold", _per_slot)
+        exact_only(patch)
         exact = _verifies(params, pk, batch, out, proof, min_rounds=len(proof.rounds))
     return verdict, exact
 
@@ -385,7 +400,7 @@ def test_prod_a_negated_target_is_rejected_whatever_its_weight():
     for k in range(1, 17):
         x = params.exp(params.g, k)
         link = ((Ciphertext(x, x),), (0,), (Ciphertext(params.p - x, x),))
-        assert not reencryptions_hold(params, pk, [link])
+        assert not _links_hold(params, pk, [link])
 
 
 def test_prod_honest_links_under_a_non_member_key_hold_whatever_the_weights():
@@ -397,7 +412,7 @@ def test_prod_honest_links_under_a_non_member_key_hold_whatever_the_weights():
     for k in range(1, 9):
         x = params.exp(params.g, k)
         target = Ciphertext(x * shift.c1 % params.p, x * shift.c2 % params.p)
-        assert reencryptions_hold(params, pk, [((Ciphertext(x, x),), (params.q - 1,), (target,))])
+        assert _links_hold(params, pk, [((Ciphertext(x, x),), (params.q - 1,), (target,))])
 
 
 @pytest.mark.parametrize("name", PROFILES)
@@ -430,7 +445,7 @@ def test_two_links_opened_for_one_side_of_a_mid_item_are_both_checked(name):
 @pytest.mark.parametrize("name", PROFILES)
 @settings(max_examples=max(5, settings().max_examples // 20), deadline=None)
 @given(data=st.data())
-def test_reencryptions_hold_matches_the_per_slot_check(name, data):
+def test_link_claim_matches_the_per_slot_check(name, data):
     """Links of random ciphertexts, some components outside the subgroup or
     outside [1, p), with targets re-encrypted honestly or tampered, under a
     member key and a non-member one; a link may be opened twice."""
@@ -455,11 +470,11 @@ def test_reencryptions_hold_matches_the_per_slot_check(name, data):
         links.append((sources, rs, targets))
         if data.draw(st.booleans()):
             links.append(links[-1])
-    assert reencryptions_hold(params, pk, links) == _per_slot(params, pk, links)
+    assert _links_hold(params, pk, links) == _per_slot(params, pk, links)
 
 
-# `verify_mix` checks a chain of stages: every stage's opened links in one
-# `reencryptions_hold` call, falling back to each stage alone when that fails.
+# `verify_mix` checks a chain of stages: each stage's opened links are one
+# claim, and `settle` decides every stage's in one batch, bisected if it fails.
 @functools.cache
 def _chain(name):
     """A two-stage chain over a batch of n = 2: (batch, stages, each stage's
@@ -478,10 +493,10 @@ def _chain(name):
 
 def _failures(monkeypatch, params, pk, batch, stages):
     """(verify_mix's faults, its faults with the per-slot check)."""
-    failures = verify_mix(params, pk, batch.digest(), stages, 2)
+    failures = _faults(params, pk, batch.digest(), stages, 2)
     with monkeypatch.context() as patch:
-        patch.setattr(mixnet, "reencryptions_hold", _per_slot)
-        exact = verify_mix(params, pk, batch.digest(), stages, 2)
+        exact_only(patch)
+        exact = _faults(params, pk, batch.digest(), stages, 2)
     return failures, exact
 
 
@@ -503,7 +518,7 @@ def test_prod_honest_chain_is_one_batch_with_one_comb_power_per_fixed_base(monke
 
     monkeypatch.setattr(groups, "batch_verdicts", verdicts_spy)
     monkeypatch.setattr(groups._Comb, "power", power_spy)
-    assert verify_mix(params, pk, batch.digest(), stages, 2) == []
+    assert _faults(params, pk, batch.digest(), stages, 2) == []
     assert len(batches) == 1
     assert len(full_powers) == 2
 
@@ -582,4 +597,4 @@ def test_chain_failures_keep_their_order(monkeypatch, name):
     assert _failures(monkeypatch, params, pk, batch, chain) == (expected, expected)
     other = _batch(params, pk, [(1, 1), (0, 0)], seed="chain-other")
     mismatch = [(0, "input does not match the transferred batch")] + expected
-    assert verify_mix(params, pk, other.digest(), chain, 2) == mismatch
+    assert _faults(params, pk, other.digest(), chain, 2) == mismatch

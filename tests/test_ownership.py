@@ -10,13 +10,20 @@
   `exp(x, -1)` nor `pow(x, -1, ...)`.
 - `zkp.holds` owns every verification equation: in `zkp.py` and
   `registry.py`, the result of an `exp(...)` call is compared only in its
-  one-statement check `zkp._holds`, and only `holds` calls that.  A name
-  bound to such a result counts as the result.  `zkp.py` reads no
-  `.batches`, and no module defines or calls a `verify_sig`, so every
-  proof and signature check takes one call shape on every group.
-- `mixnet.verify_mix` is the one mix check: no other function calls
-  `groups.reencryptions_hold`, and `mixnet.py` reads no `.batches`, so a
-  chain of stages takes one path on every group.
+  one-statement check `zkp._holds`, and only zkp's exact check `_exact`
+  calls that.  A name bound to such a result counts as the result.
+  `zkp.py` reads no `.batches`, and no module defines or calls a
+  `verify_sig`, so every proof and signature check takes one call shape on
+  every group.
+- `mixnet.verify_mix` is the one mix check: only it builds the claim that a
+  stage's opened links re-encrypt (it alone names `_link_equations`,
+  `_links_hold` and `fails_unless` in `mixnet.py`, and no other module names
+  the first two), and `mixnet.py` reads no `.batches`, so a chain of stages
+  takes one path on every group.
+- `groups.settle` decides every held-back failure: only it calls a
+  pending failure's `decide`, and only it and `zkp.holds` call
+  `batch_verdicts`, so no check runs a batch of its own.  No function in
+  `src/` takes a `batch` parameter.
 - `bulletin.py` owns the entry kinds: no other module spells one out.
 - `canonical.py` owns every source of randomness, so that everything is
   seeded: no other module calls `random.Random(...)` or a module-level
@@ -194,20 +201,70 @@ def _callers(tree: ast.Module, name: str) -> list[str]:
     return found
 
 
+def _readers(tree: ast.Module, name: str) -> list[str]:
+    """The function around each read of the name `name`, as `_callers`
+    names them."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id == name:
+                found.append(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+LINK_CLAIM = ("_link_equations", "_links_hold")
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_verify_mix_checks_reencryptions(path):
     tree = ast.parse(path.read_text())
-    owners = ["verify_mix"] if path.name == "mixnet.py" else []
-    assert sorted(set(_callers(tree, "reencryptions_hold"))) == owners
     if path.name == "mixnet.py":
+        owners = {name: ["verify_mix"] for name in LINK_CLAIM}
+        assert {name: _readers(tree, name) for name in LINK_CLAIM} == owners
+        assert _callers(tree, "fails_unless") == ["verify_mix"]
         assert "batches" not in _names(tree)
+    else:
+        assert [name for name in _names(tree) if name in LINK_CLAIM] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_holds_checks_one_statement(path):
     tree = ast.parse(path.read_text())
-    owners = ["holds"] if path.name == "zkp.py" else []
+    owners = ["_exact"] if path.name == "zkp.py" else []
     assert sorted(set(_callers(tree, "_holds"))) == owners
+
+
+# The functions that may call `batch_verdicts`, by module.
+BATCHERS = {"groups.py": ["settle"], "zkp.py": ["holds"]}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_settle_decides_pending_failures(path):
+    tree = ast.parse(path.read_text())
+    assert _callers(tree, "decide") == (["settle"] if path.name == "groups.py" else [])
+    assert _callers(tree, "batch_verdicts") == BATCHERS.get(path.name, [])
+
+
+def _batch_parameters(tree: ast.Module) -> list[str]:
+    """Each function or lambda that takes a parameter named `batch`."""
+    return [
+        getattr(fn, "name", "<lambda>")
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        and "batch" in [a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_takes_a_batch_parameter(path):
+    assert _batch_parameters(ast.parse(path.read_text())) == []
 
 
 def test_holds_takes_one_path_on_every_group():
@@ -489,9 +546,14 @@ def test_the_guards_see_a_violation():
         "    table.size = 2\n"
         "def shadowed(CACHE):\n"
         "    CACHE[1] = 2\n"
-        "def stage_ok(params, pk, links):\n"
-        "    return params.batches or groups.reencryptions_hold(params, pk, links)\n"
-        "held = reencryptions_hold(params, pk, [])\n"
+        "def stage_ok(params, pk, slots, batch=None):\n"
+        "    claim = _link_equations, _links_hold\n"
+        "    return params.batches or fails_unless(params, 'bad', *claim, [slots], pk)\n"
+        "held = groups.fails_unless(params, 'bad', mixnet._link_equations, _links_hold, [], pk)\n"
+        "def holds(params, statements):\n"
+        "    verdicts = batch_verdicts(params, statements, _equations, _exact)\n"
+        "    return [ok or pending.decide() for ok, pending in zip(verdicts, statements)]\n"
+        "check = lambda params, statements, batch: holds(params, statements)\n"
         "def verify_sig(params, vk, message, sig):\n"
         "    return _holds(params, *sig_statement(params, vk, message, sig))\n"
         "def check_block(params, vk, block):\n"
@@ -501,8 +563,14 @@ def test_the_guards_see_a_violation():
     assert _called(bad, "pow")
     assert sorted(_comb_names(bad)) == ["_Comb", "_comb"]
     assert _kind_literals(bad) == ["BallotCast"]
-    assert _callers(bad, "reencryptions_hold") == ["stage_ok", "<module>"]
+    assert _readers(bad, "_link_equations") == ["stage_ok"]
+    assert _readers(bad, "_links_hold") == ["stage_ok", "<module>"]
+    assert {name for name in _names(bad) if name in LINK_CLAIM} == set(LINK_CLAIM)
+    assert _callers(bad, "fails_unless") == ["stage_ok", "<module>"]
     assert "batches" in _names(bad)
+    assert _callers(bad, "decide") == ["holds"]
+    assert _callers(bad, "batch_verdicts") == ["holds"]
+    assert _batch_parameters(bad) == ["stage_ok", "<lambda>"]
     assert _callers(bad, "_holds") == ["verify_sig"]
     assert _uses(bad, "verify_sig") == ["def", "check_block"]
     assert sorted(_unseeded_sources(bad)) == [

@@ -310,8 +310,8 @@ def test_dishonest_slot_vector_counted_invalid(grp, monkeypatch):
     Built by bypassing compose_ballot and casting directly into the
     collected pile (its signature and proof both verify as composed, so we
     inject at the filtered stage instead).  Each slot is decrypted once, so
-    each partial proof is handed to `verify_correct_decryptions` once, the
-    slot holding 2 included."""
+    each partial proof's statement is made by `decryption_statement` once,
+    the slot holding 2 included."""
     from evote.ballot import SignedBallot
     from evote.groups import encrypt, rand_scalar
     from evote.tally import run_tally
@@ -340,14 +340,13 @@ def test_dishonest_slot_vector_counted_invalid(grp, monkeypatch):
     forged_encrypted = replace(honest.encrypted, slots=slots)
     forged = replace(honest, encrypted=forged_encrypted)
     verified = []
-    verify = zkp.verify_correct_decryptions
+    statement = zkp.decryption_statement
 
-    def counting_verify(params, claims):
-        claims = list(claims)
-        verified.extend(claims)
-        return verify(params, claims)
+    def counting_statement(params, *claim):
+        verified.append(claim)
+        return statement(params, *claim)
 
-    monkeypatch.setattr(zkp, "verify_correct_decryptions", counting_verify)
+    monkeypatch.setattr(zkp, "decryption_statement", counting_statement)
     result = run_tally(
         election.params,
         election.config,

@@ -12,9 +12,10 @@ from evote.registry import sig_statement, sign
 from evote.zkp import (
     DecryptionProof,
     WellformedProof,
+    decryption_statement,
+    holds,
     prove_correct_decryption,
     prove_wellformed,
-    verify_correct_decryptions,
     wellformed_statements,
 )
 
@@ -30,26 +31,26 @@ def _decryption_setup(seed="cp"):
 
 def test_decryption_proof_accepts_honest_prover():
     grp, kp, ct, d, proof = _decryption_setup()
-    assert verify_correct_decryptions(grp, [(kp.pk, ct, d, proof)]) == [True]
+    assert holds(grp, [decryption_statement(grp, kp.pk, ct, d, proof)]) == [True]
 
 
 def test_decryption_proof_rejects_wrong_share_value():
     grp, kp, ct, d, proof = _decryption_setup()
     claim = (kp.pk, ct, (d * grp.g) % grp.p, proof)
-    assert verify_correct_decryptions(grp, [claim]) == [False]
+    assert holds(grp, [decryption_statement(grp, *claim)]) == [False]
 
 
 def test_decryption_proof_rejects_wrong_key_commitment():
     grp, kp, ct, d, proof = _decryption_setup()
     claim = ((kp.pk * grp.g) % grp.p, ct, d, proof)
-    assert verify_correct_decryptions(grp, [claim]) == [False]
+    assert holds(grp, [decryption_statement(grp, *claim)]) == [False]
 
 
 @pytest.mark.parametrize("field", ["commit_g", "commit_c1", "challenge", "response"])
 def test_decryption_proof_rejects_any_tampered_field(field):
     grp, kp, ct, d, proof = _decryption_setup()
     bad = dataclasses.replace(proof, **{field: (getattr(proof, field) + 1) % grp.p})
-    assert verify_correct_decryptions(grp, [(kp.pk, ct, d, bad)]) == [False]
+    assert holds(grp, [decryption_statement(grp, kp.pk, ct, d, bad)]) == [False]
 
 
 def test_decryption_proof_is_deterministic():
@@ -202,7 +203,7 @@ def _signature_response(shift):
 def _decryption_response(shift):
     grp, kp, ct, d, proof = _decryption_setup("range")
     claim = (kp.pk, ct, d, dataclasses.replace(proof, response=proof.response + shift))
-    return verify_correct_decryptions(grp, [claim]) == [True]
+    return holds(grp, [decryption_statement(grp, *claim)]) == [True]
 
 
 def _wellformed(edit):
