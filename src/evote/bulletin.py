@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .ballot import BallotCastPayload, Receipt, ReceiptStatus, ResultPayload
 from .ballot import count_result, validate_decrypted
-from .canonical import Record, digest
+from .canonical import Record, digest, read_rows, write_rows
 from .groups import GroupParams, Pending, settle, unblind
 from .mixnet import MixBatch, MixStage, verify_mix
 from .zkp import DecryptionProof, decryption_statement, fails_unless_hold, wellformed_statements
@@ -161,20 +161,10 @@ class Board:
         return [e for e in self.entries if e.kind == kind]
 
     def save(self, path: str | Path) -> None:
-        lines = [
-            json.dumps(
-                {
-                    "seq": e.seq,
-                    "kind": e.kind,
-                    "payload": e.payload.hex(),
-                    "prev": e.prev_digest.hex(),
-                    "digest": e.digest.hex(),
-                },
-                sort_keys=True,
-            )
-            for e in self.entries
-        ]
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+        """One row per entry, each formatted and written on its own by `write_rows`."""
+        write_rows(path, ({"seq": e.seq, "kind": e.kind, "payload": e.payload.hex(),
+                           "prev": e.prev_digest.hex(), "digest": e.digest.hex()}
+                          for e in self.entries))
 
     @classmethod
     def load(cls, path: str | Path) -> "Board":
@@ -182,11 +172,10 @@ class Board:
         payload, prev and digest are lowercase hex and whose keys are among
         the row keys, as `save` writes them; any other line raises ValueError
         naming it, so the file has one encoding.  The seq is kept as read, so
-        a bad or missing one fails verify_chain instead."""
+        a bad or missing one fails verify_chain instead.  Rows stream one at a
+        time through `read_rows`, each checked as it is read."""
         board = cls()
-        for number, line in enumerate(Path(path).read_text().splitlines(), 1):
-            if not line.strip():
-                continue
+        for number, line in read_rows(path):
             try:
                 row = json.loads(line)
                 kind, *hex_fields = (row[key] for key in ("kind", "payload", "prev", "digest"))

@@ -47,7 +47,8 @@ not consumed exactly, and trailing bytes after the record.  The decoder is
 built once per class from its annotations, never per value.
 
 JSON input.  Configs, scenarios, `params.json` and registry rows are read
-into dataclasses by annotation too, through `from_json`; see there.
+into dataclasses by annotation too, through `from_json`; see there.  JSONL
+files stream one row at a time, never whole, through `write_rows` and `read_rows`.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import itertools
+import json
 import operator
 import random
 import reprlib
@@ -348,6 +351,21 @@ def _from_json(tp, value, path: str):
     else:
         raise TypeError(f"no JSON decoding for {tp!r}")
     return value
+
+
+def write_rows(path, rows) -> None:
+    """Write each dict of `rows` to `path` as a JSON line, keys sorted, one row at a time."""
+    with open(path, "w", encoding="utf-8") as file:
+        file.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
+def read_rows(path):
+    """(number, text) of each non-blank line of `path`, read one physical line at
+    a time and split and numbered as `read_text().splitlines()` would, so a \\v,
+    \\f, \\x85 or U+2028 ends a line too.  A byte that is not UTF-8 raises ValueError."""
+    with open(path, encoding="utf-8") as file:
+        lines = itertools.chain.from_iterable(map(str.splitlines, file))
+        yield from ((number, line) for number, line in enumerate(lines, 1) if line.strip())
 
 
 def derive_rng(*labels) -> random.Random:

@@ -13,7 +13,7 @@ import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .canonical import Record, digest, from_json
+from .canonical import Record, digest, from_json, read_rows, write_rows
 from .errors import DuplicateVoter
 from .groups import GroupParams, keygen
 from .zkp import commit, nonce
@@ -52,16 +52,15 @@ class Registry:
         self.records: dict[str, VoterRecord] = {}
 
     def save(self, path: str | Path) -> None:
-        """One voter per line: id, verify key, eligibility flag."""
-        lines = [json.dumps(asdict(r), sort_keys=True) for r in self.records.values()]
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+        """One voter per row (id, verify key, eligibility flag), streamed by `write_rows`."""
+        write_rows(path, map(asdict, self.records.values()))
 
     @classmethod
     def load(cls, params: GroupParams, path: str | Path) -> "Registry":
-        """The registry that `save` wrote; a line that `from_json` does not
-        read as a `VoterRecord` raises ValueError."""
+        """The registry that `save` wrote, streamed row by row by `read_rows`;
+        a line that `from_json` does not read as a `VoterRecord` raises ValueError."""
         reg = cls(params)
-        for line in filter(str.strip, Path(path).read_text().splitlines()):
+        for _, line in read_rows(path):
             record = from_json(VoterRecord, json.loads(line))
             reg.records[record.voter_id] = record
         return reg

@@ -840,6 +840,19 @@ def test_c14_mistyped_row_is_a_usage_error(tmp_path, capsys, edit):
     assert "line 4" in capsys.readouterr().err
 
 
+# A board file that is not UTF-8 is a usage error too.
+def test_c14_board_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    out = _c14_run(tmp_path, "a")
+    data = (out / "board.jsonl").read_bytes()
+    (out / "board.jsonl").write_bytes(data[:300] + b"\xff" + data[300:])
+    capsys.readouterr()  # discard run output
+    rc = cli_main(
+        ["verify", "--board", str(out / "board.jsonl"), "--params", str(out / "params.json")]
+    )
+    assert rc == 4
+    assert "board.jsonl" in capsys.readouterr().err
+
+
 def _short_ballot_election(seed):
     """Open 3-candidate election plus, for voter "s", a ballot over 2 slots."""
     config = ElectionConfig(

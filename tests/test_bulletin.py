@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -66,6 +67,99 @@ def test_blank_line_in_a_saved_board_is_skipped(tallied, tmp_path):
     loaded = Board.load(path)
     assert loaded.entries == election.board.entries
     assert _verify(election, config, loaded).overall
+
+
+# Rows are split as `read_text().splitlines()` splits them: universal
+# newlines, then `str.splitlines` on each physical line.
+@pytest.mark.parametrize(
+    "rewrite",
+    [
+        lambda lines: "\r\n".join(lines) + "\r\n",
+        lambda lines: "\r".join(lines) + "\r",
+        lambda lines: "\n".join(lines[:2] + [" \t "] + lines[2:]) + "\n",
+        lambda lines: "\n".join(lines),
+    ],
+    ids=["CRLF endings", "lone CRs", "whitespace-only line", "no final newline"],
+)
+def test_a_rewritten_board_loads_to_the_same_entries(tallied, tmp_path, rewrite):
+    election, _ = tallied
+    path = tmp_path / "board.jsonl"
+    election.board.save(path)
+    path.write_bytes(rewrite(path.read_text().splitlines()).encode())
+    assert Board.load(path).entries == election.board.entries
+
+
+@pytest.mark.parametrize("mark", ["\x0b", "\x0c", "\x85", "\u2028"])
+@pytest.mark.parametrize("where", ["middle", "end"])
+def test_a_line_break_inside_row_3_is_numbered_as_splitlines_numbers_it(
+    tallied, tmp_path, mark, where
+):
+    """A mark in the middle of row 3 cuts it, so line 3 is its first half; one
+    at its end adds a blank line 4, so row 5, with an unknown kind, is line 6."""
+    election, _ = tallied
+    path = tmp_path / "board.jsonl"
+    election.board.save(path)
+    rows = path.read_text().splitlines()
+    cut = len(rows[2]) // 2 if where == "middle" else len(rows[2])
+    rows[2] = rows[2][:cut] + mark + rows[2][cut:]
+    rows[4] = rows[4].replace(f'"kind": "{election.board.entries[4].kind}"', '"kind": "Gossip"')
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    number, bad = (3, rows[2][:cut]) if where == "middle" else (6, rows[4])
+    assert path.read_text(encoding="utf-8").splitlines()[number - 1] == bad
+    with pytest.raises(ValueError, match=f"^line {number}: "):
+        Board.load(path)
+
+
+def test_a_byte_that_is_not_utf8_raises_value_error(tallied, tmp_path):
+    election, _ = tallied
+    path = tmp_path / "board.jsonl"
+    election.board.save(path)
+    data = path.read_bytes()
+    path.write_bytes(data[:200] + b"\xff" + data[200:])
+    with pytest.raises(ValueError):
+        Board.load(path)
+
+
+def _traced_peak(call):
+    """(result, peak bytes traced by tracemalloc above those held before) of call()."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def _large_board(path):
+    """A board of 100 Login rows of 10,500 random payload bytes, saved to
+    `path` (a 2.1 MB file)."""
+    board = Board()
+    for i in range(100):
+        board.append(KIND_LOGIN, derive_rng("stream", i).randbytes(10_500))
+    board.save(path)
+    assert path.stat().st_size > 2_000_000
+    return board
+
+
+def test_save_streams_rows(tmp_path):
+    """Save formats and writes one row at a time: it holds under a tenth of
+    the file at once."""
+    board = _large_board(tmp_path / "first.jsonl")
+    _, peak = _traced_peak(lambda: board.save(tmp_path / "board.jsonl"))
+    assert (tmp_path / "board.jsonl").read_bytes() == (tmp_path / "first.jsonl").read_bytes()
+    assert peak < (tmp_path / "board.jsonl").stat().st_size / 10
+
+
+def test_load_streams_rows(tmp_path):
+    """Load reads and checks one row at a time: it holds less than the file,
+    the entries it builds included."""
+    path = tmp_path / "board.jsonl"
+    board = _large_board(path)
+    loaded, peak = _traced_peak(lambda: Board.load(path))
+    assert loaded.entries == board.entries
+    assert peak < path.stat().st_size
 
 
 def test_chain_detects_payload_edit(tallied):

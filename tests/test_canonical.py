@@ -1,6 +1,7 @@
 import dataclasses
 import enum
 import hashlib
+import json
 from typing import Annotated, Literal
 
 import pytest
@@ -19,6 +20,8 @@ from evote.canonical import (
     encode,
     from_json,
     hexdigest,
+    read_rows,
+    write_rows,
 )
 from evote.groups import Ciphertext
 
@@ -278,3 +281,26 @@ def test_a_config_checks_every_construction_like_json():
             build()
     with pytest.raises(ValueError, match=r"^on: 1 is not one of \[True\]$"):
         Knobs(on=1)
+
+
+# Line breaks of every kind `read_text().splitlines()` knows, blanks and text.
+_LINE_PIECES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                "\u2029", " ", "\t", "{}", "row", "\u00e9"]
+
+
+@given(st.lists(st.sampled_from(_LINE_PIECES) | st.text(max_size=4), max_size=24).map("".join))
+def test_read_rows_splits_and_numbers_as_splitlines(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "rows.txt"
+    path.write_bytes(text.encode("utf-8"))
+    lines = enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+    assert list(read_rows(path)) == [(n, line) for n, line in lines if line.strip()]
+
+
+@given(st.lists(st.dictionaries(st.text(max_size=3), st.text() | st.integers() | st.booleans(),
+                                max_size=3), max_size=8))
+def test_write_rows_reads_back_one_row_per_line(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "rows.jsonl"
+    write_rows(path, iter(rows))
+    text = path.read_bytes().decode("ascii")
+    assert text == "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    assert [(n, json.loads(line)) for n, line in read_rows(path)] == list(enumerate(rows, 1))
