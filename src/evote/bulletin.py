@@ -161,9 +161,10 @@ class Board:
         return [e for e in self.entries if e.kind == kind]
 
     def save(self, path: str | Path) -> None:
-        """One row per entry, each formatted and written on its own by `write_rows`."""
-        write_rows(path, ({"seq": e.seq, "kind": e.kind, "payload": e.payload.hex(),
-                           "prev": e.prev_digest.hex(), "digest": e.digest.hex()}
+        """One row per entry, each written on its own by `write_rows`, which
+        writes the payload's hex a slice at a time."""
+        write_rows(path, ({"seq": e.seq, "kind": e.kind, "payload": e.payload,
+                           "prev": e.prev_digest, "digest": e.digest}
                           for e in self.entries))
 
     @classmethod

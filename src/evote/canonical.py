@@ -65,6 +65,8 @@ import types
 import typing
 
 _LEN_BYTES = 4
+# Bytes of a value that `write_rows` turns into hex text at a time.
+_HEX_SLICE = 1 << 15
 
 
 def enc_int(n: int) -> bytes:
@@ -354,9 +356,25 @@ def _from_json(tp, value, path: str):
 
 
 def write_rows(path, rows) -> None:
-    """Write each dict of `rows` to `path` as a JSON line, keys sorted, one row at a time."""
+    """Write each dict of `rows` to `path` as a JSON line, keys sorted, one row
+    at a time, as `json.dumps(row, sort_keys=True)` writes it once each bytes
+    value is its lowercase hex string.  That hex is written _HEX_SLICE bytes
+    of the value at a time, so a long value is never held as text whole."""
     with open(path, "w", encoding="utf-8") as file:
-        file.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+        for row in rows:
+            file.write("{")
+            for i, key in enumerate(sorted(row)):
+                value = row[key]
+                file.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+                if type(value) is bytes:
+                    view = memoryview(value)
+                    file.write('"')
+                    for start in range(0, len(view), _HEX_SLICE):
+                        file.write(view[start:start + _HEX_SLICE].hex())
+                    file.write('"')
+                else:
+                    file.write(json.dumps(value))
+            file.write("}\n")
 
 
 def read_rows(path):

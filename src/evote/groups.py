@@ -20,6 +20,13 @@ signature, a mix stage's re-encryptions x*b^r = y) in small-exponent
 batches of net exponents, bisecting a failed one.  A check holds a failure
 that rests on a proof back as a `Pending` claim, and `settle` decides a
 check's, or a whole board's, in one call; elsewhere claims decide at once.
+
+`fan_out` maps a function over independent jobs, shared out across the
+host's CPUs by forked children on a group above `_COMB_MIN_P`, and serially
+anywhere else, with the same results in the same order.  It makes the
+tally's partial decryptions (one job per ciphertext), a mix stage's
+re-encryptions (one per item) and a batch's two `multi_exp` products when
+a side has a full-length power that no comb serves.
 """
 
 from __future__ import annotations
@@ -27,10 +34,14 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import marshal
 import math
+import os
 import random
+import sys
+import threading
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from .canonical import Record, digest
 from .errors import (
@@ -406,16 +417,109 @@ def reencrypts_to(
     )
 
 
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# A job's result that `fan_out` has not got yet.
+_MISSING = object()
+
+
+def fan_out(params: GroupParams, fn, jobs) -> list:
+    """`[fn(*job) for job in jobs]`, in order, shared out across the CPUs
+    this process may use when that pays: on a group above `_COMB_MIN_P`,
+    with two or more jobs and CPUs, where `os.fork` exists and the process
+    runs one thread.  Anywhere else it is that serial map.
+
+    Each extra CPU gets one child, forked, so that it starts with this
+    process's modules and warm comb tables.  Child k pins itself to one CPU,
+    so a `fan_out` inside its jobs runs serially; it runs every width-th job
+    from the k-th, sends the results back through a pipe by `marshal` and
+    leaves by `os._exit`.  The parent runs the share from job 0 meanwhile,
+    then reads and reaps every child, in a `finally`.  A share that a child
+    did not send, and the parent's own from a job that raised, run again in
+    the parent in job order, so an exception is raised where the serial map
+    raises it.  Results are built of ints, strs, bytes, None, tuples, lists
+    and module-level dataclasses of those."""
+    jobs = list(jobs)
+    width = min(_cpus(), len(jobs)) if params.p > _COMB_MIN_P else 1
+    if width < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [fn(*job) for job in jobs]
+    results, sources, pids = [_MISSING] * len(jobs), [], []
+    try:
+        for k in range(1, width):
+            r, w = os.pipe()
+            sources.append(open(r, "rb"))
+            with open(w, "wb") as sink:
+                if not (pid := os.fork()):
+                    code = 1
+                    try:
+                        if hasattr(os, "sched_setaffinity"):
+                            cpus = sorted(os.sched_getaffinity(0))
+                            os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+                        sink.write(marshal.dumps([_to_wire(fn(*job)) for job in jobs[k::width]]))
+                        sink.flush()
+                        code = 0
+                    finally:
+                        os._exit(code)
+            pids.append(pid)
+        try:
+            for i in range(0, len(jobs), width):
+                results[i] = fn(*jobs[i])
+        except Exception:  # raised again below, where the serial map raises it
+            pass
+        shares = [source.read() for source in sources]
+    finally:
+        for source in sources:
+            source.close()
+        sent = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0 for pid in pids]
+    for k, (share, ok) in enumerate(zip(shares, sent), 1):
+        if ok:
+            results[k::width] = map(_from_wire, marshal.loads(share))
+    return [fn(*job) if result is _MISSING else result for result, job in zip(results, jobs)]
+
+
+def _to_wire(value):
+    """`value` as `marshal` takes it: a dataclass as {(module, class name): its fields}."""
+    if is_dataclass(value):
+        cls = type(value)
+        state = tuple(_to_wire(getattr(value, f.name)) for f in fields(value))
+        return {(cls.__module__, cls.__name__): state}
+    if type(value) in (tuple, list):
+        return type(value)(map(_to_wire, value))
+    return value
+
+
+def _from_wire(value):
+    """The value that `_to_wire` gave `value`."""
+    if type(value) is dict:
+        [((module, name), state)] = value.items()
+        return getattr(sys.modules[module], name)(*map(_from_wire, state))
+    if type(value) in (tuple, list):
+        return type(value)(map(_from_wire, value))
+    return value
+
+
 def batch_verdicts(params: GroupParams, claims, equations, exact) -> list[bool]:
     """Whether each claim holds: `exact(params, claim)` is its own check,
     `equations(params, claim)` its equations prod(lhs) = prod(rhs), sides of
     (base, exponent >= 0, fixed) triples (`fixed` marks a comb base), or None.
 
     On a group that batches, the admitted claims go to one batch; a failed
-    batch of more than one is split in two of about equal equation counts,
-    each batched with fresh weights (Pastuszak, Michalek, Pieprzyk and
-    Seberry, PKC 2000), and a claim that fails alone is false, since a true
-    batch always passes.  Admitted: bases in [1, p), each lhs / rhs a member
+    batch of more than one is split in two, each batched with fresh weights
+    (Pastuszak, Michalek, Pieprzyk and Seberry, PKC 2000), and a claim that
+    fails alone is false, since a true batch always passes.  When the first
+    half passes, the second holds the false claim, so it is split without a
+    batch of its own; a false claim in the first that passed, at most 2^-128
+    likely, would leave a true one in the second rejected.  A batch's cost
+    is set by its `_long_powers`, each a full-length chain of squarings, so
+    a failed batch whose claims have them and have none splits between
+    those claims first, the ones without first; else into halves of about
+    equal long powers, or of about equal equation counts where no claim has
+    one.  Admitted: bases in [1, p), each lhs / rhs a member
     (odd-exponent bases multiply to a quadratic residue), as soundness
     needs.  `exact` decides the rest, and all on a group that does not batch.
     """
@@ -428,18 +532,41 @@ def batch_verdicts(params: GroupParams, claims, equations, exact) -> list[bool]:
         odd = math.prod(b for b, e, _ in triples if e & 1)
         return all(0 < b < p for b, _, _ in triples) and _jacobi(odd, p) == 1
 
-    def split(systems: list) -> list[bool]:
-        joined = list(dict.fromkeys(itertools.chain(*systems)))
-        if not systems or _batch_holds(params, joined, member):
-            return [True] * len(systems)
-        sizes = list(itertools.accumulate(map(len, systems)))
-        half = min(bisect.bisect_left(sizes, sizes[-1] / 2) + 1, len(systems) - 1)
-        return split(systems[:half]) + split(systems[half:]) if half else [False]
+    def split(ks: list[int], failed: bool = False) -> dict[int, bool]:
+        """The verdicts of claims `ks`, whose batch is run unless it is
+        known to have `failed`."""
+        if not failed:
+            joined = list(dict.fromkeys(itertools.chain.from_iterable(systems[k] for k in ks)))
+            if not ks or _batch_holds(params, joined, member):
+                return dict.fromkeys(ks, True)
+        if len(ks) == 1:
+            return {ks[0]: False}
+        short = [k for k in ks if not long(k)]
+        if 0 < len(short) < len(ks):
+            first, second = short, [k for k in ks if long(k)]
+        else:
+            sizes = list(itertools.accumulate(long(k) or len(systems[k]) for k in ks))
+            half = min(bisect.bisect_left(sizes, sizes[-1] / 2) + 1, len(ks) - 1)
+            first, second = ks[:half], ks[half:]
+        proved = split(first)
+        return proved | split(second, failed=all(proved.values()))
 
     systems = [equations(params, claim) for claim in claims]
     batched = [k for k, s in enumerate(systems) if s and all(itertools.starmap(admitted, s))]
-    proved = dict(zip(batched, split([systems[k] for k in batched])))
+    long = functools.cache(lambda k: _long_powers(params, systems[k]))
+    proved = split(batched)
     return [proved[k] if k in proved else exact(params, claim) for k, claim in enumerate(claims)]
+
+
+def _long_powers(params: GroupParams, system) -> int:
+    """How many of a system's powers take a full-length chain of squarings in
+    its batch: those of a base without a comb (not `fixed`) to an exponent
+    longer than half of p, other than a wrapped one."""
+    half, wrapped = params.p.bit_length() // 2, params._wrapped_exponents
+    return sum(
+        not mark and exponent.bit_length() > half and exponent not in wrapped
+        for lhs, rhs in system for _, exponent, mark in lhs + rhs
+    )
 
 
 def _batch_holds(params: GroupParams, equations: list, member) -> bool:
@@ -449,7 +576,11 @@ def _batch_holds(params: GroupParams, equations: list, member) -> bool:
     2^-128 per hash trial.  Each base is raised once, to its net exponent,
     left less right; a member takes a wrapped exponent e as e - q, and a
     fixed member its net exponent mod q through its comb, every other base
-    its size mod p - 1, by `multi_exp` (positive ones, then negative)."""
+    its size mod p - 1, by `multi_exp` (positive ones, then negative).  When
+    a side has an exponent longer than half of p, a full-length power that
+    no comb serves (as a partial decryption's c1^z has), `fan_out` makes
+    the two products at once; shorter sides, as a cast ballot's or a mix
+    stage's, are cheaper made one after the other."""
     p, q, wrapped = params.p, params.q, params._wrapped_exponents
     seed = digest("evote/groups/batch-weights", p, params.g, equations)
     net, fixed = {}, set()
@@ -468,7 +599,12 @@ def _batch_holds(params: GroupParams, equations: list, member) -> bool:
             acc = acc * params.exp(base, exponent % q, fixed=True) % p
         elif exponent:
             sides[exponent < 0].append((base, abs(exponent) % (p - 1)))
-    return acc * params.multi_exp(sides[0]) % p == params.multi_exp(sides[1])
+    half = p.bit_length() // 2
+    if any(exponent.bit_length() > half for side in sides for _, exponent in side):
+        positive, negative = fan_out(params, params.multi_exp, [(side,) for side in sides])
+    else:
+        positive, negative = map(params.multi_exp, sides)
+    return acc * positive % p == negative
 
 
 class Pending(typing.NamedTuple):

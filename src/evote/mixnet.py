@@ -20,7 +20,9 @@ import random
 from dataclasses import dataclass
 
 from .canonical import Record, digest
-from .groups import Ciphertext, GroupParams, fails_unless, rand_scalar, reencrypt, reencrypts_to
+from .groups import (
+    Ciphertext, GroupParams, fails_unless, fan_out, rand_scalar, reencrypt, reencrypts_to,
+)
 
 DOMAIN_MIX = "evote/mixnet/challenge"
 
@@ -60,16 +62,20 @@ def strip_signatures(ballots) -> MixBatch:
 
 
 def _shuffle_stage(params: GroupParams, pk: int, batch_in: MixBatch, rng: random.Random):
-    """The shuffled, re-encrypted batch and each output's (source, scalars)."""
+    """The shuffled, re-encrypted batch and each output's (source, scalars).
+    Every scalar is drawn from `rng` first, in output order; then each
+    output item's re-encryption is one job for `groups.fan_out`, which shares
+    them out across the host's CPUs on a large group."""
     sigma = list(range(len(batch_in.items)))
     rng.shuffle(sigma)
-    out = []
-    sources = []
-    for i in sigma:
-        rs = tuple(rand_scalar(params, rng) for _ in batch_in.items[i])
-        out.append(tuple(reencrypt(params, pk, ct, r) for ct, r in zip(batch_in.items[i], rs)))
-        sources.append((i, rs))
-    return MixBatch(items=tuple(out)), sources
+    sources = [(i, tuple(rand_scalar(params, rng) for _ in batch_in.items[i])) for i in sigma]
+    jobs = [(params, pk, batch_in.items[i], rs) for i, rs in sources]
+    return MixBatch(items=tuple(fan_out(params, _reencrypt_item, jobs))), sources
+
+
+def _reencrypt_item(params: GroupParams, pk: int, item: tuple, scalars: tuple) -> tuple:
+    """Each ciphertext of `item` re-encrypted with its scalar."""
+    return tuple(reencrypt(params, pk, ct, r) for ct, r in zip(item, scalars))
 
 
 def mix_with_state(

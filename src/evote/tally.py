@@ -38,6 +38,7 @@ from .groups import (
     GroupParams,
     TrusteeKeyShare,
     combine,
+    fan_out,
     partial_decrypt,
     settle,
     threshold_decrypt,
@@ -107,7 +108,9 @@ def run_tally(
     """Full pipeline over already-verified ballots; publishes as it goes.
 
     Every mix stage is checked before any is published; the first fault
-    raises MixRejected."""
+    raises MixRejected.  The ciphertexts' partial decryptions are
+    independent, one job each for `groups.fan_out`, which shares them out
+    across the host's CPUs on a large group."""
     trustees = sorted(trustees, key=lambda share: share.index)  # as the verifier reads partials
     kept, _ = filter_latest(collected)
     batch = strip_signatures(kept)
@@ -131,9 +134,9 @@ def run_tally(
     # exponent; a 0 or 1 is found first, and nothing past it could carry a
     # valid well-formedness proof.
     bound = min(params.q - 1, max(len(final.items), 1024))
-    decryptions = [
-        (ct, partial_decrypt(params, trustees, ct)) for item in final.items for ct in item
-    ]
+    cts = [ct for item in final.items for ct in item]
+    jobs = [(params, trustees, ct) for ct in cts]
+    decryptions = list(zip(cts, fan_out(params, partial_decrypt, jobs)))
     plaintexts = iter(threshold_decrypt(params, decryptions, _commitments(trustees), bound))
     partials = (pds for _, pds in decryptions)
     n_candidates = len(config.candidates)

@@ -75,6 +75,8 @@ def test_prod_tally_checks_its_mix_before_decrypting_then_batches_the_decryption
     election = prod_election
     events = []
     _spy_batches(monkeypatch, events, tag=lambda module: f"{module.__name__} batch")
+    # One CPU, so that every partial decryption runs where the spy records it.
+    monkeypatch.setattr(groups, "_cpus", lambda: 1)
     decrypt = tally.partial_decrypt
 
     def decrypt_spy(*args):

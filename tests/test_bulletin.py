@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -150,6 +151,21 @@ def test_save_streams_rows(tmp_path):
     _, peak = _traced_peak(lambda: board.save(tmp_path / "board.jsonl"))
     assert (tmp_path / "board.jsonl").read_bytes() == (tmp_path / "first.jsonl").read_bytes()
     assert peak < (tmp_path / "board.jsonl").stat().st_size / 10
+
+
+def test_save_writes_a_long_payload_a_slice_at_a_time(tmp_path):
+    """A row with a 1 MB payload: save holds under a quarter of its hex at
+    once, where the hex text, the JSON line and its encoded bytes would be
+    three times it; the file is what `json.dumps` writes for the row."""
+    board = Board()
+    board.append(KIND_LOGIN, derive_rng("stream", "long").randbytes(1_000_000))
+    path = tmp_path / "board.jsonl"
+    _, peak = _traced_peak(lambda: board.save(path))
+    [entry] = board.entries
+    row = {"seq": 0, "kind": KIND_LOGIN, "payload": entry.payload.hex(),
+           "prev": entry.prev_digest.hex(), "digest": entry.digest.hex()}
+    assert path.read_text(encoding="utf-8") == json.dumps(row, sort_keys=True) + "\n"
+    assert peak < 2 * len(entry.payload) / 4
 
 
 def test_load_streams_rows(tmp_path):

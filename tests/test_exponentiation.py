@@ -613,26 +613,49 @@ def test_one_false_claim_among_n_costs_at_most_2_log_n_plus_1_batches(monkeypatc
     ]
 
 
-def test_a_failed_batch_splits_by_equation_count(monkeypatch):
-    """A true claim of 16 equations, then 16 claims of one, the k-th false
-    for each k: each split halves the equations, so the batches on the
-    false claim's path check at most 3 times the first batch's equations,
-    wherever it stands."""
+def test_a_failed_batch_splits_long_powers_off_then_halves_them(monkeypatch):
+    """A long power, a full-length exponent of a base without a comb, costs
+    a batch a chain of over 3,000 squarings.  The k-th of 16 claims false,
+    for each k, among others: the batches on its path check at most 3
+    times the first batch's equations and 3 times its long powers,
+    wherever it stands, and after the first no batch holds both.
+    - 16 claims of one equation behind a true one of 16, no long power:
+      each split halves the equations;
+    - 16 claims of one long power, each behind a true claim of one short
+      equation: the short claims split off and pass in one batch, then the
+      long ones halve;
+    - 16 claims of one short equation, each behind a true claim of one
+      long power: the long claims pass in one batch, the short ones halve."""
     params = PROD_GROUP_3072
     bases = [params.exp(params.g, 2000 + i) for i in range(32)]
-    heavy = tuple((((b, 3, False),), ((b, 3, False),)) for b in bases[16:])
-    sizes, check = [], groups._batch_holds
+    long, half = params.q // 3, params.p.bit_length() // 2
+    batches, check = [], groups._batch_holds
 
     def spy(params, equations, member):
-        sizes.append(len(equations))
+        powers = [sum(e.bit_length() > half for _, e, _ in lhs + rhs) for lhs, rhs in equations]
+        batches.append((len(equations), sum(powers), powers.count(0)))
         return check(params, equations, member)
 
+    def claim(base, exponent, false=False):
+        return ((((base, exponent, False),), ((base, exponent + false, False),)),)
+
+    heavy = tuple(eq for b in bases[16:] for eq in claim(b, 3))
     monkeypatch.setattr(groups, "_batch_holds", spy)
     for bad in range(16):
-        light = [
-            ((((b, 1, False),), ((b, 1 + (i == bad), False),)),) for i, b in enumerate(bases[:16])
-        ]
-        sizes.clear()
-        verdicts = groups.batch_verdicts(params, [heavy, *light], lambda _, c: c, _unreachable)
-        assert verdicts == [True] + [i != bad for i in range(16)]
-        assert sizes[0] == 32 and sum(sizes) <= 3 * 32
+        pairs = list(zip(bases[:16], bases[16:]))
+        cases = {
+            "equations": ([heavy] + [claim(b, 1, i == bad) for i, b in enumerate(bases[:16])],
+                          bad + 1),
+            "long false": ([c for i, (b, d) in enumerate(pairs)
+                            for c in (claim(d, 1), claim(b, long + i, i == bad))], 2 * bad + 1),
+            "short false": ([c for i, (b, d) in enumerate(pairs)
+                             for c in (claim(d, long + i), claim(b, 1, i == bad))], 2 * bad + 1),
+        }
+        for case, (claims, false) in cases.items():
+            batches.clear()
+            verdicts = groups.batch_verdicts(params, claims, lambda _, c: c, _unreachable)
+            assert verdicts == [i != false for i in range(len(claims))], case
+            (equations, powers, _), *later = batches
+            assert equations == 32 and sum(n for n, _, _ in batches) <= 3 * equations, case
+            assert sum(n for _, n, _ in batches) <= 3 * powers, case
+            assert not any(n and short for _, n, short in later), case

@@ -35,6 +35,8 @@
   a `from_dict`) apply no `isinstance` and compare no `type(...)`.
 - Every setting has a reader: each field of a class based on `Config` is
   read as an attribute (`.name`) somewhere in `src/`.
+- `groups.fan_out` owns every child process: no other function names
+  `os.fork`, `os.pipe`, `os._exit` or `os.waitpid`.
 - Module state is constant: no function declares `global` or changes a
   name bound at module level in place (an item or attribute assignment or
   deletion, or a call such as `.append()` or `.clear()`).  The process-wide
@@ -501,6 +503,38 @@ def test_module_state_is_constant(path):
     assert _module_state_writes(ast.parse(path.read_text())) == []
 
 
+# The calls that start, feed, end and reap a child process.
+PROCESS_CALLS = frozenset(("fork", "pipe", "_exit", "waitpid"))
+
+
+def _process_calls(tree: ast.Module) -> list[str]:
+    """`function: name` for each attribute or import named in PROCESS_CALLS,
+    the function as `_callers` names it."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            name = getattr(child, "attr", None) if isinstance(child, ast.Attribute) else (
+                child.name if isinstance(child, ast.alias) else None
+            )
+            if name in PROCESS_CALLS:
+                found.append(f"{owner}: {name}")
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_fan_out_starts_a_child(path):
+    found = set(_process_calls(ast.parse(path.read_text())))
+    assert found == ({f"fan_out: {name}" for name in PROCESS_CALLS} if path.name == "groups.py"
+                     else set())
+
+
 def test_the_guards_see_a_violation():
     bad = ast.parse(
         "def verify(params, y, t, e, z):\n"
@@ -558,6 +592,11 @@ def test_the_guards_see_a_violation():
         "    return _holds(params, *sig_statement(params, vk, message, sig))\n"
         "def check_block(params, vk, block):\n"
         "    return verify_sig(params, vk, block.signed_message(), block.forger_signature)\n"
+        "from os import pipe\n"
+        "def spawn(job):\n"
+        "    if not os.fork():\n"
+        "        os._exit(job())\n"
+        "    return os.waitpid(-1, 0)\n"
     )
     assert _exp_comparisons(bad) == [("verify", 3)]
     assert _called(bad, "pow")
@@ -582,6 +621,9 @@ def test_the_guards_see_a_violation():
     assert _json_type_tests(bad) == {"load": 2, "Limits": 1, "Sim": 1}
     assert _type_tests(bad) == 5
     assert _unread_config_fields([bad]) == ["Limits.high"]
+    assert _process_calls(bad) == [
+        "<module>: pipe", "spawn: fork", "spawn: _exit", "spawn: waitpid"
+    ]
     assert sorted(_module_state_writes(bad)) == [
         "remember: CACHE.clear()", "remember: CACHE[key] changed", "remember: global HITS",
         "remember: table.size changed",
