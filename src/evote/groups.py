@@ -22,11 +22,12 @@ that rests on a proof back as a `Pending` claim, and `settle` decides a
 check's, or a whole board's, in one call; elsewhere claims decide at once.
 
 `fan_out` maps a function over independent jobs, shared out across the
-host's CPUs by forked children on a group above `_COMB_MIN_P`, and serially
-anywhere else, with the same results in the same order.  It makes the
-tally's partial decryptions (one job per ciphertext), a mix stage's
-re-encryptions (one per item) and a batch's two `multi_exp` products when
-a side has a full-length power that no comb serves.
+host's CPUs by forked children, which send their results back by `pickle`,
+on a group above `_COMB_MIN_P`, and serially anywhere else, with the same
+results in the same order.  It makes the tally's partial decryptions (one
+job per ciphertext), a mix stage's re-encryptions (one per item) and a
+batch's two `multi_exp` products when a side has a full-length power that
+no comb serves.
 """
 
 from __future__ import annotations
@@ -34,14 +35,12 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import marshal
 import math
 import os
 import random
-import sys
 import threading
 import typing
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 
 from .canonical import Record, digest
 from .errors import (
@@ -432,35 +431,44 @@ def fan_out(params: GroupParams, fn, jobs) -> list:
     """`[fn(*job) for job in jobs]`, in order, shared out across the CPUs
     this process may use when that pays: on a group above `_COMB_MIN_P`,
     with two or more jobs and CPUs, where `os.fork` exists and the process
-    runs one thread.  Anywhere else it is that serial map.
+    runs one thread.  Anywhere else it is that serial map, and imports
+    nothing.
 
     Each extra CPU gets one child, forked, so that it starts with this
     process's modules and warm comb tables.  Child k pins itself to one CPU,
     so a `fan_out` inside its jobs runs serially; it runs every width-th job
-    from the k-th, sends the results back through a pipe by `marshal` and
+    from the k-th, sends the results back through a pipe by `pickle` and
     leaves by `os._exit`.  The parent runs the share from job 0 meanwhile,
-    then reads and reaps every child, in a `finally`.  A share that a child
-    did not send, and the parent's own from a job that raised, run again in
-    the parent in job order, so an exception is raised where the serial map
-    raises it.  Results are built of ints, strs, bytes, None, tuples, lists
-    and module-level dataclasses of those."""
+    then reads and reaps every child, in a `finally`.  When `os.pipe` or
+    `os.fork` fails, no more children start.  A share that no child sent,
+    and the parent's own from a job that raised, run again in the parent in
+    job order, so an exception is raised where the serial map raises it."""
     jobs = list(jobs)
     width = min(_cpus(), len(jobs)) if params.p > _COMB_MIN_P else 1
     if width < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [fn(*job) for job in jobs]
+    import pickle  # here, not at the top: the serial map loads nothing
+
     results, sources, pids = [_MISSING] * len(jobs), [], []
     try:
         for k in range(1, width):
-            r, w = os.pipe()
+            try:
+                r, w = os.pipe()
+            except OSError:  # as EMFILE: the parent runs the rest
+                break
             sources.append(open(r, "rb"))
             with open(w, "wb") as sink:
-                if not (pid := os.fork()):
+                try:
+                    pid = os.fork()
+                except OSError:  # as EAGAIN under a process limit: the parent runs the rest
+                    break
+                if not pid:
                     code = 1
                     try:
                         if hasattr(os, "sched_setaffinity"):
                             cpus = sorted(os.sched_getaffinity(0))
                             os.sched_setaffinity(0, {cpus[k % len(cpus)]})
-                        sink.write(marshal.dumps([_to_wire(fn(*job)) for job in jobs[k::width]]))
+                        pickle.dump([fn(*job) for job in jobs[k::width]], sink)
                         sink.flush()
                         code = 0
                     finally:
@@ -478,29 +486,8 @@ def fan_out(params: GroupParams, fn, jobs) -> list:
         sent = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0 for pid in pids]
     for k, (share, ok) in enumerate(zip(shares, sent), 1):
         if ok:
-            results[k::width] = map(_from_wire, marshal.loads(share))
+            results[k::width] = pickle.loads(share)
     return [fn(*job) if result is _MISSING else result for result, job in zip(results, jobs)]
-
-
-def _to_wire(value):
-    """`value` as `marshal` takes it: a dataclass as {(module, class name): its fields}."""
-    if is_dataclass(value):
-        cls = type(value)
-        state = tuple(_to_wire(getattr(value, f.name)) for f in fields(value))
-        return {(cls.__module__, cls.__name__): state}
-    if type(value) in (tuple, list):
-        return type(value)(map(_to_wire, value))
-    return value
-
-
-def _from_wire(value):
-    """The value that `_to_wire` gave `value`."""
-    if type(value) is dict:
-        [((module, name), state)] = value.items()
-        return getattr(sys.modules[module], name)(*map(_from_wire, state))
-    if type(value) in (tuple, list):
-        return type(value)(map(_from_wire, value))
-    return value
 
 
 def batch_verdicts(params: GroupParams, claims, equations, exact) -> list[bool]:

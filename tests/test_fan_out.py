@@ -6,11 +6,17 @@ them; no child may outlive a call or fork again; and the test group, which
 a fork would only slow down, keeps the serial map.
 """
 
+import errno
 import json
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import evote
 from evote import bulletin, cli, groups, tally
 from evote.groups import PROD_GROUP_3072, TEST_GROUP, Ciphertext, fan_out
 
@@ -39,7 +45,10 @@ def forks(monkeypatch):
 
 def _job(i):
     """A result of every kind that comes back from a child."""
-    return [i, -i, str(i), bytes([i]), None, (Ciphertext(i, PROD.p - i),)]
+    return [
+        i, -i, str(i), bytes([i]), None, (Ciphertext(i, PROD.p - i),),
+        {"ct": Ciphertext(PROD.p - i, i), "i": i}, frozenset((i, -i)),
+    ]
 
 
 @pytest.mark.parametrize("cpus", [None, 3], ids=["host", "three"])
@@ -53,6 +62,46 @@ def test_fan_out_is_the_serial_map_in_order(monkeypatch, forks, cpus, n):
     jobs = [(i,) for i in range(n)]
     assert fan_out(PROD, _job, jobs) == [_job(i) for i in range(n)]
     assert len(forks) == (width - 1 if width > 1 else 0)
+    _assert_no_children()
+
+
+def test_the_parent_runs_only_its_own_stripe(monkeypatch):
+    """Two CPUs, four jobs: the child sends back jobs 1 and 3, every result
+    kind included, so the parent calls the job for 0 and 2 alone."""
+    monkeypatch.setattr(groups, "_cpus", lambda: 2)
+    parent, called = os.getpid(), []
+
+    def job(i):
+        if os.getpid() == parent:
+            called.append(i)
+        return _job(i)
+
+    assert fan_out(PROD, job, [(i,) for i in range(4)]) == [_job(i) for i in range(4)]
+    assert called == [0, 2]
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+@pytest.mark.parametrize(
+    "cpus, failing", [(2, 1), (3, 1), (3, 2)],
+    ids=["first-of-two", "first-of-three", "second-of-three"],
+)
+def test_a_failed_fork_leaves_its_share_to_the_parent(monkeypatch, call, cpus, failing):
+    """`os.fork` or `os.pipe` fails, as under a process limit, on its first
+    call of two or three CPUs or its second of three: no later child
+    starts, and the parent runs every share that has none."""
+    monkeypatch.setattr(groups, "_cpus", lambda: cpus)
+    calls, real = [], getattr(os, call)
+
+    def flaky():
+        calls.append(call)
+        if len(calls) == failing:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real()
+
+    monkeypatch.setattr(os, call, flaky)
+    assert fan_out(PROD, _job, [(i,) for i in range(7)]) == [_job(i) for i in range(7)]
+    assert len(calls) == failing
     _assert_no_children()
 
 
@@ -106,7 +155,10 @@ def test_the_test_group_never_forks(forks, tallied):
     assert forks == []
 
 
-def test_a_prod_tally_leaves_no_child(prod_election, forks):
+def test_a_prod_tally_leaves_no_child(prod_election, forks, monkeypatch):
+    """On every CPU, and on two where the process may use one only."""
+    host = groups._cpus()
+    monkeypatch.setattr(groups, "_cpus", lambda: max(host, 2))
     election = prod_election
     result = tally.run_tally(
         election.params, election.config, election.collected, election.trustees,
@@ -117,6 +169,13 @@ def test_a_prod_tally_leaves_no_child(prod_election, forks):
     _assert_no_children()
 
 
+SCENARIO = {
+    "voters": ["v1", "v2"],
+    "votes": [{"voter": "v1", "candidate": 0, "time": 1},
+              {"voter": "v2", "candidate": 1, "time": 2}],
+}
+
+
 def _run(tmp_path, name):
     """`evote run --seed 1` of 2 voters on prod3072; its output directory."""
     config, scenario = tmp_path / "config.json", tmp_path / "scenario.json"
@@ -124,11 +183,7 @@ def _run(tmp_path, name):
         "candidates": ["alice", "bob"], "trustee_count": 2, "mix_server_count": 2,
         "proof_rounds": 4, "group": "prod3072",
     }))
-    scenario.write_text(json.dumps({
-        "voters": ["v1", "v2"],
-        "votes": [{"voter": "v1", "candidate": 0, "time": 1},
-                  {"voter": "v2", "candidate": 1, "time": 2}],
-    }))
+    scenario.write_text(json.dumps(SCENARIO))
     out = tmp_path / name
     argv = ["run", "--config", str(config), "--scenario", str(scenario), "--seed", "1"]
     assert cli.main(argv + ["--out-dir", str(out)]) == cli.EXIT_OK
@@ -162,3 +217,27 @@ def test_no_child_of_a_prod_run_builds_a_g_or_election_key_table(tmp_path, monke
     params = json.loads((out / "params.json").read_text())
     child_bases = set(map(int, log.read_text().split())) if log.exists() else set()
     assert child_bases.isdisjoint({PROD.g, int(params["election_pk"])})
+
+
+def test_the_serial_map_imports_nothing(tmp_path):
+    """A test-group election and its verification, in a fresh interpreter,
+    leave `pickle` unloaded: only a fork loads it."""
+    code = textwrap.dedent("""
+        import sys
+        from evote import cli
+        out = sys.argv[1] + "/out"
+        run = ["run", "--config", sys.argv[1] + "/config.json",
+               "--scenario", sys.argv[1] + "/scenario.json", "--seed", "1", "--out-dir", out]
+        assert cli.main(run) == cli.EXIT_OK
+        verify = ["verify", "--board", out + "/board.jsonl", "--params", out + "/params.json"]
+        assert cli.main(verify) == cli.EXIT_OK
+        print("pickle" in sys.modules)
+    """)
+    (tmp_path / "config.json").write_text(json.dumps({"candidates": ["alice", "bob"]}))
+    (tmp_path / "scenario.json").write_text(json.dumps(SCENARIO))
+    path = [str(Path(evote.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -36,7 +36,10 @@
 - Every setting has a reader: each field of a class based on `Config` is
   read as an attribute (`.name`) somewhere in `src/`.
 - `groups.fan_out` owns every child process: no other function names
-  `os.fork`, `os.pipe`, `os._exit` or `os.waitpid`.
+  `os.fork`, `os.pipe`, `os._exit` or `os.waitpid`.  It alone names
+  `pickle` or `marshal`, to read back its own children's results, so no
+  board, registry or `params.json` input is ever unpickled: public input
+  goes through `canonical`'s strict decoders only.
 - Module state is constant: no function declares `global` or changes a
   name bound at module level in place (an item or attribute assignment or
   deletion, or a call such as `.append()` or `.clear()`).  The process-wide
@@ -507,9 +510,9 @@ def test_module_state_is_constant(path):
 PROCESS_CALLS = frozenset(("fork", "pipe", "_exit", "waitpid"))
 
 
-def _process_calls(tree: ast.Module) -> list[str]:
-    """`function: name` for each attribute or import named in PROCESS_CALLS,
-    the function as `_callers` names it."""
+def _spellings(tree: ast.Module, names: frozenset[str]) -> list[str]:
+    """`function: name` for each name, attribute, import, `from` import or
+    string that spells one of `names`, the function as `_callers` names it."""
     found = []
 
     def visit(node: ast.AST, owner: str) -> None:
@@ -517,10 +520,15 @@ def _process_calls(tree: ast.Module) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            name = getattr(child, "attr", None) if isinstance(child, ast.Attribute) else (
-                child.name if isinstance(child, ast.alias) else None
+            name = (
+                child.id if isinstance(child, ast.Name)
+                else child.attr if isinstance(child, ast.Attribute)
+                else child.name if isinstance(child, ast.alias)
+                else child.module if isinstance(child, ast.ImportFrom)
+                else child.value if isinstance(child, ast.Constant)
+                else None
             )
-            if name in PROCESS_CALLS:
+            if isinstance(name, str) and name in names:
                 found.append(f"{owner}: {name}")
             visit(child, owner)
 
@@ -528,11 +536,25 @@ def _process_calls(tree: ast.Module) -> list[str]:
     return found
 
 
+def _process_calls(tree: ast.Module) -> list[str]:
+    return _spellings(tree, PROCESS_CALLS)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_fan_out_starts_a_child(path):
     found = set(_process_calls(ast.parse(path.read_text())))
     assert found == ({f"fan_out: {name}" for name in PROCESS_CALLS} if path.name == "groups.py"
                      else set())
+
+
+# The stdlib serializers that rebuild any object they are given.
+SERIALIZERS = frozenset(("pickle", "marshal"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_fan_out_names_a_serializer(path):
+    found = set(_spellings(ast.parse(path.read_text()), SERIALIZERS))
+    assert found == ({"fan_out: pickle"} if path.name == "groups.py" else set())
 
 
 def test_the_guards_see_a_violation():
@@ -597,6 +619,10 @@ def test_the_guards_see_a_violation():
         "    if not os.fork():\n"
         "        os._exit(job())\n"
         "    return os.waitpid(-1, 0)\n"
+        "import marshal\n"
+        "def load_board(data):\n"
+        "    from pickle import loads\n"
+        "    return loads(data), pickle.load(data), __import__('marshal')\n"
     )
     assert _exp_comparisons(bad) == [("verify", 3)]
     assert _called(bad, "pow")
@@ -623,6 +649,9 @@ def test_the_guards_see_a_violation():
     assert _unread_config_fields([bad]) == ["Limits.high"]
     assert _process_calls(bad) == [
         "<module>: pipe", "spawn: fork", "spawn: _exit", "spawn: waitpid"
+    ]
+    assert _spellings(bad, SERIALIZERS) == [
+        "<module>: marshal", "load_board: pickle", "load_board: pickle", "load_board: marshal"
     ]
     assert sorted(_module_state_writes(bad)) == [
         "remember: CACHE.clear()", "remember: CACHE[key] changed", "remember: global HITS",
