@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .canonical import Record, encode
 from .errors import IndexOutOfRange, MalformedChoice
-from .groups import Ciphertext, GroupParams, encrypt, rand_scalar
+from .groups import Ciphertext, GroupParams, encrypt, fan_out, rand_scalar
 from .registry import (
     Registry,
     Signature,
@@ -90,13 +90,19 @@ def compose_ballot(
     timestamp: int,
     rng: random.Random,
 ) -> SignedBallot:
-    """Encrypt each slot with fresh randomness, prove well-formedness, sign."""
+    """Encrypt each slot with fresh randomness, prove well-formedness, sign.
+
+    The randomness is drawn first, slot by slot.  Each slot's encryption is
+    then one job for `groups.fan_out`, which shares them out across the
+    CPUs on prod3072, as `prove_wellformed` does each slot's proof; the
+    parent builds g's and the election key's comb tables first, so that no
+    child builds its own.  The bytes are the same on one CPU and on many."""
     if not choice.is_unit_vector():
         raise MalformedChoice(f"not a unit vector: {choice.bits}")
     randomness = [rand_scalar(params, rng) for _ in choice.bits]
-    slots = tuple(
-        encrypt(params, election_pk, bit, r) for bit, r in zip(choice.bits, randomness)
-    )
+    params.warm(params.g, election_pk)
+    jobs = [(params, election_pk, bit, r) for bit, r in zip(choice.bits, randomness)]
+    slots = tuple(fan_out(params, encrypt, jobs))
     choice_index = choice.bits.index(1)
     proof = prove_wellformed(params, election_pk, list(slots), randomness, choice_index)
     encrypted = EncryptedBallot(slots=slots, wellformed=proof)

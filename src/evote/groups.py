@@ -24,10 +24,12 @@ check's, or a whole board's, in one call; elsewhere claims decide at once.
 `fan_out` maps a function over independent jobs, shared out across the
 host's CPUs by forked children, which send their results back by `pickle`,
 on a group above `_COMB_MIN_P`, and serially anywhere else, with the same
-results in the same order.  It makes the tally's partial decryptions (one
-job per ciphertext), a mix stage's re-encryptions (one per item) and a
-batch's two `multi_exp` products when a side has a full-length power that
-no comb serves.
+results in the same order.  It makes a ballot's slot encryptions and then
+its slot proofs (one job per slot), a batch's admission (one per claim)
+and its powers (one share per CPU: the comb powers in the parent, each
+side's other powers dealt out by `_deal`), the tally's partial
+decryptions (one per ciphertext) and a mix stage's re-encryptions (one
+per item).
 """
 
 from __future__ import annotations
@@ -205,6 +207,14 @@ class GroupParams(Record):
                 if exponent in exponents:
                     return _comb(self.p, base, cols).power(exponent)
         return pow(base, exponent, self.p)
+
+    def warm(self, *bases: int) -> None:
+        """Build the comb tables of each base at both widths, on a group of
+        at least 64 bits, as `exp` of a fixed base would on first use."""
+        if self.p > _COMB_MIN_P:
+            for base in bases:
+                for cols, _ in self._comb_widths:
+                    _comb(self.p, base, cols)
 
     def powers(self, base: int, exponents: list[int]) -> list[int]:
         """`exp(base, e)` for each e in `exponents`, in order.  On a group of
@@ -423,6 +433,15 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _width(params: GroupParams, n: int) -> int:
+    """How many processes `fan_out` shares n jobs among where `os.fork`
+    exists: one on a group up to `_COMB_MIN_P` or in a process that runs
+    threads, else one per job up to the CPUs this process may use."""
+    if params.p <= _COMB_MIN_P or threading.active_count() > 1:
+        return 1
+    return min(_cpus(), n)
+
+
 # A job's result that `fan_out` has not got yet.
 _MISSING = object()
 
@@ -444,8 +463,8 @@ def fan_out(params: GroupParams, fn, jobs) -> list:
     and the parent's own from a job that raised, run again in the parent in
     job order, so an exception is raised where the serial map raises it."""
     jobs = list(jobs)
-    width = min(_cpus(), len(jobs)) if params.p > _COMB_MIN_P else 1
-    if width < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    width = _width(params, len(jobs)) if hasattr(os, "fork") else 1
+    if width < 2:
         return [fn(*job) for job in jobs]
     import pickle  # here, not at the top: the serial map loads nothing
 
@@ -506,18 +525,14 @@ def batch_verdicts(params: GroupParams, claims, equations, exact) -> list[bool]:
     a failed batch whose claims have them and have none splits between
     those claims first, the ones without first; else into halves of about
     equal long powers, or of about equal equation counts where no claim has
-    one.  Admitted: bases in [1, p), each lhs / rhs a member
-    (odd-exponent bases multiply to a quadratic residue), as soundness
-    needs.  `exact` decides the rest, and all on a group that does not batch.
+    one.  Admitted (`_admitted`, one `fan_out` job per claim): bases in
+    [1, p), each lhs / rhs a member (odd-exponent bases multiply to a
+    quadratic residue), as soundness needs.  `exact` decides the rest, and
+    all on a group that does not batch.
     """
     if not params.batches:
         return [exact(params, claim) for claim in claims]
-    p, member = params.p, functools.cache(params.is_element)
-
-    def admitted(lhs, rhs) -> bool:
-        triples = lhs + rhs
-        odd = math.prod(b for b, e, _ in triples if e & 1)
-        return all(0 < b < p for b, _, _ in triples) and _jacobi(odd, p) == 1
+    member = functools.cache(params.is_element)
 
     def split(ks: list[int], failed: bool = False) -> dict[int, bool]:
         """The verdicts of claims `ks`, whose batch is run unless it is
@@ -539,10 +554,22 @@ def batch_verdicts(params: GroupParams, claims, equations, exact) -> list[bool]:
         return proved | split(second, failed=all(proved.values()))
 
     systems = [equations(params, claim) for claim in claims]
-    batched = [k for k, s in enumerate(systems) if s and all(itertools.starmap(admitted, s))]
+    admitted = fan_out(params, _admitted, [(params.p, s) for s in systems])
+    batched = [k for k, ok in enumerate(admitted) if ok]
     long = functools.cache(lambda k: _long_powers(params, systems[k]))
     proved = split(batched)
     return [proved[k] if k in proved else exact(params, claim) for k, claim in enumerate(claims)]
+
+
+def _admitted(p: int, system) -> bool:
+    """A system joins a batch: it has equations, and in each the bases lie
+    in [1, p) and those with odd exponents multiply to a quadratic residue
+    mod p."""
+    return bool(system) and all(
+        all(0 < b < p for b, _, _ in lhs + rhs)
+        and _jacobi(math.prod(b for b, e, _ in lhs + rhs if e & 1), p) == 1
+        for lhs, rhs in system
+    )
 
 
 def _long_powers(params: GroupParams, system) -> int:
@@ -563,11 +590,9 @@ def _batch_holds(params: GroupParams, equations: list, member) -> bool:
     2^-128 per hash trial.  Each base is raised once, to its net exponent,
     left less right; a member takes a wrapped exponent e as e - q, and a
     fixed member its net exponent mod q through its comb, every other base
-    its size mod p - 1, by `multi_exp` (positive ones, then negative).  When
-    a side has an exponent longer than half of p, a full-length power that
-    no comb serves (as a partial decryption's c1^z has), `fan_out` makes
-    the two products at once; shorter sides, as a cast ballot's or a mix
-    stage's, are cheaper made one after the other."""
+    its size mod p - 1 by `multi_exp` on its side (positive ones, or
+    negative).  `_deal` shares these powers out, one share per process of
+    `fan_out`, which makes every share at once."""
     p, q, wrapped = params.p, params.q, params._wrapped_exponents
     seed = digest("evote/groups/batch-weights", p, params.g, equations)
     net, fixed = {}, set()
@@ -580,18 +605,61 @@ def _batch_holds(params: GroupParams, equations: list, member) -> bool:
                 if exponent in wrapped and member(base):
                     exponent -= q
                 net[base] = net.get(base, 0) + weight * exponent
-    acc, sides = 1, ([], [])  # the positive net exponents, then the negative ones
+    combs, sides = [], ([], [])  # sides: the positive net exponents, then the negative ones
     for base, exponent in net.items():
         if base in fixed and member(base):
-            acc = acc * params.exp(base, exponent % q, fixed=True) % p
+            combs.append((base, exponent % q))
         elif exponent:
             sides[exponent < 0].append((base, abs(exponent) % (p - 1)))
-    half = p.bit_length() // 2
-    if any(exponent.bit_length() > half for side in sides for _, exponent in side):
-        positive, negative = fan_out(params, params.multi_exp, [(side,) for side in sides])
-    else:
-        positive, negative = map(params.multi_exp, sides)
-    return acc * positive % p == negative
+    products = fan_out(params, _share, _deal(params, combs, sides))
+    return math.prod(lhs for lhs, _ in products) % p == math.prod(rhs for _, rhs in products) % p
+
+
+def _share(params: GroupParams, combs: list, positive: list, negative: list) -> tuple[int, int]:
+    """One share of a batch: the product of its comb powers and its
+    positive side's powers, and the product of its negative side's."""
+    p, lhs = params.p, params.multi_exp(positive)
+    for base, exponent in combs:
+        lhs = lhs * params.exp(base, exponent, fixed=True) % p
+    return lhs, params.multi_exp(negative)
+
+
+def _deal(params: GroupParams, combs: list, sides: tuple) -> list[tuple]:
+    """`_share`'s jobs for a batch's comb powers and its two sides' pairs:
+    one share per process that `fan_out` would use (where `os.fork` is
+    missing they run one after another), about even in estimated
+    multiplications.  Share 0, the parent's, takes the comb powers from its
+    warm tables, at a full-length power's cols + span each.  A side's pairs
+    in one share cost their windows and tables of odd powers and one chain
+    of squarings as long as their longest exponent, which each share of
+    that side pays anew: so a side's long powers, exponents longer than
+    half of p, are one block, lest two shares each pay a chain of 3,072
+    squarings, and every other pair is a block of its own.  Each block, the costliest first,
+    goes to the share that it leaves the least loaded."""
+    half = params.p.bit_length() // 2
+    blocks = []
+    for s, side in enumerate(sides):
+        long = [pair for pair in side if pair[1].bit_length() > half]
+        blocks += [(s, long)] if long else []
+        blocks += [(s, [pair]) for pair in side if pair[1].bit_length() <= half]
+
+    def cost(pairs) -> tuple[int, int]:
+        bits = [exponent.bit_length() for _, exponent in pairs]
+        widths = map(_window_width, bits)
+        return max(bits), sum(n // (w + 1) + (1 << (w - 1)) for n, w in zip(bits, widths))
+
+    width = _width(params, len(blocks) + 1)
+    shares = [(combs, [], [])] + [([], [], []) for _ in range(width - 1)]
+    chains = [[0, 0] for _ in shares]  # the chain each share's sides pay so far
+    cols = _comb_cols(params.p)
+    loads = [len(combs) * (cols + cols // _COMB_BLOCKS)] + [0] * (width - 1)
+    for s, pairs in sorted(blocks, key=lambda block: sum(cost(block[1])), reverse=True):
+        chain, muls = cost(pairs)
+        after = [load + max(chain - paid[s], 0) + muls for load, paid in zip(loads, chains)]
+        i = after.index(min(after))
+        loads[i], chains[i][s] = after[i], max(chains[i][s], chain)
+        shares[i][1 + s].extend(pairs)
+    return [(params, *share) for share in shares if any(share)]
 
 
 class Pending(typing.NamedTuple):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canonical import Record, digest, enc_int, encode
-from .groups import Ciphertext, GroupParams, batch_verdicts, fails_unless
+from .groups import Ciphertext, GroupParams, batch_verdicts, fails_unless, fan_out
 
 DOMAIN_CP = "evote/zkp/chaum-pedersen"
 DOMAIN_SLOT = "evote/zkp/slot01"
@@ -217,15 +217,16 @@ def prove_wellformed(
 
     Assumes slots encrypt the unit vector for choice_index with the given
     per-slot randomness; a dishonest input yields an unverifiable proof.
+    Each slot's proof is one job for `groups.fan_out`, once the digest of
+    every slot, which each proof's nonces hash, is known.
     """
     q = params.q
     sd = digest(slots)
-    slot_proofs = [
-        _prove_slot(
-            params, pk, ct, i, sd, randomness[i], 1 if i == choice_index else 0
-        )
+    jobs = [
+        (params, pk, ct, i, sd, randomness[i], 1 if i == choice_index else 0)
         for i, ct in enumerate(slots)
     ]
+    slot_proofs = fan_out(params, _prove_slot, jobs)
 
     prod_a, prod_b, y = _sum_statement(params, pk, slots)
     total_r = sum(randomness) % q

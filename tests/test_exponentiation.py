@@ -10,12 +10,15 @@ builtin pow, and a ballot with a wrapped challenge keeps its cast batch
 short.  `powers`, one base to several exponents from a table of its own
 call, and `multi_exp`, a product of powers by sliding windows, are checked
 against builtin pow too, `multi_exp` at every exponent length where its
-window width changes.
+window width changes.  A batch's powers, dealt into one share per CPU,
+multiply to each side's product, and a bisected batch gives the same
+verdicts on one CPU and on two.
 """
 
 import functools
 import math
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -568,10 +571,16 @@ def test_netted_batch_verdicts_match_pow(data):
     exponents 0, 1, up to 2^128 or long; about one equation in four false,
     so that some batches have one false system, some several and some
     only false ones."""
+    _assert_batch_matches_pow(_draw_spec(data))
+
+
+def _draw_spec(data, systems=st.integers(1, 3)):
+    """A spec of `_assert_batch_matches_pow`, as
+    `test_netted_batch_verdicts_match_pow` draws it, of `systems` systems."""
     exponents = st.one_of(st.integers(min_value=0, max_value=1 << 128), st.sampled_from(_LONG))
     pairs = st.lists(st.tuples(st.sampled_from(list(_batch_bases())), exponents), max_size=2)
     spec = []
-    for _ in range(data.draw(st.integers(1, 3))):
+    for _ in range(data.draw(systems)):
         system = []
         for _ in range(data.draw(st.integers(1, 2))):
             lhs, rhs = data.draw(pairs), data.draw(pairs)
@@ -580,7 +589,65 @@ def test_netted_batch_verdicts_match_pow(data):
                 lhs, rhs = lhs + both, both + rhs
             system.append((lhs, rhs, int(data.draw(st.integers(0, 3)) == 0)))
         spec.append(system)
-    _assert_batch_matches_pow(spec)
+    return spec
+
+
+@settings(max_examples=max(5, settings().max_examples // 20), deadline=None)
+@given(data=st.data())
+def test_a_bisected_batch_gives_the_same_verdicts_on_one_cpu_and_on_two(data):
+    """Two or three systems drawn as above, one equation of one of them
+    false, so that the first batch fails and is bisected: its shares are
+    dealt for one CPU, then for two, which fork, and both give builtin
+    pow's verdicts."""
+    spec = _draw_spec(data, st.integers(2, 3))
+    false = data.draw(st.integers(0, len(spec) - 1))
+    lhs, rhs, _ = spec[false][0]
+    spec[false][0] = (lhs, rhs, 1)
+    for cpus in (1, 2):
+        with mock.patch.object(groups, "_cpus", lambda cpus=cpus: cpus):
+            _assert_batch_matches_pow(spec)
+
+
+# About 0.3 s an example on prod3072, most of it builtin pow and the long
+# power's chain of squarings.
+@settings(max_examples=max(5, settings().max_examples // 20), deadline=None)
+@given(data=st.data())
+def test_dealt_shares_multiply_to_each_sides_product(data):
+    """`_batch_holds` deals a batch's comb powers and its two sides' pairs
+    into one share per CPU (`_deal`) and multiplies the shares' products.
+    Up to 6 pairs a side, exponents up to 400 bits, maybe one long power on
+    one side and maybe g's and the key's comb powers, dealt for 1 to 4
+    CPUs: at most one share per CPU, each pair in one share, the comb
+    powers all in share 0 and a side's long power in one share, and the
+    shares' products equal the unsplit `multi_exp` of each side and builtin
+    pow's."""
+    params, bases = PROD_GROUP_3072, _batch_bases()
+    names = st.sampled_from(list(bases))
+    sides = [data.draw(st.lists(st.tuples(names, st.integers(0, 1 << 400)), max_size=6))
+             for _ in range(2)]
+    long = data.draw(st.sampled_from([None, 0, 1]))
+    if long is not None:
+        sides[long].append((data.draw(names), data.draw(st.sampled_from(_LONG))))
+    sides = tuple([(bases[name], e) for name, e in side] for side in sides)
+    combs = []
+    if data.draw(st.booleans()):
+        combs = [(bases[name], data.draw(st.sampled_from(_LONG[:3]))) for name in ("g", "key")]
+    cpus = data.draw(st.integers(1, 4))
+    with mock.patch.object(groups, "_cpus", lambda: cpus):
+        jobs = groups._deal(params, combs, sides)
+    assert len(jobs) <= cpus
+    assert [job[1] for job in jobs if job[1]] == ([combs] if combs else [])
+    assert not combs or jobs[0][1] == combs
+    half = _P.bit_length() // 2
+    for s, side in enumerate(sides):
+        assert sorted(pair for job in jobs for pair in job[2 + s]) == sorted(side)
+        holders = [job for job in jobs if any(e.bit_length() > half for _, e in job[2 + s])]
+        assert len(holders) <= 1
+    products = [groups._share(*job) for job in jobs]
+    lhs = math.prod(product for product, _ in products) % _P
+    rhs = math.prod(product for _, product in products) % _P
+    assert lhs == params.multi_exp(sides[0]) * _value(combs) % _P == _value(sides[0] + combs)
+    assert rhs == params.multi_exp(sides[1]) == _value(sides[1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16])

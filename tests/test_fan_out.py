@@ -1,9 +1,10 @@
 """`groups.fan_out` shares independent jobs out across the host's CPUs.
 
 It must give the serial map's results, in order, and raise where the serial
-map raises; the tally must write the same board on one CPU and on all of
-them; no child may outlive a call or fork again; and the test group, which
-a fork would only slow down, keeps the serial map.
+map raises; a ballot's compose and cast check and the tally must give the
+same bytes and verdicts on one CPU and on all of them; no child may outlive
+a call, fork again or build a table of g or the election key; and the test
+group, which a fork would only slow down, keeps the serial map.
 """
 
 import errno
@@ -18,7 +19,11 @@ import pytest
 
 import evote
 from evote import bulletin, cli, groups, tally
+from evote.ballot import compose_ballot, encode_choice
+from evote.canonical import derive_rng
 from evote.groups import PROD_GROUP_3072, TEST_GROUP, Ciphertext, fan_out
+from evote.tally import Election, ElectionConfig
+from test_ballot_batch import EDITS, _resigned
 
 PROD = PROD_GROUP_3072
 
@@ -167,6 +172,91 @@ def test_a_prod_tally_leaves_no_child(prod_election, forks, monkeypatch):
     assert result.counts == election.result.counts
     assert forks and set(forks) == {os.getpid()}
     _assert_no_children()
+
+
+@pytest.fixture(scope="module")
+def open_prod(prod_election):
+    """prod_election's setup again, open for casting, with the credentials."""
+    return Election.setup(prod_election.config, ["v1", "v2"], seed=prod_election.seed)
+
+
+def _compose(election, creds):
+    """v1's ballot for candidate 1 of 2, from a fixed seed."""
+    return compose_ballot(
+        election.params, creds["v1"], election.election_key.h, encode_choice(1, 2),
+        timestamp=1, rng=derive_rng("fan-out", "ballot"),
+    )
+
+
+def test_a_prod_ballot_is_the_same_on_one_cpu_and_on_all(open_prod, forks, monkeypatch):
+    """Its slot encryptions and slot proofs fork on two or more CPUs, and
+    give the same `SignedBallot` bytes as on one."""
+    election, creds = open_prod
+    host = groups._cpus()
+    with monkeypatch.context() as patch:
+        patch.setattr(groups, "_cpus", lambda: 1)
+        one = _compose(election, creds).to_bytes()
+    assert forks == []
+    monkeypatch.setattr(groups, "_cpus", lambda: max(host, 2))
+    assert _compose(election, creds).to_bytes() == one
+    assert forks and set(forks) == {os.getpid()}
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("case", [
+    "honest", "negated c1, even challenge", "negated c1, odd challenge", "slot response plus one",
+])
+def test_a_prod_cast_gives_the_same_verdict_on_one_cpu_and_on_all(
+    prod_election, open_prod, forks, monkeypatch, case
+):
+    """v1's ballot, honest or edited and re-signed: accepted, with a c1
+    outside the subgroup that admission turns away (even challenge), or
+    rejected, there (odd) or by its batch's bisection (slot response), the
+    same on one CPU and on two or more."""
+    election, creds = open_prod
+    params, host = election.params, groups._cpus()
+    [sb, _] = prod_election.collected
+    edit, rejected = EDITS[case]
+    edited = _resigned(params, creds["v1"], sb, edit(params, election.election_key.h, sb.encrypted))
+    verdicts = []
+    for cpus in (1, max(host, 2)):
+        monkeypatch.setattr(groups, "_cpus", lambda cpus=cpus: cpus)
+        verdicts.append(election.cast(edited, now=edited.timestamp) is not None)
+    assert verdicts == [not rejected] * 2
+    assert forks
+    _assert_no_children()
+
+
+def test_a_test_group_compose_and_cast_never_fork(forks):
+    election, creds = Election.setup(ElectionConfig(candidates=["a", "b"]), ["v1"], seed=1)
+    assert election.cast(_compose(election, creds), now=1) is not None
+    assert forks == []
+
+
+def test_no_child_of_a_first_compose_builds_a_g_or_election_key_table(
+    open_prod, forks, tmp_path, monkeypatch
+):
+    """With every table dropped, a compose and its cast check fork, and
+    each comb table a child builds is logged by base: none is g's or the
+    election key's, which the parent builds before it forks."""
+    election, creds = open_prod
+    params, host = election.params, groups._cpus()
+    log = tmp_path / "child_tables.log"
+    parent, build = os.getpid(), groups._Comb.__init__
+
+    def logged(comb, p, base, cols):
+        if os.getpid() != parent:
+            with open(log, "a") as file:
+                file.write(f"{base}\n")
+        build(comb, p, base, cols)
+
+    monkeypatch.setattr(groups, "_cpus", lambda: max(host, 2))
+    monkeypatch.setattr(groups._Comb, "__init__", logged)
+    groups._comb.cache_clear()
+    assert election.cast(_compose(election, creds), now=1) is not None
+    assert forks
+    child_bases = set(map(int, log.read_text().split())) if log.exists() else set()
+    assert child_bases.isdisjoint({params.g, election.election_key.h})
 
 
 SCENARIO = {
