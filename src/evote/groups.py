@@ -9,11 +9,11 @@ Every modular exponentiation in the package goes through GroupParams.exp.
 On large groups, powers of a recurring base use Lim-Lee comb tables sized to
 the exponent.  g and each election key have a full-length table and a
 256-bit one, the size of every Fiat-Shamir nonce and challenge, in one small
-cache.  `GroupParams.powers` raises one base to several exponents, as
-`partial_decrypt` raises a c1 to every trustee's share, from a full-length
-table that lives only for that call.  Every other power is one builtin `pow`
-call.  `multi_exp` makes a product of powers by sliding windows on one
-chain of squarings, each window's width chosen from its exponent's length.
+cache.  `partial_decrypt` raises a c1 to each share and proof nonce from
+one chain of its squarings (`GroupParams.chain`) that lives only for that
+call.  Every other power is one builtin `pow` call.  `multi_exp` makes a
+product of powers by sliding windows on one chain of squarings, each
+window's width chosen from its exponent's length.
 When p = 2q + 1 and q has over 128 bits (`GroupParams.batches`),
 `batch_verdicts` decides claims (the equations b^z = t*y^e of a proof or a
 signature, a mix stage's re-encryptions x*b^r = y) in small-exponent
@@ -28,8 +28,8 @@ results in the same order.  It makes a ballot's slot encryptions and then
 its slot proofs (one job per slot), a batch's admission (one per claim)
 and its powers (one share per CPU: the comb powers in the parent, each
 side's other powers dealt out by `_deal`), the tally's partial
-decryptions (one per ciphertext) and a mix stage's re-encryptions (one
-per item).
+decryptions (one per ciphertext), a mix stage's re-encryptions (one per
+item) and a setup's public keys (`keygens`, one per key).
 """
 
 from __future__ import annotations
@@ -87,6 +87,7 @@ _RFC3526_3072_P = int(
 _COMB_ROWS = 8
 _COMB_BLOCKS = 4
 _SHORT_COLS = 32
+_DIGIT_BITS = 6  # of a `_Chain` digit: the fewest products per power at 3072 bits
 # Below this modulus size builtin `pow` is as fast as the interpreted comb.
 _COMB_MIN_P = 1 << 63
 # Tables kept at once: g and the election key in both widths, with room to
@@ -106,6 +107,17 @@ def _window_width(bits: int) -> int:
     return min(widths, key=lambda w: bits / (w + 1) + (1 << (w - 1)))
 
 
+def _ladder(p: int, base: int, count: int, step: int) -> list[int]:
+    """base^(2^(step * k)) modulo p for k < count, by one chain of squarings."""
+    powers = [base % p]
+    for _ in range(count - 1):
+        x = powers[-1]
+        for _ in range(step):
+            x = x * x % p
+        powers.append(x)
+    return powers
+
+
 def _comb_cols(p: int) -> int:
     """Columns of the full-length comb modulo p: ROWS rows of them cover
     every bit of p, and they split evenly into BLOCKS blocks."""
@@ -121,12 +133,7 @@ class _Comb:
         blocks = _COMB_BLOCKS if cols > _SHORT_COLS else 1
         self.span = span = cols // blocks
         # powers[k] = base^(2^(k * span)); row r of block j uses k = r*blocks + j.
-        powers = [base % p]
-        for _ in range(_COMB_ROWS * blocks - 1):
-            x = powers[-1]
-            for _ in range(span):
-                x = x * x % p
-            powers.append(x)
+        powers = _ladder(p, base, _COMB_ROWS * blocks, span)
         self.tables = []
         for j in range(blocks):
             table = [1]
@@ -155,6 +162,34 @@ class _Comb:
 @functools.lru_cache(maxsize=_COMB_TABLES)
 def _comb(p: int, base: int, cols: int) -> _Comb:
     return _Comb(p, base, cols)
+
+
+class _Chain:
+    """Yao's base^(2^(6j)) mod p for each 6-bit digit j of an exponent below
+    2^bits.  A power puts each link in its digit's bucket, then multiplies
+    the buckets' prefix products from the highest digit down: no squarings."""
+
+    def __init__(self, p: int, base: int, bits: int):
+        self.p = p
+        self.base = base
+        self.links = _ladder(p, base, -(-bits // _DIGIT_BITS), _DIGIT_BITS)
+
+    def power(self, base: int, exponent: int) -> int:
+        """base^exponent mod p: from the chain when base is its own and the
+        exponent is in its reach, else by builtin `pow`."""
+        p, links = self.p, self.links
+        if base != self.base or exponent < 0 or exponent >> (_DIGIT_BITS * len(links)):
+            return pow(base, exponent, p)
+        buckets = [1] * (1 << _DIGIT_BITS)
+        for link in links:
+            if digit := exponent & ((1 << _DIGIT_BITS) - 1):
+                buckets[digit] = buckets[digit] * link % p
+            exponent >>= _DIGIT_BITS
+        acc = prefix = 1  # the product of bucket[v]^v: bucket v is in every prefix from v down
+        for bucket in reversed(buckets[1:]):
+            prefix = prefix * bucket % p
+            acc = acc * prefix % p
+        return acc
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -192,17 +227,18 @@ class GroupParams(Record):
         if self.g == 1 or not self.is_element(self.g):
             raise ValueError("g must generate the order-q subgroup")
 
-    def exp(self, base: int, exponent: int, fixed: bool = False) -> int:
+    def exp(self, base: int, exponent: int, fixed: bool | _Chain = False) -> int:
         """base^exponent mod p; a negative exponent inverts first.
 
-        `fixed` marks a base that recurs, g or an election key.  On a group
-        of at least 64 bits, a power of a marked base with a full-length
-        exponent uses that base's full-length comb table, and one with 32 to
-        256 bits its 256-bit table; each table is built on first use, in one
-        small cache.  Any other power never builds one: exponents between
-        the two widths, negative ones and every power of an unmarked base.
-        """
+        `fixed` is True for a base that recurs, g or an election key, or a
+        `chain`, which makes the powers of its own base (any other base takes
+        builtin `pow`).  On a group of at least 64 bits, a full-length power
+        of a base fixed True uses its full-length comb table, and one of 32
+        to 256 bits its 256-bit table, each built on first use, in one small
+        cache; any other power builds none."""
         if self.p > _COMB_MIN_P and fixed:
+            if fixed is not True:
+                return fixed.power(base, exponent)
             for cols, exponents in self._comb_widths:
                 if exponent in exponents:
                     return _comb(self.p, base, cols).power(exponent)
@@ -216,19 +252,9 @@ class GroupParams(Record):
                 for cols, _ in self._comb_widths:
                     _comb(self.p, base, cols)
 
-    def powers(self, base: int, exponents: list[int]) -> list[int]:
-        """`exp(base, e)` for each e in `exponents`, in order.  On a group of
-        at least 64 bits, when two or more exponents are full length, one
-        full-length comb table of base serves them; it is built here and
-        dropped on return.  At 3072 bits a table takes about 95 ms to build
-        and 13 ms a power, and builtin `pow` about 90 ms (CPython 3.11, 2-vCPU
-        Xeon VM), so one exponent takes `pow`."""
-        if self.p > _COMB_MIN_P:
-            cols, full = self._comb_widths[0]
-            if sum(e in full for e in exponents) > 1:
-                comb = _Comb(self.p, base, cols)
-                return [comb.power(e) if e in full else self.exp(base, e) for e in exponents]
-        return [self.exp(base, e) for e in exponents]
+    def chain(self, base: int) -> bool | _Chain:
+        """`exp`'s `fixed` for base: a new `_Chain`, or False up to `_COMB_MIN_P`."""
+        return self.p > _COMB_MIN_P and _Chain(self.p, base, self.q.bit_length())
 
     def multi_exp(self, pairs) -> int:
         """The product of base^exponent mod p over (base, exponent) pairs,
@@ -369,6 +395,15 @@ def keygen(params: GroupParams, rng: random.Random) -> KeyPair:
     """Fresh key pair with sk uniform in [1, q-1]; a zero draw is retried."""
     sk = rand_scalar(params, rng)
     return KeyPair(sk=sk, pk=params.exp(params.g, sk, fixed=True))
+
+
+def keygens(params: GroupParams, rngs) -> list[KeyPair]:
+    """A `keygen` from each rng in turn: every secret drawn first, then g's
+    comb tables built here and the public keys made in one `fan_out`."""
+    sks = [rand_scalar(params, rng) for rng in rngs]
+    params.warm(params.g)
+    pks = fan_out(params, params.exp, [(params.g, sk, True) for sk in sks])
+    return [KeyPair(sk=sk, pk=pk) for sk, pk in zip(sks, pks)]
 
 
 def encrypt(params: GroupParams, pk: int, m: int, r: int) -> Ciphertext:
@@ -709,26 +744,22 @@ def threshold_keygen(
     """
     if n < 1:
         raise ValueError("trustee count must be at least 1")
-    shares = []
-    h = 1
-    for i in range(1, n + 1):
-        x = rand_scalar(params, rng)
-        h_i = params.exp(params.g, x, fixed=True)
-        shares.append(TrusteeKeyShare(index=i, x=x, h=h_i))
-        h = (h * h_i) % params.p
-    return ElectionKey(h=h), shares
+    pairs = enumerate(keygens(params, [rng] * n), 1)
+    shares = [TrusteeKeyShare(index=i, x=kp.sk, h=kp.pk) for i, kp in pairs]
+    return ElectionKey(h=math.prod(share.h for share in shares) % params.p), shares
 
 
 def partial_decrypt(
     params: GroupParams, shares: list[TrusteeKeyShare], ct: Ciphertext
 ) -> list[PartialDecryption]:
     """Each share's d_i = c1^x_i, in share order, plus a proof that d_i used
-    the committed share.  One `powers` call makes every d_i."""
+    the committed share; every power of c1 comes from one `params.chain`."""
     from .zkp import prove_correct_decryption
 
-    ds = params.powers(ct.c1, [share.x for share in shares])
+    chain = params.chain(ct.c1)
+    ds = [params.exp(ct.c1, share.x, chain) for share in shares]
     return [
-        PartialDecryption(share.index, d, prove_correct_decryption(params, share.x, ct, d))
+        PartialDecryption(share.index, d, prove_correct_decryption(params, share.x, ct, d, chain))
         for share, d in zip(shares, ds)
     ]
 

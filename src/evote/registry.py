@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .canonical import Record, digest, from_json, read_rows, write_rows
 from .errors import DuplicateVoter
-from .groups import GroupParams, keygen
+from .groups import GroupParams, keygen, keygens
 from .zkp import commit, nonce
 
 DOMAIN_SIG = "evote/registry/schnorr"
@@ -73,6 +73,22 @@ def enroll_voter(registry: Registry, voter_id: str, rng: random.Random) -> Voter
     kp = keygen(registry.params, rng)
     registry.records[voter_id] = VoterRecord(voter_id=voter_id, verify_key=kp.pk)
     return VoterCredential(voter_id=voter_id, signing_key=kp.sk, verify_key=kp.pk)
+
+
+def enroll_voters(registry: Registry, voters) -> list[VoterCredential]:
+    """`enroll_voter` of each (voter_id, rng) in `voters`, in order, with
+    every key pair from one `groups.keygens` call.  A voter_id enrolled
+    already, or twice in `voters`, raises DuplicateVoter before any draw."""
+    seen = set(registry.records)
+    for voter_id, _ in voters:
+        if voter_id in seen:
+            raise DuplicateVoter(voter_id)
+        seen.add(voter_id)
+    credentials = []
+    for (voter_id, _), kp in zip(voters, keygens(registry.params, [rng for _, rng in voters])):
+        registry.records[voter_id] = VoterRecord(voter_id=voter_id, verify_key=kp.pk)
+        credentials.append(VoterCredential(voter_id=voter_id, signing_key=kp.sk, verify_key=kp.pk))
+    return credentials
 
 
 def is_eligible(registry: Registry, voter_id: str) -> bool:

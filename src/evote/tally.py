@@ -45,7 +45,7 @@ from .groups import (
     threshold_keygen,
 )
 from .mixnet import MixBatch, run_mixnet, strip_signatures, verify_mix
-from .registry import Registry, VoterCredential, enroll_voter
+from .registry import Registry, VoterCredential, enroll_voters
 
 
 # result.json keys the counts by candidate name, so the names differ.
@@ -219,10 +219,8 @@ class Election:
         """In-process ceremony: enroll voters, run threshold keygen."""
         params = config.params
         registry = Registry(params)
-        credentials = {
-            vid: enroll_voter(registry, vid, derive_rng(seed, "enroll", vid))
-            for vid in voter_ids
-        }
+        voters = [(vid, derive_rng(seed, "enroll", vid)) for vid in voter_ids]
+        credentials = {cred.voter_id: cred for cred in enroll_voters(registry, voters)}
         election_key, trustees = threshold_keygen(
             params, config.trustee_count, derive_rng(seed, "trustee-ceremony")
         )

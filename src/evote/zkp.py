@@ -105,12 +105,14 @@ class DecryptionProof(Record):
 
 
 def prove_correct_decryption(
-    params: GroupParams, x: int, ct: Ciphertext, d: int
+    params: GroupParams, x: int, ct: Ciphertext, d: int, chain=False
 ) -> DecryptionProof:
-    """Prove d = c1^x for the committed share g^x, without revealing x."""
+    """Prove d = c1^x for the committed share g^x, without revealing x.
+    `chain` is c1's `exp` mark, as `groups.partial_decrypt` makes it by
+    `GroupParams.chain`."""
     pk_component = params.exp(params.g, x, fixed=True)
     w = nonce(params, x, ct.to_bytes(), d)
-    commits = commit(params, ((params.g, True), (ct.c1, False)), w)
+    commits = commit(params, ((params.g, True), (ct.c1, chain)), w)
     e = _challenge(params, DOMAIN_CP, pk_component, ct.to_bytes(), d, *commits)
     z = (w + e * x) % params.q
     return DecryptionProof(*commits, e, z)

@@ -7,7 +7,7 @@ from evote.groups import TEST_GROUP
 from evote.tally import Election, ElectionConfig
 
 # CI runs the codec, record, JSONL row, multi-exponentiation, netted and bisected batch
-# and `powers` properties (`tests/test_exponentiation.py` whole, which holds
+# and chain-power properties (`tests/test_exponentiation.py` whole, which holds
 # `test_netted_batch_verdicts_match_pow`), the mix link claim's agreement
 # with the per-slot check, the batch decryption check's agreement
 # with the per-proof one, the batch ballot check's agreement with the

@@ -7,12 +7,13 @@ tests cover the exponent lengths around each size threshold of that rule
 and the table cache.  On prod3072 powers of members and non-members to an
 exponent within 2^256 below q, such as a wrapped slot challenge, match
 builtin pow, and a ballot with a wrapped challenge keeps its cast batch
-short.  `powers`, one base to several exponents from a table of its own
-call, and `multi_exp`, a product of powers by sliding windows, are checked
-against builtin pow too, `multi_exp` at every exponent length where its
-window width changes.  A batch's powers, dealt into one share per CPU,
-multiply to each side's product, and a bisected batch gives the same
-verdicts on one CPU and on two.
+short.  A chain's powers, one base to several exponents from a chain of
+squarings of its own call, and `multi_exp`, a product of powers by sliding
+windows, are checked against builtin pow too, a chain at every digit
+boundary and `multi_exp` at every exponent length where its window width
+changes.  A batch's powers, dealt into one share per CPU, multiply to each
+side's product, and a bisected batch gives the same verdicts on one CPU and
+on two.
 """
 
 import functools
@@ -230,43 +231,58 @@ def _decrypt_slot(params, m, r):
     return plaintext
 
 
-def _record_tables(monkeypatch):
-    """A weak reference to each comb table built from now on."""
+def _record(monkeypatch, cls):
+    """(weak reference, base) of each `cls` object, a comb table or a chain,
+    built from now on."""
     built = []
-    build = groups._Comb.__init__
-    monkeypatch.setattr(
-        groups._Comb,
-        "__init__",
-        lambda comb, p, base, cols: built.append(weakref.ref(comb)) or build(comb, p, base, cols),
-    )
+    build = cls.__init__
+
+    def logged(self, p, base, size):
+        built.append((weakref.ref(self), base))
+        build(self, p, base, size)
+
+    monkeypatch.setattr(cls, "__init__", logged)
     return built
 
 
+def _long_pows_of(calls, base):
+    """The exponents over 31 bits of the builtin `pow` calls of base."""
+    return [e for b, e, _ in calls if b == base and e.bit_length() > 31]
+
+
 def test_prod_decryption_takes_no_full_length_builtin_pow(monkeypatch):
+    """No full-length builtin `pow` of any base, no builtin `pow` of a c1
+    over 31 bits (its proofs' commitments included) and no comb table: the
+    two partial decryptions share one chain of c1, and the batched proof
+    checks build nothing."""
     params = PROD_GROUP_3072
     _decrypt_slot(params, 0, params.q - 1)  # builds the g and election-key tables
-    built = _record_tables(monkeypatch)
+    tables, chains = _record(monkeypatch, groups._Comb), _record(monkeypatch, groups._Chain)
     calls = _count_pow_calls(monkeypatch)
     assert _decrypt_slot(params, 1, params.q - 2) == 1
     full = params._comb_widths[0][1]
     assert calls and [e for _, e, _ in calls if e in full] == []
-    # One c1 table serves both partial decryptions; the batched proof checks build none.
-    assert len(built) == 1
+    c1 = params.exp(params.g, params.q - 2)
+    assert _long_pows_of(calls, c1) == []
+    assert tables == [] and [base for _, base in chains] == [c1]
 
 
-@pytest.mark.parametrize("trustees, tables", [(2, 1), (1, 0)])
-def test_prod_partial_decrypt_owns_its_c1_table(monkeypatch, trustees, tables):
-    """Two shares share one c1 table, which is gone once the call returns;
-    one share takes builtin `pow` and builds none."""
+@pytest.mark.parametrize("trustees", [1, 2])
+def test_prod_partial_decrypt_owns_its_c1_chain(monkeypatch, trustees):
+    """One share or two: every d_i and each proof's commitment c1^w come
+    from one chain of c1, built in the call and gone once it returns; no
+    builtin `pow` of c1 over 31 bits and no comb table of c1."""
     params = PROD_GROUP_3072
     key, shares = _trustees("prod3072")
     ct = encrypt(params, key.h, 1, params.q - 7)
     partial_decrypt(params, shares, ct)  # builds the g tables of the proofs
-    built = _record_tables(monkeypatch)
+    tables, chains = _record(monkeypatch, groups._Comb), _record(monkeypatch, groups._Chain)
+    calls = _count_pow_calls(monkeypatch)
     partials = partial_decrypt(params, shares[:trustees], ct)
+    assert _long_pows_of(calls, ct.c1) == []
     assert [pd.d for pd in partials] == [pow(ct.c1, s.x, params.p) for s in shares[:trustees]]
-    assert len(built) == tables
-    assert [ref() for ref in built] == [None] * tables
+    assert ct.c1 not in [base for _, base in tables]
+    assert [(ref(), base) for ref, base in chains] == [(None, ct.c1)]
 
 
 @functools.cache
@@ -395,7 +411,16 @@ def test_modulus_threshold(monkeypatch, p, comb):
     assert len(calls) == (2 if comb else 4)
 
 
-# A prod3072 example costs up to about 0.5 s: 4 examples in tier-1, and a
+def _digit_boundaries(params):
+    """2^(6j) - 1, 2^(6j) and 2^(6j) + 1 for each digit j of a chain after
+    the first, up to the first exponent beyond the chain's reach; the test
+    group has one digit, so only its first boundary, beyond q."""
+    digits = -(-params.q.bit_length() // groups._DIGIT_BITS)
+    edges = [1 << (groups._DIGIT_BITS * j) for j in range(1, digits + 1)]
+    return [edge + d for edge in edges for d in (-1, 0, 1)]
+
+
+# A prod3072 example costs up to about 0.6 s: 4 examples in tier-1, and a
 # fiftieth of the loaded profile's count where that is more (20 under ci).
 @pytest.mark.parametrize(
     "params",
@@ -405,9 +430,11 @@ def test_modulus_threshold(monkeypatch, p, comb):
 @settings(max_examples=max(4, settings().max_examples // 50), deadline=None)
 @given(data=st.data())
 def test_powers_match_pow(params, data):
-    """Up to 5 exponents in any order: up to 2 as long as q, so that the
-    list takes a table or not, and up to 3 more, each as long as q, 256 bits
-    long, within 2^256 below q, 0 or 1; of a subgroup member or any base."""
+    """A chain's powers (`exp` under the mark of `GroupParams.chain`, builtin
+    `pow` on the test group) of g, a subgroup member or any base, to up to 5
+    exponents in any order from one chain: up to 2 as long as q, and up to 3
+    more, each as long as q, 256 bits long, within 2^256 below q, 0, 1 or
+    within one of a digit boundary."""
     p, q = params.p, params.q
     full = st.integers(min_value=1 << (q.bit_length() - 1), max_value=q - 1)
     exponent = st.one_of(
@@ -415,12 +442,41 @@ def test_powers_match_pow(params, data):
         st.integers(min_value=1 << 255, max_value=SHORT - 1),
         st.integers(min_value=max(q - SHORT, 0), max_value=q - 1),
         st.sampled_from([0, 1]),
+        st.sampled_from(_digit_boundaries(params)),
     )
     member = params.exp(params.g, 12345)
     base = data.draw(st.one_of(st.sampled_from([params.g, member]), st.integers(1, p - 1)))
     drawn = data.draw(st.lists(full, max_size=2)) + data.draw(st.lists(exponent, max_size=3))
     exponents = data.draw(st.permutations(drawn))
-    assert params.powers(base, exponents) == [pow(base, e, p) for e in exponents]
+    chain = params.chain(base)
+    assert [params.exp(base, e, chain) for e in exponents] == [pow(base, e, p) for e in exponents]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [GroupParams(p=2**63 + 29, q=2**63 + 28, g=3), GroupParams(p=2**521 - 1, q=2**521 - 2, g=3)],
+    ids=["p64", "mersenne521"],
+)
+def test_chain_matches_pow_at_every_digit_boundary(params):
+    """Every digit boundary and its neighbours, beyond the chain's reach
+    included, and 0, 1, q - 1 and -1, which builtin `pow` takes; and the
+    same powers of another base under that chain, which builtin `pow` takes."""
+    base = params.exp(params.g, 12345) * 7 % params.p
+    chain = params.chain(base)
+    for e in [0, 1, params.q - 1, -1] + _digit_boundaries(params):
+        assert params.exp(base, e, chain) == pow(base, e, params.p), e
+        assert params.exp(base + 1, e, chain) == pow(base + 1, e, params.p), e
+
+
+def test_the_test_group_chain_is_builtin_pow(monkeypatch):
+    """At or below `_COMB_MIN_P` the chain mark is False: every power is the
+    one builtin `pow` call that `exp` makes."""
+    params = TEST_GROUP
+    chain = params.chain(5)
+    calls = _count_pow_calls(monkeypatch)
+    assert chain is False
+    assert [params.exp(5, e, chain) for e in range(12)] == [pow(5, e, 23) for e in range(12)]
+    assert calls == [(5, e, 23) for e in range(12)]
 
 
 @pytest.mark.parametrize("name", ["prod3072", "mersenne127"])

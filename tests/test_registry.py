@@ -8,6 +8,7 @@ from evote.registry import (
     Signature,
     _sig_challenge,
     enroll_voter,
+    enroll_voters,
     is_eligible,
     revoke_eligibility,
     sig_statement,
@@ -37,6 +38,23 @@ def test_duplicate_enrollment_rejected(registry):
     enroll_voter(registry, "alice", derive_rng("reg", 1))
     with pytest.raises(DuplicateVoter):
         enroll_voter(registry, "alice", derive_rng("reg", 2))
+
+
+@pytest.mark.parametrize("params", [TEST_GROUP, PROD_GROUP_3072], ids=["test", "prod3072"])
+def test_enroll_voters_matches_enroll_voter(params):
+    """One batch gives each voter the credential `enroll_voter` gives, in
+    order; a voter enrolled already, or twice in the batch, raises
+    DuplicateVoter before any record is added."""
+    ids = ["alice", "bob", "carol"]
+    one = Registry(params)
+    expected = [enroll_voter(one, vid, derive_rng("reg", vid)) for vid in ids]
+    batch = Registry(params)
+    assert enroll_voters(batch, [(vid, derive_rng("reg", vid)) for vid in ids]) == expected
+    assert batch.records == one.records
+    for voters in (["dave", "alice"], ["dave", "dave"]):
+        with pytest.raises(DuplicateVoter):
+            enroll_voters(batch, [(vid, derive_rng("reg", vid)) for vid in voters])
+        assert batch.records == one.records
 
 
 def test_eligibility_lifecycle(registry):
