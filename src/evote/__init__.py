@@ -41,7 +41,6 @@ from .groups import (
     TEST_GROUP,
     decrypt,
     encrypt,
-    keygen,
     reencrypt,
     threshold_decrypt,
     threshold_keygen,
@@ -105,7 +104,6 @@ __all__ = [
     "encrypt",
     "estimate_storage",
     "filter_latest",
-    "keygen",
     "mix_once",
     "prove_wellformed",
     "reencrypt",

@@ -14,7 +14,6 @@ simulator demonstrates that.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
@@ -23,7 +22,7 @@ from typing import Annotated, Literal
 
 from .canonical import Config, Record, at_least, between, derive_rng, digest, encode
 from .errors import NoOnlineNodes, SupplyNotConserved
-from .groups import GROUP_PROFILES, GroupName, GroupParams, keygen
+from .groups import GROUP_PROFILES, GroupName, GroupParams, keygens
 from .registry import Signature, sig_statement, sign
 from .zkp import holds
 
@@ -48,10 +47,11 @@ def wallet_address(verify_key: int) -> str:
     return digest(verify_key).hex()
 
 
-def make_wallet(params: GroupParams, rng: random.Random) -> tuple[Wallet, int]:
-    """Fresh wallet plus its signing key (held by the owner, not the chain)."""
-    kp = keygen(params, rng)
-    return Wallet(address=wallet_address(kp.pk), verify_key=kp.pk), kp.sk
+def make_wallets(params: GroupParams, rngs) -> list[tuple[Wallet, int]]:
+    """A fresh wallet from each rng in turn, each with its signing key (held
+    by the owner, not the chain), from one `groups.keygens` call."""
+    return [(Wallet(address=wallet_address(kp.pk), verify_key=kp.pk), kp.sk)
+            for kp in keygens(params, rngs)]
 
 
 @dataclass(frozen=True)
@@ -395,15 +395,13 @@ def simulate(config: SimConfig, seed, observer=None) -> SimReport:
     summing to anything but one coin per voter.
     """
     params = GROUP_PROFILES[config.group]
-    cand_wallets = []
-    for i in range(config.n_candidates):
-        w, _ = make_wallet(params, derive_rng(seed, "candidate", i))
-        cand_wallets.append((f"cand{i}", w))
-
-    nodes: list[NodeState] = []
-    for i in range(config.n_voters):
-        w, sk = make_wallet(params, derive_rng(seed, "voter", i))
-        nodes.append(NodeState(node_id=f"node{i:04d}", wallet=w, signing_key=sk))
+    # A generator, so that each rng is dropped once its key is drawn.
+    roles = (("candidate", config.n_candidates), ("voter", config.n_voters))
+    rngs = (derive_rng(seed, role, i) for role, n in roles for i in range(n))
+    wallets = make_wallets(params, rngs)
+    cand_wallets = [(f"cand{i}", w) for i, (w, _) in enumerate(wallets[:config.n_candidates])]
+    nodes = [NodeState(node_id=f"node{i:04d}", wallet=w, signing_key=sk)
+             for i, (w, sk) in enumerate(wallets[config.n_candidates:])]
 
     n_malicious = int(round(config.malicious_fraction * config.n_voters))
     mal_rng = derive_rng(seed, "malicious")

@@ -391,15 +391,10 @@ def rand_scalar(params: GroupParams, rng: random.Random) -> int:
     return x
 
 
-def keygen(params: GroupParams, rng: random.Random) -> KeyPair:
-    """Fresh key pair with sk uniform in [1, q-1]; a zero draw is retried."""
-    sk = rand_scalar(params, rng)
-    return KeyPair(sk=sk, pk=params.exp(params.g, sk, fixed=True))
-
-
 def keygens(params: GroupParams, rngs) -> list[KeyPair]:
-    """A `keygen` from each rng in turn: every secret drawn first, then g's
-    comb tables built here and the public keys made in one `fan_out`."""
+    """A fresh key pair from each rng in turn, each sk by `rand_scalar`: every
+    secret drawn first, then g's comb tables built here and the public keys
+    made in one `fan_out`.  Every key pair in the package is made here."""
     sks = [rand_scalar(params, rng) for rng in rngs]
     params.warm(params.g)
     pks = fan_out(params, params.exp, [(params.g, sk, True) for sk in sks])

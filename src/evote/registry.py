@@ -9,13 +9,12 @@ eligibility with a bare boolean.  A signature is checked by handing its
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .canonical import Record, digest, from_json, read_rows, write_rows
 from .errors import DuplicateVoter
-from .groups import GroupParams, keygen, keygens
+from .groups import GroupParams, keygens
 from .zkp import commit, nonce
 
 DOMAIN_SIG = "evote/registry/schnorr"
@@ -66,19 +65,11 @@ class Registry:
         return reg
 
 
-def enroll_voter(registry: Registry, voter_id: str, rng: random.Random) -> VoterCredential:
-    """Bind a fresh signature key pair to voter_id and mark it eligible."""
-    if voter_id in registry.records:
-        raise DuplicateVoter(voter_id)
-    kp = keygen(registry.params, rng)
-    registry.records[voter_id] = VoterRecord(voter_id=voter_id, verify_key=kp.pk)
-    return VoterCredential(voter_id=voter_id, signing_key=kp.sk, verify_key=kp.pk)
-
-
 def enroll_voters(registry: Registry, voters) -> list[VoterCredential]:
-    """`enroll_voter` of each (voter_id, rng) in `voters`, in order, with
-    every key pair from one `groups.keygens` call.  A voter_id enrolled
-    already, or twice in `voters`, raises DuplicateVoter before any draw."""
+    """Bind a fresh signature key pair to each voter_id of the (voter_id,
+    rng) pairs in `voters`, in order, and mark it eligible; every key pair
+    comes from one `groups.keygens` call.  A voter_id enrolled already, or
+    twice in `voters`, raises DuplicateVoter before any draw."""
     seen = set(registry.records)
     for voter_id, _ in voters:
         if voter_id in seen:

@@ -9,7 +9,7 @@ import hashlib
 import itertools
 import json
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 
 import pytest
@@ -26,6 +26,7 @@ from evote.ballot import (
     filter_latest,
 )
 from evote.ballotcoin import (
+    Block,
     NodeState,
     SimConfig,
     Wallet,
@@ -34,6 +35,7 @@ from evote.ballotcoin import (
     fork_choice,
     genesis,
     make_transaction,
+    make_wallets,
     select_forger,
     simulate,
     tally_chain,
@@ -54,6 +56,7 @@ from evote.bulletin import (
     DecryptedBallotPayload,
     MixStagePayload,
     PartialDecryptionPayload,
+    RECORDS,
     ResultPayload,
     check_receipt,
     universal_verify,
@@ -68,15 +71,17 @@ from evote.groups import (
     combine,
     decrypt,
     encrypt,
-    keygen,
+    keygens,
     partial_decrypt,
     rand_scalar,
     threshold_decrypt,
     threshold_keygen,
 )
-from evote.mixnet import MixBatch, MixStage, build_proof, mix_with_state, run_mixnet, verify_mix
+from evote.mixnet import (
+    SIDE_IN, SIDE_OUT, MixBatch, MixStage, build_proof, mix_with_state, run_mixnet, verify_mix,
+)
 from evote import tally
-from evote.registry import DOMAIN_SIG, Registry, enroll_voter, sign
+from evote.registry import DOMAIN_SIG, Registry, enroll_voters, sign
 from evote.tally import Election, ElectionConfig
 from evote.zkp import prove_wellformed
 
@@ -102,7 +107,7 @@ def _cast_votes(election, credentials, votes, seed):
 # criterion 1: combining 010, 001, 010 ballots slotwise decrypts to 0,2,1
 def test_c01_worked_homomorphic_example():
     rng = derive_rng("acceptance", "c01")
-    kp = keygen(GRP, rng)
+    [kp] = keygens(GRP, [rng])
     ballots = [(0, 1, 0), (0, 0, 1), (0, 1, 0)]
     encrypted = [
         [encrypt(GRP, kp.pk, m, rand_scalar(GRP, rng)) for m in b]
@@ -354,7 +359,7 @@ def test_c03_universal_verification_and_mutation_corpus(audited):
     # the tampered transcript.  Each of 1000 trials escapes detection with
     # probability 2^-20, so zero misses are expected.
     rng = derive_rng("acceptance", "c03-trials")
-    kp = keygen(GRP, rng)
+    [kp] = keygens(GRP, [rng])
     misses = 0
     for _ in range(1000):
         batch = MixBatch(
@@ -381,7 +386,7 @@ def test_c03_universal_verification_and_mutation_corpus(audited):
 # criterion 4: decryption multisets survive every mix stage, 200 batches
 def test_c04_mixnet_multiset_preservation():
     rng = derive_rng("acceptance", "c04")
-    kp = keygen(GRP, rng)
+    [kp] = keygens(GRP, [rng])
 
     def multiset(batch):
         return Counter(
@@ -985,7 +990,7 @@ def prod_revotes():
     election's two trustee shares."""
     params = PROD_GROUP_3072
     key, shares = threshold_keygen(params, 2, derive_rng("acceptance-nonce", "trustees"))
-    cred = enroll_voter(Registry(params), "v", derive_rng("acceptance-nonce", "enroll"))
+    [cred] = enroll_voters(Registry(params), [("v", derive_rng("acceptance-nonce", "enroll"))])
     choices = [0, 1, 1, 0]
     ballots = [
         compose_ballot(
@@ -1042,3 +1047,123 @@ def test_a_revotes_two_signatures_do_not_reveal_the_signing_key(prod_revotes):
         h = digest(DOMAIN_SIG, params.to_bytes(), cred.verify_key, t, message)
         pairs.append((int.from_bytes(h, "big") % params.q, sb.signature.response))
     assert cred.signing_key not in _short_nonce_secrets(params.q, *pairs)
+
+
+# F14: a forger must hold stake.  Today `Chain._apply` checks only that the
+# forger's key is in `forger_keys` and that it signed the block, so a node
+# that holds no coin forges a longer chain from genesis, and longest-chain
+# fork choice drops the honest chain's vote.  On prod3072, so that no two
+# wallets share an address.
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="F14: no block's forger is checked for stake"
+)
+def test_a_node_without_stake_cannot_forge_a_valid_chain():
+    params = PROD_GROUP_3072
+    rngs = [derive_rng("acceptance-f14", who) for who in ("cand", "v0", "v1", "idle")]
+    (cand, _), *keyed = make_wallets(params, rngs)
+    nodes = [NodeState(f"n{i}", wallet, sk) for i, (wallet, sk) in enumerate(keyed)]
+    voters, idle = nodes[:2], nodes[2]
+    chain = genesis(
+        params, [cand], [n.wallet for n in voters],
+        forger_keys={n.node_id: n.wallet.verify_key for n in nodes},
+    )
+    assert chain.balances().get(idle.wallet.address, 0) == 0
+    vote = make_transaction(params, voters[1].signing_key, voters[1].wallet, cand.address, 1)
+    honest = chain.extend(forge_block(voters[0], [vote], chain))
+    forged = chain
+    for _ in range(2):
+        block = Block(forged.height + 1, forged.tip_digest, idle.node_id, (), None)
+        signature = sign(params, idle.signing_key, block.signed_message())
+        forged = forged.extend(replace(block, forger_signature=signature))
+    assert not forged.is_valid()
+    assert fork_choice([honest, forged]) is honest
+
+
+# F17: the stake leaves with the vote.  Under `stake_weighted` a vote moves
+# its voter's one coin to a candidate address, which no node forges for,
+# so once every voter has voted no node can forge: today this chain stops
+# at height 1 and skips the other 5 rounds.
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="F17: the lottery's stake is the live balance"
+)
+def test_the_chain_grows_after_every_voter_has_voted():
+    config = SimConfig(group="prod3072", n_voters=6, n_candidates=2, rounds=6, vote_prob=1.0)
+    assert simulate(config, 1).chain_height > 1
+
+
+def _linked_plaintexts(board):
+    """The plaintext of each cast position (its index in the first mix
+    input) that the board's public records link to a decrypted output.
+    Per stage, a mid item whose in-link and out-link some rounds open joins
+    its input to its output; the stages compose, and each `DecryptedBallot`
+    names its output item's plaintext."""
+    def records(kind):
+        return [RECORDS[kind][0].from_bytes(e.payload) for e in board.find(kind)]
+
+    stages = [payload.stage for payload in records(KIND_MIX_STAGE)]
+    claims = {claim.item_index: claim.exponents for claim in records(KIND_DECRYPTED_BALLOT)}
+    path = {i: i for i in range(len(stages[0].batch_in.items))} if stages else {}
+    for stage in stages:
+        ends = defaultdict(dict)
+        for links in stage.proof.rounds:
+            for j, link in enumerate(links):
+                ends[j][link.side] = link.index
+        step = {end[SIDE_IN]: end[SIDE_OUT] for end in ends.values() if len(end) == 2}
+        path = {pos: step[at] for pos, at in path.items() if at in step}
+    return {pos: claims[at] for pos, at in path.items() if at in claims}
+
+
+# F1: the mix-net hides nothing.  Every challenge round opens one link of
+# the one mid layer per item, so over 20 rounds both links of nearly every
+# mid item are open, and the public board links each cast position to its
+# decrypted plaintext.
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="F1: the rounds open both links of a mid item"
+)
+def test_the_board_links_no_cast_position_to_its_plaintext():
+    voters = [f"v{i:02d}" for i in range(12)]
+    rng = derive_rng("acceptance-f1", "choices")
+    choices = [rng.randrange(3) for _ in voters]
+    election, credentials = Election.setup(ElectionConfig(candidates=["a", "b", "c"]), voters, 1)
+    votes = [(voter, c, t) for t, (voter, c) in enumerate(zip(voters, choices))]
+    _cast_votes(election, credentials, votes, "acceptance-f1")
+    election.close_election()
+    election.run_tally()
+    assert _verify(election, election.board).overall
+    # No re-votes, so the first mix input holds the casts in board order.
+    truth = [encode_choice(c, 3).bits for c in choices]
+    named = _linked_plaintexts(election.board)
+    assert [pos for pos, plaintext in named.items() if plaintext == truth[pos]] == []
+
+
+# F15: the verifier checks no eligibility.  The board's casts carry no
+# credential, so a cast by a voter that the authority enrolled after the
+# published setup passes `evote verify`, and the counts include it.
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="F15: a cast carries no credential to check"
+)
+def test_the_verifier_names_a_cast_by_a_voter_enrolled_after_setup(tmp_path, capsys):
+    config = {"candidates": ["a", "b"], "trustee_count": 2, "mix_server_count": 2,
+              "proof_rounds": 4}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    (tmp_path / "scenario.json").write_text(json.dumps({"voters": ["v1", "v2"]}))
+    setup = ["setup", "--config", str(tmp_path / "config.json"),
+             "--scenario", str(tmp_path / "scenario.json"), "--seed", "5",
+             "--out-dir", str(tmp_path / "setup")]
+    assert cli_main(setup) == 0
+
+    election, credentials = Election.setup(ElectionConfig(**config), ["v1", "v2"], 5)
+    intruder = ("intruder", derive_rng("acceptance-f15", "intruder"))
+    [credentials["intruder"]] = enroll_voters(election.registry, [intruder])
+    votes = [("v1", 0, 1), ("v2", 1, 2), ("intruder", 0, 3)]
+    _cast_votes(election, credentials, votes, "acceptance-f15")
+    election.close_election()
+    election.run_tally()
+    election.board.save(tmp_path / "board.jsonl")
+    intruder_seq = election.board.find(KIND_BALLOT_CAST)[2].seq
+    capsys.readouterr()
+
+    verify = ["verify", "--board", str(tmp_path / "board.jsonl"),
+              "--params", str(tmp_path / "setup" / "params.json")]
+    assert cli_main(verify) == 2
+    assert f"entry {intruder_seq}" in capsys.readouterr().out

@@ -14,13 +14,13 @@ from evote.bulletin import check_receipt
 from evote.canonical import derive_rng
 from evote.errors import IndexOutOfRange, MalformedChoice
 from evote.groups import threshold_keygen
-from evote.registry import Registry, enroll_voter, revoke_eligibility
+from evote.registry import Registry, enroll_voters, revoke_eligibility
 
 
 @pytest.fixture
 def setup(grp):
     registry = Registry(grp)
-    cred = enroll_voter(registry, "alice", derive_rng("bal", "alice"))
+    [cred] = enroll_voters(registry, [("alice", derive_rng("bal", "alice"))])
     ek, _shares = threshold_keygen(grp, 3, derive_rng("bal", "keys"))
     return registry, cred, ek
 
@@ -78,7 +78,7 @@ def test_malformed_choice_rejected_at_composition(grp, setup):
 def test_unknown_voter_rejected(grp, setup):
     registry, cred, ek = setup
     other = Registry(grp)
-    stranger = enroll_voter(other, "mallory", derive_rng("bal", "mallory"))
+    [stranger] = enroll_voters(other, [("mallory", derive_rng("bal", "mallory"))])
     sb = _ballot(grp, stranger, ek)
     assert not verify_ballot(grp, sb, registry, ek.h)
 

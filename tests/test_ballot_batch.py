@@ -34,7 +34,7 @@ from evote.groups import (
     rand_scalar,
     threshold_keygen,
 )
-from evote.registry import Registry, enroll_voter, sig_statement, sign
+from evote.registry import Registry, enroll_voters, sig_statement, sign
 from evote.tally import Election
 from evote.zkp import prove_wellformed, wellformed_statements
 
@@ -233,7 +233,7 @@ def _pool(name):
     params = PROFILES[name]
     key, _ = threshold_keygen(params, 2, derive_rng("ballot-batch", name))
     registry = Registry(params)
-    cred = enroll_voter(registry, "v", derive_rng("ballot-batch", name, "enroll"))
+    [cred] = enroll_voters(registry, [("v", derive_rng("ballot-batch", name, "enroll"))])
     statements = []
     for choice in (0, 1):
         rng = derive_rng("ballot-batch", name, choice)

@@ -19,7 +19,7 @@ from evote.ballotcoin import (
     fork_choice,
     genesis,
     make_transaction,
-    make_wallet,
+    make_wallets,
     select_forger,
     simulate,
     tally_chain,
@@ -60,7 +60,7 @@ def net(grp):
 
 
 def test_wallet_address_is_hex_digest_of_key(grp):
-    w, _ = make_wallet(grp, derive_rng("addr"))
+    [(w, _)] = make_wallets(grp, [derive_rng("addr")])
     assert w.address == digest(w.verify_key).hex()
     assert len(w.address) == 64
 
@@ -155,11 +155,12 @@ def _voting(name):
     """On the named group: a chain of 2 candidates and 4 voters, the voters'
     nodes, and one vote per voter, for candidates 0, 1, 0, 1."""
     params = PROFILES[name]
-    cands = [make_wallet(params, derive_rng("coin-batch", name, "cand", i))[0] for i in range(2)]
-    nodes = []
-    for i in range(4):
-        w, sk = make_wallet(params, derive_rng("coin-batch", name, "voter", i))
-        nodes.append(NodeState(node_id=f"n{i}", wallet=w, signing_key=sk))
+    rngs = [derive_rng("coin-batch", name, "cand", i) for i in range(2)]
+    rngs += [derive_rng("coin-batch", name, "voter", i) for i in range(4)]
+    wallets = make_wallets(params, rngs)
+    cands = [w for w, _ in wallets[:2]]
+    nodes = [NodeState(node_id=f"n{i}", wallet=w, signing_key=sk)
+             for i, (w, sk) in enumerate(wallets[2:])]
     chain = genesis(
         params, cands, [n.wallet for n in nodes],
         forger_keys={n.node_id: n.wallet.verify_key for n in nodes},

@@ -37,7 +37,7 @@ from evote.groups import (
     threshold_decrypt,
     threshold_keygen,
 )
-from evote.registry import Registry, enroll_voter
+from evote.registry import Registry, enroll_voters
 
 PROFILES = {"test": TEST_GROUP, "prod3072": PROD_GROUP_3072}
 
@@ -288,7 +288,7 @@ def test_prod_partial_decrypt_owns_its_c1_chain(monkeypatch, trustees):
 @functools.cache
 def _prod_voter():
     registry = Registry(PROD_GROUP_3072)
-    return registry, enroll_voter(registry, "voter0", derive_rng("exp-tests", "enroll"))
+    return registry, enroll_voters(registry, [("voter0", derive_rng("exp-tests", "enroll"))])[0]
 
 
 def _cast_ballot(params, choice):

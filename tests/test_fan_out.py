@@ -1,10 +1,11 @@
 """`groups.fan_out` shares independent jobs out across the host's CPUs.
 
 It must give the serial map's results, in order, and raise where the serial
-map raises; a ballot's compose and cast check and the tally must give the
-same bytes and verdicts on one CPU and on all of them; no child may outlive
-a call, fork again or build a table of g or the election key; and the test
-group, which a fork would only slow down, keeps the serial map.
+map raises; a ballot's compose and cast check, the tally and a BallotCoin
+simulation must give the same bytes, verdicts and reports on one CPU and
+on all of them; no child may outlive a call, fork again or build a table
+of g or the election key; and the test group, which a fork would only slow
+down, keeps the serial map.
 """
 
 import errno
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import evote
-from evote import bulletin, cli, groups, tally
+from evote import ballotcoin, bulletin, cli, groups, tally
 from evote.ballot import compose_ballot, encode_choice
 from evote.canonical import derive_rng
 from evote.groups import PROD_GROUP_3072, TEST_GROUP, Ciphertext, fan_out
@@ -286,6 +287,21 @@ def test_a_prod_run_writes_the_same_board_on_one_cpu_and_on_all(tmp_path, monkey
         one = _run(tmp_path, "one")
     every = _run(tmp_path, "every")
     assert (one / "board.jsonl").read_bytes() == (every / "board.jsonl").read_bytes()
+    _assert_no_children()
+
+
+def test_a_prod_simulation_reports_the_same_on_one_cpu_and_on_all(forks, monkeypatch):
+    """Its wallets' public keys, one `keygens` call, fork on two or more
+    CPUs, and the `SimReport` is the one a single CPU gives."""
+    config = ballotcoin.SimConfig(rounds=3, n_voters=4, vote_prob=1.0, group="prod3072")
+    host = groups._cpus()
+    with monkeypatch.context() as patch:
+        patch.setattr(groups, "_cpus", lambda: 1)
+        one = ballotcoin.simulate(config, 1)
+    assert forks == []
+    monkeypatch.setattr(groups, "_cpus", lambda: max(host, 2))
+    assert ballotcoin.simulate(config, 1) == one
+    assert forks and set(forks) == {os.getpid()}
     _assert_no_children()
 
 

@@ -16,7 +16,7 @@ from evote.ballot import compose_ballot, encode_choice
 from evote.canonical import derive_rng
 from evote.groups import PROD_GROUP_3072, partial_decrypt, settle, threshold_keygen
 from evote.mixnet import MixStage, mix_once, strip_signatures, verify_mix
-from evote.registry import Registry, enroll_voter
+from evote.registry import Registry, enroll_voters
 from evote.zkp import decryption_statement, holds, wellformed_statements
 
 GOLDEN = {
@@ -31,7 +31,7 @@ def artifacts():
     params = PROD_GROUP_3072
     key, shares = threshold_keygen(params, 2, derive_rng("golden", "trustees"))
     registry = Registry(params)
-    cred = enroll_voter(registry, "voter0", derive_rng("golden", "enroll"))
+    [cred] = enroll_voters(registry, [("voter0", derive_rng("golden", "enroll"))])
     sb = compose_ballot(
         params, cred, key.h, encode_choice(1, 2), timestamp=1, rng=derive_rng("golden", "ballot")
     )

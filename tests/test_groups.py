@@ -21,7 +21,7 @@ from evote.groups import (
     combine,
     decrypt,
     encrypt,
-    keygen,
+    keygens,
     partial_decrypt,
     reencrypt,
     reencrypts_to,
@@ -33,7 +33,7 @@ from evote.groups import (
 # --- frozen worked example: p=23, q=11, g=2, sk=3 ---
 
 def test_keygen_from_known_secret(grp):
-    kp = keygen(grp, StubRng([3]))
+    [kp] = keygens(grp, [StubRng([3])])
     assert kp.sk == 3
     assert kp.pk == 8
 

@@ -17,7 +17,7 @@ from evote.groups import (
     Ciphertext,
     decrypt,
     encrypt,
-    keygen,
+    keygens,
     rand_scalar,
     reencrypt,
     reencrypts_to,
@@ -67,7 +67,7 @@ def _verifies(params, pk, batch, out, proof, min_rounds=1):
 
 @pytest.fixture
 def keys(grp):
-    return keygen(grp, derive_rng("mix", "key"))
+    return keygens(grp, [derive_rng("mix", "key")])[0]
 
 
 def test_mix_preserves_plaintext_multiset(grp, keys):
@@ -292,12 +292,14 @@ def _verdicts(monkeypatch, params, pk, batch, out, proof):
 
 @functools.cache
 def _prod_key(member=True):
-    pk = keygen(PROD_GROUP_3072, derive_rng("mix", "prod-key")).pk
+    pk = keygens(PROD_GROUP_3072, [derive_rng("mix", "prod-key")])[0].pk
     return pk if member else PROD_GROUP_3072.p - pk
 
 
 def _key(name):
-    return _prod_key() if name == "prod3072" else keygen(TEST_GROUP, derive_rng("mix", "key")).pk
+    if name == "prod3072":
+        return _prod_key()
+    return keygens(TEST_GROUP, [derive_rng("mix", "key")])[0].pk
 
 
 @functools.cache

@@ -3,6 +3,8 @@
 - `groups.py` owns every exponentiation: no other module calls `pow` or
   names the comb (a private name with "comb" in it: `_Comb`, its caches
   and its constants).
+- `groups.keygens` makes every key pair: no other function in `src/`
+  calls `KeyPair(...)`.
 - `groups.py` decides subgroup membership (`GroupParams.is_element`): no
   other module names `_jacobi` or raises a value to `q`.
 - `groups.unblind` owns unblinding a decryption (c2 / the product of its
@@ -244,6 +246,12 @@ def test_only_holds_checks_one_statement(path):
     tree = ast.parse(path.read_text())
     owners = ["_exact"] if path.name == "zkp.py" else []
     assert sorted(set(_callers(tree, "_holds"))) == owners
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_keygens_makes_a_key_pair(path):
+    makers = _callers(ast.parse(path.read_text()), "KeyPair")
+    assert makers == (["keygens"] if path.name == "groups.py" else [])
 
 
 # The functions that may call `batch_verdicts`, by module.
@@ -564,6 +572,10 @@ def test_the_guards_see_a_violation():
         "    return lhs == t * params.exp(y, e) % params.p\n"
         "def key(x):\n"
         "    return pow(2, x, 23)\n"
+        "def keygen(params, rng):\n"
+        "    sk = rand_scalar(params, rng)\n"
+        "    return groups.KeyPair(sk, params.exp(params.g, sk, True))\n"
+        "pair = KeyPair(3, 8)\n"
         "KIND = 'BallotCast'\n"
         "__all__ = ['Receipt']\n"
         "import time\n"
@@ -626,6 +638,7 @@ def test_the_guards_see_a_violation():
     )
     assert _exp_comparisons(bad) == [("verify", 3)]
     assert _called(bad, "pow")
+    assert _callers(bad, "KeyPair") == ["keygen", "<module>"]
     assert sorted(_comb_names(bad)) == ["_Comb", "_comb"]
     assert _kind_literals(bad) == ["BallotCast"]
     assert _readers(bad, "_link_equations") == ["stage_ok"]

@@ -7,7 +7,6 @@ from evote.registry import (
     Registry,
     Signature,
     _sig_challenge,
-    enroll_voter,
     enroll_voters,
     is_eligible,
     revoke_eligibility,
@@ -28,26 +27,26 @@ def _verifies(grp, verify_key, message, sig) -> bool:
 
 
 def test_enroll_returns_credential_with_matching_keys(grp, registry):
-    cred = enroll_voter(registry, "alice", derive_rng("reg", "alice"))
+    [cred] = enroll_voters(registry, [("alice", derive_rng("reg", "alice"))])
     assert cred.voter_id == "alice"
     assert pow(grp.g, cred.signing_key, grp.p) == cred.verify_key
     assert verify_key_of(registry, "alice") == cred.verify_key
 
 
 def test_duplicate_enrollment_rejected(registry):
-    enroll_voter(registry, "alice", derive_rng("reg", 1))
+    enroll_voters(registry, [("alice", derive_rng("reg", 1))])
     with pytest.raises(DuplicateVoter):
-        enroll_voter(registry, "alice", derive_rng("reg", 2))
+        enroll_voters(registry, [("alice", derive_rng("reg", 2))])
 
 
 @pytest.mark.parametrize("params", [TEST_GROUP, PROD_GROUP_3072], ids=["test", "prod3072"])
-def test_enroll_voters_matches_enroll_voter(params):
-    """One batch gives each voter the credential `enroll_voter` gives, in
-    order; a voter enrolled already, or twice in the batch, raises
-    DuplicateVoter before any record is added."""
+def test_enroll_voters_matches_one_voter_calls(params):
+    """One batch gives each voter the credential that a one-voter batch
+    gives, in order; a voter enrolled already, or twice in the batch,
+    raises DuplicateVoter before any record is added."""
     ids = ["alice", "bob", "carol"]
     one = Registry(params)
-    expected = [enroll_voter(one, vid, derive_rng("reg", vid)) for vid in ids]
+    expected = [enroll_voters(one, [(vid, derive_rng("reg", vid))])[0] for vid in ids]
     batch = Registry(params)
     assert enroll_voters(batch, [(vid, derive_rng("reg", vid)) for vid in ids]) == expected
     assert batch.records == one.records
@@ -58,7 +57,7 @@ def test_enroll_voters_matches_enroll_voter(params):
 
 
 def test_eligibility_lifecycle(registry):
-    enroll_voter(registry, "bob", derive_rng("reg", "bob"))
+    enroll_voters(registry, [("bob", derive_rng("reg", "bob"))])
     assert is_eligible(registry, "bob")
     assert not is_eligible(registry, "never-enrolled")
     revoke_eligibility(registry, "bob")
@@ -66,40 +65,38 @@ def test_eligibility_lifecycle(registry):
 
 
 def test_sign_verify_round_trip(grp, registry):
-    cred = enroll_voter(registry, "carol", derive_rng("reg", "carol"))
+    [cred] = enroll_voters(registry, [("carol", derive_rng("reg", "carol"))])
     sig = sign(grp, cred.signing_key, b"message")
     assert _verifies(grp, cred.verify_key, b"message", sig)
 
 
 def test_signature_bound_to_message(grp, registry):
-    cred = enroll_voter(registry, "dave", derive_rng("reg", "dave"))
+    [cred] = enroll_voters(registry, [("dave", derive_rng("reg", "dave"))])
     sig = sign(grp, cred.signing_key, b"message")
     assert not _verifies(grp, cred.verify_key, b"other", sig)
 
 
 def test_signature_bound_to_key(grp, registry):
-    a = enroll_voter(registry, "a", derive_rng("reg", "a"))
-    b = enroll_voter(registry, "b", derive_rng("reg", "b"))
+    a, b = enroll_voters(registry, [(vid, derive_rng("reg", vid)) for vid in "ab"])
     sig = sign(grp, a.signing_key, b"message")
     assert not _verifies(grp, b.verify_key, b"message", sig)
 
 
 def test_tampered_signature_rejected(grp, registry):
-    cred = enroll_voter(registry, "eve", derive_rng("reg", "eve"))
+    [cred] = enroll_voters(registry, [("eve", derive_rng("reg", "eve"))])
     sig = sign(grp, cred.signing_key, b"message")
     bad = Signature(commit=sig.commit, response=(sig.response + 1) % grp.q)
     assert not _verifies(grp, cred.verify_key, b"message", bad)
 
 
 def test_signing_is_deterministic(grp, registry):
-    cred = enroll_voter(registry, "frank", derive_rng("reg", "frank"))
+    [cred] = enroll_voters(registry, [("frank", derive_rng("reg", "frank"))])
     assert sign(grp, cred.signing_key, b"m") == sign(grp, cred.signing_key, b"m")
     assert sign(grp, cred.signing_key, b"m") != sign(grp, cred.signing_key, b"n")
 
 
 def test_registry_save_load_round_trip(grp, registry, tmp_path):
-    enroll_voter(registry, "alice", derive_rng("reg", 10))
-    enroll_voter(registry, "bob", derive_rng("reg", 11))
+    enroll_voters(registry, [("alice", derive_rng("reg", 10)), ("bob", derive_rng("reg", 11))])
     revoke_eligibility(registry, "bob")
     path = tmp_path / "registry.jsonl"
     registry.save(path)

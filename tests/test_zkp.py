@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from evote.canonical import derive_rng, digest
 from evote import zkp
-from evote.groups import PROD_GROUP_3072, TEST_GROUP, encrypt, keygen, rand_scalar
+from evote.groups import PROD_GROUP_3072, TEST_GROUP, encrypt, keygens, rand_scalar
 from evote.mixnet import MixBatch, MixStage, mix_once, verify_mix
 from evote.registry import sig_statement, sign
 from evote.zkp import (
@@ -22,7 +22,7 @@ from evote.zkp import (
 
 def _decryption_setup(seed="cp"):
     grp = TEST_GROUP
-    kp = keygen(grp, derive_rng(seed))
+    [kp] = keygens(grp, [derive_rng(seed)])
     ct = encrypt(grp, kp.pk, 1, 4)
     d = pow(ct.c1, kp.sk, grp.p)
     proof = prove_correct_decryption(grp, kp.sk, ct, d)
@@ -66,7 +66,7 @@ def test_decryption_proof_serialization_round_trip():
 
 def _ballot_setup(bits, seed="wf"):
     grp = TEST_GROUP
-    kp = keygen(grp, derive_rng(seed, "key"))
+    [kp] = keygens(grp, [derive_rng(seed, "key")])
     rng = derive_rng(seed, "r")
     rs = [rand_scalar(grp, rng) for _ in bits]
     slots = [encrypt(grp, kp.pk, b, r) for b, r in zip(bits, rs)]
@@ -130,7 +130,7 @@ def test_wellformed_sum_check_rejects_all_zeros():
 
 def test_wellformed_slot_check_rejects_value_two():
     grp = TEST_GROUP
-    kp = keygen(grp, derive_rng("two", "key"))
+    [kp] = keygens(grp, [derive_rng("two", "key")])
     rng = derive_rng("two", "r")
     bits = (2, 0, 0)  # not a 0/1 slot; prover lies and claims index 0
     rs = [rand_scalar(grp, rng) for _ in bits]
@@ -194,7 +194,7 @@ def test_wellformed_accepts_any_choice_position(idx, seed):
 
 def _signature_response(shift):
     grp = TEST_GROUP
-    kp = keygen(grp, derive_rng("range", "sig"))
+    [kp] = keygens(grp, [derive_rng("range", "sig")])
     sig = sign(grp, kp.sk, b"message")
     edited = dataclasses.replace(sig, response=sig.response + shift)
     return zkp.holds(grp, [sig_statement(grp, kp.pk, b"message", edited)]) == [True]
@@ -232,7 +232,7 @@ def _sum_response(proof, shift):
 
 def _mix_scalar(shift):
     grp = TEST_GROUP
-    kp = keygen(grp, derive_rng("range", "mix-key"))
+    [kp] = keygens(grp, [derive_rng("range", "mix-key")])
     rng = derive_rng("range", "mix-batch")
     batch = MixBatch(
         items=tuple(
